@@ -41,7 +41,8 @@ from repro.config.system import (
 )
 from repro.core.simulator import Simulator, clear_compute_plan_cache
 from repro.dram.fanout import simulate_many_dram
-from repro.run.sweep import Axis, SweepRunner, SweepSpec, _simulate_point
+from repro.layout.integrate import evaluate_layout_slowdown
+from repro.run.sweep import Axis, SweepRunner, SweepSpec
 from repro.topology.models import resnet18
 from repro.topology.topology import Topology
 
@@ -130,11 +131,30 @@ def test_dram_fanout_speedup():
     )
     points = spec.expand()
 
+    # Per-point baseline: the independent references, one dense run and
+    # one single-config layout study per point.
     start = time.perf_counter()
-    solo_payloads = []
+    solo_runs = []
+    solo_layouts = []
     for point in points:
         clear_compute_plan_cache()
-        solo_payloads.append(_simulate_point((point.config, point.topology, True)))
+        config = point.config
+        solo_runs.append(Simulator(config).run(point.topology))
+        solo_layouts.append(
+            [
+                evaluate_layout_slowdown(
+                    layer,
+                    config.arch.dataflow,
+                    config.arch.array_rows,
+                    config.arch.array_cols,
+                    config.layout.num_banks,
+                    config.layout.total_bandwidth_words,
+                    ports_per_bank=config.layout.ports_per_bank,
+                    evaluator=config.layout.evaluator,
+                )
+                for layer in point.topology
+            ]
+        )
     cross_independent_s = time.perf_counter() - start
 
     clear_compute_plan_cache()
@@ -144,10 +164,10 @@ def test_dram_fanout_speedup():
     cross_grouped_s = time.perf_counter() - start
     assert runner.last_grouping == (len(points), 1)
 
-    for result, solo in zip(grouped, solo_payloads):
-        assert result.run_result.total_cycles == solo.run_result.total_cycles
-        assert result.run_result.dram_stats == solo.run_result.dram_stats
-        assert result.layout_results == solo.layout_results
+    for result, solo_run, solo_layout in zip(grouped, solo_runs, solo_layouts):
+        assert result.run_result.total_cycles == solo_run.total_cycles
+        assert result.run_result.dram_stats == solo_run.dram_stats
+        assert result.layout_results == solo_layout
 
     cross_speedup = cross_independent_s / cross_grouped_s
     cross_required = MIN_CROSS_SPEEDUP.get(SWEEP_WORKERS, MIN_CROSS_SPEEDUP_PARALLEL)

@@ -11,7 +11,7 @@ architecture section — and :func:`simulate_many_dram` resolves it
 against every memory configuration of a grid:
 
 * the plan is built (and memoized) once;
-* configs sharing a word size share one decoded line stream — the
+* DRAM configs sharing a word size share one decoded line stream — the
   fetch-to-64B-line chop plus the round-robin issue order the vector
   engine would otherwise rematerialize per config (mirroring the
   ``prime_key_lut`` sharing of the layout fan-out);
@@ -30,12 +30,14 @@ against every memory configuration of a grid:
 Results are bit-identical to ``Simulator(config).run(topology)`` per
 config — enforced by ``tests/dram/test_dram_fanout_equivalence.py`` and
 ``tests/dram/test_grid_engine_equivalence.py``.  The sweep runner
-(:mod:`repro.run.sweep`) dispatches groups of points that differ only
-in ``dram.*`` / ``layout.*`` axes through this seam.
+(:mod:`repro.run.sweep`) reaches this seam through
+:func:`repro.run.runner.simulate_configs`, for groups of points that
+differ only in ``dram.*`` / ``layout.*`` axes and single points alike.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -68,17 +70,21 @@ def _shared_line_batches(
     configs: Sequence[SystemConfig],
     store: ArtifactStore | None = None,
 ) -> dict[int, _LineBatches]:
-    """One decoded line stream per word size appearing in the grid.
+    """One decoded line stream per word size the grid shares.
 
     Only DRAM-enabled configs consume line batches (the ideal-bandwidth
-    backend works in words, straight from the fold specs).  With an
-    artifact store (and a plan that carries its content address) each
-    word size's stream is served from / persisted to disk, keyed on the
-    plan key + word size, so a cold process skips the fetch-to-line
-    chop and the issue-order sort.
+    backend works in words, straight from the fold specs), and only a
+    word size two or more of them use is worth prebuilding: a lone
+    config resolves with ``line_batches=None`` exactly as
+    ``Simulator.run`` does, decoding fold by fold.  With an artifact
+    store (and a plan that carries its content address) each shared
+    stream is served from / persisted to disk, keyed on the plan key +
+    word size, so a cold process skips the fetch-to-line chop and the
+    issue-order sort.
     """
+    users = Counter(c.arch.word_bytes for c in configs if c.dram.enabled)
     batches: dict[int, _LineBatches] = {}
-    for word_bytes in sorted({c.arch.word_bytes for c in configs if c.dram.enabled}):
+    for word_bytes in sorted(word for word, count in users.items() if count > 1):
         if store is not None and plan.store_key:
             key = store.key(
                 "line_batches",

@@ -1,7 +1,7 @@
 """High-level drivers: one-call simulation runs, sweeps, and the CLI."""
 
 from repro.run.executors import make_executor, process_spool
-from repro.run.runner import SimulationOutputs, run_simulation
+from repro.run.runner import SimulationOutputs, run_simulation, simulate_configs
 from repro.run.sweep import (
     Axis,
     ResultCache,
@@ -23,5 +23,6 @@ __all__ = [
     "make_executor",
     "process_spool",
     "run_simulation",
+    "simulate_configs",
     "single_point",
 ]

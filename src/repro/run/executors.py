@@ -233,6 +233,21 @@ class Executor(Protocol):
         """Run ``fn`` over every unit; results come back in unit order."""
         ...  # pragma: no cover - protocol
 
+    def map_units_enveloped(
+        self,
+        fn: Callable,
+        units: Sequence,
+        progress: Callable[[int, int], None] | None = None,
+        unit_done: Callable[[int, ResultEnvelope], None] | None = None,
+    ) -> list[ResultEnvelope]:
+        """Like :meth:`map_units`, one terminal envelope per unit.
+
+        ``progress(done, total)`` reports terminal units (an exception
+        it raises aborts the map); ``unit_done(index, envelope)`` fires
+        once per unit as soon as its terminal envelope exists.
+        """
+        ...  # pragma: no cover - protocol
+
 
 class SerialExecutor:
     """Run every unit in-process, one after another.
@@ -524,8 +539,7 @@ def _lease_expired(claim: Path, lease_ttl: float | None) -> bool:
     (b) the last heartbeat is older than the TTL (a wedged worker whose
     heartbeat thread stopped, or a cross-host worker that vanished).  A
     claim without a readable sidecar (worker died inside the tiny
-    rename-to-sidecar window, or a pre-lease legacy worker) falls back
-    to the claim file's mtime.
+    rename-to-sidecar window) falls back to the claim file's mtime.
     """
     now = time.time()
     lease = load_json_guarded(_lease_path(claim))
@@ -577,10 +591,9 @@ def reclaim_expired(spool_dir: str | Path, lease_ttl: float | None = None) -> in
         task = load_pickle_guarded(token)
         _lease_path(claim).unlink(missing_ok=True)
         token.unlink(missing_ok=True)
-        if task is None:
-            continue  # corrupt task: dropped, producer's loss path handles it
-        if isinstance(task, TaskRecord):
-            task = dataclasses.replace(task, attempt=task.attempt + 1)
+        if not isinstance(task, TaskRecord):
+            continue  # corrupt or foreign task: dropped, producer's loss path handles it
+        task = dataclasses.replace(task, attempt=task.attempt + 1)
         try:
             dump_pickle_atomic(_claim_task_path(claim), task)
         except OSError:  # pragma: no cover - batch retired mid-reclaim
@@ -614,10 +627,9 @@ def release_claims(spool_dir: str | Path, owner_pid: int | None = None) -> int:
         task = load_pickle_guarded(token)
         _lease_path(claim).unlink(missing_ok=True)
         token.unlink(missing_ok=True)
-        if task is None:
-            continue
-        if isinstance(task, TaskRecord):
-            task = dataclasses.replace(task, attempt=task.attempt + 1)
+        if not isinstance(task, TaskRecord):
+            continue  # corrupt or foreign task: dropped
+        task = dataclasses.replace(task, attempt=task.attempt + 1)
         try:
             dump_pickle_atomic(_claim_task_path(claim), task)
         except OSError:  # pragma: no cover - batch retired mid-release
@@ -678,11 +690,11 @@ def process_spool(
     process — on this machine or another sharing the spool via a
     network filesystem — runs in a loop (``scale-sim-repro worker``).
 
-    :class:`TaskRecord` tasks run under a lease (sidecar + heartbeat)
-    and produce :class:`ResultEnvelope` results — exceptions included,
-    so a poison unit never kills the loop.  Bare ``(fn, unit)`` tuple
-    tasks keep the original raw protocol: raw result payload, no lease
-    (pre-envelope producers and tests still interoperate).
+    Tasks are :class:`TaskRecord` payloads: each runs under a lease
+    (sidecar + heartbeat) and produces a :class:`ResultEnvelope` result
+    — exceptions included, so a poison unit never kills the loop.  A
+    spool file holding anything else (a corrupt pickle, a foreign
+    object) is dropped unexecuted.
 
     Args:
         max_tasks: stop after executing this many tasks.
@@ -709,17 +721,12 @@ def process_spool(
         except OSError:
             continue  # another worker won the claim
         task = load_pickle_guarded(claim)
-        if task is None:
-            continue  # corrupt spool entry: dropped, producer's loss path recovers
-        if isinstance(task, TaskRecord):
-            _execute_claimed(task_path, claim, task, lease_ttl, heartbeat)
-        else:
-            fn, unit = task
-            try:
-                dump_pickle_atomic(_result_path(task_path), fn(unit))
-            except OSError:  # pragma: no cover - batch retired mid-run
-                pass
+        if not isinstance(task, TaskRecord):
+            # Corrupt or foreign spool entry: dropped, the producer's
+            # loss path recovers.
             claim.unlink(missing_ok=True)
+            continue
+        _execute_claimed(task_path, claim, task, lease_ttl, heartbeat)
         executed += 1
     if reap:
         reap_dead_batches(spool_dir)
@@ -873,28 +880,6 @@ class QueueExecutor:
         finally:
             self._cleanup(batch_dir, task_paths)
 
-    def _collect(self, task_paths: list[Path]) -> list:
-        """Collect raw results for externally-written tasks.
-
-        Back-compat entry point for producers that enqueue task files
-        themselves (bare ``(fn, unit)`` tuples included): supervises the
-        paths with default-budget placeholder records and unwraps the
-        envelopes.
-        """
-        records = [
-            TaskRecord(
-                fn=None,
-                unit=None,
-                max_attempts=self.max_attempts,
-                lease_ttl=self.lease_ttl,
-            )
-            for _ in task_paths
-        ]
-        return [
-            env.unwrap()
-            for env in self._supervise(task_paths[0].parent, task_paths, records)
-        ]
-
     # ------------------------------------------------------- supervision
 
     def _supervise(
@@ -982,10 +967,6 @@ class QueueExecutor:
             self._record_failure(
                 index, task_path, records, envelopes, requeue_after, failure
             )
-            return
-        if not isinstance(payload, ResultEnvelope):
-            # Legacy raw result (bare-tuple task protocol).
-            envelopes[index] = ResultEnvelope(ok=True, value=payload)
             return
         if payload.ok:
             envelopes[index] = payload

@@ -7,6 +7,7 @@ enables (sparsity, energy, Accelergy YAML artifacts).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from repro.core.simulator import RunResult, Simulator
 from repro.energy.accelergy import AccelergyLite, EnergyReport
 from repro.energy.actions import ActionCounts, count_actions
 from repro.energy.yaml_gen import write_action_counts_yaml, write_architecture_yaml
-from repro.layout.integrate import LayoutEvalResult, evaluate_layout_slowdown
+from repro.errors import ConfigError
+from repro.layout.integrate import LayoutEvalConfig, LayoutEvalResult
 from repro.sparsity.report import write_sparse_report
 from repro.sparsity.sparse_compute import SparseComputeSimulator, SparseLayerResult
 from repro.topology.topology import Topology
@@ -113,95 +115,178 @@ def _write_layout_report(results: list[LayoutEvalResult], out_dir: Path) -> Path
     return write_csv(out_dir / "LAYOUT_REPORT.csv", header, rows)
 
 
+def _sparse_results(config: SystemConfig, topology: Topology) -> list[SparseLayerResult]:
+    """The sparsity feature pass (empty when the config disables it)."""
+    if not config.sparsity.sparsity_support:
+        return []
+    sparse_sim = SparseComputeSimulator(
+        array_rows=config.arch.array_rows,
+        array_cols=config.arch.array_cols,
+        representation=config.sparsity.sparse_representation,
+        word_bits=config.arch.word_bytes * 8,
+        ifmap_sram_words=config.arch.ifmap_sram_words(),
+        ofmap_sram_words=config.arch.ofmap_sram_words(),
+        seed=config.sparsity.random_seed,
+    )
+    return [
+        sparse_sim.simulate_layer(
+            layer,
+            rowwise=config.sparsity.optimized_mapping,
+            block_size=config.sparsity.block_size,
+            with_fold_specs=False,
+        )
+        for layer in topology
+    ]
+
+
+def _memory_key(config: SystemConfig) -> object:
+    """What a config's dense run depends on beyond the shared sections."""
+    return config.dram if config.dram.enabled else None
+
+
+def _layout_config(config: SystemConfig) -> LayoutEvalConfig:
+    """The config's layout study as an evaluator configuration.
+
+    No explicit layout: each layer uses the documented default packing
+    for the config's bank/bandwidth split.
+    """
+    return LayoutEvalConfig(
+        num_banks=config.layout.num_banks,
+        total_bandwidth_words=config.layout.total_bandwidth_words,
+        ports_per_bank=config.layout.ports_per_bank,
+        evaluator=config.layout.evaluator,
+    )
+
+
+def simulate_configs(
+    configs: Sequence[SystemConfig],
+    topology: Topology,
+    dense: bool = True,
+    workers: int = 1,
+) -> list[SimulationOutputs]:
+    """Simulate configs that differ only in ``dram.*`` / ``layout.*``.
+
+    The one simulation pipeline: a single run is the 1-config case and
+    every sweep unit comes through here.  The compute plan and the
+    sparsity pass run once.  The dense run, and the energy model that
+    consumes it, resolve once per *distinct* memory config
+    (:func:`repro.dram.fanout.simulate_many_dram`).  The Section VI
+    layout study — banked open-line model vs flat bandwidth model —
+    streams each layer's trace once into every *distinct* enabled
+    layout config
+    (:func:`~repro.layout.integrate.evaluate_layout_slowdown_many`).
+
+    ``dense=False`` skips the dense pass, and with it energy and the
+    layout study, leaving only sparsity: sparsity-only sweeps such as
+    the paper's Figure 8 never pay for a dense run they do not read.
+    ``workers`` parallelises the fan-outs' per-config work.  Outputs
+    come back in ``configs`` order; configs sharing a memory config
+    share one run result.
+    """
+    # Looked up per call, so wrappers installed on the module attributes
+    # (instrumentation) see every fan-out.
+    from repro.dram.fanout import simulate_many_dram
+    from repro.layout.integrate import evaluate_layout_slowdown_many
+
+    configs = list(configs)
+    base = configs[0]
+    for config in configs:
+        if config.replace(dram=base.dram, layout=base.layout, run=base.run) != base:
+            raise ConfigError(
+                f"config {config.run.run_name!r} differs from "
+                f"{base.run.run_name!r} outside dram.* / layout.*"
+            )
+    sparse_results = _sparse_results(base, topology)
+    if not dense:
+        return [
+            SimulationOutputs(
+                config=config,
+                run_result=RunResult(
+                    run_name=config.run.run_name, topology_name=topology.name
+                ),
+                sparse_results=sparse_results,
+            )
+            for config in configs
+        ]
+
+    # One stall resolution (and energy estimate) per distinct memory
+    # config; every DRAM-disabled config shares the ideal-bandwidth one.
+    memories: dict[object, SystemConfig] = {}
+    for config in configs:
+        memories.setdefault(_memory_key(config), config)
+    plan = Simulator(base).plan(topology)
+    run_results = dict(
+        zip(memories, simulate_many_dram(plan, list(memories.values()), workers=workers))
+    )
+    energy_reports: dict[object, EnergyReport] = {}
+    if base.energy.enabled:
+        energy = AccelergyLite(base.arch, base.energy)
+        energy_reports = {
+            key: energy.estimate_run(run_result) for key, run_result in run_results.items()
+        }
+
+    # One evaluator cascade per distinct layout config, all fed from a
+    # single trace stream per layer.
+    layouts = list(dict.fromkeys(_layout_config(c) for c in configs if c.layout.enabled))
+    layout_results: dict[LayoutEvalConfig, list[LayoutEvalResult]] = {
+        layout: [] for layout in layouts
+    }
+    if layouts:
+        arch = base.arch
+        for layer in topology:
+            results = evaluate_layout_slowdown_many(
+                layer,
+                arch.dataflow,
+                arch.array_rows,
+                arch.array_cols,
+                layouts,
+                workers=workers,
+            )
+            for layout, result in zip(layouts, results):
+                layout_results[layout].append(result)
+
+    return [
+        SimulationOutputs(
+            config=config,
+            run_result=run_results[_memory_key(config)],
+            energy_report=energy_reports.get(_memory_key(config)),
+            sparse_results=sparse_results,
+            layout_results=(
+                layout_results[_layout_config(config)] if config.layout.enabled else []
+            ),
+        )
+        for config in configs
+    ]
+
+
 def run_simulation(
     config: SystemConfig,
     topology: Topology,
     output_dir: str | Path | None = None,
     write_reports: bool = True,
-    dense: bool = True,
 ) -> SimulationOutputs:
     """Run a full simulation; optionally write all reports to disk.
 
-    ``dense=False`` skips the cycle-accurate dense pass — and with it the
-    energy model, which consumes the dense per-layer results, and the
-    layout study, which only accompanies dense runs — leaving only the
-    feature simulations (sparsity).  Sparsity-only sweeps such as the
-    paper's Figure 8 use this to avoid paying for a dense simulation
-    whose results they never read, and the sweep runner's fan-out groups
-    use it for their shared sparsity pass (the dense run and the layout
-    study resolve per-config through the DRAM / layout fan-out seams
-    instead).
+    The 1-config case of :func:`simulate_configs`, plus report writing.
     """
-    if dense:
-        run_result = Simulator(config).run(topology)
-    else:
-        run_result = RunResult(
-            run_name=config.run.run_name, topology_name=topology.name
-        )
-    outputs = SimulationOutputs(config=config, run_result=run_result)
-
+    [outputs] = simulate_configs([config], topology)
+    if not write_reports:
+        return outputs
+    run_result = outputs.run_result
     out_dir = Path(output_dir or config.run.output_dir) / config.run.run_name
-
-    if config.sparsity.sparsity_support:
-        sparse_sim = SparseComputeSimulator(
-            array_rows=config.arch.array_rows,
-            array_cols=config.arch.array_cols,
-            representation=config.sparsity.sparse_representation,
-            word_bits=config.arch.word_bytes * 8,
-            ifmap_sram_words=config.arch.ifmap_sram_words(),
-            ofmap_sram_words=config.arch.ofmap_sram_words(),
-            seed=config.sparsity.random_seed,
-        )
-        outputs.sparse_results = [
-            sparse_sim.simulate_layer(
-                layer,
-                rowwise=config.sparsity.optimized_mapping,
-                block_size=config.sparsity.block_size,
-                with_fold_specs=False,
-            )
-            for layer in topology
-        ]
-
-    if config.layout.enabled and dense:
-        # The Section VI layout study: cost every layer's ifmap demand
-        # under the banked open-line model vs the flat bandwidth model,
-        # through the configured evaluator seam (layout.evaluator).  The
-        # per-layer layout itself uses the documented default packing
-        # for the config's bank/bandwidth split.
-        outputs.layout_results = [
-            evaluate_layout_slowdown(
-                layer,
-                config.arch.dataflow,
-                config.arch.array_rows,
-                config.arch.array_cols,
-                config.layout.num_banks,
-                config.layout.total_bandwidth_words,
-                ports_per_bank=config.layout.ports_per_bank,
-                evaluator=config.layout.evaluator,
-            )
-            for layer in topology
-        ]
-
-    energy_engine: AccelergyLite | None = None
-    if config.energy.enabled and dense:
+    outputs.report_paths = run_result.write_reports(out_dir.parent)
+    if outputs.layout_results:
+        outputs.report_paths.append(_write_layout_report(outputs.layout_results, out_dir))
+    if outputs.sparse_results:
+        outputs.report_paths.append(write_sparse_report(outputs.sparse_results, out_dir))
+    if outputs.energy_report is not None:
         energy_engine = AccelergyLite(config.arch, config.energy)
-        outputs.energy_report = energy_engine.estimate_run(run_result)
-
-    if write_reports:
-        outputs.report_paths = run_result.write_reports(out_dir.parent)
-        if outputs.layout_results:
-            outputs.report_paths.append(
-                _write_layout_report(outputs.layout_results, out_dir)
-            )
-        if outputs.sparse_results:
-            outputs.report_paths.append(write_sparse_report(outputs.sparse_results, out_dir))
-        if energy_engine is not None and outputs.energy_report is not None:
-            outputs.report_paths.append(_write_energy_report(outputs, energy_engine, out_dir))
-            outputs.report_paths.append(
-                write_architecture_yaml(config.arch, config.energy, out_dir)
-            )
-            merged = ActionCounts()
-            for layer in run_result.layers:
-                merged.merge(count_actions(layer, config.energy))
-            outputs.report_paths.append(write_action_counts_yaml(merged, out_dir))
+        outputs.report_paths.append(_write_energy_report(outputs, energy_engine, out_dir))
+        outputs.report_paths.append(
+            write_architecture_yaml(config.arch, config.energy, out_dir)
+        )
+        merged = ActionCounts()
+        for layer in run_result.layers:
+            merged.merge(count_actions(layer, config.energy))
+        outputs.report_paths.append(write_action_counts_yaml(merged, out_dir))
     return outputs

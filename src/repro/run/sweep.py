@@ -22,10 +22,12 @@ workloads.  This module turns that pattern into a first-class subsystem:
   Results always come back ordered by point index, so a parallel sweep
   is bitwise-identical to a serial one.  Before dispatch, points are
   grouped by *axis class*: configs that differ only in ``dram.*``
-  and/or ``layout.*`` fields collapse into one simulation unit that
-  shares the compute plan and trace stream and resolves per-config
-  through the DRAM / layout fan-out seams (see DESIGN.md "The DRAM
-  fan-out"); :attr:`SweepRunner.last_grouping` reports the collapse.
+  and/or ``layout.*`` fields collapse into one simulation unit, and
+  every unit — a lone point included — runs through
+  :func:`~repro.run.runner.simulate_configs`, which shares the compute
+  plan and trace stream and resolves per-config through the DRAM /
+  layout fan-out seams (see DESIGN.md "The DRAM fan-out");
+  :attr:`SweepRunner.last_grouping` reports the collapse.
   An optional :class:`~repro.store.ArtifactStore` persists the
   mid-level artifacts those seams share (compute schedules, fold
   demand streams, decoded line batches) across processes and sessions.
@@ -46,7 +48,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import inspect
 import itertools
 import json
 import time
@@ -55,10 +56,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.config.system import RunConfig, SystemConfig
-from repro.core.simulator import RunResult, Simulator
+from repro.core.simulator import RunResult
 from repro.energy.accelergy import EnergyReport
 from repro.errors import ConfigError
-from repro.layout.integrate import LayoutEvalConfig, LayoutEvalResult
+from repro.layout.integrate import LayoutEvalResult
 from repro.run.executors import (
     DEFAULT_MAX_ATTEMPTS,
     Executor,
@@ -67,7 +68,7 @@ from repro.run.executors import (
     SerialExecutor,
     UnitFailure,
 )
-from repro.run.runner import run_simulation
+from repro.run.runner import simulate_configs
 from repro.sparsity.sparse_compute import SparseLayerResult
 from repro.store.artifact_store import (
     ArtifactStore,
@@ -83,7 +84,8 @@ _SWEEPABLE_SECTIONS = ("arch", "sparsity", "dram", "layout", "energy", "multicor
 #: Axis classes that fan out *inside* one simulation unit: points whose
 #: configs differ only in these sections share the compute plan, the
 #: sparsity pass and the trace stream, and resolve per-config through
-#: the DRAM / layout fan-out seams instead of separate dense runs.
+#: the DRAM / layout fan-out seams of
+#: :func:`~repro.run.runner.simulate_configs`.
 _GROUPABLE_SECTIONS = ("dram", "layout")
 
 #: What a sweep does when a unit exhausts its attempt budget:
@@ -261,152 +263,6 @@ def _slim_run_result(run_result: RunResult) -> RunResult:
         for layer in run_result.layers
     ]
     return dataclasses.replace(run_result, layers=layers)
-
-
-def _simulate_point(args: tuple[SystemConfig, Topology, bool]) -> _PointPayload:
-    """Worker entry point: simulate one (config, topology) pair.
-
-    Module-level so it pickles under every multiprocessing start method.
-    """
-    config, topology, dense = args
-    start = time.perf_counter()
-    outputs = run_simulation(config, topology, write_reports=False, dense=dense)
-    return _PointPayload(
-        run_result=_slim_run_result(outputs.run_result),
-        energy_report=outputs.energy_report,
-        sparse_results=[
-            dataclasses.replace(result, fold_specs=[])
-            for result in outputs.sparse_results
-        ],
-        wall_seconds=time.perf_counter() - start,
-        layout_results=outputs.layout_results,
-    )
-
-
-def _simulate_group(
-    args: tuple[list[SystemConfig], Topology, bool], workers: int = 1
-) -> list[_PointPayload]:
-    """Worker entry point: simulate a fan-out group in one pass.
-
-    The configs differ only in the groupable axis classes
-    (``dram.*`` and/or ``layout.*``), so the shared upstream work runs
-    once — the compute plan (fold schedules + closed-form stats) and
-    the sparsity pass — and the per-config halves resolve through
-    their fan-out seams:
-
-    * the dense run fans the plan across the group's *distinct* memory
-      configurations (:func:`repro.dram.fanout.simulate_many_dram`),
-      with the energy model (which consumes the dense result) evaluated
-      once per distinct memory configuration;
-    * the per-layer layout study fans the group's *distinct* layout
-      configurations over a single trace stream
-      (:func:`~repro.layout.integrate.evaluate_layout_slowdown_many`).
-
-    Payloads are bit-identical to per-point :func:`_simulate_point`
-    calls — both fan-out seams are fuzz-tested against their
-    independent paths, and the shared passes never read a groupable
-    section.
-
-    ``workers`` parallelises the fan-outs' per-config work — used when
-    this group is the sweep's *only* work unit and would otherwise
-    leave the runner's pool idle; groups dispatched across a pool keep
-    the default (one process each, no nesting).
-    """
-    from repro.dram.fanout import simulate_many_dram
-    from repro.energy.accelergy import AccelergyLite
-    from repro.layout.integrate import evaluate_layout_slowdown_many
-
-    configs, topology, dense = args
-    if not dense:  # pragma: no cover - grouping only forms dense units
-        raise RuntimeError("fan-out groups require the dense pass")
-    start = time.perf_counter()
-    base = configs[0]
-
-    # Shared passes: the compute plan and the sparsity feature (neither
-    # reads a groupable section).
-    plan = Simulator(base).plan(topology)
-    sparse_results: list[SparseLayerResult] = []
-    if base.sparsity.sparsity_support:
-        feature_outputs = run_simulation(
-            base, topology, write_reports=False, dense=False
-        )
-        sparse_results = [
-            dataclasses.replace(result, fold_specs=[])
-            for result in feature_outputs.sparse_results
-        ]
-
-    # DRAM fan-out: one stall resolution per distinct memory config
-    # (all DRAM-disabled points share the ideal-bandwidth resolution).
-    dram_units: dict[object, int] = {}
-    dram_configs: list[SystemConfig] = []
-    dram_of_point: list[int] = []
-    for config in configs:
-        key = config.dram if config.dram.enabled else None
-        if key not in dram_units:
-            dram_units[key] = len(dram_configs)
-            dram_configs.append(config)
-        dram_of_point.append(dram_units[key])
-    run_results = simulate_many_dram(plan, dram_configs, workers=workers)
-    energy_reports: list[EnergyReport | None] = [None] * len(dram_configs)
-    if base.energy.enabled:
-        energy_reports = [
-            AccelergyLite(base.arch, base.energy).estimate_run(run_result)
-            for run_result in run_results
-        ]
-    slim_results = [_slim_run_result(run_result) for run_result in run_results]
-
-    # Layout fan-out: one evaluator cascade per distinct layout config,
-    # all fed from a single trace stream.  layout.enabled is itself a
-    # groupable knob, so the study runs for exactly the points that
-    # enable it (None marks a disabled point).
-    layout_of_point: list[int | None] = []
-    unique_layouts: list[LayoutEvalConfig] = []
-    per_layout: list[list[LayoutEvalResult]] = []
-    layout_units: dict[LayoutEvalConfig, int] = {}
-    for config in configs:
-        if not config.layout.enabled:
-            layout_of_point.append(None)
-            continue
-        eval_config = LayoutEvalConfig(
-            num_banks=config.layout.num_banks,
-            total_bandwidth_words=config.layout.total_bandwidth_words,
-            ports_per_bank=config.layout.ports_per_bank,
-            evaluator=config.layout.evaluator,
-        )
-        if eval_config not in layout_units:
-            layout_units[eval_config] = len(unique_layouts)
-            unique_layouts.append(eval_config)
-        layout_of_point.append(layout_units[eval_config])
-    if unique_layouts:
-        per_layout = [[] for _ in unique_layouts]
-        arch = base.arch
-        for layer in topology:
-            results = evaluate_layout_slowdown_many(
-                layer,
-                arch.dataflow,
-                arch.array_rows,
-                arch.array_cols,
-                unique_layouts,
-                workers=workers,
-            )
-            for index, result in enumerate(results):
-                per_layout[index].append(result)
-
-    wall_seconds = (time.perf_counter() - start) / len(configs)
-    return [
-        _PointPayload(
-            run_result=slim_results[dram_of_point[position]],
-            energy_report=energy_reports[dram_of_point[position]],
-            sparse_results=sparse_results,
-            wall_seconds=wall_seconds,
-            layout_results=(
-                []
-                if layout_of_point[position] is None
-                else per_layout[layout_of_point[position]]
-            ),
-        )
-        for position in range(len(configs))
-    ]
 
 
 # ------------------------------------------------------------------ cache
@@ -606,8 +462,10 @@ class SweepFailure:
         return dict(self.assignment)
 
 
-#: One pool work unit: point positions it covers + the worker arguments.
-_Unit = tuple[list[int], tuple[str, tuple]]
+#: One simulation unit: the point positions it covers, then the
+#: :func:`~repro.run.runner.simulate_configs` arguments
+#: ``(configs, topology, dense)`` shipped to the executor.
+_Unit = tuple[list[int], list[SystemConfig], Topology, bool]
 
 
 @dataclass(frozen=True)
@@ -650,8 +508,7 @@ def _unit_fanout(unit: _Unit) -> UnitFanout:
     """Summarize how one dispatched unit will fan out internally."""
     from repro.dram.fanout import _grid_groups
 
-    members, (kind, args) = unit
-    configs = [args[0]] if kind == "point" else args[0]
+    members, configs, _, _ = unit
     words = {c.arch.word_bytes for c in configs if c.dram.enabled}
     grid_configs = sum(len(group) for group in _grid_groups(configs).values())
     return UnitFanout(
@@ -660,75 +517,63 @@ def _unit_fanout(unit: _Unit) -> UnitFanout:
 
 
 def _grouped_units(points: list[SweepPoint], simulate_dense: bool) -> list[_Unit]:
-    """Partition points into fan-out groups and singleton units.
+    """Partition points into simulation units by axis class.
 
     Points whose configs differ only in groupable axis classes
-    (``dram.*`` and/or ``layout.*``) form one unit dispatched through
-    :func:`_simulate_group` — one compute plan + one trace stream, with
-    the dense run resolved per distinct memory config and the layout
-    study per distinct layout config.  Everything else (and every
-    sparsity-only point) stays a per-point unit.  Unit order follows
-    first appearance, so serial and grouped sweeps keep deterministic,
+    (``dram.*`` and/or ``layout.*``) form one unit: one compute plan +
+    one trace stream, with the dense run resolved per distinct memory
+    config and the layout study per distinct layout config.  Unit order
+    follows first appearance, so sweeps keep deterministic,
     index-ordered results.
     """
     groups: dict[str, list[int]] = {}
-    order: list[str] = []
     for position, point in enumerate(points):
-        if simulate_dense:
-            key = _fanout_group_key(point.config, point.topology, simulate_dense)
-        else:
-            key = f"solo-{position}"
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(position)
-    units: list[_Unit] = []
-    for key in order:
-        members = groups[key]
-        first = points[members[0]]
-        if len(members) == 1:
-            units.append(
-                (members, ("point", (first.config, first.topology, simulate_dense)))
-            )
-        else:
-            units.append(
-                (
-                    members,
-                    (
-                        "group",
-                        (
-                            [points[m].config for m in members],
-                            first.topology,
-                            simulate_dense,
-                        ),
-                    ),
-                )
-            )
-    return units
+        key = _fanout_group_key(point.config, point.topology, simulate_dense)
+        groups.setdefault(key, []).append(position)
+    return [
+        (
+            members,
+            [points[m].config for m in members],
+            points[members[0]].topology,
+            simulate_dense,
+        )
+        for members in groups.values()
+    ]
 
 
 def _simulate_unit(
-    unit_args: tuple[str, tuple],
+    unit_args: tuple[list[SystemConfig], Topology, bool],
     workers: int = 1,
     store: ArtifactStore | None = None,
 ) -> list[_PointPayload]:
-    """Worker entry point: run one unit (a point or a fan-out group).
+    """Worker entry point: run one unit through :func:`simulate_configs`.
 
+    Module-level so it pickles under every multiprocessing start method.
     ``store`` (bound via :func:`functools.partial` so the executor can
     ship it to any substrate) is installed as the process's active
     artifact store for the unit's duration — every mid-level producer
     underneath (plan memoization, fold-demand streams, decoded line
     batches) then persists through it.
     """
-    kind, args = unit_args
+    configs, topology, dense = unit_args
     previous = set_active_store(store) if store is not None else None
     try:
-        if kind == "point":
-            return [_simulate_point(args)]
-        return _simulate_group(args, workers=workers)
+        start = time.perf_counter()
+        outputs = simulate_configs(configs, topology, dense=dense, workers=workers)
+        wall_seconds = (time.perf_counter() - start) / len(configs)
     finally:
         if store is not None:
             set_active_store(previous)
+    return [
+        _PointPayload(
+            run_result=_slim_run_result(output.run_result),
+            energy_report=output.energy_report,
+            sparse_results=output.sparse_results,
+            wall_seconds=wall_seconds,
+            layout_results=output.layout_results,
+        )
+        for output in outputs
+    ]
 
 
 class SweepRunner:
@@ -930,27 +775,22 @@ class SweepRunner:
         return payload
 
     def _compute(
-        self,
-        points: list[SweepPoint],
-        simulate_dense: bool,
-        keys: list[str] | None = None,
+        self, points: list[SweepPoint], simulate_dense: bool, keys: list[str]
     ) -> list[ResultEnvelope]:
         """Dispatch the cache-missed points; one envelope per point.
 
         A unit's terminal failure (attempt budget exhausted on the
         executor) fans out to an error envelope for every member point;
         success envelopes carry the member's :class:`_PointPayload`.
-        Executors without the enveloped entry point keep the original
-        raise-through contract.
 
-        With ``keys`` (content keys aligned with ``points``) and an
-        executor that supports the ``unit_done`` hook, each unit's
-        member payloads are written to the cache the moment the unit
-        completes — crash-safe incremental persistence: a process
-        killed mid-batch re-simulates only the units still in flight,
-        because everything finished is already on disk.  Keys persisted
-        this way land in :attr:`_persisted` so :meth:`run` skips the
-        (idempotent but wasteful) end-of-batch re-write.
+        Each unit's member payloads are written to the cache under
+        ``keys`` (content keys aligned with ``points``) the moment the
+        unit completes, through the executor's ``unit_done`` hook —
+        crash-safe incremental persistence: a process killed mid-batch
+        re-simulates only the units still in flight, because everything
+        finished is already on disk.  Keys persisted this way land in
+        :attr:`_persisted` so :meth:`run` skips the (idempotent but
+        wasteful) end-of-batch re-write.
         """
         if not points:
             return []
@@ -963,34 +803,24 @@ class SweepRunner:
             if self.store is not None
             else _simulate_unit
         )
-        unit_args = [unit[1] for unit in units]
         if self.progress is not None:
             self.progress(0, len(units))
-        enveloped_map = getattr(self.executor, "map_units_enveloped", None)
-        if enveloped_map is not None:
-            parameters = inspect.signature(enveloped_map).parameters
-            kwargs = {}
-            if self.progress is not None and "progress" in parameters:
-                kwargs["progress"] = self.progress
-            if keys is not None and "unit_done" in parameters:
 
-                def persist_unit(unit_index: int, envelope: ResultEnvelope) -> None:
-                    if not envelope.ok:
-                        return
-                    members = units[unit_index][0]
-                    for position, payload in zip(members, envelope.value):
-                        self.cache.put(keys[position], payload)
-                        self._persisted.add(keys[position])
+        def persist_unit(unit_index: int, envelope: ResultEnvelope) -> None:
+            if not envelope.ok:
+                return
+            for position, payload in zip(units[unit_index][0], envelope.value):
+                self.cache.put(keys[position], payload)
+                self._persisted.add(keys[position])
 
-                kwargs["unit_done"] = persist_unit
-            unit_envelopes = enveloped_map(fn, unit_args, **kwargs)
-        else:
-            unit_envelopes = [
-                ResultEnvelope(ok=True, value=value)
-                for value in self.executor.map_units(fn, unit_args)
-            ]
+        unit_envelopes = self.executor.map_units_enveloped(
+            fn,
+            [unit[1:] for unit in units],
+            progress=self.progress,
+            unit_done=persist_unit,
+        )
         point_envelopes: list[ResultEnvelope | None] = [None] * len(points)
-        for (members, _), envelope in zip(units, unit_envelopes):
+        for (members, *_), envelope in zip(units, unit_envelopes):
             if envelope.ok:
                 for position, payload in zip(members, envelope.value):
                     point_envelopes[position] = ResultEnvelope(

@@ -12,6 +12,7 @@ from repro.run.executors import (
     PoolExecutor,
     QueueExecutor,
     SerialExecutor,
+    TaskRecord,
     _result_path,
     _spool_task_paths,
     make_executor,
@@ -103,10 +104,12 @@ def test_queue_executor_external_worker(tmp_path):
     producer = QueueExecutor(spool, run_local_worker=False, timeout=10.0)
     batch_dir = producer._new_batch_dir()
     task_paths = _spool_task_paths(batch_dir, 3)
-    for task_path, unit in zip(task_paths, [7, 8, 9]):
-        dump_pickle_atomic(task_path, (_double, unit))
+    records = [TaskRecord(fn=_double, unit=unit) for unit in [7, 8, 9]]
+    for task_path, record in zip(task_paths, records):
+        dump_pickle_atomic(task_path, record)
     assert process_spool(spool) == 3
-    assert producer._collect(task_paths) == [14, 16, 18]
+    envelopes = producer._supervise(batch_dir, task_paths, records)
+    assert [envelope.unwrap() for envelope in envelopes] == [14, 16, 18]
 
 
 def test_process_spool_respects_max_tasks_and_claims(tmp_path):
@@ -114,12 +117,12 @@ def test_process_spool_respects_max_tasks_and_claims(tmp_path):
     batch.mkdir()
     task_paths = _spool_task_paths(batch, 4)
     for task_path, unit in zip(task_paths, range(4)):
-        dump_pickle_atomic(task_path, (_double, unit))
+        dump_pickle_atomic(task_path, TaskRecord(fn=_double, unit=unit))
     assert process_spool(tmp_path, max_tasks=2) == 2
     assert process_spool(tmp_path) == 2  # the rest; claimed tasks stay claimed
     for index, task_path in enumerate(task_paths):
-        result = pickle.loads(_result_path(task_path).read_bytes())
-        assert result == index * 2
+        envelope = pickle.loads(_result_path(task_path).read_bytes())
+        assert envelope.unwrap() == index * 2
 
 
 def test_process_spool_missing_dir_is_noop(tmp_path):

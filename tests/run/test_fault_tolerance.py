@@ -285,16 +285,20 @@ def test_process_spool_reap_flag(tmp_path):
     assert not dead.exists()
 
 
-def test_legacy_tuple_tasks_keep_raw_results(tmp_path):
-    # Pre-envelope producers spool bare (fn, unit) tuples and read raw
-    # payloads back; the protocol upgrade must not break them.
+def test_bare_tuple_task_is_dropped(tmp_path):
+    # Only TaskRecord payloads are work: a bare (fn, unit) tuple is
+    # foreign input, dropped unexecuted like a corrupt pickle, and the
+    # worker loop carries on with the next task.
     batch = tmp_path / f"batch_{os.getpid()}_0001"
     batch.mkdir()
-    (task_path,) = _spool_task_paths(batch, 1)
-    dump_pickle_atomic(task_path, (_double, 8))
+    bare, record = _spool_task_paths(batch, 2)
+    dump_pickle_atomic(bare, (_double, 8))
+    dump_pickle_atomic(record, TaskRecord(fn=_double, unit=9))
     assert process_spool(tmp_path) == 1
-    assert _read_result(task_path) == 16
-    assert not list(batch.glob("*.lease.json"))  # no lease for legacy tasks
+    assert not _result_path(bare).exists()
+    assert not list(batch.glob(bare.name + "*"))  # task and claim both gone
+    envelope = _read_result(record)
+    assert envelope.ok and envelope.value == 18
 
 
 # ------------------------------------------------ sweep failure policy

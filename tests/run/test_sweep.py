@@ -38,6 +38,27 @@ def _spec(**kwargs) -> SweepSpec:
     return SweepSpec(**defaults)
 
 
+def _reference_layout(config: SystemConfig, topology) -> list:
+    """The layout study through the single-config evaluator."""
+    from repro.layout.integrate import evaluate_layout_slowdown
+
+    if not config.layout.enabled:
+        return []
+    return [
+        evaluate_layout_slowdown(
+            layer,
+            config.arch.dataflow,
+            config.arch.array_rows,
+            config.arch.array_cols,
+            config.layout.num_banks,
+            config.layout.total_bandwidth_words,
+            ports_per_bank=config.layout.ports_per_bank,
+            evaluator=config.layout.evaluator,
+        )
+        for layer in topology
+    ]
+
+
 class TestAxis:
     def test_fields_default_to_name(self):
         axis = Axis("dram.channels", (1, 2))
@@ -366,15 +387,17 @@ class TestLayoutFanoutGrouping:
         return SweepSpec(**defaults)
 
     def test_grouped_results_match_per_point_simulation(self):
-        from repro.run.sweep import _simulate_point
+        from repro.core.simulator import Simulator
 
         spec = self._layout_spec()
+        topology = spec.topologies[0]
         results = SweepRunner(workers=1).run(spec)
         assert len(results) == 3
         for result in results:
-            solo = _simulate_point((result.config, spec.topologies[0], True))
-            assert result.layout_results == solo.layout_results
-            assert result.total_cycles == solo.run_result.total_cycles
+            assert result.layout_results == _reference_layout(result.config, topology)
+            assert result.total_cycles == (
+                Simulator(result.config).run(topology).total_cycles
+            )
 
     def test_grouping_unit_structure(self):
         from repro.run.sweep import _grouped_units
@@ -382,10 +405,10 @@ class TestLayoutFanoutGrouping:
         spec = self._layout_spec()
         units = _grouped_units(spec.expand(), True)
         assert len(units) == 1  # one fan-out group of three points
-        members, (kind, args) = units[0]
-        assert kind == "group"
+        members, configs, topology, dense = units[0]
         assert members == [0, 1, 2]
-        assert [config.layout.num_banks for config in args[0]] == [1, 2, 4]
+        assert [config.layout.num_banks for config in configs] == [1, 2, 4]
+        assert topology is spec.topologies[0] and dense
 
     def test_dram_and_layout_axes_share_one_unit(self):
         from repro.run.sweep import _grouped_units
@@ -396,8 +419,8 @@ class TestLayoutFanoutGrouping:
         units = _grouped_units(spec.expand(), True)
         # dram.* and layout.* are both groupable axis classes: the whole
         # 2x2 cross collapses into one simulation unit.
-        assert [len(members) for members, _ in units] == [4]
-        assert units[0][1][0] == "group"
+        assert [len(members) for members, *_ in units] == [4]
+        assert len(units[0][1]) == 4  # one config per point
 
     def test_non_groupable_axes_stay_separate(self):
         from repro.run.sweep import _grouped_units
@@ -407,7 +430,7 @@ class TestLayoutFanoutGrouping:
         )
         units = _grouped_units(spec.expand(), True)
         # Two arch.* values -> two groups of two layout points.
-        assert sorted(len(members) for members, _ in units) == [2, 2]
+        assert sorted(len(members) for members, *_ in units) == [2, 2]
 
     def test_layout_disabled_points_still_group(self):
         from repro.run.sweep import _grouped_units
@@ -416,22 +439,20 @@ class TestLayoutFanoutGrouping:
         # compute plan (the dense run reads neither section).
         spec = _spec(axes=[Axis("layout.num_banks", (1, 2))])
         units = _grouped_units(spec.expand(), True)
-        assert [len(members) for members, _ in units] == [2]
+        assert [len(members) for members, *_ in units] == [2]
         results = SweepRunner(workers=1).run(spec)
         assert results[0].total_cycles == results[1].total_cycles
         assert all(not r.layout_results for r in results)
 
     def test_mixed_layout_enabled_group_respects_each_point(self):
-        from repro.run.sweep import _simulate_point
-
         # layout.enabled is itself groupable: both points share one unit,
         # but only the enabled point may carry layout results.
         for values in ((False, True), (True, False)):
             spec = self._layout_spec(axes=[Axis("layout.enabled", values)])
             results = SweepRunner(workers=1).run(spec)
             for result in results:
-                solo = _simulate_point((result.config, spec.topologies[0], True))
-                assert result.layout_results == solo.layout_results, values
+                expected = _reference_layout(result.config, spec.topologies[0])
+                assert result.layout_results == expected, values
             by_flag = {r.config.layout.enabled: r for r in results}
             assert by_flag[True].layout_results
             assert not by_flag[False].layout_results
@@ -499,13 +520,12 @@ class TestDramFanoutGrouping:
 
         units = _grouped_units(self._dram_spec().expand(), True)
         assert len(units) == 1
-        members, (kind, args) = units[0]
-        assert kind == "group"
+        members, configs, _, _ = units[0]
         assert members == [0, 1, 2]
-        assert [config.dram.channels for config in args[0]] == [1, 2, 4]
+        assert [config.dram.channels for config in configs] == [1, 2, 4]
 
     def test_grouped_results_match_per_point_simulation(self):
-        from repro.run.sweep import _simulate_point
+        from repro.core.simulator import Simulator
 
         spec = self._dram_spec(
             axes=[
@@ -521,12 +541,10 @@ class TestDramFanoutGrouping:
         results = SweepRunner(workers=1).run(spec)
         assert len(results) == 8
         for result in results:
-            solo = _simulate_point((result.config, spec.topologies[0], True))
-            assert result.run_result.total_cycles == solo.run_result.total_cycles
-            assert result.run_result.layers[0].timeline == (
-                solo.run_result.layers[0].timeline
-            )
-            assert result.run_result.dram_stats == solo.run_result.dram_stats
+            solo = Simulator(result.config).run(spec.topologies[0])
+            assert result.run_result.total_cycles == solo.total_cycles
+            assert result.run_result.layers[0].timeline == solo.layers[0].timeline
+            assert result.run_result.dram_stats == solo.dram_stats
 
     def test_engines_agree_inside_one_group(self):
         spec = self._dram_spec(axes=[Axis("dram.engine", ("reference", "batched"))])
@@ -542,7 +560,8 @@ class TestDramFanoutGrouping:
         assert ideal.total_cycles != dram.total_cycles
 
     def test_energy_follows_the_memory_config(self):
-        from repro.run.sweep import _simulate_point
+        from repro.core.simulator import Simulator
+        from repro.energy.accelergy import AccelergyLite
 
         spec = self._dram_spec(
             base=self._dram_spec().base.replace(energy=EnergyConfig(enabled=True))
@@ -551,8 +570,10 @@ class TestDramFanoutGrouping:
         energies = [result.energy_mj for result in results]
         assert all(energy > 0 for energy in energies)
         for result in results:
-            solo = _simulate_point((result.config, spec.topologies[0], True))
-            assert result.energy_mj == solo.energy_report.total_mj
+            config = result.config
+            solo = Simulator(config).run(spec.topologies[0])
+            expected = AccelergyLite(config.arch, config.energy).estimate_run(solo)
+            assert result.energy_report == expected
 
     def test_grouped_points_cache_individually(self):
         cache = ResultCache()
@@ -581,6 +602,101 @@ class TestDramFanoutGrouping:
         # A fully cached re-run simulates nothing.
         runner.run(self._dram_spec())
         assert runner.last_grouping == (0, 0)
+
+
+class TestOnePipeline:
+    """Every unit, a lone point included, runs through simulate_configs."""
+
+    def _full_config(self) -> SystemConfig:
+        from repro.config.system import DramConfig, LayoutConfig, SparsityConfig
+
+        return _base().replace(
+            dram=DramConfig(enabled=True, channels=2),
+            layout=LayoutConfig(enabled=True, num_banks=2),
+            energy=EnergyConfig(enabled=True),
+            sparsity=SparsityConfig(
+                sparsity_support=True, optimized_mapping=True, block_size=4
+            ),
+        )
+
+    def test_single_point_matches_independent_references(self):
+        import dataclasses
+
+        import numpy as np
+
+        from repro.core.simulator import Simulator
+        from repro.energy.accelergy import AccelergyLite
+        from repro.sparsity.sparse_compute import SparseComputeSimulator
+
+        topology = toy_conv().with_sparsity("2:4")
+        runner = SweepRunner(workers=1)
+        [result] = runner.run(
+            SweepSpec(base=self._full_config(), topologies=[topology], name="one")
+        )
+        assert tuple(runner.last_grouping) == (1, 1)
+        config = result.config
+
+        dense = Simulator(config).run(topology)
+        # Sweep payloads drop per-fold schedules; everything else matches.
+        assert result.run_result == dataclasses.replace(
+            dense,
+            layers=[
+                dataclasses.replace(
+                    layer, compute=dataclasses.replace(layer.compute, fold_specs=[])
+                )
+                for layer in dense.layers
+            ],
+        )
+        assert result.run_result.dram_stats is not None
+        assert result.energy_report == AccelergyLite(
+            config.arch, config.energy
+        ).estimate_run(dense)
+        assert result.layout_results == _reference_layout(config, topology)
+        assert result.layout_results
+
+        sparse_sim = SparseComputeSimulator(
+            array_rows=config.arch.array_rows,
+            array_cols=config.arch.array_cols,
+            representation=config.sparsity.sparse_representation,
+            word_bits=config.arch.word_bytes * 8,
+            ifmap_sram_words=config.arch.ifmap_sram_words(),
+            ofmap_sram_words=config.arch.ofmap_sram_words(),
+            seed=config.sparsity.random_seed,
+        )
+        assert len(result.sparse_results) == len(topology)
+        for got, layer in zip(result.sparse_results, topology):
+            want = sparse_sim.simulate_layer(
+                layer, rowwise=True, block_size=4, with_fold_specs=False
+            )
+            assert np.array_equal(
+                got.pattern.nnz_per_block, want.pattern.nnz_per_block
+            )
+            assert dataclasses.replace(got, pattern=None) == dataclasses.replace(
+                want, pattern=None
+            )
+            assert got.pattern.nnz_per_block.max() <= 2  # 2:4 applied
+
+    def test_sparsity_only_points_group_by_axis_class(self):
+        from repro.run.sweep import _grouped_units
+
+        # Without the dense pass neither dram.* nor layout.* is read, so
+        # points differing only there share one sparsity pass.
+        base = apply_override(_base(), "sparsity.sparsity_support", True)
+        spec = _spec(
+            base=base, axes=[Axis("dram.channels", (1, 2))], simulate_dense=False
+        )
+        units = _grouped_units(spec.expand(), False)
+        assert [members for members, *_ in units] == [[0, 1]]
+        first, second = SweepRunner(workers=1).run(spec)
+        assert first.total_cycles == second.total_cycles == 0
+        assert first.sparse_compute_cycles == second.sparse_compute_cycles > 0
+
+    def test_simulate_configs_rejects_non_fanout_differences(self):
+        from repro.run.runner import simulate_configs
+
+        configs = [point.config for point in _spec().expand()]  # os vs ws
+        with pytest.raises(ConfigError, match="outside dram"):
+            simulate_configs(configs, toy_gemm())
 
 
 class TestSweepCliLayoutReport:
@@ -662,6 +778,26 @@ class TestArtifactStoreIntegration:
             assert got.run_result == want.run_result
         # Workers persisted artifacts even though their counters are lost.
         assert list((tmp_path / "store").glob("layer_compute/*.pkl"))
+
+    def _line_streams(self, tmp_path, axes) -> list:
+        from repro.config.system import DramConfig
+        from repro.store.artifact_store import ArtifactStore
+
+        base = _base().replace(dram=DramConfig(enabled=True))
+        store = ArtifactStore(tmp_path / "store")
+        runner = SweepRunner(store=store)
+        runner.run(_spec(base=base, axes=axes, topologies=[toy_conv()]))
+        assert tuple(runner.last_grouping) == (2, 1)
+        return list((tmp_path / "store").glob("line_batches/*.pkl"))
+
+    def test_lone_dram_config_writes_no_line_stream(self, tmp_path):
+        # One DRAM config per word size decodes fold by fold, exactly as
+        # Simulator.run does: nothing shared, nothing persisted.
+        assert self._line_streams(tmp_path, [Axis("dram.enabled", (False, True))]) == []
+
+    def test_shared_word_size_writes_one_line_stream(self, tmp_path):
+        streams = self._line_streams(tmp_path, [Axis("dram.channels", (1, 2))])
+        assert len(streams) == 1
 
     def test_active_store_restored_after_unit(self, tmp_path):
         from repro.store.artifact_store import ArtifactStore, active_store
