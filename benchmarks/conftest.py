@@ -3,7 +3,18 @@
 Every benchmark regenerates one table or figure from the paper's
 evaluation section.  Heavy sweeps run once (``benchmark.pedantic`` with
 a single round) and print their reproduced rows; each bench also writes
-a CSV artifact under ``benchmarks/results/`` that EXPERIMENTS.md indexes.
+a CSV artifact.  The perf harnesses under ``benchmarks/perf/`` likewise
+write ``BENCH_<seam>.json`` measurements.
+
+Committed baselines (``benchmarks/results/*.csv``,
+``benchmarks/perf/BENCH_*.json``) are only rewritten when
+``REPRO_UPDATE_BASELINES=1`` is set, and then ``TRAJECTORY.json`` /
+``TRAJECTORY.md`` are regenerated from them when the pytest run ends, so
+the two never disagree.  By default every artifact goes to
+the same file name under the gitignored ``benchmarks/out/`` (for example
+``benchmarks/out/results/fig09_dram_channels.csv``), so a test run
+leaves ``git status`` clean; diff ``benchmarks/out/results`` against
+``benchmarks/results`` to check a change kept the figures byte-identical.
 
 Workload scaling: sweeps whose cost is dominated by cycle-accurate DRAM
 or trace generation run on ``scale``-reduced models.  The *shape* of
@@ -22,17 +33,45 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 RESULTS_DIR = Path(__file__).parent / "results"
+OUT_DIR = Path(__file__).parent / "out"
+
+#: Rewrite the committed baselines instead of writing under ``OUT_DIR``.
+UPDATE_BASELINES = os.environ.get("REPRO_UPDATE_BASELINES") == "1"
 
 #: Worker-pool size for the sweep-based benchmarks: parallel on multicore
 #: machines, plain serial execution on single-core CI boxes.
 SWEEP_WORKERS = max(1, min(4, os.cpu_count() or 1))
 
 
+def output_dir(committed_dir: Path) -> Path:
+    """Where to write artifacts whose committed baselines live in ``committed_dir``.
+
+    ``committed_dir`` itself under ``REPRO_UPDATE_BASELINES=1``;
+    otherwise ``OUT_DIR/<its name>``.
+    """
+    directory = committed_dir if UPDATE_BASELINES else OUT_DIR / committed_dir.name
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
+
+
+def output_path(committed: Path) -> Path:
+    """Where to write the artifact whose committed baseline is ``committed``."""
+    return output_dir(committed.parent) / committed.name
+
+
+def pytest_sessionfinish(session, exitstatus) -> None:
+    """Refresh ``TRAJECTORY.*`` whenever the committed baselines were rewritten."""
+    if UPDATE_BASELINES:
+        from benchmarks.perf.trajectory import write_markdown, write_trajectory
+
+        write_trajectory()
+        write_markdown()
+
+
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
-    """Directory for reproduced-table CSV artifacts."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+    """Directory for reproduced-table CSV artifacts (see :func:`output_dir`)."""
+    return output_dir(RESULTS_DIR)
 
 
 def emit_table(title: str, header: list[str], rows: list[list[object]], path: Path) -> None:

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import output_path
 from repro.config.system import (
     ArchitectureConfig,
     DramConfig,
@@ -44,7 +45,7 @@ from repro.store.artifact_store import ArtifactStore
 from repro.topology.models import resnet18
 from repro.topology.topology import Topology
 
-BENCH_PATH = Path(__file__).parent / "BENCH_artifact_store.json"
+BENCH_PATH = output_path(Path(__file__).parent / "BENCH_artifact_store.json")
 
 ARRAY = 128
 LAYER = "conv2_1a"

@@ -29,11 +29,12 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import output_path
 from repro.dram.dram_sim import RamulatorLite
 from repro.dram.engine import LineRequestBatch, LineStream
 from repro.dram.engine_batched import BatchedEngine
 
-BENCH_PATH = Path(__file__).parent / "BENCH_batched_small.json"
+BENCH_PATH = output_path(Path(__file__).parent / "BENCH_batched_small.json")
 
 PREFETCH_LINES = 32  # the dominant small-batch bucket of the resnet18 run
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import SWEEP_WORKERS
+from benchmarks.conftest import SWEEP_WORKERS, output_path
 from repro.config.system import (
     ArchitectureConfig,
     DramConfig,
@@ -46,7 +46,7 @@ from repro.run.sweep import Axis, SweepRunner, SweepSpec
 from repro.topology.models import resnet18
 from repro.topology.topology import Topology
 
-BENCH_PATH = Path(__file__).parent / "BENCH_dram_fanout.json"
+BENCH_PATH = output_path(Path(__file__).parent / "BENCH_dram_fanout.json")
 
 ARRAY = 128
 CHANNELS = (1, 2, 4, 8)

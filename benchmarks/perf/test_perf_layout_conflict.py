@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import output_path
 from repro.core.dataflow import Dataflow
 from repro.core.operand_matrix import IFMAP_BASE, operand_matrices
 from repro.core.systolic import TraceEngine
@@ -31,7 +32,7 @@ from repro.layout.conflict import make_conflict_evaluator
 from repro.layout.spec import LayoutSpec, TensorView
 from repro.topology.models import resnet18
 
-BENCH_PATH = Path(__file__).parent / "BENCH_layout_conflict.json"
+BENCH_PATH = output_path(Path(__file__).parent / "BENCH_layout_conflict.json")
 
 ARRAY = 128
 NUM_BANKS = 1

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import SWEEP_WORKERS
+from benchmarks.conftest import SWEEP_WORKERS, output_path
 from repro.layout.integrate import (
     LayoutEvalConfig,
     evaluate_layout_slowdown,
@@ -40,7 +40,7 @@ from repro.layout.integrate import (
 )
 from repro.topology.models import resnet18
 
-BENCH_PATH = Path(__file__).parent / "BENCH_layout_fanout.json"
+BENCH_PATH = output_path(Path(__file__).parent / "BENCH_layout_fanout.json")
 
 ARRAY = 128
 BANDWIDTHS = (64, 128, 256, 512, 1024)

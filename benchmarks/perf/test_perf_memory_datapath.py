@@ -16,11 +16,12 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import output_path
 from repro.config.system import ArchitectureConfig, DramConfig, SystemConfig
 from repro.core.simulator import Simulator
 from repro.topology.models import resnet18
 
-BENCH_PATH = Path(__file__).parent / "BENCH_memory_datapath.json"
+BENCH_PATH = output_path(Path(__file__).parent / "BENCH_memory_datapath.json")
 
 #: The paper's ws-dataflow ResNet-18 with the default DDR4 single-channel
 #: DRAM — the configuration whose line loop dominated simulator wall time.

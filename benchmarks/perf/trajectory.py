@@ -11,19 +11,26 @@ Run with::
     python benchmarks/perf/trajectory.py             # TRAJECTORY.json
     python benchmarks/perf/trajectory.py --markdown  # + TRAJECTORY.md
 
-``--markdown`` additionally renders the committed ``TRAJECTORY.md`` —
-the same data as one human-readable table per seam.  Both outputs are
-deterministic (sorted keys, no timestamps): they change only when a
-committed baseline changes.
+``--markdown`` additionally renders ``TRAJECTORY.md`` — the same data
+as one human-readable table per seam.  Both outputs are deterministic
+(sorted keys, no timestamps): they change only when a baseline changes.
+
+The script aggregates the harnesses' fresh measurements under the
+gitignored ``benchmarks/out/perf/`` and writes the trajectory there.
+With ``REPRO_UPDATE_BASELINES=1`` (the harnesses then rewrite the
+committed ``BENCH_*.json``) it aggregates and rewrites the committed
+files in this directory instead.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
 PERF_DIR = Path(__file__).parent
+OUT_PERF_DIR = PERF_DIR.parent / "out" / "perf"
 TRAJECTORY_PATH = PERF_DIR / "TRAJECTORY.json"
 MARKDOWN_PATH = PERF_DIR / "TRAJECTORY.md"
 
@@ -139,11 +146,13 @@ def write_markdown(perf_dir: Path = PERF_DIR, out_path: Path | None = None) -> P
 
 
 if __name__ == "__main__":
-    path = write_trajectory()
+    perf_dir = PERF_DIR if os.environ.get("REPRO_UPDATE_BASELINES") == "1" else OUT_PERF_DIR
+    perf_dir.mkdir(parents=True, exist_ok=True)
+    path = write_trajectory(perf_dir)
     trajectory = json.loads(path.read_text())
     print(f"wrote {path} ({len(trajectory['benches'])} benches)")
     if "--markdown" in sys.argv[1:]:
-        print(f"wrote {write_markdown()}")
+        print(f"wrote {write_markdown(perf_dir)}")
     for name, bench in trajectory["benches"].items():
         speedups = ", ".join(
             f"{key}={value}" for key, value in sorted(bench["speedups"].items())

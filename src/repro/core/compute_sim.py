@@ -7,9 +7,10 @@
 * mapping efficiency and compute utilisation,
 * exact SRAM access counts (derived in closed form from the per-fold
   port activity — identical to summing the demand traces), and
-* a lazy stream of :class:`FoldSpec` records describing what each fold
-  needs fetched from backing store, which the double-buffer / DRAM
-  models consume to compute stalls.
+* a columnar :class:`FoldSchedule` describing what each fold needs
+  fetched from backing store, which the double-buffer / DRAM models
+  consume to compute stalls (it reads as a sequence of
+  :class:`FoldSpec` views).
 
 Closed-form SRAM access counts (R_u/C_u = used rows/cols of a fold,
 summed over folds; ``frows``/``fcols`` = fold counts along Sr/Sc):
@@ -29,8 +30,10 @@ per K-fold.)
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.core.dataflow import (
     Dataflow,
@@ -84,6 +87,153 @@ class FoldSpec:
         return sum(f.num_words for f in self.fetches if f.is_write)
 
 
+@dataclass(frozen=True, eq=False)
+class FetchSlot:
+    """One fetch position of a :class:`FoldSchedule`, across every fold.
+
+    The operand and direction are fixed per slot; which folds issue the
+    fetch (``present``) and its span vary per fold.  ``num_words`` is 0
+    wherever the slot is absent, so column sums are traffic totals.
+    """
+
+    operand: str
+    is_write: bool
+    present: np.ndarray  # (folds,) bool
+    start_word: np.ndarray  # (folds,) int64
+    num_words: np.ndarray  # (folds,) int64
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FetchSlot):
+            return NotImplemented
+        return (
+            (self.operand, self.is_write) == (other.operand, other.is_write)
+            and np.array_equal(self.present, other.present)
+            and np.array_equal(self.start_word, other.start_word)
+            and np.array_equal(self.num_words, other.num_words)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class FoldSchedule(Sequence[FoldSpec]):
+    """A dense layer's fold schedule as columns, one row per fold.
+
+    Folds run row-major over the ``folds_row x folds_col`` grid, each
+    taking ``cycles``.  A fold's fetches are the present entries of
+    ``slots`` in slot order.  Indexing or iterating yields
+    :class:`FoldSpec` views built on demand, so the schedule drops in
+    wherever a ``list[FoldSpec]`` is read; the ideal-bandwidth walk and
+    the traffic totals read the columns directly.
+    """
+
+    folds_row: int
+    folds_col: int
+    cycles: int
+    rows_used: np.ndarray  # (folds_row,) used array rows per fold row
+    cols_used: np.ndarray  # (folds_col,) used array cols per fold column
+    slots: tuple[FetchSlot, ...]
+
+    def __len__(self) -> int:
+        return self.folds_row * self.folds_col
+
+    def __getitem__(self, index: int) -> FoldSpec:  # type: ignore[override]
+        folds = len(self)
+        if index < 0:
+            index += folds
+        if not 0 <= index < folds:
+            raise IndexError("fold index out of range")
+        columns = [
+            (slot.operand, slot.is_write, slot.present, slot.start_word, slot.num_words)
+            for slot in self.slots
+        ]
+        return self._view(index, self.rows_used, self.cols_used, columns)
+
+    def __iter__(self) -> Iterator[FoldSpec]:
+        # Plain-list columns: indexing them is far cheaper than numpy's.
+        columns = [
+            (
+                slot.operand,
+                slot.is_write,
+                slot.present.tolist(),
+                slot.start_word.tolist(),
+                slot.num_words.tolist(),
+            )
+            for slot in self.slots
+        ]
+        rows_used = self.rows_used.tolist()
+        cols_used = self.cols_used.tolist()
+        for index in range(len(self)):
+            yield self._view(index, rows_used, cols_used, columns)
+
+    def _view(self, index: int, rows_used, cols_used, columns) -> FoldSpec:
+        fold_row, fold_col = divmod(index, self.folds_col)
+        fetches = [
+            TileFetch(operand, int(starts[index]), int(words[index]), is_write)
+            for operand, is_write, present, starts, words in columns
+            if present[index]
+        ]
+        return FoldSpec(
+            fold_row,
+            fold_col,
+            index * self.cycles,
+            self.cycles,
+            int(rows_used[fold_row]),
+            int(cols_used[fold_col]),
+            tuple(fetches),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FoldSchedule):
+            return NotImplemented
+        return (
+            (self.folds_row, self.folds_col, self.cycles)
+            == (other.folds_row, other.folds_col, other.cycles)
+            and np.array_equal(self.rows_used, other.rows_used)
+            and np.array_equal(self.cols_used, other.cols_used)
+            and self.slots == other.slots
+        )
+
+    @property
+    def fold_row(self) -> np.ndarray:
+        """Fold-row index of every fold."""
+        return np.repeat(np.arange(self.folds_row, dtype=np.int64), self.folds_col)
+
+    @property
+    def fold_col(self) -> np.ndarray:
+        """Fold-column index of every fold."""
+        return np.tile(np.arange(self.folds_col, dtype=np.int64), self.folds_row)
+
+    def read_words(self) -> np.ndarray:
+        """Words read from backing store ahead of each fold."""
+        return self._words(is_write=False)
+
+    def write_words(self) -> np.ndarray:
+        """Words written back to backing store after each fold."""
+        return self._words(is_write=True)
+
+    def _words(self, is_write: bool) -> np.ndarray:
+        words = np.zeros(len(self), dtype=np.int64)
+        for slot in self.slots:
+            if slot.is_write == is_write:
+                words += slot.num_words
+        return words
+
+    def dram_word_totals(self) -> tuple[int, int, int, int]:
+        """Total ifmap, filter, ofmap-write and ofmap-readback words."""
+        totals = dict.fromkeys(
+            [("ifmap", False), ("filter", False), ("ofmap", True), ("ofmap", False)], 0
+        )
+        for slot in self.slots:
+            totals[(slot.operand, slot.is_write)] += int(slot.num_words.sum())
+        return tuple(totals.values())  # type: ignore[return-value]
+
+
+def schedule_cycles(fold_specs: Sequence[FoldSpec]) -> list[int]:
+    """Per-fold compute cycles, read without building fold views."""
+    if isinstance(fold_specs, FoldSchedule):
+        return [fold_specs.cycles] * len(fold_specs)
+    return [spec.cycles for spec in fold_specs]
+
+
 @dataclass
 class LayerComputeResult:
     """Everything the rest of the pipeline needs to know about one layer."""
@@ -107,7 +257,7 @@ class LayerComputeResult:
     dram_filter_words: int
     dram_ofmap_write_words: int
     dram_ofmap_readback_words: int
-    fold_specs: list[FoldSpec] = field(default_factory=list, repr=False)
+    fold_specs: Sequence[FoldSpec] = field(default_factory=list, repr=False)
 
     @property
     def total_folds(self) -> int:
@@ -173,13 +323,14 @@ class ComputeSimulator:
             shape, frows, fcols
         )
         raw_ifmap, raw_filter, raw_ofmap = self._raw_footprints(layer, shape)
-        fold_specs = (
-            self._build_fold_specs(shape, mapping, frows, fcols, per_fold, raw_ifmap, raw_filter, raw_ofmap)
-            if with_fold_specs
-            else []
-        )
-        dram_ifmap, dram_filter, dram_owrite, dram_oread = self._dram_word_totals(fold_specs)
-        if not with_fold_specs:
+        fold_specs: Sequence[FoldSpec]
+        if with_fold_specs:
+            fold_specs = self._build_fold_schedule(
+                mapping, frows, fcols, per_fold, raw_ifmap, raw_filter, raw_ofmap
+            )
+            dram_ifmap, dram_filter, dram_owrite, dram_oread = fold_specs.dram_word_totals()
+        else:
+            fold_specs = []
             dram_ifmap, dram_filter, dram_owrite, dram_oread = self._dram_totals_closed_form(
                 shape, mapping, frows, fcols, raw_ifmap, raw_filter, raw_ofmap
             )
@@ -229,9 +380,8 @@ class ComputeSimulator:
             return shape.ifmap_words, shape.filter_words, shape.ofmap_words
         raise SimulationError(f"unsupported layer type: {type(layer).__name__}")
 
-    def _build_fold_specs(
+    def _build_fold_schedule(
         self,
-        shape: GemmShape,
         mapping: GemmMapping,
         frows: int,
         fcols: int,
@@ -239,125 +389,134 @@ class ComputeSimulator:
         raw_ifmap: int,
         raw_filter: int,
         raw_ofmap: int,
-    ) -> list[FoldSpec]:
+    ) -> FoldSchedule:
         """Plan per-fold backing-store traffic with double-buffer reuse.
 
         DRAM spans are synthesised over each operand's *raw* footprint
         (contiguous streaming), proportional to the tile being fetched.
         Im2col duplication is an SRAM-side effect and is charged there;
-        DRAM sees unique data.  See DESIGN.md "Core modelling decisions".
+        DRAM sees unique data.  See DESIGN.md "Core modelling decisions"
+        and "The columnar fold schedule".
         """
-        specs: list[FoldSpec] = []
-        t = mapping.t
         df = self.dataflow
-        start = 0
+        folds = frows * fcols
+        rows_used = np.minimum(
+            self.rows, mapping.sr - self.rows * np.arange(frows, dtype=np.int64)
+        )
+        cols_used = np.minimum(
+            self.cols, mapping.sc - self.cols * np.arange(fcols, dtype=np.int64)
+        )
+        fr = np.repeat(np.arange(frows, dtype=np.int64), fcols)
+        fc = np.tile(np.arange(fcols, dtype=np.int64), frows)
+        fold_rows_used = rows_used[fr]
+        fold_cols_used = cols_used[fc]
+        everywhere = np.ones(folds, dtype=bool)
+        zeros = np.zeros(folds, dtype=np.int64)
+        raw_words = {"ifmap": raw_ifmap, "filter": raw_filter}
 
-        # Raw words corresponding to one Sr-slice (row fold) of each
-        # streamed operand, capped by the raw footprint.
-        def slice_words(raw_total: int, used: int, total_dim: int) -> int:
+        # Raw words corresponding to a ``used / total_dim`` share of
+        # each operand, capped by the raw footprint.
+        def slice_words(raw_total: int, used: np.ndarray, total_dim: int) -> np.ndarray:
             if total_dim == 0:
-                return 0
-            return min(raw_total, ceil_div(raw_total * used, total_dim))
+                return zeros
+            return np.minimum(raw_total, -(-(raw_total * used) // total_dim))
 
-        ifmap_cursor = 0
-        filter_cursor = 0
+        def slot(
+            operand: str, present: np.ndarray, words: np.ndarray, advance: np.ndarray
+        ) -> FetchSlot:
+            # The operand cursor before each fold is the exclusive
+            # cumsum of what earlier folds advanced it by.
+            cursor = np.cumsum(advance) - advance
+            return FetchSlot(
+                operand,
+                False,
+                present,
+                cursor % max(1, raw_words[operand]),
+                np.where(present, words, 0),
+            )
 
-        for fr in range(frows):
-            rows_used = min(self.rows, mapping.sr - fr * self.rows)
-            for fc in range(fcols):
-                cols_used = min(self.cols, mapping.sc - fc * self.cols)
-                fetches: list[TileFetch] = []
+        def streamed(operand: str, words: np.ndarray, working: int) -> FetchSlot:
+            # A streamed slice is fetched at fc == 0 and reused across fc
+            # while it fits.  The cursor advances only when the slice
+            # does not fit or on the last fc of a fetch — so with a
+            # fitting slice and fcols > 1 it never advances.
+            fits = words <= working
+            present = (fc == 0) | ~fits
+            advances = ~fits if fcols > 1 else everywhere
+            return slot(operand, present, words, np.where(advances, words, 0))
 
-                if df is Dataflow.WEIGHT_STATIONARY:
-                    # Stationary filter tile: rows_used x cols_used words.
-                    stat_words = rows_used * cols_used
-                    fetches.append(TileFetch("filter", filter_cursor % max(1, raw_filter), stat_words))
-                    filter_cursor += stat_words
-                    # Streamed ifmap slice: reused across fc if it fits.
-                    stream_words = slice_words(raw_ifmap, rows_used, mapping.sr)
-                    fits = stream_words <= self.ifmap_working_words
-                    if fc == 0 or not fits:
-                        fetches.append(TileFetch("ifmap", ifmap_cursor % max(1, raw_ifmap), stream_words))
-                        if not fits or fc == fcols - 1:
-                            ifmap_cursor += stream_words
-                    # Ofmap partials: commit once per K-fold unless the
-                    # output tile accumulates on-chip across fr.
-                    out_tile = cols_used * t
-                    accumulate = raw_ofmap <= self.ofmap_working_words
-                    if not accumulate:
-                        fetches.append(TileFetch("ofmap", 0, min(out_tile, raw_ofmap), is_write=True))
-                        if fr > 0:
-                            fetches.append(TileFetch("ofmap", 0, min(out_tile, raw_ofmap)))
-                    elif fr == frows - 1:
-                        fetches.append(TileFetch("ofmap", 0, min(out_tile, raw_ofmap), is_write=True))
+        def stationary(operand: str, words: np.ndarray) -> FetchSlot:
+            return slot(operand, everywhere, words, words)
 
-                elif df is Dataflow.INPUT_STATIONARY:
-                    stat_words = slice_words(raw_ifmap, rows_used * cols_used, mapping.sr * mapping.sc)
-                    fetches.append(TileFetch("ifmap", ifmap_cursor % max(1, raw_ifmap), stat_words))
-                    ifmap_cursor += stat_words
-                    stream_words = slice_words(raw_filter, rows_used, mapping.sr)
-                    fits = stream_words <= self.filter_working_words
-                    if fc == 0 or not fits:
-                        fetches.append(TileFetch("filter", filter_cursor % max(1, raw_filter), stream_words))
-                        if not fits or fc == fcols - 1:
-                            filter_cursor += stream_words
-                    out_tile = cols_used * t
-                    accumulate = raw_ofmap <= self.ofmap_working_words
-                    if not accumulate:
-                        fetches.append(TileFetch("ofmap", 0, min(out_tile, raw_ofmap), is_write=True))
-                        if fr > 0:
-                            fetches.append(TileFetch("ofmap", 0, min(out_tile, raw_ofmap)))
-                    elif fr == frows - 1:
-                        fetches.append(TileFetch("ofmap", 0, min(out_tile, raw_ofmap), is_write=True))
+        def ofmap_partials() -> list[FetchSlot]:
+            # Ofmap partials: commit once per K-fold unless the output
+            # tile accumulates on-chip across fr.
+            words = np.minimum(fold_cols_used * mapping.t, raw_ofmap)
+            if raw_ofmap <= self.ofmap_working_words:
+                last = fr == frows - 1
+                return [FetchSlot("ofmap", True, last, zeros, np.where(last, words, 0))]
+            readback = fr > 0
+            return [
+                FetchSlot("ofmap", True, everywhere, zeros, words),
+                FetchSlot("ofmap", False, readback, zeros, np.where(readback, words, 0)),
+            ]
 
-                else:  # OUTPUT_STATIONARY
-                    # Row-streamed filter slice reused across fc folds.
-                    w_words = slice_words(raw_filter, rows_used, mapping.sr)
-                    fits_w = w_words <= self.filter_working_words
-                    if fc == 0 or not fits_w:
-                        fetches.append(TileFetch("filter", filter_cursor % max(1, raw_filter), w_words))
-                        if not fits_w or fc == fcols - 1:
-                            filter_cursor += w_words
-                    # Column-streamed ifmap slice: new per fc, refetched
-                    # every fr pass unless the whole ifmap fits on-chip.
-                    x_words = slice_words(raw_ifmap, cols_used, mapping.sc)
-                    cached = raw_ifmap <= self.ifmap_working_words and fr > 0
-                    if not cached:
-                        fetches.append(TileFetch("ifmap", ifmap_cursor % max(1, raw_ifmap), x_words))
-                        ifmap_cursor += x_words
-                    # Outputs commit once.
-                    fetches.append(
-                        TileFetch("ofmap", 0, min(rows_used * cols_used, raw_ofmap), is_write=True)
-                    )
-
-                specs.append(
-                    FoldSpec(
-                        fold_row=fr,
-                        fold_col=fc,
-                        start_cycle=start,
-                        cycles=per_fold,
-                        rows_used=rows_used,
-                        cols_used=cols_used,
-                        fetches=tuple(fetches),
-                    )
-                )
-                start += per_fold
-        return specs
-
-    @staticmethod
-    def _dram_word_totals(specs: list[FoldSpec]) -> tuple[int, int, int, int]:
-        ifmap = filt = owrite = oread = 0
-        for spec in specs:
-            for fetch in spec.fetches:
-                if fetch.operand == "ifmap":
-                    ifmap += fetch.num_words
-                elif fetch.operand == "filter":
-                    filt += fetch.num_words
-                elif fetch.is_write:
-                    owrite += fetch.num_words
-                else:
-                    oread += fetch.num_words
-        return ifmap, filt, owrite, oread
+        if df is Dataflow.WEIGHT_STATIONARY:
+            # Stationary filter tile; streamed ifmap slice per fold row.
+            slots = [
+                stationary("filter", fold_rows_used * fold_cols_used),
+                streamed(
+                    "ifmap",
+                    slice_words(raw_ifmap, fold_rows_used, mapping.sr),
+                    self.ifmap_working_words,
+                ),
+                *ofmap_partials(),
+            ]
+        elif df is Dataflow.INPUT_STATIONARY:
+            slots = [
+                stationary(
+                    "ifmap",
+                    slice_words(
+                        raw_ifmap, fold_rows_used * fold_cols_used, mapping.sr * mapping.sc
+                    ),
+                ),
+                streamed(
+                    "filter",
+                    slice_words(raw_filter, fold_rows_used, mapping.sr),
+                    self.filter_working_words,
+                ),
+                *ofmap_partials(),
+            ]
+        else:  # OUTPUT_STATIONARY
+            # Column-streamed ifmap slice: new per fc, refetched every fr
+            # pass unless the whole ifmap fits on-chip.  Outputs commit
+            # once.
+            x_words = slice_words(raw_ifmap, fold_cols_used, mapping.sc)
+            fetched = (fr == 0) | (raw_ifmap > self.ifmap_working_words)
+            x_advance = np.where(fetched, x_words, 0)
+            slots = [
+                streamed(
+                    "filter",
+                    slice_words(raw_filter, fold_rows_used, mapping.sr),
+                    self.filter_working_words,
+                ),
+                slot("ifmap", fetched, x_words, x_advance),
+                FetchSlot(
+                    "ofmap",
+                    True,
+                    everywhere,
+                    zeros,
+                    np.minimum(fold_rows_used * fold_cols_used, raw_ofmap),
+                ),
+            ]
+        return FoldSchedule(
+            folds_row=frows,
+            folds_col=fcols,
+            cycles=per_fold,
+            rows_used=rows_used,
+            cols_used=cols_used,
+            slots=tuple(slots),
+        )
 
     def _dram_totals_closed_form(
         self,
@@ -371,7 +530,7 @@ class ComputeSimulator:
     ) -> tuple[int, int, int, int]:
         """Fast-path totals used when fold specs are not materialised.
 
-        Conservative approximation of :meth:`_build_fold_specs`: streams
+        Conservative approximation of :meth:`_build_fold_schedule`: streams
         are charged once per reuse group, the stationary operand once.
         """
         df = self.dataflow

@@ -51,6 +51,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config.system import SystemConfig
+from repro.core.compute_sim import schedule_cycles
 from repro.dram.backend import make_ramulator
 from repro.dram.engine import BatchResult, LineRequestBatch
 from repro.dram.engine_batched import (
@@ -1312,7 +1313,7 @@ def resolve_plan_grid(
             clock_l = list(ready)
             stall_tot = [0] * num
             compute_total = 0
-            for index, spec in enumerate(fold_specs):
+            for index, cycles in enumerate(schedule_cycles(fold_specs)):
                 compute_start = [
                     cl if cl > rv else rv for cl, rv in zip(clock_l, ready)
                 ]
@@ -1323,8 +1324,8 @@ def resolve_plan_grid(
                         r.ready_cycle
                         for r in engine.process_batch(batches[index + 1], compute_start)
                     ]
-                compute_total += spec.cycles
-                clock_l = [cs + spec.cycles for cs in compute_start]
+                compute_total += cycles
+                clock_l = [cs + cycles for cs in compute_start]
             timelines = [
                 MemoryTimeline(
                     compute_cycles=compute_total,

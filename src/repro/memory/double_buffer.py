@@ -14,15 +14,22 @@ backing store (ideal-bandwidth interface in v2, RamulatorLite in v3).
 Backends implement :class:`MemoryBackend`; the ideal one models v2's
 monolithic interface (fixed words/cycle), the DRAM one lives in
 :mod:`repro.dram.backend` and adds request-queue backpressure plus
-cycle-accurate bank timing.
+cycle-accurate bank timing.  A columnar
+:class:`~repro.core.compute_sim.FoldSchedule` on the ideal backend is
+resolved in closed form (:meth:`IdealBandwidthBackend.walk_schedule`,
+see DESIGN.md "The columnar fold schedule"); every other input takes
+the per-fold walk.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from repro.core.compute_sim import FoldSpec, TileFetch
+import numpy as np
+
+from repro.core.compute_sim import FoldSchedule, FoldSpec, TileFetch, schedule_cycles
 from repro.errors import MemoryModelError
 from repro.utils.math import ceil_div
 
@@ -83,6 +90,38 @@ class IdealBandwidthBackend:
         """An ideal interface never backpressures the front-end."""
         return 0
 
+    def walk_schedule(
+        self, schedule: FoldSchedule, start_cycle: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The double-buffer walk of a whole schedule, in closed form.
+
+        Returns per-fold ``(data_ready, compute_start)`` exactly as
+        :meth:`DoubleBufferMemory.run` would reach them through one
+        :meth:`complete_fetches` per fold, and leaves the bus state and
+        word totals where that walk would.  Fold ``i+1``'s fetch issues
+        at fold ``i``'s compute start, and the bus is never busy past a
+        fold's data-ready time (``ready = busy_until + latency``), so
+        every fetch after the first starts at its issue cycle and
+        ``start[i+1] = start[i] + max(cycles, delay[i+1])`` with
+        ``delay = ceil((R + W) / bandwidth) + latency * [R > 0]``.
+        """
+        reads = schedule.read_words()
+        writes = schedule.write_words()
+        transfer = -(-(reads + writes) // self.bandwidth_words)
+        delay = transfer + np.where(reads > 0, self.latency_cycles, 0)
+        first_issue = max(start_cycle, self._busy_until)
+        compute_start = np.empty(len(schedule), dtype=np.int64)
+        compute_start[0] = first_issue + delay[0]
+        np.cumsum(np.maximum(schedule.cycles, delay[1:]), out=compute_start[1:])
+        compute_start[1:] += compute_start[0]
+        data_ready = compute_start.copy()
+        data_ready[1:] = compute_start[:-1] + delay[1:]
+        last_issue = compute_start[-2] if len(schedule) > 1 else first_issue
+        self._busy_until = int(last_issue + transfer[-1])
+        self.total_read_words += int(reads.sum())
+        self.total_write_words += int(writes.sum())
+        return data_ready, compute_start
+
 
 @dataclass
 class FoldTiming:
@@ -121,7 +160,7 @@ class DoubleBufferMemory:
 
     def run(
         self,
-        fold_specs: list[FoldSpec],
+        fold_specs: Sequence[FoldSpec],
         keep_timings: bool = False,
         start_cycle: int = 0,
         line_batches: list | None = None,
@@ -147,28 +186,40 @@ class DoubleBufferMemory:
             raise MemoryModelError(
                 f"{len(line_batches)} line batches for {len(fold_specs)} folds"
             )
+        if (
+            line_batches is None
+            and isinstance(fold_specs, FoldSchedule)
+            and type(self.backend) is IdealBandwidthBackend
+        ):
+            return self._run_closed_form(fold_specs, keep_timings, start_cycle)
 
+        # Folds issue their traffic strictly in order, so one pass over
+        # the schedule (building each fold's view once) feeds the walk.
         if line_batches is None:
-            def complete(index: int, cycle: int) -> int:
-                return self.backend.complete_fetches(fold_specs[index].fetches, cycle)
+            fetches = (spec.fetches for spec in fold_specs)
+
+            def complete(cycle: int) -> int:
+                return self.backend.complete_fetches(next(fetches), cycle)
         else:
-            def complete(index: int, cycle: int) -> int:
-                return self.backend.complete_batch(line_batches[index], cycle)
+            batches = iter(line_batches)
+
+            def complete(cycle: int) -> int:
+                return self.backend.complete_batch(next(batches), cycle)
 
         timings: list[FoldTiming] = []
         # Cold start: fold 0's data fetched before compute begins.
-        ready = complete(0, start_cycle)
+        ready = complete(start_cycle)
         cold_start = ready - start_cycle
         clock = ready
         stall_total = 0
         compute_total = 0
 
-        for index, spec in enumerate(fold_specs):
+        for index, cycles in enumerate(schedule_cycles(fold_specs)):
             compute_start = max(clock, ready)
             stall = compute_start - clock
             stall_total += stall
-            compute_end = compute_start + spec.cycles
-            compute_total += spec.cycles
+            compute_end = compute_start + cycles
+            compute_total += cycles
             if keep_timings:
                 timings.append(
                     FoldTiming(
@@ -181,7 +232,7 @@ class DoubleBufferMemory:
                 )
             # Prefetch the next fold while this one computes.
             if index + 1 < len(fold_specs):
-                ready = complete(index + 1, compute_start)
+                ready = complete(compute_start)
             clock = compute_end
 
         # Note: ``clock`` started at ``ready``, so the cold start is not
@@ -192,5 +243,31 @@ class DoubleBufferMemory:
             total_cycles=clock - start_cycle,
             stall_cycles=stall_total,
             cold_start_cycles=cold_start,
+            fold_timings=timings,
+        )
+
+    def _run_closed_form(
+        self, schedule: FoldSchedule, keep_timings: bool, start_cycle: int
+    ) -> MemoryTimeline:
+        """:meth:`run` for a fold schedule on the ideal-bandwidth backend."""
+        cycles = schedule.cycles
+        data_ready, compute_start = self.backend.walk_schedule(schedule, start_cycle)
+        stalls = np.zeros(len(schedule), dtype=np.int64)
+        stalls[1:] = compute_start[1:] - compute_start[:-1] - cycles
+        timings = (
+            [
+                FoldTiming(index, ready, start, start + cycles, stall)
+                for index, (ready, start, stall) in enumerate(
+                    zip(data_ready.tolist(), compute_start.tolist(), stalls.tolist())
+                )
+            ]
+            if keep_timings
+            else []
+        )
+        return MemoryTimeline(
+            compute_cycles=cycles * len(schedule),
+            total_cycles=int(compute_start[-1]) + cycles - start_cycle,
+            stall_cycles=int(stalls.sum()),
+            cold_start_cycles=int(data_ready[0]) - start_cycle,
             fold_timings=timings,
         )

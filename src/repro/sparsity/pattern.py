@@ -12,12 +12,16 @@ many elements survive in each M-block of each row:
 
 The pattern stores per-(row, block) non-zero counts, which is all the
 storage and compute models need; full boolean masks are generated only
-on demand for small matrices (tests, examples).
+on demand for small matrices (tests, examples).  Patterns are immutable:
+the factories return read-only counts, and a layer-wise pattern is one
+block row broadcast over every row, so building, validating and summing
+it costs O(rows + blocks) rather than O(rows x blocks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,10 +50,25 @@ class SparsePattern:
                 f"nnz_per_block shape {self.nnz_per_block.shape} != {expected}"
             )
         last_block = self.cols - (self.num_blocks - 1) * self.block_size
-        limits = np.full(self.num_blocks, self.block_size)
-        limits[-1] = last_block
-        if (self.nnz_per_block < 0).any() or (self.nnz_per_block > limits[None, :]).any():
+        counts = self._distinct_rows
+        if (
+            counts.min() < 0
+            or counts.max() > self.block_size
+            or counts[:, -1].max() > last_block
+        ):
             raise SparsityError("block nnz outside [0, block capacity]")
+
+    @property
+    def _distinct_rows(self) -> np.ndarray:
+        """The counts with a broadcast (stride-0) row axis collapsed to one row."""
+        if self.nnz_per_block.strides[0] == 0:
+            return self.nnz_per_block[:1]
+        return self.nnz_per_block
+
+    @cached_property
+    def _row_nnz(self) -> np.ndarray:
+        counts = self._distinct_rows
+        return np.broadcast_to(counts.sum(axis=1), (self.rows,))
 
     @property
     def num_blocks(self) -> int:
@@ -59,7 +78,7 @@ class SparsePattern:
     @property
     def total_nnz(self) -> int:
         """Non-zeros in the whole matrix."""
-        return int(self.nnz_per_block.sum())
+        return int(self.row_nnz().sum())
 
     @property
     def density(self) -> float:
@@ -67,8 +86,8 @@ class SparsePattern:
         return self.total_nnz / (self.rows * self.cols)
 
     def row_nnz(self) -> np.ndarray:
-        """Non-zeros per row, shape (rows,)."""
-        return self.nnz_per_block.sum(axis=1)
+        """Non-zeros per row, shape (rows,), read-only and memoised."""
+        return self._row_nnz
 
     def compressed_row_length(self) -> np.ndarray:
         """Elements each row occupies in a block-compressed stream.
@@ -95,10 +114,11 @@ def layerwise_pattern(rows: int, cols: int, ratio: SparsityRatio) -> SparsePatte
     """One N:M ratio applied uniformly (paper's layer-wise sparsity)."""
     block = ratio.m
     num_blocks = ceil_div(cols, block)
-    nnz = np.full((rows, num_blocks), ratio.n, dtype=np.int32)
+    row = np.full(num_blocks, ratio.n, dtype=np.int32)
     # The trailing partial block can hold at most its own width.
     last_width = cols - (num_blocks - 1) * block
-    nnz[:, -1] = min(ratio.n, last_width)
+    row[-1] = min(ratio.n, last_width)
+    nnz = np.broadcast_to(row, (rows, num_blocks))
     return SparsePattern(rows=rows, cols=cols, block_size=block, nnz_per_block=nnz)
 
 
@@ -124,4 +144,5 @@ def rowwise_pattern(
     nnz = np.repeat(row_n[:, None], num_blocks, axis=1)
     last_width = cols - (num_blocks - 1) * block_size
     nnz[:, -1] = np.minimum(nnz[:, -1], last_width)
+    nnz.flags.writeable = False
     return SparsePattern(rows=rows, cols=cols, block_size=block_size, nnz_per_block=nnz)

@@ -19,6 +19,7 @@ the special case ``K_eff = K``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -90,7 +91,13 @@ class SparseComputeSimulator:
         self.word_bits = word_bits
         self.ifmap_working_words = max(1, ifmap_sram_words // 2)
         self.ofmap_working_words = max(1, ofmap_sram_words // 2)
-        self._rng = make_rng(seed)
+        self._seed = seed
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        # Created on the first row-wise draw: layer-wise runs never pay
+        # for numpy.random's (lazy) import.
+        return make_rng(self._seed)
 
     # ------------------------------------------------------------------ API
 
@@ -135,23 +142,20 @@ class SparseComputeSimulator:
         per_fold = fold_cycles(self.rows, self.cols, mapping.t)
         dense_cycles = per_fold * ceil_div(shape.k, self.rows) * ceil_div(shape.m, self.cols)
 
+        # A tile's K_eff is its longest compressed row; a tile always
+        # occupies >= 1 pass.
         row_lengths = pattern.compressed_row_length()
-        fcols = ceil_div(shape.m, self.cols)
-        sparse_cycles = 0
-        tile_keff: list[int] = []
-        for fc in range(fcols):
-            lo = fc * self.cols
-            hi = min(lo + self.cols, shape.m)
-            k_eff = int(row_lengths[lo:hi].max()) if hi > lo else 0
-            k_eff = max(k_eff, 1)  # a tile always occupies >= 1 pass
-            tile_keff.append(k_eff)
-            sparse_cycles += per_fold * ceil_div(k_eff, self.rows)
+        tile_max = np.maximum.reduceat(row_lengths, np.arange(0, shape.m, self.cols))
+        tile_keff = np.maximum(tile_max, 1)
+        sparse_cycles = per_fold * int((-(-tile_keff // self.rows)).sum())
 
         dense_est = dense_storage(shape.m, shape.k, self.word_bits)
         compressed = storage_for_representation(self.representation, pattern, self.word_bits)
 
         fold_specs = (
-            self._build_fold_specs(layer, shape, mapping, tile_keff, per_fold, compressed)
+            self._build_fold_specs(
+                layer, shape, mapping, tile_keff.tolist(), per_fold, compressed
+            )
             if with_fold_specs
             else []
         )

@@ -43,8 +43,11 @@ from typing import Callable
 #: Schema-version salt folded into every key.  Bump whenever any stored
 #: artifact's shape or meaning changes without an input change, so
 #: existing store directories re-populate instead of serving stale
-#: objects (mirrors ``repro.run.sweep._SEMANTICS_SALT``).
-STORE_SCHEMA_VERSION = "store-v1-2026-08"
+#: objects (mirrors ``repro.run.sweep._SEMANTICS_SALT``).  v2: a
+#: ``layer_compute`` artifact carries a columnar ``FoldSchedule`` instead
+#: of a ``list[FoldSpec]``; serving a v1 list would silently skip the
+#: closed-form ideal-bandwidth walk.
+STORE_SCHEMA_VERSION = "store-v2-2026-10"
 
 #: Errors a corrupt/truncated/vanished pickle can raise on load; all are
 #: treated as a miss (and the bad file removed) rather than propagated.

@@ -31,6 +31,20 @@ class TestLayerwisePattern:
         pattern = layerwise_pattern(3, 8, SparsityRatio(2, 4))
         assert (pattern.row_nnz() == 4).all()
 
+    def test_counts_are_a_read_only_broadcast_row(self):
+        # One shared block row: sums over it equal sums over the full matrix.
+        pattern = layerwise_pattern(1000, 30, SparsityRatio(3, 4))
+        assert not pattern.nnz_per_block.flags.writeable
+        full = np.array(pattern.nnz_per_block)
+        assert pattern.row_nnz().tolist() == full.sum(axis=1).tolist()
+        assert pattern.total_nnz == int(full.sum())
+
+    def test_overfull_broadcast_row_rejected(self):
+        # The trailing block of cols=6, M=4 holds 2; a broadcast 3 is caught.
+        counts = np.broadcast_to(np.array([2, 3], dtype=np.int32), (5, 2))
+        with pytest.raises(SparsityError):
+            SparsePattern(rows=5, cols=6, block_size=4, nnz_per_block=counts)
+
     def test_num_blocks(self):
         assert layerwise_pattern(2, 10, SparsityRatio(1, 4)).num_blocks == 3
 

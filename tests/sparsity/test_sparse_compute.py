@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.compute_sim import ComputeSimulator
 from repro.errors import SparsityError
-from repro.sparsity.pattern import layerwise_pattern
+from repro.sparsity.pattern import SparsePattern, layerwise_pattern
 from repro.sparsity.sparse_compute import SparseComputeSimulator
 from repro.topology.layer import GemmLayer, SparsityRatio
 
@@ -70,8 +70,9 @@ class TestRowwise:
         # A tile's K_eff is its worst row: one dense row in an otherwise
         # sparse tile forces dense-like cycles for that tile.
         layer = GemmLayer("g", m=8, n=16, k=32)
-        pattern = layerwise_pattern(8, 32, SparsityRatio(1, 4))
-        pattern.nnz_per_block[0, :] = 4  # row 0 fully dense
+        nnz = layerwise_pattern(8, 32, SparsityRatio(1, 4)).nnz_per_block.copy()
+        nnz[0, :] = 4  # row 0 fully dense
+        pattern = SparsePattern(rows=8, cols=32, block_size=4, nnz_per_block=nnz)
         result = SparseComputeSimulator(8, 8).simulate_layer(layer, pattern=pattern)
         dense = result.dense_compute_cycles
         assert result.sparse_compute_cycles == dense  # single tile, max = K

@@ -190,6 +190,37 @@ def test_layer_compute_roundtrips_through_store(tmp_path):
     assert warm == reference
 
 
+def test_plan_through_store_roundtrips_to_equal_schedules(tmp_path):
+    """A warm plan is served from pickles as the same columnar schedules."""
+    from repro.core.compute_sim import FoldSchedule
+    from repro.core.simulator import clear_compute_plan_cache, make_memory_backend, resolve_plan
+
+    config = get_preset("scale_sim_v2_default")
+    topology = toy_conv()
+    simulator = Simulator(config)
+    clear_compute_plan_cache()
+    reference = simulator.plan(topology)
+
+    store = ArtifactStore(tmp_path)
+    with _with_store(store):
+        clear_compute_plan_cache()
+        simulator.plan(topology)  # misses: schedules and persists
+        clear_compute_plan_cache()
+        warm = simulator.plan(topology)  # hits: unpickled from disk
+    clear_compute_plan_cache()
+    assert store.hits == len(topology)
+    assert warm == reference
+    for got, want in zip(warm.computes, reference.computes):
+        assert isinstance(got.fold_specs, FoldSchedule)
+        assert got.fold_specs == want.fold_specs
+        assert list(got.fold_specs) == list(want.fold_specs)
+    resolved = [
+        [layer.timeline for layer in resolve_plan(plan, make_memory_backend(config), "r").layers]
+        for plan in (warm, reference)
+    ]
+    assert resolved[0] == resolved[1]
+
+
 def test_fold_demand_roundtrips_through_store(tmp_path):
     layer = toy_conv()[0]
     args = (layer, Dataflow.OUTPUT_STATIONARY, 8, 8, None)
