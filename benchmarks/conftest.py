@@ -30,28 +30,20 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.perf.trajectory import (
+    UPDATE_BASELINES,
+    output_dir,
+    write_markdown,
+    write_trajectory,
+)
+
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 RESULTS_DIR = Path(__file__).parent / "results"
-OUT_DIR = Path(__file__).parent / "out"
-
-#: Rewrite the committed baselines instead of writing under ``OUT_DIR``.
-UPDATE_BASELINES = os.environ.get("REPRO_UPDATE_BASELINES") == "1"
 
 #: Worker-pool size for the sweep-based benchmarks: parallel on multicore
 #: machines, plain serial execution on single-core CI boxes.
 SWEEP_WORKERS = max(1, min(4, os.cpu_count() or 1))
-
-
-def output_dir(committed_dir: Path) -> Path:
-    """Where to write artifacts whose committed baselines live in ``committed_dir``.
-
-    ``committed_dir`` itself under ``REPRO_UPDATE_BASELINES=1``;
-    otherwise ``OUT_DIR/<its name>``.
-    """
-    directory = committed_dir if UPDATE_BASELINES else OUT_DIR / committed_dir.name
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
 
 
 def output_path(committed: Path) -> Path:
@@ -62,8 +54,6 @@ def output_path(committed: Path) -> Path:
 def pytest_sessionfinish(session, exitstatus) -> None:
     """Refresh ``TRAJECTORY.*`` whenever the committed baselines were rewritten."""
     if UPDATE_BASELINES:
-        from benchmarks.perf.trajectory import write_markdown, write_trajectory
-
         write_trajectory()
         write_markdown()
 

@@ -15,11 +15,13 @@ Run with::
 as one human-readable table per seam.  Both outputs are deterministic
 (sorted keys, no timestamps): they change only when a baseline changes.
 
-The script aggregates the harnesses' fresh measurements under the
-gitignored ``benchmarks/out/perf/`` and writes the trajectory there.
-With ``REPRO_UPDATE_BASELINES=1`` (the harnesses then rewrite the
-committed ``BENCH_*.json``) it aggregates and rewrites the committed
-files in this directory instead.
+This module also owns the rule for where benchmark artifacts go
+(:func:`output_dir`): by default under the gitignored ``benchmarks/out/``
+(``out/perf/`` for the harnesses' ``BENCH_*.json``), and over the
+committed baselines only with ``REPRO_UPDATE_BASELINES=1``.  The script
+aggregates the freshest BENCH file per seam (:func:`latest_bench_paths`)
+and writes the trajectory next to them, so it rewrites the committed
+``TRAJECTORY.*`` only under ``REPRO_UPDATE_BASELINES=1``.
 """
 
 from __future__ import annotations
@@ -27,12 +29,45 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 PERF_DIR = Path(__file__).parent
-OUT_PERF_DIR = PERF_DIR.parent / "out" / "perf"
+OUT_DIR = PERF_DIR.parent / "out"
 TRAJECTORY_PATH = PERF_DIR / "TRAJECTORY.json"
 MARKDOWN_PATH = PERF_DIR / "TRAJECTORY.md"
+
+#: Rewrite the committed baselines instead of writing under ``OUT_DIR``.
+UPDATE_BASELINES = os.environ.get("REPRO_UPDATE_BASELINES") == "1"
+
+
+def output_dir(committed_dir: Path) -> Path:
+    """Where to write artifacts whose committed baselines live in ``committed_dir``.
+
+    ``committed_dir`` itself under ``REPRO_UPDATE_BASELINES=1``;
+    otherwise ``OUT_DIR/<its name>``.
+    """
+    directory = committed_dir if UPDATE_BASELINES else OUT_DIR / committed_dir.name
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
+
+
+def bench_paths(perf_dir: Path = PERF_DIR) -> list[Path]:
+    """The ``BENCH_*.json`` files in ``perf_dir``, sorted."""
+    return sorted(perf_dir.glob("BENCH_*.json"))
+
+
+def latest_bench_paths(perf_dir: Path = PERF_DIR, fresh_dir: Path | None = None) -> list[Path]:
+    """The freshest ``BENCH_*.json`` per seam.
+
+    A harness's own output under ``fresh_dir`` (default
+    ``output_dir(perf_dir)``) replaces its committed file in ``perf_dir``;
+    seams whose harness has not run fall back to the committed file.
+    """
+    fresh_dir = output_dir(perf_dir) if fresh_dir is None else fresh_dir
+    paths = {path.name: path for path in bench_paths(perf_dir)}
+    paths.update({path.name: path for path in bench_paths(fresh_dir)})
+    return [paths[name] for name in sorted(paths)]
 
 
 def _is_speedup_key(key: str) -> bool:
@@ -77,10 +112,10 @@ def _gates(payload: object, prefix: str = "") -> dict[str, float]:
     return found
 
 
-def build_trajectory(perf_dir: Path = PERF_DIR) -> dict:
-    """Aggregate every ``BENCH_*.json`` into one trajectory mapping."""
+def build_trajectory(paths: Iterable[Path] | None = None) -> dict:
+    """Aggregate ``BENCH_*.json`` files (default: the committed ones) into one mapping."""
     benches: dict[str, dict] = {}
-    for path in sorted(perf_dir.glob("BENCH_*.json")):
+    for path in bench_paths() if paths is None else paths:
         payload = json.loads(path.read_text())
         name = path.stem.removeprefix("BENCH_")
         benches[name] = {
@@ -99,10 +134,29 @@ def build_trajectory(perf_dir: Path = PERF_DIR) -> dict:
     }
 
 
-def write_trajectory(perf_dir: Path = PERF_DIR, out_path: Path | None = None) -> Path:
-    """Write ``TRAJECTORY.json``; returns the path."""
-    out_path = out_path or (perf_dir / "TRAJECTORY.json")
-    trajectory = build_trajectory(perf_dir)
+def gate_regressions(committed: dict, fresh: dict) -> list[str]:
+    """Gates of the ``committed`` trajectory that ``fresh`` removed or lowered.
+
+    New gates may appear and existing ones may rise; anything else
+    means a harness's ``required_*`` floor was relaxed.
+    """
+    problems = []
+    for name, bench in fresh["benches"].items():
+        committed_gates = committed["benches"].get(name, {}).get("gates", {})
+        for key, floor in committed_gates.items():
+            current = bench["gates"].get(key)
+            if current is None:
+                problems.append(f"{name}.{key}: gate removed (committed floor {floor})")
+            elif current < floor:
+                problems.append(f"{name}.{key}: gate regressed {floor} -> {current}")
+    return problems
+
+
+def write_trajectory(
+    paths: Iterable[Path] | None = None, out_path: Path = TRAJECTORY_PATH
+) -> Path:
+    """Write the trajectory of ``paths`` (see :func:`build_trajectory`); returns ``out_path``."""
+    trajectory = build_trajectory(paths)
     out_path.write_text(json.dumps(trajectory, indent=2, sort_keys=True) + "\n")
     return out_path
 
@@ -138,21 +192,20 @@ def build_markdown(trajectory: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_markdown(perf_dir: Path = PERF_DIR, out_path: Path | None = None) -> Path:
-    """Write ``TRAJECTORY.md``; returns the path."""
-    out_path = out_path or (perf_dir / "TRAJECTORY.md")
-    out_path.write_text(build_markdown(build_trajectory(perf_dir)))
+def write_markdown(paths: Iterable[Path] | None = None, out_path: Path = MARKDOWN_PATH) -> Path:
+    """Write the markdown trajectory of ``paths``; returns ``out_path``."""
+    out_path.write_text(build_markdown(build_trajectory(paths)))
     return out_path
 
 
 if __name__ == "__main__":
-    perf_dir = PERF_DIR if os.environ.get("REPRO_UPDATE_BASELINES") == "1" else OUT_PERF_DIR
-    perf_dir.mkdir(parents=True, exist_ok=True)
-    path = write_trajectory(perf_dir)
+    paths = latest_bench_paths()
+    out_dir = output_dir(PERF_DIR)
+    path = write_trajectory(paths, out_dir / TRAJECTORY_PATH.name)
     trajectory = json.loads(path.read_text())
     print(f"wrote {path} ({len(trajectory['benches'])} benches)")
     if "--markdown" in sys.argv[1:]:
-        print(f"wrote {write_markdown(perf_dir)}")
+        print(f"wrote {write_markdown(paths, out_dir / MARKDOWN_PATH.name)}")
     for name, bench in trajectory["benches"].items():
         speedups = ", ".join(
             f"{key}={value}" for key, value in sorted(bench["speedups"].items())

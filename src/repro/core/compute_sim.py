@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -120,9 +121,10 @@ class FoldSchedule(Sequence[FoldSpec]):
     Folds run row-major over the ``folds_row x folds_col`` grid, each
     taking ``cycles``.  A fold's fetches are the present entries of
     ``slots`` in slot order.  Indexing or iterating yields
-    :class:`FoldSpec` views built on demand, so the schedule drops in
-    wherever a ``list[FoldSpec]`` is read; the ideal-bandwidth walk and
-    the traffic totals read the columns directly.
+    :class:`FoldSpec` views built on demand (iterating builds them all
+    once and keeps them), so the schedule drops in wherever a
+    ``list[FoldSpec]`` is read; the ideal-bandwidth walk and the traffic
+    totals read the columns directly and never build a view.
     """
 
     folds_row: int
@@ -148,6 +150,16 @@ class FoldSchedule(Sequence[FoldSpec]):
         return self._view(index, self.rows_used, self.cols_used, columns)
 
     def __iter__(self) -> Iterator[FoldSpec]:
+        return iter(self._views)
+
+    @cached_property
+    def _views(self) -> tuple[FoldSpec, ...]:
+        """Every fold's view, built on first iteration and kept.
+
+        A cached plan is walked once per DRAM config it meets, so the
+        views are built once per schedule, not once per walk.  They are
+        never pickled (see :meth:`__getstate__`).
+        """
         # Plain-list columns: indexing them is far cheaper than numpy's.
         columns = [
             (
@@ -161,8 +173,14 @@ class FoldSchedule(Sequence[FoldSpec]):
         ]
         rows_used = self.rows_used.tolist()
         cols_used = self.cols_used.tolist()
-        for index in range(len(self)):
-            yield self._view(index, rows_used, cols_used, columns)
+        return tuple(
+            self._view(index, rows_used, cols_used, columns) for index in range(len(self))
+        )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_views", None)
+        return state
 
     def _view(self, index: int, rows_used, cols_used, columns) -> FoldSpec:
         fold_row, fold_col = divmod(index, self.folds_col)
@@ -191,16 +209,6 @@ class FoldSchedule(Sequence[FoldSpec]):
             and np.array_equal(self.cols_used, other.cols_used)
             and self.slots == other.slots
         )
-
-    @property
-    def fold_row(self) -> np.ndarray:
-        """Fold-row index of every fold."""
-        return np.repeat(np.arange(self.folds_row, dtype=np.int64), self.folds_col)
-
-    @property
-    def fold_col(self) -> np.ndarray:
-        """Fold-column index of every fold."""
-        return np.tile(np.arange(self.folds_col, dtype=np.int64), self.folds_row)
 
     def read_words(self) -> np.ndarray:
         """Words read from backing store ahead of each fold."""

@@ -193,8 +193,8 @@ class DoubleBufferMemory:
         ):
             return self._run_closed_form(fold_specs, keep_timings, start_cycle)
 
-        # Folds issue their traffic strictly in order, so one pass over
-        # the schedule (building each fold's view once) feeds the walk.
+        # Folds issue their traffic strictly in order, so one ordered pass
+        # over the schedule's fold views feeds the walk.
         if line_batches is None:
             fetches = (spec.fetches for spec in fold_specs)
 

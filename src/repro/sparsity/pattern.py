@@ -13,9 +13,10 @@ many elements survive in each M-block of each row:
 The pattern stores per-(row, block) non-zero counts, which is all the
 storage and compute models need; full boolean masks are generated only
 on demand for small matrices (tests, examples).  Patterns are immutable:
-the factories return read-only counts, and a layer-wise pattern is one
-block row broadcast over every row, so building, validating and summing
-it costs O(rows + blocks) rather than O(rows x blocks).
+the counts are read-only (a caller's writable array is copied), and a
+layer-wise pattern is one block row broadcast over every row, so
+building, validating and summing it costs O(rows + blocks) rather than
+O(rows x blocks).
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ class SparsePattern:
             raise SparsityError(f"bad matrix shape {self.rows}x{self.cols}")
         if self.block_size < 1:
             raise SparsityError(f"block_size must be >= 1, got {self.block_size}")
+        if self.nnz_per_block.flags.writeable:
+            # Row sums are memoised: keep a private read-only copy so later
+            # writes to the caller's array cannot leave them stale.
+            counts = self.nnz_per_block.copy()
+            counts.flags.writeable = False
+            object.__setattr__(self, "nnz_per_block", counts)
         expected = (self.rows, self.num_blocks)
         if self.nnz_per_block.shape != expected:
             raise SparsityError(

@@ -233,8 +233,6 @@ def test_columnar_schedule_matches_scalar_loop(dataflow):
         for index in {0, len(schedule) // 2, len(schedule) - 1}:
             assert schedule[index] == reference[index], context
         assert schedule[-1] == reference[-1]
-        assert schedule.fold_row.tolist() == [s.fold_row for s in reference]
-        assert schedule.fold_col.tolist() == [s.fold_col for s in reference]
         assert schedule.read_words().tolist() == [s.fetch_words for s in reference]
         assert schedule.write_words().tolist() == [s.writeback_words for s in reference]
         assert (
@@ -329,3 +327,15 @@ def test_schedule_pickle_roundtrip_is_equal():
         clone = pickle.loads(pickle.dumps(schedule))
         assert clone == schedule
         assert list(clone) == list(schedule)
+
+
+def test_views_are_built_once_and_never_pickled():
+    schedule = _random_schedule(random.Random("views"))
+    unwalked = pickle.dumps(schedule)
+    first = list(schedule)
+    assert all(a is b for a, b in zip(first, schedule))
+    payload = pickle.dumps(schedule)
+    assert payload == unwalked
+    clone = pickle.loads(payload)
+    assert "_views" not in vars(clone)
+    assert list(clone) == first

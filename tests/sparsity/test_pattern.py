@@ -104,6 +104,17 @@ class TestSparsePatternValidation:
         with pytest.raises(SparsityError):
             SparsePattern(rows=2, cols=8, block_size=4, nnz_per_block=bad)
 
+    def test_caller_array_is_copied(self):
+        # Writes to the caller's array after construction cannot reach the
+        # pattern's counts or its memoised row sums.
+        counts = np.full((3, 2), 2, dtype=np.int32)
+        pattern = SparsePattern(rows=3, cols=8, block_size=4, nnz_per_block=counts)
+        assert pattern.row_nnz().tolist() == [4, 4, 4]
+        counts[1, 0] = 4
+        assert pattern.row_nnz().tolist() == [4, 4, 4]
+        assert pattern.total_nnz == 12
+        assert not pattern.nnz_per_block.flags.writeable
+
     def test_compressed_row_length(self):
         pattern = layerwise_pattern(2, 8, SparsityRatio(1, 4))
         assert (pattern.compressed_row_length() == 2).all()
