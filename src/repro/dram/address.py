@@ -11,12 +11,7 @@ makes streaming workloads scale with channel count (paper Figure 9).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 from repro.errors import DramError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
 
 LINE_BYTES = 64
 
@@ -73,7 +68,7 @@ class AddressMapper:
         # Stride plan: field value = (line // stride) % size, with
         # ``stride`` the product of all less-significant field sizes —
         # the closed form of the divmod peel in :meth:`decode`, shared
-        # by :meth:`decode_batch` and the engines' inline decoders.
+        # with the engines' inline and vectorized decoders.
         self._strides: dict[str, int] = {}
         stride = 1
         for code in reversed(self.mapping):
@@ -112,23 +107,6 @@ class AddressMapper:
             row=values["ro"],
             column=values["co"],
         )
-
-    def decode_batch(
-        self, line_indices: "np.ndarray"
-    ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
-        """Decode an array of line indices into (channel, rank, bank, row).
-
-        Vectorized twin of :meth:`decode`, using the precomputed stride
-        plan — including the row wrap for devices smaller than the
-        address space.
-        """
-        sizes = self._sizes
-        strides = self._strides
-        channel = (line_indices // strides["ch"]) % sizes["ch"]
-        rank = (line_indices // strides["ra"]) % sizes["ra"]
-        bank = (line_indices // strides["ba"]) % sizes["ba"]
-        row = (line_indices // strides["ro"]) % sizes["ro"]
-        return channel, rank, bank, row
 
     def lines_in_range(self, start_byte: int, num_bytes: int) -> range:
         """Line indices overlapping ``[start_byte, start_byte + num_bytes)``."""

@@ -1,45 +1,20 @@
 """BatchedEngine: the vectorized memory-datapath engine.
 
-Bit-exact to :class:`repro.dram.engine.ReferenceEngine`, but the
-per-64B-line Python loop is replaced by array passes over whole line
-batches:
+Bit-exact to :class:`repro.dram.engine.ReferenceEngine`.  Each batch
+takes the first dispatch path that accepts it:
 
-* **address decode** is stride arithmetic over the full batch
-  (:meth:`repro.dram.address.AddressMapper.decode_batch`);
-* **front-end pacing + queue backpressure** become one running-max
-  scan.  With ``c = max_issue_per_cycle``, the scalar recurrence
-  "bump the clock every c issues, jump to the oldest in-flight
-  completion when a queue is full" has the closed form
-  ``issue[i] = (i + max_{j<=i}(c*g[j] - j)) // c`` where ``g[j]`` is
-  the queue constraint of request ``j`` — an order statistic of the
-  queue's past completions (see below);
-* **bank timing** is resolved per row-hit streak: within a streak the
-  recurrence ``issue[k] = max(cycle[k], issue[k-1] + delta[k-1])``
-  telescopes to a prefix sum plus a segmented running max, so whole
-  streaks (the overwhelmingly common case for streaming tile fetches)
-  resolve in one vector op.  Row misses/conflicts — the rare streak
-  boundaries — are walked scalar;
-* **bus arbitration** per channel is the same max-plus telescoping:
-  ``ready[k] = max(data[k], ready[k-1]) + t_burst`` becomes
-  ``(k+1)*t_burst + runmax(data[k] - k*t_burst)``;
-* **statistics** are array reductions accumulated once per batch.
-
-The queue constraint ``g`` is exact, not heuristic.  For a queue of
-capacity ``Q``, the j-th push can issue no earlier than the
-``(j-Q)``-th smallest of all completions pushed before it (when the
-queue is full, the front-end jumps to the oldest in-flight completion;
-retired entries only make the constraint vacuous).  Those order
-statistics are consumed in strictly increasing rank order, so the
-engine keeps a sorted ``pending`` pool per queue and processes lines in
-sub-blocks of at most ``Q`` pushes per queue — every constraint a block
-needs is then a completion from *before* the block.  A cheap vectorized
-check (no in-block completion may undercut a later consumed constraint)
-guards the one case where an in-block completion could reorder the
-statistics; on the rare violation the block is truncated and re-run.
-
-Small batches skip the array machinery entirely and run through an
-inlined scalar loop over the same state — identical semantics, no
-numpy dispatch overhead.
+* **closed-form single-stream paths** — one contiguous read stream on
+  one channel resolves per (bank, row) streak with O(streaks) Python
+  arithmetic, either below the read-queue capacity or in the saturated
+  affine steady state beyond it;
+* **scalar loop** — batches below :attr:`BatchedEngine.vector_threshold`
+  lines run an inlined per-line loop over the same state (identical
+  semantics, no numpy dispatch overhead);
+* **vector pass** — everything larger resolves through
+  :func:`repro.dram.vector_pass.resolve_vector_pass` with this engine
+  as the only participant: the same array walk the config-batched
+  :class:`~repro.dram.engine_grid.GridBatchedEngine` runs for a whole
+  ``dram.*`` grid (its module docstring derives the scans).
 """
 
 from __future__ import annotations
@@ -54,22 +29,23 @@ import numpy as np
 from repro.dram.address import LINE_BYTES
 from repro.dram.dram_sim import DramStats, RamulatorLite
 from repro.dram.engine import BatchResult, LineRequestBatch
+from repro.dram.vector_pass import VectorParams, resolve_vector_pass
 from repro.errors import DramError, MemoryModelError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.compute_sim import TileFetch
 
-_LOW = -(1 << 42)  # "no constraint" sentinel (far below any real cycle)
-_BIG = 1 << 44  # segment offset for segmented running-max scans
-
 
 def issue_order_arrays(batch: LineRequestBatch) -> tuple[np.ndarray, np.ndarray]:
     """The batch's round-robin issue order as ``(lines, is_write)`` arrays.
 
-    Exactly the construction the vector path performs on entry (stream
-    concatenation, then a (round, stream) key sort), factored out so a
-    fan-out can decode the stream once and share it across engines.
+    Stream concatenation, then a (round, stream) key sort — the input
+    of the vector pass.  A :class:`PreparedLineBatch` hands back its
+    precomputed (read-only) arrays, so a fan-out decodes the stream once
+    and shares it across engines.
     """
+    if isinstance(batch, PreparedLineBatch) and batch.lines_in_order is not None:
+        return batch.lines_in_order, batch.writes_in_order
     streams = [s for s in batch.streams if s.num_lines]
     lines = np.concatenate(
         [
@@ -97,14 +73,14 @@ def issue_order_arrays(batch: LineRequestBatch) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class PreparedLineBatch(LineRequestBatch):
-    """A line batch with its vector-path issue order precomputed.
+    """A line batch with its vector-pass issue order precomputed.
 
     Behaves exactly like a plain :class:`LineRequestBatch` everywhere
     (the reference engine, the scalar and fast paths read the streams);
-    the vector path skips its interleave/sort step and consumes the
-    attached read-only arrays.  Built by :func:`prepare_line_batch` so
-    the DRAM fan-out shares one decoded line stream per word size
-    across a whole config grid.
+    :func:`issue_order_arrays` hands the vector pass the attached
+    read-only arrays instead of re-sorting the streams.  Built by
+    :func:`prepare_line_batch` so the DRAM fan-out shares one decoded
+    line stream per word size across a whole config grid.
     """
 
     lines_in_order: np.ndarray | None = field(
@@ -174,7 +150,7 @@ class _EngineQueue:
     ``outstanding`` is the lazily-retired min-heap of in-flight
     completions (exactly the reference queue's heap); ``pending`` holds
     completions whose backpressure rank has not been consumed yet —
-    the sorted pool the vector path reads constraints from.
+    the sorted pool the vector pass reads constraints from.
     """
 
     __slots__ = (
@@ -243,7 +219,7 @@ class BatchedEngine:
         self.banks = mapper.banks
         num_banks = self.channels * self.ranks * self.banks
         # Canonical state is plain Python (fast for the scalar path);
-        # the vector path snapshots it into arrays per batch.
+        # the vector pass snapshots it into arrays per batch.
         self._open_row = [-1] * num_banks
         self._ready = [0] * num_banks
         self._act = [-(10**9)] * num_banks
@@ -261,6 +237,8 @@ class BatchedEngine:
         # Decode plan shared with AddressMapper: (line // stride) % size.
         self._strides = mapper.field_strides
         self._sizes = mapper.field_sizes
+        # Vector-pass parameters, built on the first vector-size batch.
+        self._vector_params: VectorParams | None = None
 
     # ------------------------------------------------------------- protocol
 
@@ -278,7 +256,17 @@ class BatchedEngine:
             return result
         if total < self.vector_threshold:
             return self._process_scalar(batch, clock0)
-        return self._process_vector(batch, clock0)
+        lines, is_write = issue_order_arrays(batch)
+        [result] = resolve_vector_pass(
+            self.vector_params(), [self], lines, is_write, [clock0]
+        )
+        return result
+
+    def vector_params(self) -> VectorParams:
+        """This engine's vector-pass parameters, built on first use."""
+        if self._vector_params is None:
+            self._vector_params = VectorParams([self])
+        return self._vector_params
 
     def _try_fast_paths(
         self, batch: LineRequestBatch, clock0: int, total: int
@@ -287,7 +275,7 @@ class BatchedEngine:
 
         Factored out of :meth:`process_batch` so the grid-batched engine
         (:mod:`repro.dram.engine_grid`) can peel off the configs these
-        O(streaks) paths accept before its shared vector pass — the
+        O(streaks) paths accept before the shared vector pass — the
         guards and commits are per-config state anyway.
         """
         if not self.single_stream_fast_path:
@@ -344,7 +332,7 @@ class BatchedEngine:
         + i*tCCD``; ``completion[i] = max(data[i], bus-chain) + tBURST``).
         Each streak costs O(1) Python arithmetic plus two ``range``
         materializations; anything outside the guarded regime returns
-        ``None`` and takes the regular scalar/vector path.  Nothing is
+        ``None`` and takes the scalar loop or the vector pass.  Nothing is
         mutated until every exactness guard has passed.
         """
         streams = [s for s in batch.streams if s.num_lines]
@@ -506,7 +494,7 @@ class BatchedEngine:
         arithmetic completion series, per-line stall ``tBURST - bump``
         and latency ``Q * tBURST``, O(1) Python work per streak.
         Anything outside the guarded regime returns ``None`` untouched
-        and takes the regular scalar/vector path.
+        and takes the scalar loop or the vector pass.
         """
         streams = [s for s in batch.streams if s.num_lines]
         if len(streams) != 1 or streams[0].is_write or self.channels != 1:
@@ -855,346 +843,6 @@ class BatchedEngine:
             ready_cycle=last_read, lines_read=lines_read, lines_written=lines_written
         )
 
-    # ---------------------------------------------------------- vector path
-
-    def _process_vector(self, batch: LineRequestBatch, clock0: int) -> BatchResult:
-        timing = self.timing
-        t_burst = timing.t_burst
-        t_ccd = timing.t_ccd
-        t_wr = timing.t_wr
-        t_rcd = timing.t_rcd
-        t_rp = timing.t_rp
-        t_ras = timing.t_ras
-        t_cl = timing.t_cl
-        t_cwl = timing.t_cwl
-        ipc = self.max_issue_per_cycle
-        read_q, write_q = self.read_queue, self.write_queue
-
-        # --- 1. interleave + decode + per-call prefix counts --------------
-        # Prepared batches arrive with the issue order rematerialized (the
-        # fan-out shares one decoded stream across a config grid); plain
-        # batches build it here.  Either way the arrays are read-only.
-        if (
-            isinstance(batch, PreparedLineBatch)
-            and batch.lines_in_order is not None
-        ):
-            lines = batch.lines_in_order
-            is_write = batch.writes_in_order
-        else:
-            lines, is_write = issue_order_arrays(batch)
-        n = lines.size
-        chan, rank, bank, row = self.mapper.decode_batch(lines)
-        flat_bank = (chan * self.ranks + rank) * self.banks + bank
-        index = np.arange(n + 1, dtype=np.int64)  # shared 0..n ramp
-        writes_cum = np.cumsum(is_write)  # inclusive write count
-        reads_cum = index[1:] - writes_cum
-
-        # --- 2. numpy snapshots of the datapath state ---------------------
-        open_row = np.array(self._open_row, dtype=np.int64)
-        ready = np.array(self._ready, dtype=np.int64)
-        act = np.array(self._act, dtype=np.int64)
-        bus = np.array(self._bus_ready, dtype=np.int64)
-        pend_r = np.sort(np.array(read_q.pending, dtype=np.int64))
-        pend_w = np.sort(np.array(write_q.pending, dtype=np.int64))
-
-        issue_all = np.empty(n, dtype=np.int64)
-        comp_all = np.empty(n, dtype=np.int64)
-        cat_all = np.empty(n, dtype=np.int8)  # 0 hit / 1 miss / 2 conflict
-
-        pace_h = ipc * clock0  # running max in h-space (index origin: this call)
-        pos = 0
-        while pos < n:
-            # Longest prefix with at most `capacity` pushes per queue: all
-            # constraints then come from completions before the block.
-            reads_base = int(reads_cum[pos - 1]) if pos else 0
-            writes_base = int(writes_cum[pos - 1]) if pos else 0
-            end_r = int(
-                np.searchsorted(reads_cum, reads_base + read_q.capacity, side="right")
-            )
-            end_w = int(
-                np.searchsorted(writes_cum, writes_base + write_q.capacity, side="right")
-            )
-            block = min(end_r, end_w, n) - pos
-
-            while True:  # re-run with a shorter block on a rare rank violation
-                sl = slice(pos, pos + block)
-                wr_b = is_write[sl]
-                write_pos = wr_b.nonzero()[0]
-                read_pos = (~wr_b).nonzero()[0]
-
-                # --- queue constraints g: consumed order statistics -------
-                g = np.full(block, _LOW, dtype=np.int64)
-                for queue, pend, positions in (
-                    (read_q, pend_r, read_pos),
-                    (write_q, pend_w, write_pos),
-                ):
-                    count = positions.size
-                    if not count:
-                        continue
-                    skip = queue.capacity - queue.pushed
-                    if skip < 0:
-                        skip = 0
-                    if count > skip:
-                        g[positions[skip:]] = pend[: count - skip]
-
-                # --- front-end pacing scan --------------------------------
-                gidx = index[pos : pos + block]
-                h = ipc * g - gidx
-                hmax = np.maximum.accumulate(h)
-                np.maximum(hmax, pace_h, out=hmax)
-                issue = (gidx + hmax) // ipc
-                h_prev = np.empty(block, dtype=np.int64)
-                h_prev[0] = pace_h
-                h_prev[1:] = hmax[:-1]
-                stall = issue - (gidx + h_prev) // ipc
-
-                # --- bank timing (grouped, streak scans) ------------------
-                grouping = np.argsort(flat_bank[sl], kind="stable")
-                fb_s = flat_bank[sl][grouping]
-                row_s = row[sl][grouping]
-                cyc_s = issue[grouping]
-                wr_s = wr_b[grouping]
-                is_start = np.empty(block, dtype=bool)
-                is_start[0] = True
-                np.not_equal(fb_s[1:], fb_s[:-1], out=is_start[1:])
-                group_starts = is_start.nonzero()[0]
-                prev_row = np.empty(block, dtype=np.int64)
-                prev_row[1:] = row_s[:-1]
-                prev_row[group_starts] = open_row[fb_s[group_starts]]
-                hit = row_s == prev_row
-                not_hit = ~hit
-                all_hits = not not_hit.any()
-                run_start = is_start | not_hit
-                run_start[1:] |= not_hit[:-1]
-                run_id = np.cumsum(run_start) - 1
-                delta = np.where(wr_s, t_ccd + t_wr, t_ccd)
-                d_excl = np.empty(block, dtype=np.int64)
-                d_excl[0] = 0
-                np.cumsum(delta[:-1], out=d_excl[1:])
-                accum = cyc_s - d_excl + run_id * _BIG
-                streak_max = np.maximum.accumulate(accum) - run_id * _BIG
-                run_starts = run_start.nonzero()[0]
-                seeds = np.empty(run_starts.size, dtype=np.int64)
-                act_updates: list[tuple[int, int]] = []
-                if all_hits:
-                    # Every run starts a group here (one run per group).
-                    seeds[:] = ready[fb_s[run_starts]] - d_excl[run_starts]
-                else:
-                    seeds[:] = _LOW
-                    plain = hit[run_starts] & is_start[run_starts]
-                    seeds[plain] = (
-                        ready[fb_s[run_starts[plain]]] - d_excl[run_starts[plain]]
-                    )
-                    self._resolve_streak_boundaries(
-                        fb_s,
-                        cyc_s,
-                        prev_row,
-                        hit,
-                        is_start,
-                        run_id,
-                        run_starts,
-                        d_excl,
-                        delta,
-                        streak_max,
-                        ready,
-                        act,
-                        seeds,
-                        act_updates,
-                        t_rcd,
-                        t_rp,
-                        t_ras,
-                    )
-                issue_bank = d_excl + np.maximum(seeds[run_id], streak_max)
-                data_start_s = issue_bank + np.where(wr_s, t_cwl, t_cl)
-
-                # --- bus arbitration per channel --------------------------
-                data_start = np.empty(block, dtype=np.int64)
-                data_start[grouping] = data_start_s
-                if self.channels == 1:
-                    elem = data_start - index[:block] * t_burst
-                    if elem[0] < bus[0]:
-                        elem[0] = bus[0]
-                    completion = (
-                        index[1 : block + 1] * t_burst + np.maximum.accumulate(elem)
-                    )
-                else:
-                    chan_order = np.argsort(chan[sl], kind="stable")
-                    chan_s = chan[sl][chan_order]
-                    bus_in = data_start[chan_order]
-                    cstart = np.empty(block, dtype=bool)
-                    cstart[0] = True
-                    np.not_equal(chan_s[1:], chan_s[:-1], out=cstart[1:])
-                    chan_starts = cstart.nonzero()[0]
-                    seg_end = np.empty(chan_starts.size, dtype=np.int64)
-                    seg_end[:-1] = chan_starts[1:]
-                    seg_end[-1] = block
-                    within = index[:block] - np.repeat(
-                        chan_starts, seg_end - chan_starts
-                    )
-                    elem = bus_in - within * t_burst
-                    elem[chan_starts] = np.maximum(
-                        elem[chan_starts], bus[chan_s[chan_starts]]
-                    )
-                    seg_id = np.cumsum(cstart) - 1
-                    seg_max = (
-                        np.maximum.accumulate(elem + seg_id * _BIG) - seg_id * _BIG
-                    )
-                    completion_s = (within + 1) * t_burst + seg_max
-                    completion = np.empty(block, dtype=np.int64)
-                    completion[chan_order] = completion_s
-
-                # --- verify the order-statistic speculation ---------------
-                # Fast accept: if no completion undercuts any constraint at
-                # all, no in-block completion can displace a consumed rank.
-                if int(completion.min()) >= int(g.max()):
-                    break
-                violation = block
-                for positions in (read_pos, write_pos):
-                    if positions.size < 2:
-                        continue
-                    comp_q = completion[positions]
-                    run_min = np.minimum.accumulate(comp_q)
-                    bad = (run_min[:-1] < g[positions[1:]]).nonzero()[0]
-                    if bad.size:
-                        violation = min(violation, int(positions[int(bad[0]) + 1]))
-                if violation < block:
-                    block = violation
-                    continue
-                break
-
-            # --- commit the block ----------------------------------------
-            issue_all[sl] = issue
-            comp_all[sl] = completion
-            category_s = np.where(hit, 0, np.where(prev_row < 0, 1, 2)).astype(np.int8)
-            cat_all[sl][grouping] = category_s
-            pace_h = int(hmax[-1])
-            last_pos = np.empty(group_starts.size, dtype=np.int64)
-            last_pos[:-1] = group_starts[1:]
-            last_pos[-1] = block
-            last_pos -= 1
-            touched = fb_s[group_starts]
-            open_row[touched] = row_s[last_pos]
-            ready[touched] = issue_bank[last_pos] + delta[last_pos]
-            for bank_index, value in act_updates:
-                act[bank_index] = value
-            if self.channels == 1:
-                bus[0] = completion[-1]
-            else:
-                chan_last = np.empty(chan_starts.size, dtype=np.int64)
-                chan_last[:-1] = chan_starts[1:]
-                chan_last[-1] = block
-                chan_last -= 1
-                bus[chan_s[chan_starts]] = completion_s[chan_last]
-            for queue, positions in ((read_q, read_pos), (write_q, write_pos)):
-                count = positions.size
-                if not count:
-                    continue
-                skip = queue.capacity - queue.pushed
-                if skip < 0:
-                    skip = 0
-                consumed = count - skip if count > skip else 0
-                merged = np.sort(
-                    np.concatenate(
-                        [
-                            (pend_r if queue is read_q else pend_w)[consumed:],
-                            completion[positions],
-                        ]
-                    )
-                )
-                if queue is read_q:
-                    pend_r = merged
-                else:
-                    pend_w = merged
-                queue.pushed += count
-                queue.total_enqueued += count
-                queue.total_stall_cycles += int(stall[positions].sum())
-            pos += block
-
-        # --- per-call queue occupancy + outstanding -----------------------
-        reads_mask = ~is_write
-        for queue, pend, mask in (
-            (read_q, pend_r, reads_mask),
-            (write_q, pend_w, is_write),
-        ):
-            positions = mask.nonzero()[0]
-            if not positions.size:
-                continue
-            clocks = issue_all[positions]
-            comps = comp_all[positions]
-            prior = np.sort(np.array(queue.outstanding, dtype=np.int64))
-            alive_prior = prior.size - np.searchsorted(prior, clocks, side="right")
-            count = positions.size
-            retire_at = np.searchsorted(clocks, comps, side="left")
-            retired_cum = np.cumsum(
-                np.bincount(np.minimum(retire_at, count), minlength=count + 1)
-            )[:count]
-            occupancy = alive_prior + index[1 : count + 1] - retired_cum
-            peak = int(occupancy.max())
-            if peak > queue.peak_occupancy:
-                queue.peak_occupancy = peak
-            final_clock = int(clocks[-1])
-            keep_prior = prior[prior > final_clock]
-            keep_new = comps[comps > final_clock]
-            queue.outstanding = np.sort(
-                np.concatenate([keep_prior, keep_new])
-            ).tolist()
-            queue.pending = pend.tolist()
-
-        # --- per-call statistics ------------------------------------------
-        lines_read = int(np.count_nonzero(reads_mask))
-        lines_written = n - lines_read
-        if self.channels == 1:
-            read_lat = int(
-                (comp_all[reads_mask] - issue_all[reads_mask]).sum()
-            ) if lines_read else 0
-            self._accumulate_channel(
-                0,
-                lines_read,
-                lines_written,
-                int(np.count_nonzero(cat_all == 0)),
-                int(np.count_nonzero(cat_all == 1)),
-                int(np.count_nonzero(cat_all == 2)),
-                read_lat,
-                int(comp_all.max()),
-                int(issue_all[0]),
-                n,
-            )
-        else:
-            for chan_id in np.unique(chan).tolist():
-                mask = chan == chan_id
-                num = int(np.count_nonzero(mask))
-                read_sel = mask & reads_mask
-                cat_sel = cat_all[mask]
-                self._accumulate_channel(
-                    chan_id,
-                    int(np.count_nonzero(read_sel)),
-                    num - int(np.count_nonzero(read_sel)),
-                    int(np.count_nonzero(cat_sel == 0)),
-                    int(np.count_nonzero(cat_sel == 1)),
-                    int(np.count_nonzero(cat_sel == 2)),
-                    int((comp_all[read_sel] - issue_all[read_sel]).sum()),
-                    int(comp_all[mask].max()),
-                    int(issue_all[int(np.argmax(mask))]),
-                    num,
-                )
-
-        # --- write the state back -----------------------------------------
-        self._open_row = open_row.tolist()
-        self._ready = ready.tolist()
-        self._act = act.tolist()
-        self._bus_ready = bus.tolist()
-        self._issue_clock = int(issue_all[-1])
-
-        if lines_read:
-            ready_cycle = max(clock0, int(comp_all[reads_mask].max()))
-        else:
-            ready_cycle = clock0
-        return BatchResult(
-            ready_cycle=ready_cycle,
-            lines_read=lines_read,
-            lines_written=lines_written,
-        )
-
     def _accumulate_channel(
         self,
         chan_id: int,
@@ -1220,68 +868,3 @@ class BatchedEngine:
         if self._s_first[chan_id] is None:
             self._s_first[chan_id] = first_cycle
         self._s_bytes[chan_id] += LINE_BYTES * num_lines
-
-    @staticmethod
-    def _resolve_streak_boundaries(
-        fb_s: np.ndarray,
-        cyc_s: np.ndarray,
-        prev_row: np.ndarray,
-        hit: np.ndarray,
-        is_start: np.ndarray,
-        run_id: np.ndarray,
-        run_starts: np.ndarray,
-        d_excl: np.ndarray,
-        delta: np.ndarray,
-        streak_max: np.ndarray,
-        ready: np.ndarray,
-        act: np.ndarray,
-        seeds: np.ndarray,
-        act_updates: list[tuple[int, int]],
-        t_rcd: int,
-        t_rp: int,
-        t_ras: int,
-    ) -> None:
-        """Walk the rare row-miss/conflict boundaries of one block.
-
-        Only bank groups that contain a non-hit are visited; each group's
-        streaks are chained scalar (a boundary's timing depends on the
-        previous streak's final issue), with the hit-streaks in between
-        still resolved by the precomputed segmented running max.
-        """
-        block = fb_s.size
-        group_id = np.cumsum(is_start) - 1
-        bad_groups = np.unique(group_id[~hit])
-        group_bounds = np.append(is_start.nonzero()[0], block)
-        run_bounds = np.append(run_starts, block)
-        for group in bad_groups.tolist():
-            start = int(group_bounds[group])
-            end = int(group_bounds[group + 1])
-            bank_index = int(fb_s[start])
-            ready_c = int(ready[bank_index])
-            act_c = int(act[bank_index])
-            position = start
-            while position < end:
-                run = int(run_id[position])
-                run_end = int(run_bounds[run + 1])
-                if hit[position]:
-                    seed = ready_c - int(d_excl[position])
-                    seeds[run] = seed
-                    last = run_end - 1
-                    issue_last = int(d_excl[last]) + max(seed, int(streak_max[last]))
-                    ready_c = issue_last + int(delta[last])
-                else:
-                    demand = int(cyc_s[position])
-                    bank_start = demand if demand > ready_c else ready_c
-                    if int(prev_row[position]) < 0:  # row miss (bank idle)
-                        issue_b = bank_start + t_rcd
-                        act_c = bank_start
-                    else:  # row conflict: PRE (after tRAS), ACT, CAS
-                        pre = act_c + t_ras
-                        if bank_start > pre:
-                            pre = bank_start
-                        act_c = pre + t_rp
-                        issue_b = act_c + t_rcd
-                    seeds[run] = issue_b - int(d_excl[position])
-                    ready_c = issue_b + int(delta[position])
-                position = run_end
-            act_updates.append((bank_index, act_c))

@@ -195,8 +195,8 @@ def timing_param_arrays(timings) -> dict:
 
     Returns one ``int64`` array per field in
     :data:`BROADCAST_TIMING_FIELDS`, each of length ``len(timings)`` —
-    the per-config parameter axis the grid-batched engine
-    (:mod:`repro.dram.engine_grid`) broadcasts against element data.
+    the per-participant parameter axis the vector pass
+    (:mod:`repro.dram.vector_pass`) broadcasts against element data.
     """
     import numpy as np
 

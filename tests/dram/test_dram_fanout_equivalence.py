@@ -125,6 +125,16 @@ def _random_grid(rng: random.Random, arch: ArchitectureConfig) -> list[SystemCon
     return configs
 
 
+def _reference_runs(configs, topology):
+    """One ``Simulator.run`` per config on the scalar reference engine."""
+    return [
+        Simulator(
+            config.replace(dram=dataclasses.replace(config.dram, engine="reference"))
+        ).run(topology)
+        for config in configs
+    ]
+
+
 def _assert_results_equal(fanout, independent, context):
     assert len(fanout) == len(independent), context
     for grouped, solo in zip(fanout, independent):
@@ -149,7 +159,10 @@ def test_grid_engaged_fanout_matches_independent():
     ``test_randomized_grids_are_bit_exact`` draws grids where the grid
     engine may or may not form a group; this variant keeps only trials
     with at least one multi-config group, so the grid path inside
-    ``simulate_many_dram`` is provably on the line being compared.
+    ``simulate_many_dram`` is provably on the line being compared.  The
+    independent runs use the scalar ``reference`` engine: a solo batched
+    engine resolves its vector batches through the same pass as the
+    grid, so only the spec can catch a defect in that pass.
     """
     from repro.dram.fanout import _grid_groups
 
@@ -164,7 +177,7 @@ def test_grid_engaged_fanout_matches_independent():
             continue
         plan = Simulator(configs[0]).plan(topology)
         fanout = simulate_many_dram(plan, configs)
-        independent = [Simulator(config).run(topology) for config in configs]
+        independent = _reference_runs(configs, topology)
         _assert_results_equal(fanout, independent, ("grid", trial))
         engaged += 1
     assert engaged >= 4
