@@ -24,6 +24,7 @@ reproduction asserts; headers note the scale used.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from pathlib import Path
@@ -49,6 +50,28 @@ SWEEP_WORKERS = max(1, min(4, os.cpu_count() or 1))
 def output_path(committed: Path) -> Path:
     """Where to write the artifact whose committed baseline is ``committed``."""
     return output_dir(committed.parent) / committed.name
+
+
+def pooled_layout_grid(layer, dataflow, array: int, grid: list, max_folds=None) -> list:
+    """``evaluate_layout_slowdown_many`` over ``grid``, dealt across a pool.
+
+    A fixed-total-bandwidth grid is no ``SweepSpec`` cross, so the
+    layout benchmarks map round-robin chunks, one per worker, through
+    the executor directly: one trace pass per chunk.  Results come back
+    in ``grid`` order.
+    """
+    from repro.layout.integrate import evaluate_layout_slowdown_many
+    from repro.run.executors import PoolExecutor
+
+    width = min(SWEEP_WORKERS, len(grid))
+    fn = functools.partial(
+        evaluate_layout_slowdown_many, layer, dataflow, array, array, max_folds=max_folds
+    )
+    chunks = [grid[i::width] for i in range(width)]
+    results = [None] * len(grid)
+    for i, chunk in enumerate(PoolExecutor(width).map_units(fn, chunks)):
+        results[i::width] = chunk
+    return results
 
 
 def pytest_sessionfinish(session, exitstatus) -> None:

@@ -6,18 +6,22 @@ paper's 128x128 weight-stationary array:
 * **dram_grid** — the fig9 shape: one topology, DDR4, channels swept
   1/2/4/8.  Baseline is four independent ``Simulator.run`` calls from a
   cold plan cache (what every ``dram.*`` sweep point cost before the
-  fan-out); the fan-out builds one plan, shares one decoded line stream
-  and resolves all four stall walks in one config-batched
-  :class:`~repro.dram.engine_grid.GridBatchedEngine` pass per line
-  batch (``simulate_many_dram``).  Batching the config axis amortizes
-  the per-iteration dispatch overhead the per-config engine pays four
-  times over, so the >= 2x contract holds already at one worker.
+  fan-out); the fan-out is the same grid as a
+  ``SweepRunner(workers=SWEEP_WORKERS)`` sweep.  Its one unit is split
+  by channel count over the workers; each sub-unit builds the plan,
+  shares one decoded line stream and resolves its stall walks in one
+  config-batched :class:`~repro.dram.engine_grid.GridBatchedEngine`
+  pass per line batch (``simulate_many_dram``).  Batching the config
+  axis amortizes the per-iteration dispatch overhead the per-config
+  engine pays four times over, so the >= 2x contract holds already at
+  one worker.
 * **cross_grid** — the grouped-sweep contract this PR adds: a
   (``dram.channels`` x ``layout.num_banks``) cross on one full conv
   layer.  Independent points each re-run the dense walk *and* the
   full trace + cascade; the grouped unit resolves the cross as
-  #channels stall walks + one trace stream + #banks cascades.  The
-  dedup is a genuine serial >= 2x on one core.
+  #channels stall walks + one trace stream + #banks cascades (split
+  by bank count over the workers).  The dedup is a genuine serial
+  >= 2x on one core.
 
 Writes ``BENCH_dram_fanout.json`` (seconds, speedups, workers), folded
 into ``TRAJECTORY.json`` like every seam baseline.
@@ -40,7 +44,6 @@ from repro.config.system import (
     SystemConfig,
 )
 from repro.core.simulator import Simulator, clear_compute_plan_cache
-from repro.dram.fanout import simulate_many_dram
 from repro.layout.integrate import evaluate_layout_slowdown
 from repro.run.sweep import Axis, SweepRunner, SweepSpec
 from repro.topology.models import resnet18
@@ -88,7 +91,7 @@ def test_dram_fanout_speedup():
     configs = [_dram_config(channels) for channels in CHANNELS]
 
     # --- dram_grid: independent serial points (cold plan cache each,
-    # the pre-fan-out per-point cost) vs the shared-plan fan-out.
+    # the pre-fan-out per-point cost) vs the shared-plan fan-out sweep.
     start = time.perf_counter()
     independent = []
     for config in configs:
@@ -96,17 +99,30 @@ def test_dram_fanout_speedup():
         independent.append(Simulator(config).run(topology))
     independent_s = time.perf_counter() - start
 
+    grid_spec = SweepSpec(
+        base=configs[0],
+        axes=[Axis("dram.channels", CHANNELS)],
+        topologies=[topology],
+        name="fanout",
+    )
     fanout_s = float("inf")
     fanout = None
     for _ in range(2):
+        # A fresh runner and plan cache: no repetition is a cache hit.
         clear_compute_plan_cache()
         start = time.perf_counter()
-        plan = Simulator(configs[0]).plan(topology)
-        fanout = simulate_many_dram(plan, configs, workers=SWEEP_WORKERS)
+        fanout = SweepRunner(workers=SWEEP_WORKERS).run(grid_spec)
         fanout_s = min(fanout_s, time.perf_counter() - start)
 
-    # The paths must agree bit for bit before the timing means anything.
-    assert fanout == independent
+    # The paths must agree bit for bit before the timing means anything
+    # (sweep payloads drop fold specs, so compare what they keep).
+    assert len(fanout) == len(independent)
+    for result, solo in zip(fanout, independent):
+        assert result.run_result.total_cycles == solo.total_cycles
+        assert result.run_result.dram_stats == solo.dram_stats
+        assert [layer.timeline for layer in result.run_result.layers] == [
+            layer.timeline for layer in solo.layers
+        ]
 
     dram_speedup = independent_s / fanout_s
     dram_required = MIN_DRAM_SPEEDUP.get(SWEEP_WORKERS, MIN_DRAM_SPEEDUP_PARALLEL)
@@ -162,11 +178,18 @@ def test_dram_fanout_speedup():
     start = time.perf_counter()
     grouped = runner.run(spec)
     cross_grouped_s = time.perf_counter() - start
-    assert runner.last_grouping == (len(points), 1)
+    # One grouped unit, split by bank count over the workers.
+    assert runner.last_grouping == (
+        len(points),
+        min(SWEEP_WORKERS, len(CROSS_BANKS)),
+    )
 
     for result, solo_run, solo_layout in zip(grouped, solo_runs, solo_layouts):
         assert result.run_result.total_cycles == solo_run.total_cycles
         assert result.run_result.dram_stats == solo_run.dram_stats
+        assert [layer.timeline for layer in result.run_result.layers] == [
+            layer.timeline for layer in solo_run.layers
+        ]
         assert result.layout_results == solo_layout
 
     cross_speedup = cross_independent_s / cross_grouped_s

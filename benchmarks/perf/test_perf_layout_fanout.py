@@ -8,11 +8,11 @@ traces at the paper's 128x128 array — two ways:
   regenerating operand matrices, fold traces, masking and the per-fold
   (cycle, offset) sort/dedup (what the fig12 benchmark did before the
   fan-out landed);
-* **fan-out**: one ``evaluate_layout_slowdown_many`` call that streams
-  the trace once, shares the per-fold ``FoldDemand`` artifacts and the
-  per-signature (line, col) decodes across all 25 configurations, and
-  fans the per-configuration stack-distance cascades over
-  ``SWEEP_WORKERS`` processes.
+* **fan-out**: the grid dealt into ``SWEEP_WORKERS`` chunks mapped
+  through a :class:`~repro.run.executors.PoolExecutor`; each chunk is
+  one ``evaluate_layout_slowdown_many`` call that streams the trace
+  once and shares the per-fold ``FoldDemand`` artifacts and the
+  per-signature (line, col) decodes across its configurations.
 
 Writes ``BENCH_layout_fanout.json`` (seconds, speedup, workers) so the
 layout pipeline's perf trajectory is tracked across PRs.
@@ -32,12 +32,8 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import SWEEP_WORKERS, output_path
-from repro.layout.integrate import (
-    LayoutEvalConfig,
-    evaluate_layout_slowdown,
-    evaluate_layout_slowdown_many,
-)
+from benchmarks.conftest import SWEEP_WORKERS, output_path, pooled_layout_grid
+from repro.layout.integrate import LayoutEvalConfig, evaluate_layout_slowdown
 from repro.topology.models import resnet18
 
 BENCH_PATH = output_path(Path(__file__).parent / "BENCH_layout_fanout.json")
@@ -65,9 +61,7 @@ def test_layout_fanout_speedup():
     fanout = None
     for _ in range(2):
         start = time.perf_counter()
-        fanout = evaluate_layout_slowdown_many(
-            layer, "ws", ARRAY, ARRAY, GRID, workers=SWEEP_WORKERS
-        )
+        fanout = pooled_layout_grid(layer, "ws", ARRAY, GRID)
         fanout_s = min(fanout_s, time.perf_counter() - start)
 
     start = time.perf_counter()

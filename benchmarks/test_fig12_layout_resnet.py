@@ -11,8 +11,9 @@ scale).
 Runs at the paper's scale: the unscaled ResNet-18 conv2_1a layer on a
 128x128 array with full-layer traces (every fold) — made tractable by
 the vectorized bank-conflict evaluator and the trace fan-out: each
-dataflow's whole (bandwidth x banks) grid shares one streaming trace
-pass through ``evaluate_layout_slowdown_many`` (see
+dataflow's (bandwidth x banks) grid is dealt over the worker pool, and
+each worker's share rides one streaming trace pass through
+``evaluate_layout_slowdown_many`` (see
 ``benchmarks/perf/test_perf_layout_fanout.py`` for the tracked
 speedup over independent per-config calls).
 """
@@ -21,8 +22,8 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import SWEEP_WORKERS, emit_table
-from repro.layout.integrate import LayoutEvalConfig, evaluate_layout_slowdown_many
+from benchmarks.conftest import emit_table, pooled_layout_grid
+from repro.layout.integrate import LayoutEvalConfig
 from repro.topology.models import resnet18
 
 pytestmark = pytest.mark.slow
@@ -44,15 +45,7 @@ def _sweep():
     layer = resnet18(scale=SCALE).layer_named("conv2_1a")
     table = {}
     for dataflow in ("is", "ws", "os"):
-        results = evaluate_layout_slowdown_many(
-            layer,
-            dataflow,
-            ARRAY,
-            ARRAY,
-            GRID,
-            max_folds=MAX_FOLDS,
-            workers=SWEEP_WORKERS,
-        )
+        results = pooled_layout_grid(layer, dataflow, ARRAY, GRID, max_folds=MAX_FOLDS)
         for config, result in zip(GRID, results):
             table[(dataflow, config.total_bandwidth_words, config.num_banks)] = (
                 result.slowdown

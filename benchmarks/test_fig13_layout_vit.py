@@ -7,16 +7,17 @@ dual-stream dataflows suffer visible conflicts.
 
 Runs at the paper's scale: the unscaled ViT-base ff1 GEMM on a 128x128
 array with full-layer traces, via the vectorized bank-conflict
-evaluator — each dataflow's whole grid riding one streaming trace pass
-through ``evaluate_layout_slowdown_many``.
+evaluator — each dataflow's grid dealt over the worker pool, each
+worker's share riding one streaming trace pass through
+``evaluate_layout_slowdown_many``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import SWEEP_WORKERS, emit_table
-from repro.layout.integrate import LayoutEvalConfig, evaluate_layout_slowdown_many
+from benchmarks.conftest import emit_table, pooled_layout_grid
+from repro.layout.integrate import LayoutEvalConfig
 from repro.topology.models import vit_base
 
 pytestmark = pytest.mark.slow
@@ -38,15 +39,7 @@ def _sweep():
     layer = vit_base(scale=SCALE, blocks=1).layer_named("block0_ff1")
     table = {}
     for dataflow in ("is", "ws", "os"):
-        results = evaluate_layout_slowdown_many(
-            layer,
-            dataflow,
-            ARRAY,
-            ARRAY,
-            GRID,
-            max_folds=MAX_FOLDS,
-            workers=SWEEP_WORKERS,
-        )
+        results = pooled_layout_grid(layer, dataflow, ARRAY, GRID, max_folds=MAX_FOLDS)
         for config, result in zip(GRID, results):
             table[(dataflow, config.total_bandwidth_words, config.num_banks)] = (
                 result.slowdown

@@ -19,13 +19,7 @@ against every memory configuration of a grid:
   :class:`~repro.dram.engine_grid.GridBatchedEngine` pass walks the
   whole grid's stalls per line batch instead of one config at a time
   (the fifth engine-seam instance — see
-  :mod:`repro.dram.engine_grid`);
-* ``workers > 1`` splits the grid over a worker pool
-  (:func:`repro.utils.pool.pool_context`); each worker runs the same
-  serial resolver — grid passes included — on its share of the
-  configs.  Under ``fork`` the plan and streams are inherited zero-copy
-  via the pool initializer; under ``spawn`` each worker is shipped only
-  the line streams for the word sizes its configs actually use.
+  :mod:`repro.dram.engine_grid`).
 
 Results are bit-identical to ``Simulator(config).run(topology)`` per
 config — enforced by ``tests/dram/test_dram_fanout_equivalence.py`` and
@@ -33,6 +27,8 @@ config — enforced by ``tests/dram/test_dram_fanout_equivalence.py`` and
 (:mod:`repro.run.sweep`) reaches this seam through
 :func:`repro.run.runner.simulate_configs`, for groups of points that
 differ only in ``dram.*`` / ``layout.*`` axes and single points alike.
+The seam itself is serial: parallelism lives one layer up, where the
+sweep splits an oversized unit and the executor runs the pieces.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ from repro.dram.engine import LineRequestBatch
 from repro.dram.engine_batched import prepare_line_batch
 from repro.errors import DramError
 from repro.store.artifact_store import ArtifactStore, active_store
-from repro.utils.pool import pool_context
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     # The simulator imports repro.dram.backend (whose package init loads
@@ -129,119 +124,9 @@ def _grid_groups(configs: Sequence[SystemConfig]) -> dict[int, list[int]]:
     return {word: members for word, members in groups.items() if len(members) > 1}
 
 
-def _resolve_serial(
-    plan: ComputePlan,
-    configs: Sequence[SystemConfig],
-    batches: dict[int, _LineBatches],
-) -> list[RunResult]:
-    """Resolve a grid in-process: grid passes first, stragglers alone."""
-    from repro.dram.engine_grid import resolve_plan_grid
-
-    results: list[RunResult | None] = [None] * len(configs)
-    grid_members: set[int] = set()
-    for word_bytes, members in sorted(_grid_groups(configs).items()):
-        grid_members.update(members)
-        for index, result in zip(
-            members,
-            resolve_plan_grid(
-                plan, [configs[i] for i in members], batches[word_bytes]
-            ),
-        ):
-            results[index] = result
-    for index, config in enumerate(configs):
-        if index not in grid_members:
-            results[index] = _resolve_config(
-                plan, config, batches.get(config.arch.word_bytes)
-            )
-    return results  # type: ignore[return-value]
-
-
-# --------------------------------------------------------------- worker pool
-
-#: Installed once per fork worker by the pool initializer: the plan plus
-#: the shared per-word-size line streams (inherited zero-copy).
-_WORKER_PLAN: ComputePlan | None = None
-_WORKER_BATCHES: dict[int, _LineBatches] = {}
-
-
-def _fanout_init(plan: ComputePlan, batches: dict[int, _LineBatches]) -> None:
-    global _WORKER_PLAN, _WORKER_BATCHES
-    _WORKER_PLAN = plan
-    _WORKER_BATCHES = batches
-
-
-def _slim(result: RunResult) -> tuple:
-    """Strip a RunResult to what the parent can't reconstruct.
-
-    The full :class:`RunResult` embeds the plan's compute records
-    (thousands of fold specs); shipping those back through the pipe per
-    config would dwarf the actual result.  Workers return only the
-    per-layer timelines + counters and the parent reattaches the plan's
-    computes — reconstructing a bit-identical ``RunResult``.
-    """
-    return (
-        [
-            (layer.timeline, layer.backpressure_stall_cycles, layer.drain_cycles)
-            for layer in result.layers
-        ],
-        result.dram_stats,
-    )
-
-
-def _fanout_chunk_shared(configs: list[SystemConfig]) -> list[tuple]:
-    """Fork-worker entry point: resolve one chunk against inherited state."""
-    assert _WORKER_PLAN is not None
-    return [
-        _slim(result)
-        for result in _resolve_serial(_WORKER_PLAN, configs, _WORKER_BATCHES)
-    ]
-
-
-def _fanout_chunk(
-    plan: ComputePlan,
-    configs: list[SystemConfig],
-    batches: dict[int, _LineBatches],
-) -> list[tuple]:
-    """Spawn-worker entry point: everything arrives as task arguments.
-
-    ``batches`` is pre-sliced by the parent to the word sizes this
-    chunk's configs actually use, so a spawn pool never pickles line
-    streams a worker would ignore.
-    """
-    return [_slim(result) for result in _resolve_serial(plan, configs, batches)]
-
-
-def _rebuild_result(
-    plan: ComputePlan, config: SystemConfig, reduced: tuple
-) -> RunResult:
-    """Reattach the plan's compute records to a worker's slim outcome."""
-    from repro.core.simulator import LayerResult, RunResult
-
-    layers, dram_stats = reduced
-    return RunResult(
-        run_name=config.run.run_name,
-        topology_name=plan.topology_name,
-        layers=[
-            LayerResult(
-                layer_name=compute.layer_name,
-                compute=compute,
-                timeline=timeline,
-                backpressure_stall_cycles=backpressure,
-                drain_cycles=drain,
-            )
-            for compute, (timeline, backpressure, drain) in zip(plan.computes, layers)
-        ],
-        dram_stats=dram_stats,
-    )
-
-
-# ---------------------------------------------------------------- entry point
-
-
 def simulate_many_dram(
     plan: ComputePlan,
     configs: Sequence[SystemConfig],
-    workers: int = 1,
     store: ArtifactStore | None = None,
 ) -> list[RunResult]:
     """Resolve one compute plan against a grid of memory configurations.
@@ -263,15 +148,12 @@ def simulate_many_dram(
     Args:
         plan: the shared compute plan (:meth:`Simulator.plan`).
         configs: memory configurations to fan out over.
-        workers: process count; ``1`` (the default) resolves in-process,
-            more split the configs round-robin over a worker pool, each
-            chunk resolved by the same serial path (grid passes
-            included).
         store: artifact store for the shared decoded line streams;
             defaults to the process's active store (see
             :mod:`repro.store`).
     """
     from repro.core.simulator import plan_signature
+    from repro.dram.engine_grid import resolve_plan_grid
 
     configs = list(configs)
     if not configs:
@@ -288,33 +170,24 @@ def simulate_many_dram(
         plan, configs, store if store is not None else active_store()
     )
 
-    if workers > 1 and len(configs) > 1:
-        processes = min(workers, len(configs))
-        chunk_indices = [list(range(i, len(configs), processes)) for i in range(processes)]
-        chunks = [[configs[i] for i in chunk] for chunk in chunk_indices]
-        context = pool_context()
-        if context.get_start_method() == "fork":
-            with context.Pool(
-                processes=processes,
-                initializer=_fanout_init,
-                initargs=(plan, batches),
-            ) as pool:
-                outcomes = pool.map(_fanout_chunk_shared, chunks, chunksize=1)
-        else:
-            tasks = []
-            for chunk in chunks:
-                words = {c.arch.word_bytes for c in chunk if c.dram.enabled}
-                needed = {w: b for w, b in batches.items() if w in words}
-                tasks.append((plan, chunk, needed))
-            with context.Pool(processes=processes) as pool:
-                outcomes = pool.starmap(_fanout_chunk, tasks, chunksize=1)
-        results: list[RunResult | None] = [None] * len(configs)
-        for chunk, chunk_outcomes in zip(chunk_indices, outcomes):
-            for index, outcome in zip(chunk, chunk_outcomes):
-                results[index] = _rebuild_result(plan, configs[index], outcome)
-        return results  # type: ignore[return-value]
-
-    return _resolve_serial(plan, configs, batches)
+    # Grid passes first, stragglers alone.
+    results: list[RunResult | None] = [None] * len(configs)
+    grid_members: set[int] = set()
+    for word_bytes, members in sorted(_grid_groups(configs).items()):
+        grid_members.update(members)
+        for index, result in zip(
+            members,
+            resolve_plan_grid(
+                plan, [configs[i] for i in members], batches[word_bytes]
+            ),
+        ):
+            results[index] = result
+    for index, config in enumerate(configs):
+        if index not in grid_members:
+            results[index] = _resolve_config(
+                plan, config, batches.get(config.arch.word_bytes)
+            )
+    return results  # type: ignore[return-value]
 
 
 __all__ = ["simulate_many_dram"]

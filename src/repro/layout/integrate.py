@@ -22,9 +22,8 @@ Two entry points share one pipeline:
   run per configuration, with configurations sharing inter-line steps
   also sharing one (line, col) decode of the element space.  Results
   are bit-identical to independent calls — both paths consume the same
-  artifacts.  ``workers > 1`` additionally fans the per-configuration
-  evaluation over a process pool (fold artifacts are then materialised
-  for the batch, trading the O(one fold) footprint for parallelism).
+  artifacts.  Folds stream with O(one fold) memory, as in the
+  single-configuration path.
 
 The default ``vectorized`` evaluator
 (:mod:`repro.layout.conflict_vectorized`) resolves each fold in a few
@@ -57,7 +56,6 @@ from repro.layout.conflict_vectorized import (
 from repro.layout.spec import LayoutSpec, TensorView
 from repro.store.artifact_store import active_store, canonical_artifact, content_address
 from repro.topology.layer import ConvLayer, GemmLayer, Layer
-from repro.utils.pool import pool_context
 
 
 @dataclass(frozen=True)
@@ -259,30 +257,6 @@ def _results_from_evaluators(
     ]
 
 
-# ------------------------------------------------------------- worker pool
-
-#: Per-worker fold artifacts, installed by the pool initializer so the
-#: batch is shipped once per worker instead of once per configuration.
-_FANOUT_FOLDS: list[FoldDemand] = []
-
-
-def _fanout_init(folds: list[FoldDemand]) -> None:
-    global _FANOUT_FOLDS
-    _FANOUT_FOLDS = folds
-
-
-def _fanout_chunk(
-    args: tuple[Layer, Dataflow, list[LayoutEvalConfig], list[LayoutSpec]],
-) -> list[LayoutEvalResult]:
-    """Worker entry point: run one chunk of configurations over the folds."""
-    layer, dataflow, configs, layouts = args
-    evaluators = _make_evaluators(configs, layouts)
-    for fold in _FANOUT_FOLDS:
-        for evaluator in evaluators:
-            evaluator.add_fold_demand(fold)
-    return _results_from_evaluators(layer, dataflow, configs, evaluators)
-
-
 # ------------------------------------------------------------ entry points
 
 
@@ -293,7 +267,6 @@ def evaluate_layout_slowdown_many(
     array_cols: int,
     configs: Sequence[LayoutEvalConfig],
     max_folds: int | None = None,
-    workers: int = 1,
 ) -> list[LayoutEvalResult]:
     """Evaluate a whole grid of layout configurations in one trace pass.
 
@@ -307,10 +280,6 @@ def evaluate_layout_slowdown_many(
         configs: the evaluator configurations to fan out over.
         max_folds: cap on folds traced (None, the default, traces the
             full layer).
-        workers: process count for the per-configuration evaluation;
-            ``1`` (the default) streams folds with O(one fold) memory,
-            more workers materialise the fold artifacts once and split
-            the configurations across a pool (identical results).
     """
     if isinstance(dataflow, str):
         dataflow = Dataflow.parse(dataflow)
@@ -320,23 +289,6 @@ def evaluate_layout_slowdown_many(
     view = _view_for_layer(layer)
     layouts = [cfg.resolve_layout(view) for cfg in configs]
     stream = _fold_demand_stream(layer, dataflow, array_rows, array_cols, max_folds)
-
-    if workers > 1 and len(configs) > 1:
-        folds = list(stream)
-        processes = min(workers, len(configs))
-        chunks = [
-            (layer, dataflow, configs[lo::processes], layouts[lo::processes])
-            for lo in range(processes)
-        ]
-        with pool_context().Pool(
-            processes=processes, initializer=_fanout_init, initargs=(folds,)
-        ) as pool:
-            chunk_results = pool.map(_fanout_chunk, chunks, chunksize=1)
-        results: list[LayoutEvalResult | None] = [None] * len(configs)
-        for lo, chunk in enumerate(chunk_results):
-            results[lo :: len(chunk_results)] = chunk
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
 
     evaluators = _make_evaluators(configs, layouts)
     for fold in stream:

@@ -9,11 +9,11 @@ or result stitching:
 
 * :class:`SerialExecutor` — in-process, no pool.  The executable
   specification every other executor must match result-for-result.
-* :class:`PoolExecutor` — today's ``multiprocessing`` pool
-  (:func:`repro.utils.pool.pool_context` fork/spawn selection),
-  including the single-unit special case: a lone fan-out group would
-  leave the pool idle, so it receives the executor's whole worker
-  budget for its internal per-config fan-outs instead.
+* :class:`PoolExecutor` — a local ``multiprocessing`` pool
+  (:func:`repro.utils.pool.pool_context` fork/spawn selection) and the
+  only layer of the code base that forks.  A lone unit runs in-process;
+  the sweep runner splits a lone oversized fan-out unit into up to
+  ``workers`` sub-units before dispatch, so the pool is not left idle.
 * :class:`QueueExecutor` — the cross-machine sharding drop-in point:
   units are pickled to a spool directory as claimable task files and
   results collected by polling.  :func:`process_spool` is the worker
@@ -22,11 +22,10 @@ or result stitching:
   (atomic task writes, claim-by-rename, atomic result writes) that a
   distributed deployment relies on.
 
-The mapped function contract: ``fn(unit)`` runs one simulation unit;
-``fn(unit, workers=N)`` may be used by an executor that hands one unit
-its entire parallelism budget.  Functions must be picklable (module
-level, or :func:`functools.partial` over one) so every executor can
-ship them to workers.
+The mapped function contract: ``fn(unit)`` runs one simulation unit,
+serially, in whatever process the executor picks.  Functions must be
+picklable (module level, or :func:`functools.partial` over one) so
+every executor can ship them to workers.
 
 Fault tolerance (see DESIGN.md "Fault tolerance at the executor seam"):
 
@@ -62,7 +61,7 @@ import threading
 import time
 import traceback as traceback_module
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -202,7 +201,7 @@ class ResultEnvelope:
 
 
 def run_attempt(
-    fn: Callable, unit: object, unit_index: int, attempt: int, workers: int | None = None
+    fn: Callable, unit: object, unit_index: int, attempt: int
 ) -> ResultEnvelope:
     """Run one attempt of ``fn(unit)``, capturing the outcome.
 
@@ -213,7 +212,7 @@ def run_attempt(
     """
     try:
         faults.maybe_inject(unit_index, attempt)
-        value = fn(unit) if workers is None else fn(unit, workers=workers)
+        value = fn(unit)
         return ResultEnvelope(ok=True, value=value, attempt=attempt)
     except Exception as exc:
         return ResultEnvelope(
@@ -225,8 +224,9 @@ def run_attempt(
 class Executor(Protocol):
     """Maps simulation units to payload lists on some substrate."""
 
-    #: Parallelism the executor can offer a single unit's internal
-    #: fan-outs (1 for strictly serial substrates).
+    #: Units the executor can run at once (1 for strictly serial
+    #: substrates).  The sweep runner splits a lone fan-out unit into
+    #: up to this many sub-units.
     workers: int
 
     def map_units(self, fn: Callable, units: Sequence) -> list:
@@ -291,23 +291,36 @@ class SerialExecutor:
         it to persist completed work before the batch finishes, so a
         crash mid-batch only loses in-flight units.
         """
-        units = list(units)
-        envelopes = []
-        for index, unit in enumerate(units):
-            envelope = run_attempt(fn, unit, index, 1)
-            for attempt in range(2, self.max_attempts + 1):
-                if envelope.ok:
-                    break
-                time.sleep(
-                    _backoff_seconds(self.backoff_base, attempt - 1, self._backoff_rng)
+        return _map_in_process(self, fn, units, progress, unit_done)
+
+
+def _map_in_process(
+    executor: SerialExecutor | PoolExecutor,
+    fn: Callable,
+    units: Sequence,
+    progress: Callable[[int, int], None] | None,
+    unit_done: Callable[[int, ResultEnvelope], None] | None,
+) -> list[ResultEnvelope]:
+    """Run units one after another, retried with the executor's backoff."""
+    units = list(units)
+    envelopes = []
+    for index, unit in enumerate(units):
+        envelope = run_attempt(fn, unit, index, 1)
+        for attempt in range(2, executor.max_attempts + 1):
+            if envelope.ok:
+                break
+            time.sleep(
+                _backoff_seconds(
+                    executor.backoff_base, attempt - 1, executor._backoff_rng
                 )
-                envelope = run_attempt(fn, unit, index, attempt)
-            envelopes.append(envelope)
-            if unit_done is not None:
-                unit_done(index, envelope)
-            if progress is not None:
-                progress(len(envelopes), len(units))
-        return envelopes
+            )
+            envelope = run_attempt(fn, unit, index, attempt)
+        envelopes.append(envelope)
+        if unit_done is not None:
+            unit_done(index, envelope)
+        if progress is not None:
+            progress(len(envelopes), len(units))
+    return envelopes
 
 
 def _pool_attempt(args: tuple) -> ResultEnvelope:
@@ -319,10 +332,10 @@ def _pool_attempt(args: tuple) -> ResultEnvelope:
 class PoolExecutor:
     """Fan units out over a local ``multiprocessing`` pool.
 
-    A single unit never pays pool overhead: it runs in-process and
-    receives the executor's whole worker budget (``fn(unit,
-    workers=N)``) so a lone fan-out group parallelises internally —
-    exactly the pre-seam ``SweepRunner`` behaviour.
+    A single unit never pays pool overhead: it runs in-process, exactly
+    as under :class:`SerialExecutor`.  (The sweep runner splits a lone
+    fan-out unit before dispatch, so this case only remains for units
+    it cannot split.)
 
     Every attempt crosses the pool as a :class:`ResultEnvelope`, so one
     raising unit no longer aborts the map for its siblings: failed units
@@ -366,20 +379,9 @@ class PoolExecutor:
         in the sweep runner).
         """
         units = list(units)
-        if not units:
-            return []
+        if self.workers == 1 or len(units) <= 1:
+            return _map_in_process(self, fn, units, progress, unit_done)
         done = 0
-        if self.workers == 1 or len(units) == 1:
-            envelopes = []
-            for index, unit in enumerate(units):
-                envelope = self._attempts_in_process(fn, index, unit)
-                envelopes.append(envelope)
-                done += 1
-                if unit_done is not None:
-                    unit_done(index, envelope)
-                if progress is not None:
-                    progress(done, len(units))
-            return envelopes
         envelopes: list[ResultEnvelope | None] = [None] * len(units)
         pending = list(range(len(units)))
         for attempt in range(1, self.max_attempts + 1):
@@ -407,20 +409,6 @@ class PoolExecutor:
             if not pending:
                 break
         return envelopes  # type: ignore[return-value]
-
-    def _attempts_in_process(
-        self, fn: Callable, index: int, unit: object
-    ) -> ResultEnvelope:
-        # The single-unit / workers==1 special case, retried in-process.
-        envelope = run_attempt(fn, unit, index, 1, workers=self.workers)
-        for attempt in range(2, self.max_attempts + 1):
-            if envelope.ok:
-                break
-            time.sleep(
-                _backoff_seconds(self.backoff_base, attempt - 1, self._backoff_rng)
-            )
-            envelope = run_attempt(fn, unit, index, attempt, workers=self.workers)
-        return envelope
 
 
 # ------------------------------------------------------------- job queue

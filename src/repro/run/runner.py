@@ -162,7 +162,6 @@ def simulate_configs(
     configs: Sequence[SystemConfig],
     topology: Topology,
     dense: bool = True,
-    workers: int = 1,
 ) -> list[SimulationOutputs]:
     """Simulate configs that differ only in ``dram.*`` / ``layout.*``.
 
@@ -179,9 +178,11 @@ def simulate_configs(
     ``dense=False`` skips the dense pass, and with it energy and the
     layout study, leaving only sparsity: sparsity-only sweeps such as
     the paper's Figure 8 never pay for a dense run they do not read.
-    ``workers`` parallelises the fan-outs' per-config work.  Outputs
-    come back in ``configs`` order; configs sharing a memory config
-    share one run result.
+    Outputs come back in ``configs`` order (an empty list for no
+    configs); configs sharing a memory config share one run result.
+    Everything here runs in-process: parallelism is the executor's job
+    (:class:`~repro.run.sweep.SweepRunner` splits a lone oversized unit
+    across it).
     """
     # Looked up per call, so wrappers installed on the module attributes
     # (instrumentation) see every fan-out.
@@ -189,6 +190,8 @@ def simulate_configs(
     from repro.layout.integrate import evaluate_layout_slowdown_many
 
     configs = list(configs)
+    if not configs:
+        return []
     base = configs[0]
     for config in configs:
         if config.replace(dram=base.dram, layout=base.layout, run=base.run) != base:
@@ -216,7 +219,7 @@ def simulate_configs(
         memories.setdefault(_memory_key(config), config)
     plan = Simulator(base).plan(topology)
     run_results = dict(
-        zip(memories, simulate_many_dram(plan, list(memories.values()), workers=workers))
+        zip(memories, simulate_many_dram(plan, list(memories.values())))
     )
     energy_reports: dict[object, EnergyReport] = {}
     if base.energy.enabled:
@@ -240,7 +243,6 @@ def simulate_configs(
                 arch.array_rows,
                 arch.array_cols,
                 layouts,
-                workers=workers,
             )
             for layout, result in zip(layouts, results):
                 layout_results[layout].append(result)

@@ -26,8 +26,11 @@ workloads.  This module turns that pattern into a first-class subsystem:
   every unit — a lone point included — runs through
   :func:`~repro.run.runner.simulate_configs`, which shares the compute
   plan and trace stream and resolves per-config through the DRAM /
-  layout fan-out seams (see DESIGN.md "The DRAM fan-out");
-  :attr:`SweepRunner.last_grouping` reports the collapse.
+  layout fan-out seams (see DESIGN.md "The DRAM fan-out").  A lone
+  unit under a multi-worker executor is split by memory or layout
+  config into up to ``workers`` sub-units, so the executor stays the
+  one layer that runs anything in parallel;
+  :attr:`SweepRunner.last_grouping` reports the units dispatched.
   An optional :class:`~repro.store.ArtifactStore` persists the
   mid-level artifacts those seams share (compute schedules, fold
   demand streams, decoded line batches) across processes and sessions.
@@ -68,7 +71,7 @@ from repro.run.executors import (
     SerialExecutor,
     UnitFailure,
 )
-from repro.run.runner import simulate_configs
+from repro.run.runner import _layout_config, _memory_key, simulate_configs
 from repro.sparsity.sparse_compute import SparseLayerResult
 from repro.store.artifact_store import (
     ArtifactStore,
@@ -541,9 +544,40 @@ def _grouped_units(points: list[SweepPoint], simulate_dense: bool) -> list[_Unit
     ]
 
 
+def _split_unit(unit: _Unit, width: int) -> list[_Unit]:
+    """Deal a lone fan-out unit into at most ``width`` sub-units.
+
+    The split follows the fan-out class with more distinct values — the
+    memory configs or the layout configs (layout on a tie) — dealt
+    round-robin.  Each sub-unit owns whole values of that class and
+    repeats the shared upstream (plan, trace stream) and the other
+    class's work; splitting the wider class keeps that repeat smallest.
+    Members keep their order inside each sub-unit.  A unit with fewer
+    than two distinct values in both classes stays whole, as does a
+    sparsity-only unit (it has no per-config work to spread).
+    """
+    members, configs, topology, dense = unit
+    if not dense:
+        return [unit]
+    layout_keys = [_layout_config(c) if c.layout.enabled else None for c in configs]
+    memory_keys = [_memory_key(c) for c in configs]
+    keys = max(layout_keys, memory_keys, key=lambda ks: len(set(ks)))
+    distinct = list(dict.fromkeys(keys))
+    if len(distinct) < 2:
+        return [unit]
+    count = min(width, len(distinct))
+    bucket_of = {value: i % count for i, value in enumerate(distinct)}
+    buckets: list[list[int]] = [[] for _ in range(count)]
+    for position, key in enumerate(keys):
+        buckets[bucket_of[key]].append(position)
+    return [
+        ([members[p] for p in bucket], [configs[p] for p in bucket], topology, dense)
+        for bucket in buckets
+    ]
+
+
 def _simulate_unit(
     unit_args: tuple[list[SystemConfig], Topology, bool],
-    workers: int = 1,
     store: ArtifactStore | None = None,
 ) -> list[_PointPayload]:
     """Worker entry point: run one unit through :func:`simulate_configs`.
@@ -559,7 +593,7 @@ def _simulate_unit(
     previous = set_active_store(store) if store is not None else None
     try:
         start = time.perf_counter()
-        outputs = simulate_configs(configs, topology, dense=dense, workers=workers)
+        outputs = simulate_configs(configs, topology, dense=dense)
         wall_seconds = (time.perf_counter() - start) / len(configs)
     finally:
         if store is not None:
@@ -657,7 +691,8 @@ class SweepRunner:
         #: ``(simulated_points, simulation_units)`` of the most recent
         #: :meth:`run` — how far axis-class grouping collapsed the
         #: points that actually simulated (cache hits and duplicates
-        #: never form units; a fully-cached run is ``(0, 0)``).
+        #: never form units; a fully-cached run is ``(0, 0)``), counted
+        #: after a lone unit's split.
         #: A :class:`SweepGrouping`, so per-unit fan-out detail rides
         #: along in ``last_grouping.units``.  ``None`` before any run.
         self.last_grouping: SweepGrouping | None = None
@@ -795,6 +830,9 @@ class SweepRunner:
         if not points:
             return []
         units = _grouped_units(points, simulate_dense)
+        if len(units) == 1 and self.workers > 1:
+            # A lone unit would leave the executor idle: split it.
+            units = _split_unit(units[0], self.workers)
         self.last_grouping = SweepGrouping(
             len(points), len(units), tuple(_unit_fanout(unit) for unit in units)
         )

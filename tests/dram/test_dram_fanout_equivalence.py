@@ -5,8 +5,8 @@ config — same timelines, same backpressure/drain accounting, same DRAM
 statistics — across mixed grids of engines, channel counts, queue
 depths, technologies, address mappings, issue rates and word sizes
 (configs sharing a word size share one decoded line stream), with
-DRAM-disabled ideal-bandwidth points mixed in, serially and across a
-worker pool.  Batched-engine configs sharing a word size resolve
+DRAM-disabled ideal-bandwidth points mixed in, serially and split over
+a sweep's worker pool.  Batched-engine configs sharing a word size resolve
 through one config-batched ``GridBatchedEngine`` pass (see
 ``tests/dram/test_grid_engine_equivalence.py`` for the engine-level
 fuzz); the grids here mix in reference engines and disabled points so
@@ -27,6 +27,7 @@ from repro.config.system import (
 from repro.core.simulator import Simulator, clear_compute_plan_cache
 from repro.dram.fanout import simulate_many_dram
 from repro.errors import DramError
+from repro.run.sweep import Axis, SweepRunner, SweepSpec
 from repro.topology.layer import ConvLayer, GemmLayer
 from repro.topology.topology import Topology
 
@@ -184,16 +185,49 @@ def test_grid_engaged_fanout_matches_independent():
 
 
 def test_parallel_fanout_matches_serial():
+    """A split ``dram.*`` sweep unit == the serial unit == independent runs.
+
+    ``SweepRunner(workers=2)`` deals the lone fan-out unit's memory
+    configs over two sub-units; each re-plans and resolves its share.
+    """
     rng = random.Random(515)
     topology = _random_topology(rng)
     arch = _random_arch(rng)
-    configs = _random_grid(rng, arch)
-    plan = Simulator(configs[0]).plan(topology)
-    serial = simulate_many_dram(plan, configs, workers=1)
-    parallel = simulate_many_dram(plan, configs, workers=2)
-    _assert_results_equal(parallel, serial, "workers=2")
-    independent = [Simulator(config).run(topology) for config in configs]
-    _assert_results_equal(parallel, independent, "workers=2 vs independent")
+    base = SystemConfig(
+        arch=arch,
+        dram=DramConfig(
+            enabled=True,
+            technology=rng.choice(TECHNOLOGIES),
+            address_mapping=rng.choice(MAPPINGS),
+            issue_per_cycle=rng.choice((1, 2, 4)),
+        ),
+        run=RunConfig(run_name="split"),
+    )
+    spec = SweepSpec(
+        base=base,
+        axes=[
+            Axis("dram.enabled", (True, False)),
+            Axis("dram.channels", tuple(rng.sample((1, 2, 4), 2))),
+            Axis("dram.read_queue_entries", tuple(rng.sample((1, 4, 16, 128), 2))),
+            Axis("dram.engine", ("batched", "reference")),
+        ],
+        topologies=[topology],
+        name="split",
+    )
+    serial = SweepRunner(workers=1).run(spec)
+    runner = SweepRunner(workers=2)
+    parallel = runner.run(spec)
+    assert tuple(runner.last_grouping) == (spec.num_points, 2)
+    _assert_results_equal(
+        [r.run_result for r in parallel], [r.run_result for r in serial], "workers=2"
+    )
+    for result in parallel:
+        solo = Simulator(result.config).run(topology)
+        assert result.total_cycles == solo.total_cycles, result.config.run.run_name
+        assert result.run_result.dram_stats == solo.dram_stats
+        assert [layer.timeline for layer in result.run_result.layers] == [
+            layer.timeline for layer in solo.layers
+        ]
 
 
 def test_memoized_plans_do_not_leak_across_architectures():

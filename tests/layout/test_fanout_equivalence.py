@@ -15,6 +15,12 @@ import random
 import numpy as np
 import pytest
 
+from repro.config.system import (
+    ArchitectureConfig,
+    LayoutConfig,
+    RunConfig,
+    SystemConfig,
+)
 from repro.core.dataflow import Dataflow
 from repro.layout.conflict import build_fold_demand, make_conflict_evaluator
 from repro.layout.integrate import (
@@ -23,7 +29,10 @@ from repro.layout.integrate import (
     evaluate_layout_slowdown_many,
 )
 from repro.layout.spec import LayoutSpec, TensorView
+from repro.run.runner import _layout_config
+from repro.run.sweep import Axis, SweepRunner, SweepSpec
 from repro.topology.layer import ConvLayer, GemmLayer
+from repro.topology.topology import Topology
 
 
 def _conv(rng: random.Random) -> ConvLayer:
@@ -135,13 +144,38 @@ def test_fanout_is_bit_identical_to_independent_calls():
 
 
 def test_fanout_parallel_matches_serial():
+    """A split ``layout.*`` sweep unit == the serial unit == the fan-out.
+
+    A random ``LayoutEvalConfig`` grid (explicit layouts, row-buffer
+    depths) is no sweep cross, so this sweeps random ``layout.*`` axes;
+    ``SweepRunner(workers=3)`` deals the lone unit's layout configs over
+    three sub-units, each streaming the trace again for its share.
+    """
     rng = random.Random(777)
     layer = _conv(rng)
-    view = _view_for(layer)
-    configs = _random_grid(rng, view)
-    serial = evaluate_layout_slowdown_many(layer, "ws", 8, 8, configs)
-    parallel = evaluate_layout_slowdown_many(layer, "ws", 8, 8, configs, workers=3)
-    assert serial == parallel
+    spec = SweepSpec(
+        base=SystemConfig(
+            arch=ArchitectureConfig(array_rows=8, array_cols=8, dataflow="ws"),
+            layout=LayoutConfig(enabled=True),
+            run=RunConfig(run_name="split"),
+        ),
+        axes=[
+            Axis("layout.num_banks", tuple(rng.sample((1, 2, 4, 8), 3))),
+            Axis("layout.bandwidth_per_bank_words", tuple(rng.sample((1, 2, 4, 8), 2))),
+            Axis("layout.ports_per_bank", (1, 2)),
+            Axis("layout.evaluator", ("vectorized", "reference")),
+        ],
+        topologies=[Topology("fuzz", [layer])],
+        name="split",
+    )
+    serial = SweepRunner(workers=1).run(spec)
+    runner = SweepRunner(workers=3)
+    parallel = runner.run(spec)
+    assert tuple(runner.last_grouping) == (spec.num_points, 3)
+    assert [r.layout_results for r in parallel] == [r.layout_results for r in serial]
+    configs = [_layout_config(result.config) for result in parallel]
+    fanout = evaluate_layout_slowdown_many(layer, "ws", 8, 8, configs)
+    assert [r.layout_results for r in parallel] == [[result] for result in fanout]
 
 
 def test_fanout_preserves_config_order_and_metadata():

@@ -39,13 +39,13 @@ def _spec(**kwargs) -> SweepSpec:
     return SweepSpec(**defaults)
 
 
-def _double(unit, workers=1):
+def _double(unit):
     """Module-level mapped function so every executor can pickle it."""
     return unit * 2
 
 
-def _double_times_workers(unit, workers=1):
-    return unit * 2 * workers
+def _pid(unit):
+    return os.getpid()
 
 
 def test_executor_protocol_matches_implementations(tmp_path):
@@ -72,16 +72,11 @@ def test_pool_executor_maps_in_order():
     assert executor.map_units(_double, []) == []
 
 
-def test_pool_executor_single_unit_gets_whole_budget():
-    # A lone unit runs in-process and receives the full worker budget
-    # (the pre-seam SweepRunner special case for one fan-out group).
-    executor = PoolExecutor(4)
-    assert executor.map_units(_double_times_workers, [3]) == [24]
-
-
 def test_pool_executor_workers_one_is_serial():
     executor = PoolExecutor(1)
-    assert executor.map_units(_double_times_workers, [1, 2]) == [2, 4]
+    assert executor.map_units(_double, [1, 2]) == [2, 4]
+    # No pool: every unit runs in this process.
+    assert executor.map_units(_pid, [1, 2]) == [os.getpid()] * 2
 
 
 def test_queue_executor_roundtrips_through_spool(tmp_path):
@@ -198,3 +193,25 @@ def test_runner_queue_executor_with_groups(tmp_path):
     assert runner.last_grouping == (3, 1)
     for got, want in zip(results, reference):
         assert got.run_result == want.run_result
+
+
+def test_split_unit_runs_under_spawn_pool(monkeypatch):
+    # Pin the pool's spawn branch: sub-units (configs, topology) reach
+    # fresh interpreters by pickle, with no state inherited by fork.
+    import multiprocessing
+
+    from repro.config.system import DramConfig
+    from repro.run import executors
+
+    monkeypatch.setattr(
+        executors, "pool_context", lambda: multiprocessing.get_context("spawn")
+    )
+    spec = _spec(
+        base=_base().replace(dram=DramConfig(enabled=True)),
+        axes=[Axis("dram.channels", (1, 2))],
+    )
+    serial = SweepRunner(workers=1).run(spec)
+    runner = SweepRunner(workers=2)
+    spawned = runner.run(spec)
+    assert tuple(runner.last_grouping) == (2, 2)  # the lone unit was split
+    assert [r.run_result for r in spawned] == [r.run_result for r in serial]

@@ -39,7 +39,7 @@ QUEUE_KINDS = ("raise", "stall", "corrupt")
 UNITS = list(range(6))
 
 
-def _triple(unit, workers=1):
+def _triple(unit):
     """Module-level mapped function so every executor can pickle it."""
     return unit * 3
 

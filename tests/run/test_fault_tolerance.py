@@ -54,16 +54,16 @@ def _spec(**kwargs) -> SweepSpec:
     return SweepSpec(**defaults)
 
 
-def _double(unit, workers=1):
+def _double(unit):
     """Module-level mapped function so every executor can pickle it."""
     return unit * 2
 
 
-def _return_none(unit, workers=1):
+def _return_none(unit):
     return None
 
 
-def _poison(unit, workers=1):
+def _poison(unit):
     raise ValueError(f"poison unit {unit!r}")
 
 

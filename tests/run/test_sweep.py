@@ -190,18 +190,94 @@ class TestSweepRunner:
             assert [r.assignment for r in parallel] == [r.assignment for r in serial]
 
     def test_parallel_csv_bitwise_identical_to_serial(self, tmp_path):
-        spec = _spec(
-            base=_base().replace(energy=EnergyConfig(enabled=True)),
-            axes=[Axis("array", (8, 16), fields=("arch.array_rows", "arch.array_cols"))],
-            topologies=[toy_gemm(), toy_conv()],
+        from repro.config.system import DramConfig, LayoutConfig
+
+        fanout_base = _base().replace(
+            dram=DramConfig(enabled=True),
+            layout=LayoutConfig(enabled=True, num_banks=1),
         )
-        serial_csv = write_sweep_report(
-            SweepRunner(workers=1).run(spec), tmp_path / "serial.csv"
+        # (spec, units dispatched at 4 workers): several units run as
+        # they are; a lone fan-out unit splits by its memory or layout
+        # configs, whichever has more distinct values.
+        cases = [
+            (
+                _spec(
+                    base=_base().replace(energy=EnergyConfig(enabled=True)),
+                    axes=[
+                        Axis("array", (8, 16), fields=("arch.array_rows", "arch.array_cols"))
+                    ],
+                    topologies=[toy_gemm(), toy_conv()],
+                ),
+                4,
+            ),
+            (
+                _spec(
+                    base=_base().replace(dram=DramConfig(enabled=True)),
+                    axes=[Axis("dram.channels", (1, 2, 4))],
+                    topologies=[toy_conv()],
+                ),
+                3,
+            ),
+            (
+                _spec(
+                    base=fanout_base.replace(dram=DramConfig()),
+                    axes=[Axis("layout.num_banks", (1, 2, 4, 8, 16))],
+                    topologies=[toy_conv()],
+                ),
+                4,
+            ),
+            (
+                _spec(
+                    base=fanout_base,
+                    axes=[
+                        Axis("dram.channels", (1, 2)),
+                        Axis("layout.num_banks", (1, 2, 4)),
+                    ],
+                    topologies=[toy_conv()],
+                ),
+                3,
+            ),
+        ]
+        for number, (spec, units) in enumerate(cases):
+            serial_csv = write_sweep_report(
+                SweepRunner(workers=1).run(spec), tmp_path / f"serial{number}.csv"
+            )
+            runner = SweepRunner(workers=4)
+            parallel_csv = write_sweep_report(
+                runner.run(spec), tmp_path / f"parallel{number}.csv"
+            )
+            assert serial_csv.read_bytes() == parallel_csv.read_bytes(), number
+            assert tuple(runner.last_grouping) == (spec.num_points, units), number
+
+    def test_split_unit_follows_the_wider_fanout_class(self):
+        from repro.config.system import DramConfig, LayoutConfig
+        from repro.run.sweep import _grouped_units, _split_unit
+
+        base = _base().replace(
+            dram=DramConfig(enabled=True),
+            layout=LayoutConfig(enabled=True, num_banks=1),
         )
-        parallel_csv = write_sweep_report(
-            SweepRunner(workers=4).run(spec), tmp_path / "parallel.csv"
-        )
-        assert serial_csv.read_bytes() == parallel_csv.read_bytes()
+
+        def split(axes, width=2, dense=True):
+            [unit] = _grouped_units(_spec(base=base, axes=axes).expand(), dense)
+            return [
+                [(c.dram.channels, c.layout.num_banks) for c in configs]
+                for _, configs, _, _ in _split_unit(unit, width)
+            ]
+
+        cross = [Axis("dram.channels", (1, 2)), Axis("layout.num_banks", (1, 2))]
+        # A tie goes to the layout class; members keep their order.
+        assert split(cross) == [[(1, 1), (2, 1)], [(1, 2), (2, 2)]]
+        # More distinct memory configs: deal those round-robin.
+        assert split([Axis("dram.channels", (1, 2, 4))]) == [[(1, 1), (4, 1)], [(2, 1)]]
+        assert split([Axis("dram.channels", (1, 2, 4))], width=8) == [
+            [(1, 1)],
+            [(2, 1)],
+            [(4, 1)],
+        ]
+        # Nothing to spread: one distinct value per class, or no dense run.
+        assert split([Axis("dram.engine", ("batched",))]) == [[(1, 1)]]
+        assert split(cross, dense=False) == [[(1, 1), (1, 2), (2, 1), (2, 2)]]
 
     def test_repeated_sweep_hits_cache(self):
         cache = ResultCache()
@@ -697,6 +773,13 @@ class TestOnePipeline:
         configs = [point.config for point in _spec().expand()]  # os vs ws
         with pytest.raises(ConfigError, match="outside dram"):
             simulate_configs(configs, toy_gemm())
+
+    def test_simulate_configs_empty_grid_is_empty(self):
+        # Like both fan-outs it feeds, an empty grid yields no outputs.
+        from repro.run.runner import simulate_configs
+
+        assert simulate_configs([], toy_gemm()) == []
+        assert simulate_configs([], toy_gemm(), dense=False) == []
 
 
 class TestSweepCliLayoutReport:
