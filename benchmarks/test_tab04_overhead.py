@@ -69,7 +69,7 @@ def _measure(workload: str):
         sim = SparseComputeSimulator(ARRAY, ARRAY)
         sparse_topo = topo.with_sparsity("2:4")
         for layer in sparse_topo:
-            sim.simulate_layer(layer, with_fold_specs=False)
+            sim.simulate_layer(layer)
 
     def run_layout():
         for layer in topo:

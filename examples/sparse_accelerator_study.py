@@ -67,7 +67,7 @@ def main() -> None:
     # Storage report for the 2:4 design.
     simulator = SparseComputeSimulator(32, 32)
     results = [
-        simulator.simulate_layer(layer, with_fold_specs=False)
+        simulator.simulate_layer(layer)
         for layer in resnet18(scale=SCALE).with_sparsity("2:4")
     ]
     path = write_sparse_report(results, "outputs/sparse_study")

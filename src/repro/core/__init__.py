@@ -9,7 +9,7 @@ from repro.core.dataflow import (
     spatiotemporal1_runtime,
     spatiotemporal2_runtime,
 )
-from repro.core.compute_sim import ComputeSimulator, FoldSpec, LayerComputeResult
+from repro.core.compute_sim import ComputeSimulator, LayerComputeResult
 from repro.core.simulator import LayerResult, RunResult, Simulator
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "spatiotemporal1_runtime",
     "spatiotemporal2_runtime",
     "ComputeSimulator",
-    "FoldSpec",
     "LayerComputeResult",
     "LayerResult",
     "RunResult",

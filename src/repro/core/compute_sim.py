@@ -9,8 +9,8 @@
   port activity — identical to summing the demand traces), and
 * a columnar :class:`FoldSchedule` describing what each fold needs
   fetched from backing store, which the double-buffer / DRAM models
-  consume to compute stalls (it reads as a sequence of
-  :class:`FoldSpec` views).
+  consume to compute stalls (it reads as a sequence of per-fold
+  :class:`TileFetch` tuples).
 
 Closed-form SRAM access counts (R_u/C_u = used rows/cols of a fold,
 summed over folds; ``frows``/``fcols`` = fold counts along Sr/Sc):
@@ -65,29 +65,6 @@ class TileFetch:
             raise SimulationError("negative tile fetch span")
 
 
-@dataclass(frozen=True)
-class FoldSpec:
-    """One fold's schedule plus its backing-store traffic."""
-
-    fold_row: int
-    fold_col: int
-    start_cycle: int
-    cycles: int
-    rows_used: int
-    cols_used: int
-    fetches: tuple[TileFetch, ...] = ()
-
-    @property
-    def fetch_words(self) -> int:
-        """Words read from backing store ahead of this fold."""
-        return sum(f.num_words for f in self.fetches if not f.is_write)
-
-    @property
-    def writeback_words(self) -> int:
-        """Words written back to backing store after this fold."""
-        return sum(f.num_words for f in self.fetches if f.is_write)
-
-
 @dataclass(frozen=True, eq=False)
 class FetchSlot:
     """One fetch position of a :class:`FoldSchedule`, across every fold.
@@ -115,50 +92,37 @@ class FetchSlot:
 
 
 @dataclass(frozen=True, eq=False)
-class FoldSchedule(Sequence[FoldSpec]):
-    """A dense layer's fold schedule as columns, one row per fold.
+class FoldSchedule(Sequence[tuple[TileFetch, ...]]):
+    """A layer's fold schedule as columns, one row per fold.
 
-    Folds run row-major over the ``folds_row x folds_col`` grid, each
-    taking ``cycles``.  A fold's fetches are the present entries of
-    ``slots`` in slot order.  Indexing or iterating yields
-    :class:`FoldSpec` views built on demand (iterating builds them all
-    once and keeps them), so the schedule drops in wherever a
-    ``list[FoldSpec]`` is read; the ideal-bandwidth walk and the traffic
-    totals read the columns directly and never build a view.
+    Every fold takes ``cycles``; a fold's fetches are the present
+    entries of ``slots`` in slot order.  Indexing or iterating yields
+    each fold's ``tuple[TileFetch, ...]`` for the per-fold walks (the
+    first access builds them all once and keeps them); the
+    ideal-bandwidth walk and the traffic totals read the columns
+    directly and never build a fetch.
     """
 
-    folds_row: int
-    folds_col: int
+    folds: int
     cycles: int
-    rows_used: np.ndarray  # (folds_row,) used array rows per fold row
-    cols_used: np.ndarray  # (folds_col,) used array cols per fold column
     slots: tuple[FetchSlot, ...]
 
     def __len__(self) -> int:
-        return self.folds_row * self.folds_col
+        return self.folds
 
-    def __getitem__(self, index: int) -> FoldSpec:  # type: ignore[override]
-        folds = len(self)
-        if index < 0:
-            index += folds
-        if not 0 <= index < folds:
-            raise IndexError("fold index out of range")
-        columns = [
-            (slot.operand, slot.is_write, slot.present, slot.start_word, slot.num_words)
-            for slot in self.slots
-        ]
-        return self._view(index, self.rows_used, self.cols_used, columns)
+    def __getitem__(self, index: int) -> tuple[TileFetch, ...]:  # type: ignore[override]
+        return self._fetches[index]
 
-    def __iter__(self) -> Iterator[FoldSpec]:
-        return iter(self._views)
+    def __iter__(self) -> Iterator[tuple[TileFetch, ...]]:
+        return iter(self._fetches)
 
     @cached_property
-    def _views(self) -> tuple[FoldSpec, ...]:
-        """Every fold's view, built on first iteration and kept.
+    def _fetches(self) -> tuple[tuple[TileFetch, ...], ...]:
+        """Every fold's fetches, built on first access and kept.
 
         A cached plan is walked once per DRAM config it meets, so the
-        views are built once per schedule, not once per walk.  They are
-        never pickled (see :meth:`__getstate__`).
+        fetches are built once per schedule, not once per walk.  They
+        are never pickled (see :meth:`__getstate__`).
         """
         # Plain-list columns: indexing them is far cheaper than numpy's.
         columns = [
@@ -171,43 +135,27 @@ class FoldSchedule(Sequence[FoldSpec]):
             )
             for slot in self.slots
         ]
-        rows_used = self.rows_used.tolist()
-        cols_used = self.cols_used.tolist()
         return tuple(
-            self._view(index, rows_used, cols_used, columns) for index in range(len(self))
+            tuple(
+                TileFetch(operand, starts[index], words[index], is_write)
+                for operand, is_write, present, starts, words in columns
+                if present[index]
+            )
+            for index in range(self.folds)
         )
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("_views", None)
+        state.pop("_fetches", None)
         return state
-
-    def _view(self, index: int, rows_used, cols_used, columns) -> FoldSpec:
-        fold_row, fold_col = divmod(index, self.folds_col)
-        fetches = [
-            TileFetch(operand, int(starts[index]), int(words[index]), is_write)
-            for operand, is_write, present, starts, words in columns
-            if present[index]
-        ]
-        return FoldSpec(
-            fold_row,
-            fold_col,
-            index * self.cycles,
-            self.cycles,
-            int(rows_used[fold_row]),
-            int(cols_used[fold_col]),
-            tuple(fetches),
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FoldSchedule):
             return NotImplemented
-        return (
-            (self.folds_row, self.folds_col, self.cycles)
-            == (other.folds_row, other.folds_col, other.cycles)
-            and np.array_equal(self.rows_used, other.rows_used)
-            and np.array_equal(self.cols_used, other.cols_used)
-            and self.slots == other.slots
+        return (self.folds, self.cycles, self.slots) == (
+            other.folds,
+            other.cycles,
+            other.slots,
         )
 
     def read_words(self) -> np.ndarray:
@@ -219,7 +167,7 @@ class FoldSchedule(Sequence[FoldSpec]):
         return self._words(is_write=True)
 
     def _words(self, is_write: bool) -> np.ndarray:
-        words = np.zeros(len(self), dtype=np.int64)
+        words = np.zeros(self.folds, dtype=np.int64)
         for slot in self.slots:
             if slot.is_write == is_write:
                 words += slot.num_words
@@ -235,11 +183,26 @@ class FoldSchedule(Sequence[FoldSpec]):
         return tuple(totals.values())  # type: ignore[return-value]
 
 
-def schedule_cycles(fold_specs: Sequence[FoldSpec]) -> list[int]:
-    """Per-fold compute cycles, read without building fold views."""
-    if isinstance(fold_specs, FoldSchedule):
-        return [fold_specs.cycles] * len(fold_specs)
-    return [spec.cycles for spec in fold_specs]
+def ofmap_slots(
+    words: np.ndarray, first: np.ndarray, last: np.ndarray, accumulate: bool
+) -> list[FetchSlot]:
+    """Ofmap partial-sum traffic of a K-folded (WS/IS) schedule.
+
+    Partials commit once per K-fold, and every K-fold but an output
+    tile's ``first`` reads the previous partial back.  If the tile
+    accumulates on-chip (``accumulate``) it commits once instead, on
+    its ``last`` K-fold.
+    """
+    # Zero-stride constant columns: the plan cache keeps every schedule,
+    # and full arrays here would add up to 9 bytes per fold.
+    zeros = np.broadcast_to(np.int64(0), words.shape)
+    if accumulate:
+        return [FetchSlot("ofmap", True, last, zeros, np.where(last, words, 0))]
+    readback = ~first
+    return [
+        FetchSlot("ofmap", True, np.broadcast_to(True, words.shape), zeros, words),
+        FetchSlot("ofmap", False, readback, zeros, np.where(readback, words, 0)),
+    ]
 
 
 @dataclass
@@ -265,7 +228,7 @@ class LayerComputeResult:
     dram_filter_words: int
     dram_ofmap_write_words: int
     dram_ofmap_readback_words: int
-    fold_specs: Sequence[FoldSpec] = field(default_factory=list, repr=False)
+    fold_specs: Sequence[tuple[TileFetch, ...]] = field(default_factory=list, repr=False)
 
     @property
     def total_folds(self) -> int:
@@ -318,8 +281,8 @@ class ComputeSimulator:
 
     # ------------------------------------------------------------------ API
 
-    def simulate_layer(self, layer: Layer, with_fold_specs: bool = True) -> LayerComputeResult:
-        """Simulate one layer; optionally attach the per-fold fetch plan."""
+    def simulate_layer(self, layer: Layer) -> LayerComputeResult:
+        """Simulate one layer, per-fold fetch plan included."""
         shape = layer.to_gemm()
         mapping = map_gemm(shape, self.dataflow)
         frows = ceil_div(mapping.sr, self.rows)
@@ -331,17 +294,10 @@ class ComputeSimulator:
             shape, frows, fcols
         )
         raw_ifmap, raw_filter, raw_ofmap = self._raw_footprints(layer, shape)
-        fold_specs: Sequence[FoldSpec]
-        if with_fold_specs:
-            fold_specs = self._build_fold_schedule(
-                mapping, frows, fcols, per_fold, raw_ifmap, raw_filter, raw_ofmap
-            )
-            dram_ifmap, dram_filter, dram_owrite, dram_oread = fold_specs.dram_word_totals()
-        else:
-            fold_specs = []
-            dram_ifmap, dram_filter, dram_owrite, dram_oread = self._dram_totals_closed_form(
-                shape, mapping, frows, fcols, raw_ifmap, raw_filter, raw_ofmap
-            )
+        fold_specs = self._build_fold_schedule(
+            mapping, frows, fcols, per_fold, raw_ifmap, raw_filter, raw_ofmap
+        )
+        dram_ifmap, dram_filter, dram_owrite, dram_oread = fold_specs.dram_word_totals()
 
         return LayerComputeResult(
             layer_name=layer.name,
@@ -457,17 +413,12 @@ class ComputeSimulator:
             return slot(operand, everywhere, words, words)
 
         def ofmap_partials() -> list[FetchSlot]:
-            # Ofmap partials: commit once per K-fold unless the output
-            # tile accumulates on-chip across fr.
-            words = np.minimum(fold_cols_used * mapping.t, raw_ofmap)
-            if raw_ofmap <= self.ofmap_working_words:
-                last = fr == frows - 1
-                return [FetchSlot("ofmap", True, last, zeros, np.where(last, words, 0))]
-            readback = fr > 0
-            return [
-                FetchSlot("ofmap", True, everywhere, zeros, words),
-                FetchSlot("ofmap", False, readback, zeros, np.where(readback, words, 0)),
-            ]
+            return ofmap_slots(
+                np.minimum(fold_cols_used * mapping.t, raw_ofmap),
+                fr == 0,
+                fr == frows - 1,
+                raw_ofmap <= self.ofmap_working_words,
+            )
 
         if df is Dataflow.WEIGHT_STATIONARY:
             # Stationary filter tile; streamed ifmap slice per fold row.
@@ -517,48 +468,4 @@ class ComputeSimulator:
                     np.minimum(fold_rows_used * fold_cols_used, raw_ofmap),
                 ),
             ]
-        return FoldSchedule(
-            folds_row=frows,
-            folds_col=fcols,
-            cycles=per_fold,
-            rows_used=rows_used,
-            cols_used=cols_used,
-            slots=tuple(slots),
-        )
-
-    def _dram_totals_closed_form(
-        self,
-        shape: GemmShape,
-        mapping: GemmMapping,
-        frows: int,
-        fcols: int,
-        raw_ifmap: int,
-        raw_filter: int,
-        raw_ofmap: int,
-    ) -> tuple[int, int, int, int]:
-        """Fast-path totals used when fold specs are not materialised.
-
-        Conservative approximation of :meth:`_build_fold_schedule`: streams
-        are charged once per reuse group, the stationary operand once.
-        """
-        df = self.dataflow
-        accumulate = raw_ofmap <= self.ofmap_working_words
-        if df is Dataflow.WEIGHT_STATIONARY:
-            stream_slice = ceil_div(raw_ifmap, frows)
-            fits = stream_slice <= self.ifmap_working_words
-            ifmap = raw_ifmap if fits else raw_ifmap * fcols
-            owrite = raw_ofmap if accumulate else raw_ofmap * frows
-            oread = 0 if accumulate else raw_ofmap * (frows - 1)
-            return ifmap, raw_filter, owrite, oread
-        if df is Dataflow.INPUT_STATIONARY:
-            stream_slice = ceil_div(raw_filter, frows)
-            fits = stream_slice <= self.filter_working_words
-            filt = raw_filter if fits else raw_filter * fcols
-            owrite = raw_ofmap if accumulate else raw_ofmap * frows
-            oread = 0 if accumulate else raw_ofmap * (frows - 1)
-            return raw_ifmap, filt, owrite, oread
-        w_slice = ceil_div(raw_filter, frows)
-        fits_w = w_slice <= self.filter_working_words
-        filt = raw_filter if fits_w else raw_filter * fcols
-        ifmap = raw_ifmap if raw_ifmap <= self.ifmap_working_words else raw_ifmap * frows
-        return ifmap, filt, raw_ofmap, 0
+        return FoldSchedule(folds=folds, cycles=per_fold, slots=tuple(slots))

@@ -29,7 +29,6 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.config.system import SystemConfig
-from repro.core.compute_sim import schedule_cycles
 from repro.dram.backend import make_ramulator
 from repro.dram.engine import BatchResult, LineRequestBatch
 from repro.dram.engine_batched import BatchedEngine, issue_order_arrays
@@ -174,39 +173,36 @@ def resolve_plan_grid(
     ]
     clocks = [0] * num
     for layer_index, compute in enumerate(plan.computes):
-        fold_specs = compute.fold_specs
+        folds = len(compute.fold_specs)
         stalls_before = engine.backpressure_stalls()
-        if not fold_specs:
+        if not folds:
             timelines = [MemoryTimeline(0, 0, 0, 0) for _ in range(num)]
         else:
             batches = line_batches[layer_index]
-            if len(batches) != len(fold_specs):
-                raise MemoryModelError(
-                    f"{len(batches)} line batches for {len(fold_specs)} folds"
-                )
+            if len(batches) != folds:
+                raise MemoryModelError(f"{len(batches)} line batches for {folds} folds")
             # The double-buffer recurrence of DoubleBufferMemory.run with
             # (clock, ready, stall) as per-config vectors.
             ready = [r.ready_cycle for r in engine.process_batch(batches[0], clocks)]
             cold = [rv - ck for rv, ck in zip(ready, clocks)]
             clock_l = list(ready)
             stall_tot = [0] * num
-            compute_total = 0
-            for index, cycles in enumerate(schedule_cycles(fold_specs)):
+            cycles = compute.fold_specs.cycles
+            for index in range(folds):
                 compute_start = [
                     cl if cl > rv else rv for cl, rv in zip(clock_l, ready)
                 ]
                 for c in range(num):
                     stall_tot[c] += compute_start[c] - clock_l[c]
-                if index + 1 < len(fold_specs):
+                if index + 1 < folds:
                     ready = [
                         r.ready_cycle
                         for r in engine.process_batch(batches[index + 1], compute_start)
                     ]
-                compute_total += cycles
                 clock_l = [cs + cycles for cs in compute_start]
             timelines = [
                 MemoryTimeline(
-                    compute_cycles=compute_total,
+                    compute_cycles=cycles * folds,
                     total_cycles=clock_l[c] - clocks[c],
                     stall_cycles=stall_tot[c],
                     cold_start_cycles=cold[c],

@@ -55,7 +55,7 @@ _LineBatches = list[list[LineRequestBatch]]
 
 def _build_line_batches(plan: ComputePlan, word_bytes: int) -> _LineBatches:
     return [
-        [prepare_line_batch(spec.fetches, word_bytes) for spec in compute.fold_specs]
+        [prepare_line_batch(fetches, word_bytes) for fetches in compute.fold_specs]
         for compute in plan.computes
     ]
 
@@ -68,7 +68,7 @@ def _shared_line_batches(
     """One decoded line stream per word size the grid shares.
 
     Only DRAM-enabled configs consume line batches (the ideal-bandwidth
-    backend works in words, straight from the fold specs), and only a
+    backend works in words, straight from the fold schedule), and only a
     word size two or more of them use is worth prebuilding: a lone
     config resolves with ``line_batches=None`` exactly as
     ``Simulator.run`` does, decoding fold by fold.  With an artifact

@@ -4,7 +4,8 @@ SCALE-Sim's scratchpads are double buffered: while the array computes on
 the active half, the other half prefetches the next fold's tiles from
 backing store (ideal-bandwidth interface in v2, RamulatorLite in v3).
 
-:class:`DoubleBufferMemory` walks a layer's :class:`FoldSpec` schedule:
+:class:`DoubleBufferMemory` walks a layer's
+:class:`~repro.core.compute_sim.FoldSchedule`:
 
 * fold 0's fetches are issued at cycle 0 (cold start — pure latency),
 * fold ``i+1``'s fetches are issued when fold ``i`` starts computing,
@@ -14,22 +15,20 @@ backing store (ideal-bandwidth interface in v2, RamulatorLite in v3).
 Backends implement :class:`MemoryBackend`; the ideal one models v2's
 monolithic interface (fixed words/cycle), the DRAM one lives in
 :mod:`repro.dram.backend` and adds request-queue backpressure plus
-cycle-accurate bank timing.  A columnar
-:class:`~repro.core.compute_sim.FoldSchedule` on the ideal backend is
-resolved in closed form (:meth:`IdealBandwidthBackend.walk_schedule`,
-see DESIGN.md "The columnar fold schedule"); every other input takes
-the per-fold walk.
+cycle-accurate bank timing.  The ideal backend resolves a schedule in
+closed form (:meth:`IdealBandwidthBackend.walk_schedule`, see DESIGN.md
+"The columnar fold schedule"); every other backend takes the per-fold
+walk.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
-from repro.core.compute_sim import FoldSchedule, FoldSpec, TileFetch, schedule_cycles
+from repro.core.compute_sim import FoldSchedule, TileFetch
 from repro.errors import MemoryModelError
 from repro.utils.math import ceil_div
 
@@ -160,7 +159,7 @@ class DoubleBufferMemory:
 
     def run(
         self,
-        fold_specs: Sequence[FoldSpec],
+        schedule: FoldSchedule,
         keep_timings: bool = False,
         start_cycle: int = 0,
         line_batches: list | None = None,
@@ -174,29 +173,24 @@ class DoubleBufferMemory:
 
         ``line_batches`` optionally carries each fold's traffic as a
         prebuilt :class:`~repro.dram.engine.LineRequestBatch` (one per
-        fold, aligned with ``fold_specs``); the backend must then expose
+        fold, aligned with ``schedule``); the backend must then expose
         ``complete_batch`` (the DRAM backend does).  A fan-out sharing
         one fold schedule across many backends uses this to chop and
         order the line streams once instead of once per config — the
         resolved timeline is bit-identical to the fetch-span path.
         """
-        if not fold_specs:
+        folds = len(schedule)
+        if not folds:
             return MemoryTimeline(0, 0, 0, 0)
-        if line_batches is not None and len(line_batches) != len(fold_specs):
-            raise MemoryModelError(
-                f"{len(line_batches)} line batches for {len(fold_specs)} folds"
-            )
-        if (
-            line_batches is None
-            and isinstance(fold_specs, FoldSchedule)
-            and type(self.backend) is IdealBandwidthBackend
-        ):
-            return self._run_closed_form(fold_specs, keep_timings, start_cycle)
+        if line_batches is not None and len(line_batches) != folds:
+            raise MemoryModelError(f"{len(line_batches)} line batches for {folds} folds")
+        if line_batches is None and type(self.backend) is IdealBandwidthBackend:
+            return self._run_closed_form(schedule, keep_timings, start_cycle)
 
         # Folds issue their traffic strictly in order, so one ordered pass
-        # over the schedule's fold views feeds the walk.
+        # over the schedule's per-fold fetches feeds the walk.
         if line_batches is None:
-            fetches = (spec.fetches for spec in fold_specs)
+            fetches = iter(schedule)
 
             def complete(cycle: int) -> int:
                 return self.backend.complete_fetches(next(fetches), cycle)
@@ -212,14 +206,13 @@ class DoubleBufferMemory:
         cold_start = ready - start_cycle
         clock = ready
         stall_total = 0
-        compute_total = 0
+        cycles = schedule.cycles
 
-        for index, cycles in enumerate(schedule_cycles(fold_specs)):
+        for index in range(folds):
             compute_start = max(clock, ready)
             stall = compute_start - clock
             stall_total += stall
             compute_end = compute_start + cycles
-            compute_total += cycles
             if keep_timings:
                 timings.append(
                     FoldTiming(
@@ -231,7 +224,7 @@ class DoubleBufferMemory:
                     )
                 )
             # Prefetch the next fold while this one computes.
-            if index + 1 < len(fold_specs):
+            if index + 1 < folds:
                 ready = complete(compute_start)
             clock = compute_end
 
@@ -239,7 +232,7 @@ class DoubleBufferMemory:
         # part of ``stall_total`` — the two are reported separately and
         # summed in :attr:`MemoryTimeline.stall_fraction`.
         return MemoryTimeline(
-            compute_cycles=compute_total,
+            compute_cycles=cycles * folds,
             total_cycles=clock - start_cycle,
             stall_cycles=stall_total,
             cold_start_cycles=cold_start,

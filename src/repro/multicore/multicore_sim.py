@@ -198,7 +198,7 @@ class MultiCoreSimulator:
                 n=core_shape.n,
                 k=core_shape.k,
             )
-            compute = sim.simulate_layer(sub_layer, with_fold_specs=False)
+            compute = sim.simulate_layer(sub_layer)
             nop_cycles = 0
             if spec.nop is not None:
                 nop_cycles = spec.nop.transfer_cycles(

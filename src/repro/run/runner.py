@@ -133,7 +133,6 @@ def _sparse_results(config: SystemConfig, topology: Topology) -> list[SparseLaye
             layer,
             rowwise=config.sparsity.optimized_mapping,
             block_size=config.sparsity.block_size,
-            with_fold_specs=False,
         )
         for layer in topology
     ]

@@ -254,10 +254,11 @@ class _PointPayload:
 def _slim_run_result(run_result: RunResult) -> RunResult:
     """Drop per-fold schedules from a finished run.
 
-    Fold specs exist to drive the memory model *during* the run (and are
-    regenerated from the config on demand); retaining them would make
-    every cached sweep point carry thousands of dead objects, which both
-    bloats the cache and slows large sweeps down via GC pressure.
+    Fold schedules exist to drive the memory model *during* the run (and
+    are regenerated from the config on demand).  Their columns still
+    dominate a pickled payload: the ``arch_energy`` perfbench sweep's 36
+    cached payloads pickle to 150 KiB slim and 9.4 MiB with schedules,
+    the ``dram_grid`` sweep's to 99 KiB and 423 KiB.
     """
     layers = [
         dataclasses.replace(

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.compute_sim import FoldSpec, TileFetch
+from repro.core.compute_sim import FetchSlot, FoldSchedule, ofmap_slots
 from repro.core.dataflow import Dataflow, fold_cycles, map_gemm
 from repro.errors import SparsityError
 from repro.sparsity.formats import StorageEstimate, dense_storage, storage_for_representation
@@ -46,7 +46,7 @@ class SparseLayerResult:
     sparse_compute_cycles: int
     dense_storage: StorageEstimate
     compressed_storage: StorageEstimate
-    fold_specs: list[FoldSpec] = field(default_factory=list, repr=False)
+    fold_specs: FoldSchedule = field(repr=False)
 
     @property
     def speedup(self) -> float:
@@ -126,7 +126,6 @@ class SparseComputeSimulator:
         pattern: SparsePattern | None = None,
         rowwise: bool = False,
         block_size: int | None = None,
-        with_fold_specs: bool = True,
     ) -> SparseLayerResult:
         """Simulate one layer under WS with compressed weights."""
         shape = layer.to_gemm()
@@ -147,17 +146,11 @@ class SparseComputeSimulator:
         row_lengths = pattern.compressed_row_length()
         tile_max = np.maximum.reduceat(row_lengths, np.arange(0, shape.m, self.cols))
         tile_keff = np.maximum(tile_max, 1)
-        sparse_cycles = per_fold * int((-(-tile_keff // self.rows)).sum())
 
         dense_est = dense_storage(shape.m, shape.k, self.word_bits)
         compressed = storage_for_representation(self.representation, pattern, self.word_bits)
-
-        fold_specs = (
-            self._build_fold_specs(
-                layer, shape, mapping, tile_keff.tolist(), per_fold, compressed
-            )
-            if with_fold_specs
-            else []
+        schedule = self._build_fold_schedule(
+            layer, shape, mapping.t, tile_keff, per_fold, compressed
         )
         return SparseLayerResult(
             layer_name=layer.name,
@@ -166,84 +159,75 @@ class SparseComputeSimulator:
             representation=self.representation,
             pattern=pattern,
             dense_compute_cycles=dense_cycles,
-            sparse_compute_cycles=sparse_cycles,
+            sparse_compute_cycles=per_fold * len(schedule),
             dense_storage=dense_est,
             compressed_storage=compressed,
-            fold_specs=fold_specs,
+            fold_specs=schedule,
         )
 
     # ------------------------------------------------------------ internals
 
-    def _build_fold_specs(
+    def _build_fold_schedule(
         self,
         layer: Layer,
         shape: GemmShape,
-        mapping,
-        tile_keff: list[int],
+        t: int,
+        tile_keff: np.ndarray,
         per_fold: int,
         compressed: StorageEstimate,
-    ) -> list[FoldSpec]:
+    ) -> FoldSchedule:
         """Plan backing-store traffic for the sparse WS schedule.
 
-        Filter traffic is the *compressed* footprint (data + metadata),
-        spread across folds; ifmap traffic is unchanged in total (full
-        blocks are streamed so the array can select non-zero positions)
-        but spread over fewer K-folds.
+        Folds run column tile by column tile (``fc`` outer), each tile
+        taking ``ceil(K_eff / R)`` K-folds.  Filter traffic is the
+        *compressed* footprint (data + metadata), spread across folds in
+        proportion to each fold's compressed cells; ifmap traffic is
+        unchanged in total (full blocks are streamed so the array can
+        select non-zero positions) but spread over the tile's fewer
+        K-folds.
         """
         raw_ifmap = layer.ifmap_words
         raw_ofmap = layer.ofmap_words
-        filter_words_total = ceil_div(compressed.total_bits, self.word_bits)
-        total_compressed_cells = sum(
-            k * min(self.cols, shape.m - fc * self.cols)
-            for fc, k in enumerate(tile_keff)
+        tile_frows = -(-tile_keff // self.rows)
+        tile_cols = np.minimum(
+            self.cols, shape.m - self.cols * np.arange(len(tile_keff), dtype=np.int64)
         )
-        specs: list[FoldSpec] = []
-        start = 0
-        filter_cursor = 0
-        accumulate = raw_ofmap <= self.ofmap_working_words
-        t = mapping.t
+        folds = int(tile_frows.sum())
+        fc = np.repeat(np.arange(len(tile_keff)), tile_frows)
+        fr = np.arange(folds, dtype=np.int64) - np.repeat(
+            np.cumsum(tile_frows) - tile_frows, tile_frows
+        )
+        frows = tile_frows[fc]
+        cols_used = tile_cols[fc]
+        rows_used = np.minimum(self.rows, tile_keff[fc] - fr * self.rows)
 
-        for fc, k_eff in enumerate(tile_keff):
-            cols_used = min(self.cols, shape.m - fc * self.cols)
-            frows = ceil_div(k_eff, self.rows)
-            for fr in range(frows):
-                rows_used = min(self.rows, k_eff - fr * self.rows)
-                fetches: list[TileFetch] = []
-                # Compressed filter tile, proportional share of the
-                # compressed stream (data + metadata).
-                cell_share = rows_used * cols_used
-                tile_words = (
-                    ceil_div(filter_words_total * cell_share, total_compressed_cells)
-                    if total_compressed_cells
-                    else 0
-                )
-                fetches.append(TileFetch("filter", filter_cursor, tile_words))
-                filter_cursor += tile_words
-                # Ifmap slice: the full raw ifmap is streamed once per
-                # column tile pass, split over its K-folds.
-                slice_words = ceil_div(raw_ifmap, frows)
-                fits = slice_words <= self.ifmap_working_words
-                if fr == 0 or not fits:
-                    fetches.append(
-                        TileFetch("ifmap", (fr * slice_words) % max(1, raw_ifmap), slice_words)
-                    )
-                out_tile = min(cols_used * t, raw_ofmap)
-                if not accumulate:
-                    fetches.append(TileFetch("ofmap", 0, out_tile, is_write=True))
-                    if fr > 0:
-                        fetches.append(TileFetch("ofmap", 0, out_tile))
-                elif fr == frows - 1:
-                    fetches.append(TileFetch("ofmap", 0, out_tile, is_write=True))
-                specs.append(
-                    FoldSpec(
-                        fold_row=fr,
-                        fold_col=fc,
-                        start_cycle=start,
-                        cycles=per_fold,
-                        rows_used=rows_used,
-                        cols_used=cols_used,
-                        fetches=tuple(fetches),
-                    )
-                )
-                start += per_fold
-        return specs
+        # Compressed filter tile: a proportional share of the compressed
+        # stream, fetched back to back.
+        filter_words_total = ceil_div(compressed.total_bits, self.word_bits)
+        total_cells = int((tile_keff * tile_cols).sum())
+        tile_words = -(-(filter_words_total * rows_used * cols_used) // total_cells)
+        everywhere = np.ones(folds, dtype=bool)
+        filter_slot = FetchSlot(
+            "filter", False, everywhere, np.cumsum(tile_words) - tile_words, tile_words
+        )
+        # Ifmap slice: the full raw ifmap is streamed once per column
+        # tile pass, split over its K-folds; reused across them if the
+        # slice fits.
+        slice_words = -(-raw_ifmap // frows)
+        fetched = (fr == 0) | (slice_words > self.ifmap_working_words)
+        ifmap_slot = FetchSlot(
+            "ifmap",
+            False,
+            fetched,
+            fr * slice_words % max(1, raw_ifmap),
+            np.where(fetched, slice_words, 0),
+        )
+        ofmap = ofmap_slots(
+            np.minimum(cols_used * t, raw_ofmap),
+            fr == 0,
+            fr == frows - 1,
+            raw_ofmap <= self.ofmap_working_words,
+        )
+        return FoldSchedule(
+            folds=folds, cycles=per_fold, slots=(filter_slot, ifmap_slot, *ofmap)
+        )

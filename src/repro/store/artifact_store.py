@@ -45,9 +45,11 @@ from typing import Callable
 #: existing store directories re-populate instead of serving stale
 #: objects (mirrors ``repro.run.sweep._SEMANTICS_SALT``).  v2: a
 #: ``layer_compute`` artifact carries a columnar ``FoldSchedule`` instead
-#: of a ``list[FoldSpec]``; serving a v1 list would silently skip the
-#: closed-form ideal-bandwidth walk.
-STORE_SCHEMA_VERSION = "store-v2-2026-10"
+#: of a per-fold list.  v3: ``FoldSchedule`` holds only ``folds``,
+#: ``cycles`` and ``slots`` (the per-fold grid fields are gone); a v2
+#: pickle would load into a schedule without ``folds`` and fail on the
+#: first walk.
+STORE_SCHEMA_VERSION = "store-v3-2026-10"
 
 #: Errors a corrupt/truncated/vanished pickle can raise on load; all are
 #: treated as a miss (and the bad file removed) rather than propagated.

@@ -1,35 +1,78 @@
-"""Columnar fold schedule == the scalar per-fold loop it replaced.
+"""Columnar fold schedule == the scalar per-fold loops it replaced.
 
 :class:`~repro.core.compute_sim.FoldSchedule` builds each layer's folds
-as numpy columns, and :meth:`DoubleBufferMemory.run` resolves a schedule
-against the ideal-bandwidth backend in closed form.  Both must be
-bit-exact to the scalar reference they replaced, quirks included:
+as numpy columns, dense (:class:`ComputeSimulator`) and sparse
+(:class:`SparseComputeSimulator`) alike, and :meth:`DoubleBufferMemory.run`
+resolves a schedule against the ideal-bandwidth backend in closed form.
+Both must be bit-exact to the scalar references they replaced, quirks
+included:
 
-* :func:`reference_build_fold_specs` is the original per-fold planning
-  loop, kept verbatim as the executable spec (``self`` is the
-  :class:`ComputeSimulator` whose array and SRAM sizes it reads);
+* :func:`reference_build_fold_specs` (dense) and
+  :func:`reference_build_sparse_fold_specs` (sparse WS) are the original
+  per-fold planning loops, kept verbatim as the executable specs
+  (``self`` is the simulator whose array and SRAM sizes they read);
+  :class:`FoldSpec` is the per-fold record they emit;
 * the per-fold ``complete_fetches`` walk is the one
-  :meth:`DoubleBufferMemory.run` still takes for a plain
-  ``list[FoldSpec]``, so ``run(list(schedule))`` is the spec walk.
+  :meth:`DoubleBufferMemory.run` takes on any backend other than the
+  plain ideal one, so running on :class:`PerFoldIdealBackend` (an
+  ideal-bandwidth subclass) is the spec walk.
 
 Random conv and GEMM layers cover all three dataflows, 1xN / Nx1
 arrays, and SRAM sizes that flip "the streamed slice fits" and "the
-ofmap accumulates on-chip" both ways.
+ofmap accumulates on-chip" both ways; sparse layers add layer-wise and
+row-wise patterns over random block sizes.
 """
 
 import pickle
 import random
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
-from repro.core.compute_sim import ComputeSimulator, FoldSchedule, FoldSpec, TileFetch
+from repro.core.compute_sim import ComputeSimulator, FoldSchedule, TileFetch
 from repro.core.dataflow import Dataflow, GemmMapping, fold_cycles, map_gemm
 from repro.core.simulator import ComputePlan, resolve_plan
 from repro.memory.double_buffer import DoubleBufferMemory, IdealBandwidthBackend
-from repro.topology.layer import ConvLayer, GemmLayer, GemmShape
+from repro.sparsity.formats import StorageEstimate
+from repro.sparsity.pattern import layerwise_pattern, rowwise_pattern
+from repro.sparsity.sparse_compute import SparseComputeSimulator
+from repro.topology.layer import ConvLayer, GemmLayer, GemmShape, Layer, SparsityRatio
 from repro.utils.math import ceil_div
+from repro.utils.rng import make_rng
 
 DATAFLOWS = list(Dataflow)
+
+
+@dataclass(frozen=True)
+class FoldSpec:
+    """One fold's schedule plus its backing-store traffic."""
+
+    fold_row: int
+    fold_col: int
+    start_cycle: int
+    cycles: int
+    rows_used: int
+    cols_used: int
+    fetches: tuple[TileFetch, ...] = ()
+
+    @property
+    def fetch_words(self) -> int:
+        """Words read from backing store ahead of this fold."""
+        return sum(f.num_words for f in self.fetches if not f.is_write)
+
+    @property
+    def writeback_words(self) -> int:
+        """Words written back to backing store after this fold."""
+        return sum(f.num_words for f in self.fetches if f.is_write)
+
+
+class PerFoldIdealBackend(IdealBandwidthBackend):
+    """The ideal backend, walked fold by fold through ``complete_fetches``.
+
+    :meth:`DoubleBufferMemory.run` takes the closed form only when the
+    backend's type is exactly :class:`IdealBandwidthBackend`.
+    """
 
 
 def reference_build_fold_specs(
@@ -148,6 +191,81 @@ def reference_build_fold_specs(
     return specs
 
 
+def reference_build_sparse_fold_specs(
+    self,
+    layer: Layer,
+    shape: GemmShape,
+    mapping,
+    tile_keff: list[int],
+    per_fold: int,
+    compressed: StorageEstimate,
+) -> list[FoldSpec]:
+    """Plan backing-store traffic for the sparse WS schedule.
+
+    Filter traffic is the *compressed* footprint (data + metadata),
+    spread across folds; ifmap traffic is unchanged in total (full
+    blocks are streamed so the array can select non-zero positions)
+    but spread over fewer K-folds.
+    """
+    raw_ifmap = layer.ifmap_words
+    raw_ofmap = layer.ofmap_words
+    filter_words_total = ceil_div(compressed.total_bits, self.word_bits)
+    total_compressed_cells = sum(
+        k * min(self.cols, shape.m - fc * self.cols)
+        for fc, k in enumerate(tile_keff)
+    )
+    specs: list[FoldSpec] = []
+    start = 0
+    filter_cursor = 0
+    accumulate = raw_ofmap <= self.ofmap_working_words
+    t = mapping.t
+
+    for fc, k_eff in enumerate(tile_keff):
+        cols_used = min(self.cols, shape.m - fc * self.cols)
+        frows = ceil_div(k_eff, self.rows)
+        for fr in range(frows):
+            rows_used = min(self.rows, k_eff - fr * self.rows)
+            fetches: list[TileFetch] = []
+            # Compressed filter tile, proportional share of the
+            # compressed stream (data + metadata).
+            cell_share = rows_used * cols_used
+            tile_words = (
+                ceil_div(filter_words_total * cell_share, total_compressed_cells)
+                if total_compressed_cells
+                else 0
+            )
+            fetches.append(TileFetch("filter", filter_cursor, tile_words))
+            filter_cursor += tile_words
+            # Ifmap slice: the full raw ifmap is streamed once per
+            # column tile pass, split over its K-folds.
+            slice_words = ceil_div(raw_ifmap, frows)
+            fits = slice_words <= self.ifmap_working_words
+            if fr == 0 or not fits:
+                fetches.append(
+                    TileFetch("ifmap", (fr * slice_words) % max(1, raw_ifmap), slice_words)
+                )
+            out_tile = min(cols_used * t, raw_ofmap)
+            if not accumulate:
+                fetches.append(TileFetch("ofmap", 0, out_tile, is_write=True))
+                if fr > 0:
+                    fetches.append(TileFetch("ofmap", 0, out_tile))
+            elif fr == frows - 1:
+                fetches.append(TileFetch("ofmap", 0, out_tile, is_write=True))
+            specs.append(
+                FoldSpec(
+                    fold_row=fr,
+                    fold_col=fc,
+                    start_cycle=start,
+                    cycles=per_fold,
+                    rows_used=rows_used,
+                    cols_used=cols_used,
+                    fetches=tuple(fetches),
+                )
+            )
+            start += per_fold
+    return specs
+
+
 def _random_layer(rng: random.Random):
     if rng.random() < 0.5:
         filter_h = rng.randint(1, 5)
@@ -216,6 +334,23 @@ def _operand_totals(specs: list[FoldSpec]) -> tuple[int, int, int, int]:
     return ifmap, filt, owrite, oread
 
 
+def _assert_schedule_matches(schedule, reference: list[FoldSpec], context) -> None:
+    """A columnar schedule reads exactly as the reference fold list."""
+    assert isinstance(schedule, FoldSchedule), context
+    assert len(schedule) == len(reference), context
+    assert list(schedule) == [spec.fetches for spec in reference], context
+    for index in {0, len(schedule) // 2, len(schedule) - 1}:
+        assert schedule[index] == reference[index].fetches, context
+    assert schedule[-1] == reference[-1].fetches, context
+    assert [spec.cycles for spec in reference] == [schedule.cycles] * len(schedule)
+    assert [spec.start_cycle for spec in reference] == [
+        index * schedule.cycles for index in range(len(schedule))
+    ], context
+    assert schedule.read_words().tolist() == [s.fetch_words for s in reference]
+    assert schedule.write_words().tolist() == [s.writeback_words for s in reference]
+    assert schedule.dram_word_totals() == _operand_totals(reference), context
+
+
 @pytest.mark.parametrize("dataflow", DATAFLOWS, ids=str)
 def test_columnar_schedule_matches_scalar_loop(dataflow):
     rng = random.Random(f"fold-schedule-{dataflow}")
@@ -224,17 +359,10 @@ def test_columnar_schedule_matches_scalar_loop(dataflow):
         sim = _random_simulator(rng, dataflow)
         layer = _random_layer(rng)
         result = sim.simulate_layer(layer)
-        schedule = result.fold_specs
         reference = _reference(sim, layer)
         context = (dataflow, sim.rows, sim.cols, layer)
-        assert isinstance(schedule, FoldSchedule)
-        assert len(schedule) == len(reference) == result.total_folds, context
-        assert list(schedule) == reference, context
-        for index in {0, len(schedule) // 2, len(schedule) - 1}:
-            assert schedule[index] == reference[index], context
-        assert schedule[-1] == reference[-1]
-        assert schedule.read_words().tolist() == [s.fetch_words for s in reference]
-        assert schedule.write_words().tolist() == [s.writeback_words for s in reference]
+        assert len(reference) == result.total_folds, context
+        _assert_schedule_matches(result.fold_specs, reference, context)
         assert (
             result.dram_ifmap_words,
             result.dram_filter_words,
@@ -249,7 +377,83 @@ def test_columnar_schedule_matches_scalar_loop(dataflow):
     assert flips == {"fits": {True, False}, "accumulate": {True, False}}
 
 
+def _random_sparse_simulator(rng: random.Random) -> SparseComputeSimulator:
+    rows, cols = rng.choice(
+        [
+            (1, rng.randint(1, 16)),
+            (rng.randint(1, 16), 1),
+            (rng.randint(1, 16), rng.randint(1, 16)),
+        ]
+    )
+    return SparseComputeSimulator(
+        rows,
+        cols,
+        representation=rng.choice(["csr", "csc", "ellpack_block"]),
+        word_bits=rng.choice([8, 16]),
+        ifmap_sram_words=_sram_words(rng),
+        ofmap_sram_words=_sram_words(rng),
+    )
+
+
+def _random_pattern(rng: random.Random, layer):
+    """A layer-wise or row-wise pattern over a random block size."""
+    shape = layer.to_gemm()
+    block = rng.randint(2, 9)
+    if rng.random() < 0.5:
+        ratio = SparsityRatio(rng.randint(0, block), block)
+        return "layerwise", layerwise_pattern(shape.m, shape.k, ratio)
+    numpy_rng = make_rng(rng.randrange(1 << 30))
+    return "rowwise", rowwise_pattern(shape.m, shape.k, block, numpy_rng)
+
+
+def _sparse_reference(sim: SparseComputeSimulator, layer, result) -> list[FoldSpec]:
+    shape = layer.to_gemm()
+    mapping = map_gemm(shape, Dataflow.WEIGHT_STATIONARY)
+    row_lengths = result.pattern.compressed_row_length()
+    tile_max = np.maximum.reduceat(row_lengths, np.arange(0, shape.m, sim.cols))
+    tile_keff = np.maximum(tile_max, 1).tolist()
+    return reference_build_sparse_fold_specs(
+        sim,
+        layer,
+        shape,
+        mapping,
+        tile_keff,
+        fold_cycles(sim.rows, sim.cols, mapping.t),
+        result.compressed_storage,
+    )
+
+
+def test_sparse_schedule_matches_scalar_loop():
+    rng = random.Random("sparse-fold-schedule")
+    flips = {"fits": set(), "accumulate": set(), "pattern": set()}
+    for _ in range(150):
+        sim = _random_sparse_simulator(rng)
+        layer = _random_layer(rng)
+        kind, pattern = _random_pattern(rng, layer)
+        result = sim.simulate_layer(layer, pattern=pattern)
+        reference = _sparse_reference(sim, layer, result)
+        context = (kind, sim.rows, sim.cols, sim.representation, layer)
+        _assert_schedule_matches(result.fold_specs, reference, context)
+        assert len(reference) * result.fold_specs.cycles == result.sparse_compute_cycles
+        assert [(s.fold_col, s.fold_row) for s in reference] == sorted(
+            (s.fold_col, s.fold_row) for s in reference
+        ), context
+        slices = [f.num_words for s in reference for f in s.fetches if f.operand == "ifmap"]
+        flips["fits"].update(words <= sim.ifmap_working_words for words in slices)
+        flips["accumulate"].add(layer.ofmap_words <= sim.ofmap_working_words)
+        flips["pattern"].add(kind)
+    assert flips == {
+        "fits": {True, False},
+        "accumulate": {True, False},
+        "pattern": {"layerwise", "rowwise"},
+    }
+
+
 def _random_schedule(rng: random.Random) -> FoldSchedule:
+    if rng.random() < 0.5:
+        simulator = _random_sparse_simulator(rng)
+        layer = _random_layer(rng)
+        return simulator.simulate_layer(layer, pattern=_random_pattern(rng, layer)[1]).fold_specs
     simulator = _random_simulator(rng, rng.choice(DATAFLOWS))
     return simulator.simulate_layer(_random_layer(rng)).fold_specs
 
@@ -276,13 +480,13 @@ def test_closed_form_ideal_walk_matches_per_fold_walk():
         closed_backend = IdealBandwidthBackend(bandwidth, latency)
         _prebusy(closed_backend, rng)
         rng.setstate(state)
-        loop_backend = IdealBandwidthBackend(bandwidth, latency)
+        loop_backend = PerFoldIdealBackend(bandwidth, latency)
         _prebusy(loop_backend, rng)
         closed = DoubleBufferMemory(closed_backend).run(
             schedule, keep_timings=keep, start_cycle=start_cycle
         )
         loop = DoubleBufferMemory(loop_backend).run(
-            list(schedule), keep_timings=keep, start_cycle=start_cycle
+            schedule, keep_timings=keep, start_cycle=start_cycle
         )
         context = (bandwidth, latency, start_cycle, len(schedule))
         assert closed == loop, context
@@ -299,18 +503,11 @@ def test_multi_layer_plan_on_one_shared_backend():
             sim = _random_simulator(rng, rng.choice(DATAFLOWS))
             computes.append(sim.simulate_layer(_random_layer(rng)))
         plan = ComputePlan("fuzz", ("fuzz",), tuple(computes))
-        lists = ComputePlan(
-            "fuzz",
-            ("fuzz",),
-            tuple(
-                type(c)(**{**c.__dict__, "fold_specs": list(c.fold_specs)}) for c in computes
-            ),
-        )
         bandwidth, latency = rng.randint(1, 64), rng.choice([0, rng.randint(1, 100)])
         closed_backend = IdealBandwidthBackend(bandwidth, latency)
-        loop_backend = IdealBandwidthBackend(bandwidth, latency)
+        loop_backend = PerFoldIdealBackend(bandwidth, latency)
         closed = resolve_plan(plan, closed_backend, "closed", keep_timings=True)
-        loop = resolve_plan(lists, loop_backend, "loop", keep_timings=True)
+        loop = resolve_plan(plan, loop_backend, "loop", keep_timings=True)
         assert [layer.timeline for layer in closed.layers] == [
             layer.timeline for layer in loop.layers
         ]
@@ -337,5 +534,5 @@ def test_views_are_built_once_and_never_pickled():
     payload = pickle.dumps(schedule)
     assert payload == unwalked
     clone = pickle.loads(payload)
-    assert "_views" not in vars(clone)
+    assert "_fetches" not in vars(clone)
     assert list(clone) == first

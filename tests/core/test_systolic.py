@@ -48,7 +48,7 @@ class TestTraceInvariants:
         layer = layer_factory()
         engine = TraceEngine(operand_matrices(layer), dataflow, 4, 4)
         sim = ComputeSimulator(4, 4, dataflow)
-        result = sim.simulate_layer(layer, with_fold_specs=False)
+        result = sim.simulate_layer(layer)
         traces = list(engine.fold_traces())
         assert sum(t.ifmap_reads for t in traces) == result.ifmap_sram_reads
         assert sum(t.filter_reads for t in traces) == result.filter_sram_reads

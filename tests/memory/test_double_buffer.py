@@ -1,8 +1,9 @@
 """Unit tests for the double-buffer stall model and ideal backend."""
 
+import numpy as np
 import pytest
 
-from repro.core.compute_sim import FoldSpec, TileFetch
+from repro.core.compute_sim import FetchSlot, FoldSchedule, TileFetch
 from repro.errors import MemoryModelError
 from repro.memory.double_buffer import (
     DoubleBufferMemory,
@@ -11,21 +12,19 @@ from repro.memory.double_buffer import (
 )
 
 
-def _spec(index, cycles=100, fetch_words=50, write_words=0):
-    fetches = []
-    if fetch_words:
-        fetches.append(TileFetch("ifmap", 0, fetch_words))
-    if write_words:
-        fetches.append(TileFetch("ofmap", 0, write_words, is_write=True))
-    return FoldSpec(
-        fold_row=index,
-        fold_col=0,
-        start_cycle=index * cycles,
-        cycles=cycles,
-        rows_used=4,
-        cols_used=4,
-        fetches=tuple(fetches),
-    )
+def _schedule(folds, cycles=100, fetch_words=50, write_words=0):
+    """``folds`` identical folds: one ifmap read and/or one ofmap write each."""
+    present = np.ones(folds, dtype=bool)
+    starts = np.zeros(folds, dtype=np.int64)
+    slots = [
+        FetchSlot(operand, is_write, present, starts, np.full(folds, words))
+        for operand, is_write, words in (
+            ("ifmap", False, fetch_words),
+            ("ofmap", True, write_words),
+        )
+        if words
+    ]
+    return FoldSchedule(folds=folds, cycles=cycles, slots=tuple(slots))
 
 
 class TestIdealBackend:
@@ -70,8 +69,8 @@ class TestDoubleBufferTimeline:
     def test_cold_start_only_when_bandwidth_ample(self):
         # Fetch takes 5 cycles, compute 100: prefetch always wins.
         memory = DoubleBufferMemory(IdealBandwidthBackend(10))
-        specs = [_spec(i, cycles=100, fetch_words=50) for i in range(4)]
-        timeline = memory.run(specs)
+        schedule = _schedule(4, cycles=100, fetch_words=50)
+        timeline = memory.run(schedule)
         assert timeline.cold_start_cycles == 5
         assert timeline.stall_cycles == 0
         assert timeline.total_cycles == 5 + 400
@@ -79,15 +78,15 @@ class TestDoubleBufferTimeline:
     def test_bandwidth_bound_stalls(self):
         # Fetch takes 100 cycles, compute 10: memory bound.
         memory = DoubleBufferMemory(IdealBandwidthBackend(1))
-        specs = [_spec(i, cycles=10, fetch_words=100) for i in range(3)]
-        timeline = memory.run(specs)
+        schedule = _schedule(3, cycles=10, fetch_words=100)
+        timeline = memory.run(schedule)
         assert timeline.stall_cycles > 0
         assert timeline.total_cycles > timeline.compute_cycles
 
     def test_compute_cycles_preserved(self):
         memory = DoubleBufferMemory(IdealBandwidthBackend(1))
-        specs = [_spec(i, cycles=10, fetch_words=100) for i in range(3)]
-        timeline = memory.run(specs)
+        schedule = _schedule(3, cycles=10, fetch_words=100)
+        timeline = memory.run(schedule)
         assert timeline.compute_cycles == 30
 
     def test_stall_fraction(self):
@@ -98,8 +97,8 @@ class TestDoubleBufferTimeline:
 
     def test_keep_timings(self):
         memory = DoubleBufferMemory(IdealBandwidthBackend(10))
-        specs = [_spec(i) for i in range(3)]
-        timeline = memory.run(specs, keep_timings=True)
+        schedule = _schedule(3)
+        timeline = memory.run(schedule, keep_timings=True)
         assert len(timeline.fold_timings) == 3
         # Fold starts strictly increase by at least the fold length.
         starts = [t.compute_start for t in timeline.fold_timings]
@@ -107,10 +106,10 @@ class TestDoubleBufferTimeline:
 
     def test_start_cycle_offsets_timeline(self):
         memory = DoubleBufferMemory(IdealBandwidthBackend(10))
-        specs = [_spec(i) for i in range(2)]
-        base = memory.run(specs)
+        schedule = _schedule(2)
+        base = memory.run(schedule)
         memory2 = DoubleBufferMemory(IdealBandwidthBackend(10))
-        shifted = memory2.run(specs, start_cycle=1000)
+        shifted = memory2.run(schedule, start_cycle=1000)
         # Layer-relative metrics identical regardless of global offset.
         assert shifted.total_cycles == base.total_cycles
         assert shifted.cold_start_cycles == base.cold_start_cycles
@@ -118,17 +117,17 @@ class TestDoubleBufferTimeline:
     def test_shared_backend_across_layers_no_cold_start_blowup(self):
         backend = IdealBandwidthBackend(10)
         memory = DoubleBufferMemory(backend)
-        first = memory.run([_spec(i) for i in range(3)], start_cycle=0)
+        first = memory.run(_schedule(3), start_cycle=0)
         second = memory.run(
-            [_spec(i) for i in range(3)], start_cycle=first.total_cycles
+            _schedule(3), start_cycle=first.total_cycles
         )
         assert second.cold_start_cycles <= first.cold_start_cycles + 5
 
     def test_writes_share_the_bus(self):
         read_only = DoubleBufferMemory(IdealBandwidthBackend(1)).run(
-            [_spec(i, cycles=10, fetch_words=50) for i in range(3)]
+            _schedule(3, cycles=10, fetch_words=50)
         )
         with_writes = DoubleBufferMemory(IdealBandwidthBackend(1)).run(
-            [_spec(i, cycles=10, fetch_words=50, write_words=50) for i in range(3)]
+            _schedule(3, cycles=10, fetch_words=50, write_words=50)
         )
         assert with_writes.total_cycles > read_only.total_cycles

@@ -70,7 +70,7 @@ class TestSramCountProperties:
         """Closed-form SRAM counts == summed trace counts, always."""
         layer = GemmLayer("g", m=m, n=n, k=k)
         engine = TraceEngine(operand_matrices(layer), df, 4, 4)
-        result = ComputeSimulator(4, 4, df).simulate_layer(layer, with_fold_specs=False)
+        result = ComputeSimulator(4, 4, df).simulate_layer(layer)
         traces = list(engine.fold_traces())
         assert sum(t.ifmap_reads for t in traces) == result.ifmap_sram_reads
         assert sum(t.filter_reads for t in traces) == result.filter_sram_reads
@@ -80,7 +80,7 @@ class TestSramCountProperties:
     @settings(max_examples=40, deadline=None)
     def test_stationary_operand_read_exactly_once(self, m, n, k, df):
         layer = GemmLayer("g", m=m, n=n, k=k)
-        result = ComputeSimulator(4, 4, df).simulate_layer(layer, with_fold_specs=False)
+        result = ComputeSimulator(4, 4, df).simulate_layer(layer)
         shape = layer.to_gemm()
         if df is Dataflow.WEIGHT_STATIONARY:
             assert result.filter_sram_reads == shape.filter_words

@@ -741,9 +741,7 @@ class TestOnePipeline:
         )
         assert len(result.sparse_results) == len(topology)
         for got, layer in zip(result.sparse_results, topology):
-            want = sparse_sim.simulate_layer(
-                layer, rowwise=True, block_size=4, with_fold_specs=False
-            )
+            want = sparse_sim.simulate_layer(layer, rowwise=True, block_size=4)
             assert np.array_equal(
                 got.pattern.nnz_per_block, want.pattern.nnz_per_block
             )

@@ -17,7 +17,7 @@ class TestDenseEquivalence:
     def test_dense_ratio_matches_dense_simulator(self):
         layer = _layer("4:4")
         sparse = SparseComputeSimulator(8, 8).simulate_layer(layer)
-        dense = ComputeSimulator(8, 8, "ws").simulate_layer(layer, with_fold_specs=False)
+        dense = ComputeSimulator(8, 8, "ws").simulate_layer(layer)
         assert sparse.sparse_compute_cycles == dense.compute_cycles
         assert sparse.dense_compute_cycles == dense.compute_cycles
 
@@ -86,24 +86,19 @@ class TestStorageAndSpecs:
 
     def test_fold_specs_cycles_sum(self):
         result = SparseComputeSimulator(8, 8).simulate_layer(_layer("2:4"))
-        assert sum(s.cycles for s in result.fold_specs) == result.sparse_compute_cycles
+        schedule = result.fold_specs
+        assert len(schedule) * schedule.cycles == result.sparse_compute_cycles
 
     def test_fold_specs_filter_traffic_compressed(self):
         sparse = SparseComputeSimulator(8, 8).simulate_layer(_layer("1:4"))
         dense = SparseComputeSimulator(8, 8).simulate_layer(_layer("4:4"))
         sparse_filter = sum(
-            f.num_words for s in sparse.fold_specs for f in s.fetches if f.operand == "filter"
+            f.num_words for fetches in sparse.fold_specs for f in fetches if f.operand == "filter"
         )
         dense_filter = sum(
-            f.num_words for s in dense.fold_specs for f in s.fetches if f.operand == "filter"
+            f.num_words for fetches in dense.fold_specs for f in fetches if f.operand == "filter"
         )
         assert sparse_filter < dense_filter / 2
-
-    def test_without_fold_specs(self):
-        result = SparseComputeSimulator(8, 8).simulate_layer(
-            _layer(), with_fold_specs=False
-        )
-        assert result.fold_specs == []
 
     def test_pattern_shape_mismatch_rejected(self):
         pattern = layerwise_pattern(4, 4, SparsityRatio(2, 4))

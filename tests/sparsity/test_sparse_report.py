@@ -13,7 +13,7 @@ class TestSparseReport:
             GemmLayer("a", m=16, n=16, k=32, sparsity=SparsityRatio(1, 4)),
             GemmLayer("b", m=16, n=16, k=32, sparsity=SparsityRatio(2, 4)),
         ]
-        return [sim.simulate_layer(layer, with_fold_specs=False) for layer in layers]
+        return [sim.simulate_layer(layer) for layer in layers]
 
     def test_writes_file(self, tmp_path):
         path = write_sparse_report(self._results(), tmp_path)
