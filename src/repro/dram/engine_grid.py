@@ -12,15 +12,19 @@ The stall walk itself is :func:`repro.dram.vector_pass.resolve_vector_pass`,
 the one vector pass a lone :class:`BatchedEngine` also runs (as a
 1-participant pass); its module docstring derives the scans and the
 offset-flattened state layout that lets ragged geometries share them.
+One pass walks one block sequence, so it needs one (read, write) queue
+depth: the grid splits its configs into depth classes
+(:func:`depth_classes`), and each class resolves as its own pass.
 Here each config keeps its own :class:`BatchedEngine` as the canonical
 state owner.  Per batch, configs a closed-form fast path accepts
 (single-stream bursts, the saturated affine steady state) take it *per
 config* — each locks into its own ``completion[i - Q]`` recurrence
 exactly as it would alone — small batches run each config's scalar
-loop, and the rest resolve together in one pass whose per-config
-segments are element-for-element the walk of that config alone.  The
-whole thing is pinned to :class:`~repro.dram.engine.ReferenceEngine`
-by ``tests/dram/test_grid_engine_equivalence.py``.
+loop, and the rest of each depth class resolve together in one pass
+whose per-config rows are element-for-element the walk of that config
+alone.  The whole thing is pinned to
+:class:`~repro.dram.engine.ReferenceEngine` by
+``tests/dram/test_grid_engine_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -39,8 +43,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.simulator import ComputePlan, RunResult
 
 
+def depth_classes(configs: Sequence[SystemConfig]) -> list[list[int]]:
+    """Indices of ``configs`` grouped by (read, write) queue depth.
+
+    Classes come in first-appearance order; each is one vector pass of
+    :class:`GridBatchedEngine` (the sweep's fan-out summary reports the
+    same partition).
+    """
+    classes: dict[tuple[int, int], list[int]] = {}
+    for index, config in enumerate(configs):
+        depth = (config.dram.read_queue_entries, config.dram.write_queue_entries)
+        classes.setdefault(depth, []).append(index)
+    return list(classes.values())
+
+
 class GridBatchedEngine:
-    """A grid of batched engines resolved by one shared vector pass.
+    """A grid of batched engines resolved by one vector pass per queue depth.
 
     ``configs`` must all be DRAM-enabled and share ``arch.word_bytes``
     (they consume one decoded line stream).  :meth:`process_batch`
@@ -75,7 +93,10 @@ class GridBatchedEngine:
             )
             for config in configs
         ]
-        self._params = VectorParams(self.engines)
+        self._classes = [
+            (members, VectorParams([self.engines[i] for i in members]))
+            for members in depth_classes(configs)
+        ]
 
     # ------------------------------------------------------------- protocol
 
@@ -86,7 +107,8 @@ class GridBatchedEngine:
 
         ``issue_cycles`` carries one issue cycle per config.  Configs a
         per-config fast path accepts commit immediately through their
-        own engine; the rest resolve together in the shared grid pass.
+        own engine; the rest of each depth class resolve together in
+        one vector pass.
         """
         engines = self.engines
         if len(issue_cycles) != len(engines):
@@ -95,8 +117,7 @@ class GridBatchedEngine:
             )
         total = batch.total_lines
         results: list[BatchResult | None] = [None] * len(engines)
-        rest: list[int] = []
-        clock0s: list[int] = []
+        rest: dict[int, int] = {}  # config index -> clock0, fast paths declined
         for index, engine in enumerate(engines):
             cycle = int(issue_cycles[index])
             if cycle < 0:
@@ -112,27 +133,32 @@ class GridBatchedEngine:
             if fast is not None:
                 results[index] = fast
                 continue
-            rest.append(index)
-            clock0s.append(clock0)
-        if rest:
-            if total < BatchedEngine.vector_threshold:
-                # Small batches: the per-config inlined scalar loop beats
-                # any array machinery (same dispatch rule as one engine).
-                for index, clock0 in zip(rest, clock0s):
-                    results[index] = engines[index]._process_scalar(batch, clock0)
-            else:
-                part = [engines[index] for index in rest]
-                if len(part) == len(engines):
-                    params = self._params
-                elif len(part) == 1:
-                    params = part[0].vector_params()
-                else:
-                    params = VectorParams(part)
-                lines, is_write = issue_order_arrays(batch)
-                for index, result in zip(
-                    rest, resolve_vector_pass(params, part, lines, is_write, clock0s)
-                ):
-                    results[index] = result
+            rest[index] = clock0
+        if not rest:
+            return results  # type: ignore[return-value]
+        if total < BatchedEngine.vector_threshold:
+            # Small batches: the per-config inlined scalar loop beats any
+            # array machinery (same dispatch rule as one engine).
+            for index, clock0 in rest.items():
+                results[index] = engines[index]._process_scalar(batch, clock0)
+            return results  # type: ignore[return-value]
+        lines, is_write = issue_order_arrays(batch)
+        for members, params in self._classes:
+            left = [index for index in members if index in rest]
+            if not left:
+                continue
+            part = [engines[index] for index in left]
+            if len(left) < len(members):
+                params = (
+                    part[0].vector_params() if len(part) == 1 else VectorParams(part)
+                )
+            for index, result in zip(
+                left,
+                resolve_vector_pass(
+                    params, part, lines, is_write, [rest[i] for i in left]
+                ),
+            ):
+                results[index] = result
         return results  # type: ignore[return-value]
 
     def backpressure_stalls(self) -> list[int]:
@@ -226,4 +252,4 @@ def resolve_plan_grid(
     return results
 
 
-__all__ = ["GridBatchedEngine", "resolve_plan_grid"]
+__all__ = ["GridBatchedEngine", "depth_classes", "resolve_plan_grid"]

@@ -3,8 +3,9 @@
 Every vector-size line batch resolves here — a lone
 :class:`~repro.dram.engine_batched.BatchedEngine` as a 1-participant
 pass, a :class:`~repro.dram.engine_grid.GridBatchedEngine` with every
-config the fast paths declined.  The per-64B-line loop of
-:class:`repro.dram.engine.ReferenceEngine` becomes array scans:
+config of one queue-depth class the fast paths declined.  The
+per-64B-line loop of :class:`repro.dram.engine.ReferenceEngine`
+becomes array scans:
 
 * **front-end pacing + queue backpressure** become one running-max
   scan.  With ``c = max_issue_per_cycle``, the scalar recurrence
@@ -46,14 +47,20 @@ ids in ``[chan_off[p], chan_off[p+1])``.  Ragged geometries (1 channel
 next to 8, 2 banks next to 16) need no bucketing — the offsets make
 every (config, bank) and (config, channel) pair globally unique, so one
 stable sort groups the whole grid's traffic and the segmented scans run
-with per-config parameters gathered per element.
+with per-config parameters gathered per element.  Queue state is a
+``(configs, k)`` pending matrix per queue: every participant shares one
+(read, write) depth and has been issued every batch, so each holds
+``min(pushed, depth)`` pending completions.
 
-Exactness.  Each participant advances through the *same* block
-sequence it would take alone — block bounds come from its own queue
-capacities and cursor, and a violation only shortens the committed
-span — so every array restricted to one participant's segment is
-element-for-element the walk of that engine alone.  The pass is pinned
-to :class:`~repro.dram.engine.ReferenceEngine` by
+Exactness.  Equal depths put every participant on one block sequence:
+block bounds come from the shared capacities and cursor, and a
+violation cuts every row at the earliest violating column — a prefix
+of each participant's own block, which is exactly where that engine
+alone would have re-entered, since block partitioning is
+refinement-independent (scans re-seed from committed state).  So every
+row of the ``(configs, block)`` rectangle is element-for-element the
+walk of that engine alone.  The pass is pinned to
+:class:`~repro.dram.engine.ReferenceEngine` by
 ``tests/dram/test_engine_equivalence.py`` (one engine) and
 ``tests/dram/test_grid_engine_equivalence.py`` (grids).
 """
@@ -67,6 +74,7 @@ import numpy as np
 
 from repro.dram.engine import BatchResult
 from repro.dram.timing import BROADCAST_TIMING_FIELDS, timing_param_arrays
+from repro.errors import DramError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dram.engine_batched import BatchedEngine
@@ -79,23 +87,30 @@ class VectorParams:
     """Per-participant parameter axes of the vector pass.
 
     Built once per participant set — a lone engine keeps its own, a
-    grid keeps one for all its configs — from the engines' timing,
+    grid keeps one per queue-depth class — from the engines' timing,
     decode plan, queue capacities and issue rates.  Holds the int64
     broadcast arrays, the offset-flattened bank/channel geometry, the
     homogeneity flags that collapse per-element gathers into Python
     ints, and a lazily grown ``0..n`` ramp shared by the scans.
+
+    Every participant must share one (read, write) queue depth: the
+    pass walks them all on one block sequence.  Mixed depths raise
+    :class:`~repro.errors.DramError`.
     """
 
     def __init__(self, engines: Sequence["BatchedEngine"]) -> None:
+        depths = {(e.read_queue.capacity, e.write_queue.capacity) for e in engines}
+        if len(depths) != 1:
+            raise DramError(
+                f"vector pass participants span queue depths {sorted(depths)}; "
+                "one pass needs one (read, write) depth"
+            )
+        [(self.cap_r, self.cap_w)] = depths
         timings = [e.timing for e in engines]
         self.timing = timing_param_arrays(timings)
         self.t_ccd_wr = self.timing["t_ccd"] + self.timing["t_wr"]
         ipc_l = [e.max_issue_per_cycle for e in engines]
-        self.cap_r_l = [e.read_queue.capacity for e in engines]
-        self.cap_w_l = [e.write_queue.capacity for e in engines]
         self.ipc = np.array(ipc_l, dtype=np.int64)
-        self.cap_r = np.array(self.cap_r_l, dtype=np.int64)
-        self.cap_w = np.array(self.cap_w_l, dtype=np.int64)
         # Decode plan as columns: field = (line // stride) % size.
         self.st = {
             name: np.array([e._strides[name] for e in engines], dtype=np.int64)[
@@ -135,7 +150,6 @@ class VectorParams:
             tuple(getattr(t, f) for f in BROADCAST_TIMING_FIELDS) for t in timings
         }
         self.uniform_timing = len(timing_rows) == 1 and len(set(ipc_l)) == 1
-        self.caps_uniform = len(set(self.cap_r_l)) == 1 and len(set(self.cap_w_l)) == 1
         if self.uniform_timing:
             t0 = timings[0]
             self.ccd0 = t0.t_ccd
@@ -178,21 +192,16 @@ def resolve_vector_pass(
     """
     num = len(engines)
     ipc_a = params.ipc
-    cap_r_a = params.cap_r
-    cap_w_a = params.cap_w
+    cap_r = params.cap_r
+    cap_w = params.cap_w
     timing = params.timing
     t_burst_a = timing["t_burst"]
     t_ccd_a = timing["t_ccd"]
     t_ccd_wr_a = params.t_ccd_wr
-    t_rcd_a = timing["t_rcd"]
-    t_rp_a = timing["t_rp"]
-    t_ras_a = timing["t_ras"]
     t_cl_a = timing["t_cl"]
     t_cwl_a = timing["t_cwl"]
     bank_off = params.bank_off
     chan_off = params.chan_off
-    cap_r_l = params.cap_r_l
-    cap_w_l = params.cap_w_l
     single_channel = params.single_channel
 
     # --- 1. shared issue order + per-participant decode -------------------
@@ -223,23 +232,17 @@ def resolve_vector_pass(
     ready = np.concatenate([np.asarray(e._ready, dtype=np.int64) for e in engines])
     act = np.concatenate([np.asarray(e._act, dtype=np.int64) for e in engines])
     bus = np.concatenate([np.asarray(e._bus_ready, dtype=np.int64) for e in engines])
-    pend_r = [
-        np.sort(np.asarray(e.read_queue.pending, dtype=np.int64)) for e in engines
-    ]
-    pend_w = [
-        np.sort(np.asarray(e.write_queue.pending, dtype=np.int64)) for e in engines
-    ]
-    pushed_r = [e.read_queue.pushed for e in engines]
-    pushed_w = [e.write_queue.pushed for e in engines]
-    # Equal-length pending matrices (the lockstep steady state): queue
-    # gates and merges become one 2D op instead of a per-config loop.
-    # Invalidated whenever a commit leaves rows ragged.
-    pend2_r = np.stack(pend_r) if len({a.size for a in pend_r}) == 1 else None
-    pend2_w = np.stack(pend_w) if len({a.size for a in pend_w}) == 1 else None
-    enq_r = [0] * num
-    enq_w = [0] * num
-    stall_r = [0] * num
-    stall_w = [0] * num
+    # (configs, min(pushed, depth)) pending matrices: equal depths and
+    # equal pushes keep the rows equally long, and np.stack raises if a
+    # caller ever breaks that.
+    pend_r = np.stack(
+        [np.sort(np.asarray(e.read_queue.pending, dtype=np.int64)) for e in engines]
+    )
+    pend_w = np.stack(
+        [np.sort(np.asarray(e.write_queue.pending, dtype=np.int64)) for e in engines]
+    )
+    stall_r = np.zeros(num, dtype=np.int64)
+    stall_w = np.zeros(num, dtype=np.int64)
 
     issue_all = np.empty((num, n), dtype=np.int64)
     comp_all = np.empty((num, n), dtype=np.int64)
@@ -249,9 +252,6 @@ def resolve_vector_pass(
     pace = np.array(
         [ipc * c0 for ipc, c0 in zip(ipc_a.tolist(), clock0s)], dtype=np.int64
     )
-    pos = [0] * num
-    block_override = [0] * num  # violation re-run lengths (0 = none)
-    caps_uniform = params.caps_uniform
     uniform_timing = params.uniform_timing
     ipc1 = params.ipc1
     ipc_sh = params.ipc_sh
@@ -271,265 +271,101 @@ def resolve_vector_pass(
         )
         cas_line = np.where(is_write, cwl0, cl0) if has_writes and cwl0 != cl0 else None
 
-    # --- 3. lockstep block loop -------------------------------------------
-    # Every participant advances through exactly the block sequence it
-    # would take alone (its own capacities, cursor and violation
-    # truncations); segments concatenate per iteration so the scans
-    # stay single numpy calls.
-    everyone = list(range(num))
-    while True:
-        if caps_uniform:
-            # Equal queue capacities keep every participant in lockstep
-            # (the uniform lane advances all cursors together): one
-            # shared cursor, never a pending truncation.
-            s0 = pos[0]
-            if s0 >= n:
-                break
-            active = everyone
-            ov = None
-        else:
-            active = [p for p in range(num) if pos[p] < n]
-            if not active:
-                break
-            ov = [block_override[p] for p in active]
-            if any(ov):
-                for p in active:
-                    block_override[p] = 0
-            else:
-                ov = None
-        num_act = len(active)
-        all_act = num_act == num
-        act_sel = None if all_act else np.asarray(active, dtype=np.int64)
+    # --- 3. block loop over one (configs, block) rectangle ----------------
+    # Every participant shares the queue depths and the cursor, so the
+    # whole pass advances through one block sequence; the
+    # participant/block-local coordinates of any flat element index
+    # are just divmod(element, block).
+    s0 = 0
+    while s0 < n:
         # Longest prefix with at most `capacity` pushes per queue:
-        # constraints then predate the block.  A shared cursor (equal
-        # caps or a truncate-all retry) needs only two scalar
-        # searchsorted calls.
-        if caps_uniform:
-            rb = int(reads_cum[s0 - 1]) if s0 else 0
-            wb = int(writes_cum[s0 - 1]) if s0 else 0
-            er = int(reads_cum.searchsorted(rb + cap_r_l[0], side="right"))
-            ew = int(writes_cum.searchsorted(wb + cap_w_l[0], side="right"))
-            blk = min(er, ew, n) - s0
-            uniform = True
-        elif (
-            ov is not None
-            and ov[0] > 0
-            and ov.count(ov[0]) == num_act
-            and len({pos[p] for p in active}) == 1
+        # constraints then predate the block.
+        rb = int(reads_cum[s0 - 1]) if s0 else 0
+        wb = int(writes_cum[s0 - 1]) if s0 else 0
+        er = int(reads_cum.searchsorted(rb + cap_r, side="right"))
+        ew = int(writes_cum.searchsorted(wb + cap_w, side="right"))
+        blk = min(er, ew, n) - s0
+        e0 = s0 + blk
+        total = num * blk
+        gidx_blk = index[s0:e0]
+        wr_blk = is_write[s0:e0]
+        fb_c = flat_bank[:, s0:e0].ravel()
+        row_c = row[:, s0:e0].ravel()
+        gch_c = None if single_channel else gchan[:, s0:e0].ravel()
+
+        # Queue constraints g: consumed order statistics; the
+        # block-local read/write positions are shared by rows.
+        wr_local = wr_blk.nonzero()[0]
+        if wr_local.size:
+            rd_local = (~wr_blk).nonzero()[0]
+            rd_contig = False
+        else:
+            # Read-only block (the common fetch stream): the
+            # read positions are just 0..blk-1, so downstream
+            # column gathers become plain slices.
+            rd_local = index[:blk]
+            rd_contig = True
+        # Pushes left before each queue first fills (their constraint is
+        # vacuous): a queue holds min(pushed, depth) pending entries.
+        skip_r = cap_r - pend_r.shape[1]
+        skip_w = cap_w - pend_w.shape[1]
+        if skip_r or skip_w:
+            g2 = np.full((num, blk), _LOW, dtype=np.int64)
+        else:
+            # Both queues filled: every column consumes a constraint.
+            g2 = np.empty((num, blk), dtype=np.int64)
+        for local, contig, pend, skip in (
+            (rd_local, rd_contig, pend_r, skip_r),
+            (wr_local, False, pend_w, skip_w),
         ):
-            s0 = pos[active[0]]
-            blk = ov[0]
-            uniform = True
+            count = local.size
+            if count > skip:
+                if contig:
+                    g2[:, skip:count] = pend[:, : count - skip]
+                else:
+                    g2[:, local[skip:]] = pend[:, : count - skip]
+
+        # Front-end pacing: row-wise running max.
+        if ipc1:
+            # One line per cycle: h = g - i and issue = i + hmax,
+            # skipping the (expensive) integer divides entirely.
+            h2 = g2 - gidx_blk
+        elif ipc_sh is not None:
+            h2 = (g2 << ipc_sh) - gidx_blk
         else:
-            base_arr = np.asarray([pos[p] for p in active], dtype=np.int64)
-            # One searchsorted per queue covers every participant
-            # (the needle array need not be sorted); base 0 reads
-            # cum[-1] harmlessly — masked out.
-            reads_base = np.where(base_arr > 0, reads_cum[base_arr - 1], 0)
-            writes_base = np.where(base_arr > 0, writes_cum[base_arr - 1], 0)
-            cr = cap_r_a if all_act else cap_r_a[act_sel]
-            cw = cap_w_a if all_act else cap_w_a[act_sel]
-            end_r = reads_cum.searchsorted(reads_base + cr, side="right")
-            end_w = writes_cum.searchsorted(writes_base + cw, side="right")
-            seg_len = np.minimum(np.minimum(end_r, end_w), n) - base_arr
-            if ov is not None:
-                override = np.asarray(ov, dtype=np.int64)
-                seg_len = np.where(override > 0, override, seg_len)
-            starts = base_arr.tolist()
-            blocks = seg_len.tolist()
-            # The truncate-all retry keeps equal-capacity grids in
-            # perfect lockstep, so the uniform rectangle lane is the
-            # steady state; the ragged lane only runs for mixed
-            # queue capacities.
-            uniform = (
-                starts.count(starts[0]) == num_act
-                and blocks.count(blocks[0]) == num_act
-            )
-            s0 = starts[0]
-            blk = blocks[0]
-            ends = [s + b for s, b in zip(starts, blocks)]
-
-        # Per-active parameter rows (identity while every config is
-        # still active — the steady state).
-        if all_act:
-            ipc_act = ipc_a
-            tccd_act = t_ccd_a
-            tccdwr_act = t_ccd_wr_a
-            tcl_act = t_cl_a
-            tcwl_act = t_cwl_a
-            tburst_act = t_burst_a
-            pace_arr = pace
+            ipc_col = ipc_a[:, None]
+            h2 = ipc_col * g2 - gidx_blk
+        np.maximum(h2[:, 0], pace, out=h2[:, 0])
+        hmax2 = np.maximum.accumulate(h2, axis=1)
+        u2 = gidx_blk + hmax2
+        if ipc1:
+            issue2 = u2
+        elif ipc_sh is not None:
+            issue2 = u2 >> ipc_sh
         else:
-            ipc_act = ipc_a[act_sel]
-            tccd_act = t_ccd_a[act_sel]
-            tccdwr_act = t_ccd_wr_a[act_sel]
-            tcl_act = t_cl_a[act_sel]
-            tcwl_act = t_cwl_a[act_sel]
-            tburst_act = t_burst_a[act_sel]
-            pace_arr = pace[act_sel]
-
-        if uniform:
-            # ---- uniform lane: one (configs, block) rectangle ------------
-            # Same math as the ragged lane element-for-element, but
-            # every per-segment construct (offset trick, segment
-            # seeding, searchsorted partitions) collapses into 2D
-            # slicing and axis-1 scans; the participant/block-local
-            # coordinates of any flat element index are just
-            # divmod(element, block).
-            e0 = s0 + blk
-            total = num_act * blk
-            gidx_blk = index[s0:e0]
-            wr_blk = is_write[s0:e0]
-            if all_act:
-                fb_c = flat_bank[:, s0:e0].ravel()
-                row_c = row[:, s0:e0].ravel()
-                gch_c = None if single_channel else gchan[:, s0:e0].ravel()
-            else:
-                fb_c = flat_bank[act_sel, s0:e0].ravel()
-                row_c = row[act_sel, s0:e0].ravel()
-                gch_c = None if single_channel else gchan[act_sel, s0:e0].ravel()
-
-            # Queue constraints g: consumed order statistics; the
-            # block-local read/write positions are shared by rows.
-            wr_local = wr_blk.nonzero()[0]
-            if wr_local.size:
-                rd_local = (~wr_blk).nonzero()[0]
-                rd_contig = False
-            else:
-                # Read-only block (the common fetch stream): the
-                # read positions are just 0..blk-1, so downstream
-                # column gathers become plain slices.
-                rd_local = index[:blk]
-                rd_contig = True
-            # Pushes left before each queue first fills (their constraint
-            # is vacuous); the commit's pending merges reuse them.
-            skips_r = [max(cap_r_l[p] - pushed_r[p], 0) for p in active]
-            skips_w = [max(cap_w_l[p] - pushed_w[p], 0) for p in active]
-            if any(skips_r) or any(skips_w):
-                g2 = np.full((num_act, blk), _LOW, dtype=np.int64)
-            else:
-                # Both queues filled: every column consumes a constraint.
-                g2 = np.empty((num_act, blk), dtype=np.int64)
-            for local, contig, pend2, pend_l, skips in (
-                (rd_local, rd_contig, pend2_r, pend_r, skips_r),
-                (wr_local, False, pend2_w, pend_w, skips_w),
-            ):
-                count = local.size
-                skip0 = skips[0]
-                if all_act and pend2 is not None and skips.count(skip0) == num_act:
-                    if count > skip0:
-                        if contig:
-                            g2[:, skip0:count] = pend2[:, : count - skip0]
-                        else:
-                            g2[:, local[skip0:]] = pend2[:, : count - skip0]
-                    continue
-                for a_i, p in enumerate(active):
-                    skip = skips[a_i]
-                    if count > skip:
-                        g2[a_i, local[skip:]] = pend_l[p][: count - skip]
-
-            # Front-end pacing: row-wise running max, no segment
-            # offsets needed.
-            if ipc1:
-                # One line per cycle: h = g - i and issue = i + hmax,
-                # skipping the (expensive) integer divides entirely.
-                h2 = g2 - gidx_blk
-            elif ipc_sh is not None:
-                h2 = (g2 << ipc_sh) - gidx_blk
-            else:
-                ipc_col = ipc_act[:, None]
-                h2 = ipc_col * g2 - gidx_blk
-            np.maximum(h2[:, 0], pace_arr, out=h2[:, 0])
-            hmax2 = np.maximum.accumulate(h2, axis=1)
-            u2 = gidx_blk + hmax2
-            if ipc1:
-                issue2 = u2
-            elif ipc_sh is not None:
-                issue2 = u2 >> ipc_sh
-            else:
-                issue2 = u2 // ipc_col
-            issue = issue2.ravel()
-        else:
-            # ---- ragged lane: offset-concatenated segments ---------------
-            bounds = np.zeros(num_act + 1, dtype=np.int64)
-            np.cumsum(seg_len, out=bounds[1:])
-            total = int(bounds[-1])
-            pae = np.repeat(np.arange(num_act, dtype=np.int64), seg_len)
-            gidx = np.concatenate([index[s:e] for s, e in zip(starts, ends)])
-            wr = is_write[gidx]
-            fb_c = np.concatenate(
-                [flat_bank[p, s:e] for p, s, e in zip(active, starts, ends)]
-            )
-            row_c = np.concatenate(
-                [row[p, s:e] for p, s, e in zip(active, starts, ends)]
-            )
-            gch_c = np.concatenate(
-                [gchan[p, s:e] for p, s, e in zip(active, starts, ends)]
-            )
-
-            # Queue constraints g: consumed order statistics.
-            g = np.full(total, _LOW, dtype=np.int64)
-            wr_nz = wr.nonzero()[0]
-            rd_nz = (~wr).nonzero()[0]
-            r_bounds = np.searchsorted(rd_nz, bounds)
-            w_bounds = np.searchsorted(wr_nz, bounds)
-            for a_i, p in enumerate(active):
-                for nz, qb, pend, cap, pushed in (
-                    (rd_nz, r_bounds, pend_r[p], cap_r_l[p], pushed_r[p]),
-                    (wr_nz, w_bounds, pend_w[p], cap_w_l[p], pushed_w[p]),
-                ):
-                    positions = nz[qb[a_i] : qb[a_i + 1]]
-                    count = positions.size
-                    if not count:
-                        continue
-                    skip = cap - pushed
-                    if skip < 0:
-                        skip = 0
-                    if count > skip:
-                        g[positions[skip:]] = pend[: count - skip]
-
-            # Front-end pacing: per-config segmented running max.
-            ipc_e = ipc_act[pae]
-            h = ipc_e * g - gidx
-            seg_starts = bounds[:-1]
-            # Seeding each segment start with its pace (always >= 0)
-            # keeps segment values strictly above any carried maximum
-            # from the previous segment under the +pae*_BIG offset.
-            h[seg_starts] = np.maximum(h[seg_starts], pace_arr)
-            seg_off = pae * _BIG
-            hmax = np.maximum.accumulate(h + seg_off) - seg_off
-            issue = (gidx + hmax) // ipc_e
-            h_prev = np.empty(total, dtype=np.int64)
-            h_prev[1:] = hmax[:-1]
-            h_prev[seg_starts] = pace_arr
-            stall = issue - (gidx + h_prev) // ipc_e
+            issue2 = u2 // ipc_col
+        issue = issue2.ravel()
 
         # --- bank timing (globally grouped, streak scans) -----------------
         grouping = fb_c.argsort(kind="stable")
         fb_s = fb_c[grouping]
         row_s = row_c[grouping]
         cyc_s = issue[grouping]
-        if uniform:
-            # Block-local columns materialize only when a consumer needs
-            # them: read-only blocks (the common fetch stream) gather no
-            # per-kind timing, and the prefix commit derives j_s only on
-            # a violation.  A one-row rectangle's flat index already is
-            # the column.
-            pae_s = None
-            j_s = None
-            if wr_local.size:
-                j_s = grouping % blk if num_act > 1 else grouping
-        else:
-            pae_s = pae[grouping]
+        # Block-local columns materialize only when a consumer needs
+        # them: read-only blocks (the common fetch stream) gather no
+        # per-kind timing, and the prefix commit derives j_s only on a
+        # violation.  A one-row rectangle's flat index already is the
+        # column.
+        j_s = None
+        if wr_local.size:
+            j_s = grouping % blk if num > 1 else grouping
         if uniform_timing:
             # Line index of each sorted element, for the per-line timing
-            # arrays (None: a read-only rectangle, one kind throughout).
-            if uniform:
-                line_s = None if j_s is None else j_s + s0
-            else:
-                line_s = gidx[grouping]
+            # arrays (None: a read-only block, one kind throughout).
+            line_s = None if j_s is None else j_s + s0
         else:
-            wr_s = (None if j_s is None else wr_blk[j_s]) if uniform else wr[grouping]
+            pae_s = grouping // blk
+            wr_s = None if j_s is None else wr_blk[j_s]
         is_start = np.empty(total, dtype=bool)
         is_start[0] = True
         np.not_equal(fb_s[1:], fb_s[:-1], out=is_start[1:])
@@ -555,12 +391,10 @@ def resolve_vector_pass(
                 None if delta_line is None or line_s is None else delta_line[line_s]
             )
         else:
-            if pae_s is None:
-                pae_s = grouping // blk
             delta = (
-                tccd_act[pae_s]
+                t_ccd_a[pae_s]
                 if wr_s is None
-                else np.where(wr_s, tccdwr_act[pae_s], tccd_act[pae_s])
+                else np.where(wr_s, t_ccd_wr_a[pae_s], t_ccd_a[pae_s])
             )
         if delta is None:
             d_excl = params.ramp(total) * ccd0
@@ -593,13 +427,11 @@ def resolve_vector_pass(
                 act,
                 seeds,
                 act_updates,
-                # The walker needs only one participant id per bad
-                # group; deriving it from grouping//blk in Python
-                # beats materializing the whole pae_s array.
-                (grouping, blk) if pae_s is None else pae_s,
-                t_rcd_a if all_act else t_rcd_a[act_sel],
-                t_rp_a if all_act else t_rp_a[act_sel],
-                t_ras_a if all_act else t_ras_a[act_sel],
+                grouping,
+                blk,
+                timing["t_rcd"],
+                timing["t_rp"],
+                timing["t_ras"],
                 ccd0 if delta is None else None,
             )
         issue_bank = d_excl + np.maximum(seeds[run_id], streak_max)
@@ -609,31 +441,28 @@ def resolve_vector_pass(
             )
         else:
             data_start_s = issue_bank + (
-                tcl_act[pae_s]
+                t_cl_a[pae_s]
                 if wr_s is None
-                else np.where(wr_s, tcwl_act[pae_s], tcl_act[pae_s])
+                else np.where(wr_s, t_cwl_a[pae_s], t_cl_a[pae_s])
             )
 
         # --- bus arbitration per (config, channel) ------------------------
         data_start = np.empty(total, dtype=np.int64)
         data_start[grouping] = data_start_s
-        if uniform and single_channel:
+        if single_channel:
             # One channel per participant: each rectangle row is one
             # bus segment already in issue order — a row-wise scan.
             if uniform_timing:
                 ramp_tb = ramp_tb_all[:blk]
                 ramp_tb1 = ramp_tb_all[1 : blk + 1]
             else:
-                tb_row = tburst_act[:, None]
+                tb_row = t_burst_a[:, None]
                 ramp_tb = params.ramp(blk) * tb_row
                 ramp_tb1 = ramp_tb + tb_row
-            elem2 = data_start.reshape(num_act, blk) - ramp_tb
-            np.maximum(
-                elem2[:, 0], bus if all_act else bus[act_sel], out=elem2[:, 0]
-            )
+            elem2 = data_start.reshape(num, blk) - ramp_tb
+            np.maximum(elem2[:, 0], bus, out=elem2[:, 0])
             completion2 = np.maximum.accumulate(elem2, axis=1)
             completion2 += ramp_tb1
-            completion = completion2.ravel()
         else:
             chan_order = gch_c.argsort(kind="stable")
             chan_s = gch_c[chan_order]
@@ -667,7 +496,7 @@ def resolve_vector_pass(
                 within = params.ramp(total) - np.repeat(
                     chan_starts, seg_end - chan_starts
                 )
-                tb_e = tburst_act[chan_order // blk if uniform else pae[chan_order]]
+                tb_e = t_burst_a[chan_order // blk]
                 wtb = within * tb_e
                 elem = bus_in - wtb
                 elem[chan_starts] = np.maximum(
@@ -677,76 +506,36 @@ def resolve_vector_pass(
                 completion_s = wtb + tb_e + seg_max
             completion = np.empty(total, dtype=np.int64)
             completion[chan_order] = completion_s
-            if uniform:
-                completion2 = completion.reshape(num_act, blk)
+            completion2 = completion.reshape(num, blk)
 
-        # --- verify the order-statistic speculation per config ------------
-        if uniform:
-            # The cut is the earliest violating column over every row and
-            # queue: a row violates where an earlier in-block completion
-            # of the queue undercuts a later consumed constraint.  Every
-            # element before that frontier is already exact — scans are
-            # prefix-causal per (config, bank, channel), and bank groups
-            # never cross configs, so even the walker's ACT chain ascends
-            # in position — so the clean prefix commits directly, with no
-            # retry pass.  A 1-channel row never violates: its bus chain
-            # rises past every earlier completion, constraints included.
-            # Otherwise fast-accept when no row's completions undercut its
-            # own constraints (rows are compared with themselves: across
-            # rows the check would alarm on nearly every grid block).
-            cut = blk
-            if not single_channel and (
-                completion2.min(axis=1) < g2.max(axis=1)
-            ).any():
-                for local in (rd_local, wr_local):
-                    if local.size < 2:
-                        continue
-                    run_min = np.minimum.accumulate(
-                        completion2.take(local[:-1], axis=1), axis=1
-                    )
-                    bad = (run_min < g2.take(local[1:], axis=1)).any(axis=0)
-                    if bad.any():
-                        cut = min(cut, int(local[int(bad.argmax()) + 1]))
-        else:
-            # One reduceat pair replaces a per-participant min/max
-            # sweep; segments are never empty (each block holds >= 1
-            # line).
-            v_min = None
-            comp_min = np.minimum.reduceat(completion, bounds[:-1])
-            g_max = np.maximum.reduceat(g, bounds[:-1])
-            for a_i in (comp_min < g_max).nonzero()[0].tolist():
-                lo, hi = int(bounds[a_i]), int(bounds[a_i + 1])
-                violation = hi - lo
-                for nz, qb in ((rd_nz, r_bounds), (wr_nz, w_bounds)):
-                    positions = nz[qb[a_i] : qb[a_i + 1]]
-                    if positions.size < 2:
-                        continue
-                    comp_q = completion[positions]
-                    run_min = np.minimum.accumulate(comp_q)
-                    bad = (run_min[:-1] < g[positions[1:]]).nonzero()[0]
-                    if bad.size:
-                        violation = min(
-                            violation, int(positions[int(bad[0]) + 1]) - lo
-                        )
-                if violation < hi - lo:
-                    v_pos = starts[a_i] + violation
-                    v_min = v_pos if v_min is None else min(v_min, v_pos)
-            if v_min is not None:
-                # Retry the whole iteration with every segment cut at
-                # the violation frontier: block partitioning is
-                # refinement-independent (scans re-seed from committed
-                # state), so truncating a non-violating config is free
-                # — and keeping all configs advancing in lockstep
-                # preserves the shared passes instead of re-running
-                # stragglers one by one.
-                for a_i, p in enumerate(active):
-                    trunc = v_min - starts[a_i]
-                    block_override[p] = (
-                        trunc if 0 < trunc < blocks[a_i] else blocks[a_i]
-                    )
-                continue
+        # --- verify the order-statistic speculation -----------------------
+        # The cut is the earliest violating column over every row and
+        # queue: a row violates where an earlier in-block completion of
+        # the queue undercuts a later consumed constraint.  Every element
+        # before that frontier is already exact — scans are prefix-causal
+        # per (config, bank, channel), and bank groups never cross
+        # configs, so even the walker's ACT chain ascends in position —
+        # so the clean prefix commits directly, with no retry pass.  A
+        # 1-channel row never violates: its bus chain rises past every
+        # earlier completion, constraints included.  Otherwise
+        # fast-accept when no row's completions undercut its own
+        # constraints (rows are compared with themselves: across rows
+        # the check would alarm on nearly every grid block).
+        cut = blk
+        if not single_channel and (
+            completion2.min(axis=1) < g2.max(axis=1)
+        ).any():
+            for local in (rd_local, wr_local):
+                if local.size < 2:
+                    continue
+                run_min = np.minimum.accumulate(
+                    completion2.take(local[:-1], axis=1), axis=1
+                )
+                bad = (run_min < g2.take(local[1:], axis=1)).any(axis=0)
+                if bad.any():
+                    cut = min(cut, int(local[int(bad.argmax()) + 1]))
 
-        # --- commit (the verified span of every segment) -------------------
+        # --- commit (the verified prefix of the rectangle) -----------------
         if all_hits:
             cat_c = None  # every access a row hit: category 0 everywhere
         else:
@@ -757,7 +546,7 @@ def resolve_vector_pass(
             )
             cat_c = np.empty(total, dtype=np.int8)
             cat_c[grouping] = category_s
-        if uniform and cut < blk:
+        if cut < blk:
             # Prefix state commit: each bank group / channel segment
             # advances to its last kept element (position < cut);
             # groups with nothing kept stay untouched.
@@ -794,163 +583,55 @@ def resolve_vector_pass(
             ready[touched] = issue_bank[last_pos] + (
                 ccd0 if delta is None else delta[last_pos]
             )
-            if uniform and single_channel:
-                if all_act:
-                    bus[:] = completion2[:, -1]
-                else:
-                    bus[act_sel] = completion2[:, -1]
+            if single_channel:
+                bus[:] = completion2[:, -1]
             else:
                 bus[chan_s[chan_starts]] = completion_s[seg_end - 1]
             for bank_index, _, value in act_updates:
                 act[bank_index] = value
-        if uniform:
-            ec = s0 + cut
-            if all_act:
-                issue_all[:, s0:ec] = issue2[:, :cut]
-                comp_all[:, s0:ec] = completion2[:, :cut]
-                if cat_c is None:
-                    cat_all[:, s0:ec] = 0
-                else:
-                    cat_all[:, s0:ec] = cat_c.reshape(num_act, blk)[:, :cut]
-            else:
-                issue_all[act_sel, s0:ec] = issue2[:, :cut]
-                comp_all[act_sel, s0:ec] = completion2[:, :cut]
-                if cat_c is None:
-                    cat_all[act_sel, s0:ec] = 0
-                else:
-                    cat_all[act_sel, s0:ec] = cat_c.reshape(num_act, blk)[:, :cut]
-            if all_act:
-                pace = hmax2[:, cut - 1]
-            else:
-                pace[act_sel] = hmax2[:, cut - 1]
-            for p in active:
-                pos[p] = ec
-            # Stall accounting, deferred past the verify so aborted
-            # iterations never pay for it: stall = issue minus the clock
-            # without this line's jump, floor((i + hmax[i-1]) / c), and
-            # i + hmax[i-1] is the previous column's u2 plus one.
-            base2 = np.empty_like(u2)
-            np.add(u2[:, :-1], 1, out=base2[:, 1:])
-            np.add(pace_arr, s0, out=base2[:, 0])
-            if ipc1:
-                stall2 = issue2 - base2
-            elif ipc_sh is not None:
-                stall2 = issue2 - (base2 >> ipc_sh)
-            else:
-                stall2 = issue2 - base2 // ipc_col
-            stall_kept = (stall2 if cut == blk else stall2[:, :cut]).sum(axis=1)
-            # Column gathers + row-wise sums replace the per-queue
-            # searchsorted partitions and reduceat stall totals (the read
-            # stall is the kept total minus the write columns); when
-            # every participant consumes the same queue prefix (equal
-            # caps and occupancy — the steady state) the per-config
-            # merge sorts collapse into one axis-1 sort.
-            if rd_contig:
-                # Read-only block: plain slices, no column gathers.
-                kept = ((False, cut, completion2[:, :cut], stall_kept, skips_r),)
-            else:
-                n_w = wr_local.size if cut == blk else int(wr_local.searchsorted(cut))
-                kept_w = wr_local[:n_w]
-                kept_r = rd_local[: cut - n_w]
-                stall_w_q = stall2.take(kept_w, axis=1).sum(axis=1)
-                kept = (
-                    (
-                        False,
-                        cut - n_w,
-                        completion2.take(kept_r, axis=1),
-                        stall_kept - stall_w_q,
-                        skips_r,
-                    ),
-                    (True, n_w, completion2.take(kept_w, axis=1), stall_w_q, skips_w),
-                )
-            for is_w, count, comp_q, stall_q, skips in kept:
-                if not count:
-                    continue
-                stall_q = stall_q.tolist()
-                pend_l = pend_w if is_w else pend_r
-                pushed_l = pushed_w if is_w else pushed_r
-                pend2 = pend2_w if is_w else pend2_r
-                consumed = [count - skip if count > skip else 0 for skip in skips]
-                c0 = consumed[0]
-                if all_act and pend2 is not None and consumed.count(c0) == num_act:
-                    merged2 = np.concatenate([pend2[:, c0:], comp_q], axis=1)
-                    merged2.sort(axis=1)
-                    if is_w:
-                        pend2_w = merged2
-                    else:
-                        pend2_r = merged2
-                    rows = merged2
-                else:
-                    if is_w:
-                        pend2_w = None
-                    else:
-                        pend2_r = None
-                    rows = []
-                    for a_i, p in enumerate(active):
-                        merged = np.concatenate(
-                            [pend_l[p][consumed[a_i] :], comp_q[a_i]]
-                        )
-                        merged.sort()
-                        rows.append(merged)
-                for a_i, p in enumerate(active):
-                    pend_l[p] = rows[a_i]
-                    pushed_l[p] += count
-                    if is_w:
-                        enq_w[p] += count
-                        stall_w[p] += stall_q[a_i]
-                    else:
-                        enq_r[p] += count
-                        stall_r[p] += stall_q[a_i]
+        ec = s0 + cut
+        issue_all[:, s0:ec] = issue2[:, :cut]
+        comp_all[:, s0:ec] = completion2[:, :cut]
+        if cat_c is None:
+            cat_all[:, s0:ec] = 0
         else:
-            pend2_r = None
-            pend2_w = None
-            for a_i, p in enumerate(active):
-                lo, hi = int(bounds[a_i]), int(bounds[a_i + 1])
-                sl = slice(starts[a_i], ends[a_i])
-                issue_all[p, sl] = issue[lo:hi]
-                comp_all[p, sl] = completion[lo:hi]
-                cat_all[p, sl] = 0 if cat_c is None else cat_c[lo:hi]
-            if all_act:
-                pace = hmax[bounds[1:] - 1]
-            else:
-                pace[act_sel] = hmax[bounds[1:] - 1]
-            # Per-(participant, queue) stall totals as differences of one
-            # exclusive cumsum per queue (empty segments sum to zero).
-            stall_sums = []
-            for nz, qb in ((rd_nz, r_bounds), (wr_nz, w_bounds)):
-                csum = np.zeros(nz.size + 1, dtype=np.int64)
-                np.cumsum(stall[nz], out=csum[1:])
-                stall_sums.append(csum[qb[1:]] - csum[qb[:-1]])
-            for a_i, p in enumerate(active):
-                for q_i, (is_w, nz, qb) in enumerate(
-                    ((False, rd_nz, r_bounds), (True, wr_nz, w_bounds))
-                ):
-                    positions = nz[qb[a_i] : qb[a_i + 1]]
-                    count = positions.size
-                    if not count:
-                        continue
-                    cap = cap_w_l[p] if is_w else cap_r_l[p]
-                    pushed = pushed_w[p] if is_w else pushed_r[p]
-                    pend = pend_w[p] if is_w else pend_r[p]
-                    skip = cap - pushed
-                    if skip < 0:
-                        skip = 0
-                    consumed = count - skip if count > skip else 0
-                    merged = np.sort(
-                        np.concatenate([pend[consumed:], completion[positions]])
-                    )
-                    stall_sum = int(stall_sums[q_i][a_i])
-                    if is_w:
-                        pend_w[p] = merged
-                        pushed_w[p] += count
-                        enq_w[p] += count
-                        stall_w[p] += stall_sum
-                    else:
-                        pend_r[p] = merged
-                        pushed_r[p] += count
-                        enq_r[p] += count
-                        stall_r[p] += stall_sum
-                pos[p] = ends[a_i]
+            cat_all[:, s0:ec] = cat_c.reshape(num, blk)[:, :cut]
+        # Stall accounting: stall = issue minus the clock without this
+        # line's jump, floor((i + hmax[i-1]) / c), and i + hmax[i-1] is
+        # the previous column's u2 plus one.
+        base2 = np.empty_like(u2)
+        np.add(u2[:, :-1], 1, out=base2[:, 1:])
+        np.add(pace, s0, out=base2[:, 0])
+        if ipc1:
+            stall2 = issue2 - base2
+        elif ipc_sh is not None:
+            stall2 = issue2 - (base2 >> ipc_sh)
+        else:
+            stall2 = issue2 - base2 // ipc_col
+        pace = hmax2[:, cut - 1]
+        s0 = ec
+        stall_kept = (stall2 if cut == blk else stall2[:, :cut]).sum(axis=1)
+        # Column gathers + row-wise sums split the kept stalls by queue
+        # (the read stall is the kept total minus the write columns), and
+        # each queue's pending merge is one axis-1 sort.
+        if rd_contig:
+            # Read-only block: plain slices, no column gathers.
+            n_w = 0
+            comp_r = completion2[:, :cut]
+        else:
+            n_w = wr_local.size if cut == blk else int(wr_local.searchsorted(cut))
+            comp_r = completion2.take(rd_local[: cut - n_w], axis=1)
+            kept_w = wr_local[:n_w]
+            stall_w_q = stall2.take(kept_w, axis=1).sum(axis=1)
+            stall_w += stall_w_q
+            stall_kept -= stall_w_q
+        stall_r += stall_kept
+        if cut > n_w:
+            pend_r = _merge_pending(pend_r, cut - n_w - skip_r, comp_r)
+        if n_w:
+            pend_w = _merge_pending(
+                pend_w, n_w - skip_w, completion2.take(kept_w, axis=1)
+            )
 
     # --- 4. per-participant queue occupancy + outstanding -----------------
     reads_mask = ~is_write
@@ -958,17 +639,20 @@ def resolve_vector_pass(
     wr_pos = is_write.nonzero()[0]
     lines_read = rd_pos.size
     lines_written = n - lines_read
+    stall_r_l = stall_r.tolist()
+    stall_w_l = stall_w.tolist()
     for p, engine in enumerate(engines):
-        for queue, pend, positions, pushed, enq, stalled in (
-            (engine.read_queue, pend_r[p], rd_pos, pushed_r[p], enq_r[p], stall_r[p]),
-            (engine.write_queue, pend_w[p], wr_pos, pushed_w[p], enq_w[p], stall_w[p]),
+        for queue, pend, positions, stalled in (
+            (engine.read_queue, pend_r[p], rd_pos, stall_r_l[p]),
+            (engine.write_queue, pend_w[p], wr_pos, stall_w_l[p]),
         ):
-            queue.pushed = pushed
-            queue.total_enqueued += enq
+            count = positions.size
+            queue.pushed += count
+            queue.total_enqueued += count
             queue.total_stall_cycles += stalled
-            if not positions.size:
+            if not count:
                 continue
-            if positions.size == n:
+            if count == n:
                 clocks = issue_all[p]
                 comps = comp_all[p]
             else:
@@ -983,7 +667,6 @@ def resolve_vector_pass(
                 alive_prior = prior_s.size - np.searchsorted(
                     prior_s, clocks, side="right"
                 )
-                count = positions.size
                 retire_at = np.searchsorted(clocks, comps, side="left")
                 retired_cum = np.cumsum(
                     np.bincount(np.minimum(retire_at, count), minlength=count + 1)
@@ -1079,6 +762,19 @@ def resolve_vector_pass(
     return results
 
 
+def _merge_pending(
+    pending: np.ndarray, consumed: int, completions: np.ndarray
+) -> np.ndarray:
+    """Drop each row's ``consumed`` smallest entries, merge in new completions.
+
+    ``consumed`` is the block's pushes past the vacuous ones (negative
+    when the queue never filled); the result stays row-wise sorted.
+    """
+    merged = np.concatenate([pending[:, max(consumed, 0) :], completions], axis=1)
+    merged.sort(axis=1)
+    return merged
+
+
 def _walk_streak_boundaries(
     fb_s: np.ndarray,
     cyc_s: np.ndarray,
@@ -1094,7 +790,8 @@ def _walk_streak_boundaries(
     act: np.ndarray,
     seeds: np.ndarray,
     act_updates: list[tuple[int, int, int]],
-    pae_s: np.ndarray | tuple[np.ndarray, int],
+    grouping: np.ndarray,
+    blk: int,
     t_rcd_a: np.ndarray,
     t_rp_a: np.ndarray,
     t_ras_a: np.ndarray,
@@ -1108,24 +805,16 @@ def _walk_streak_boundaries(
     still resolved by the precomputed segmented running max.  Bank
     groups never cross participants (flat bank ids are offset per
     config), so each bad group resolves with its owner's
-    tRCD/tRP/tRAS, looked up through ``pae_s``/the per-active timing
-    arrays.
+    tRCD/tRP/tRAS: ``grouping`` is the block's bank-sort permutation of
+    the flat ``(configs, blk)`` rectangle, so the owner of a group is
+    ``grouping[start] // blk``, computed per bad group instead of for
+    the whole block.
 
     ``ccd_const`` (a read-only block under uniform timing) declares the
     CAS gap constant: ``delta`` may then be ``None`` and the exclusive
     cumsum collapses to ``position * ccd_const`` — Python arithmetic in
     place of per-run array indexing, the hot path of this walk.
-
-    ``pae_s`` is either the per-element participant array, or a
-    ``(grouping, blk)`` pair from the uniform lane: the participant of
-    a group is then ``grouping[start] // blk``, computed per bad group
-    instead of for the whole block.
     """
-    if isinstance(pae_s, tuple):
-        grouping_a, blk_c = pae_s
-        pae_s = None
-    else:
-        grouping_a = blk_c = None
     block = fb_s.size
     group_bounds = np.empty(group_starts.size + 1, dtype=np.int64)
     group_bounds[:-1] = group_starts
@@ -1144,9 +833,7 @@ def _walk_streak_boundaries(
     for group in miss_groups[keep].tolist():
         start = int(group_bounds[group])
         end = int(group_bounds[group + 1])
-        participant = (
-            int(grouping_a[start]) // blk_c if pae_s is None else int(pae_s[start])
-        )
+        participant = int(grouping[start]) // blk
         t_rcd = int(t_rcd_a[participant])
         t_rp = int(t_rp_a[participant])
         t_ras = int(t_ras_a[participant])

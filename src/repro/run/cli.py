@@ -602,9 +602,12 @@ def sweep_main(argv: list[str]) -> int:
             if fanout.word_streams:
                 stream_word = "stream" if fanout.word_streams == 1 else "streams"
                 detail += f", {fanout.word_streams} word-size line {stream_word}"
-            if fanout.grid_configs:
+            if fanout.grid_passes:
+                passes = len(fanout.grid_passes)
+                widths = "+".join(map(str, fanout.grid_passes))
                 detail += (
-                    f", {fanout.grid_configs} DRAM configs per grid pass"
+                    f", {passes} grid pass{'' if passes == 1 else 'es'}"
+                    f" ({widths} DRAM configs)"
                 )
             print(detail)
     for result in results:

@@ -478,15 +478,15 @@ class UnitFanout:
 
     ``points`` is how many grid points the unit collapsed; ``word_streams``
     how many distinct word-size line streams it decodes (0 when no member
-    enables DRAM); ``grid_configs`` how many DRAM configs resolve through
-    config-batched :class:`~repro.dram.engine_grid.GridBatchedEngine`
-    passes rather than one at a time (0 when no word size is shared by
-    two or more batched-engine configs).
+    enables DRAM); ``grid_passes`` the width of each config-batched
+    :class:`~repro.dram.engine_grid.GridBatchedEngine` pass, one per
+    queue-depth class of each shared word size (empty when no word size
+    is shared by two or more batched-engine configs).
     """
 
     points: int
     word_streams: int
-    grid_configs: int
+    grid_passes: tuple[int, ...]
 
 
 class SweepGrouping(tuple):
@@ -510,13 +510,18 @@ class SweepGrouping(tuple):
 
 def _unit_fanout(unit: _Unit) -> UnitFanout:
     """Summarize how one dispatched unit will fan out internally."""
+    from repro.dram.engine_grid import depth_classes
     from repro.dram.fanout import _grid_groups
 
     members, configs, _, _ = unit
     words = {c.arch.word_bytes for c in configs if c.dram.enabled}
-    grid_configs = sum(len(group) for group in _grid_groups(configs).values())
+    grid_passes = tuple(
+        len(depth_class)
+        for _, group in sorted(_grid_groups(configs).items())
+        for depth_class in depth_classes([configs[i] for i in group])
+    )
     return UnitFanout(
-        points=len(members), word_streams=len(words), grid_configs=grid_configs
+        points=len(members), word_streams=len(words), grid_passes=grid_passes
     )
 
 

@@ -39,8 +39,14 @@ from repro.core.simulator import Simulator
 from repro.dram.backend import make_ramulator
 from repro.dram.engine import LineRequestBatch, LineStream, ReferenceEngine
 from repro.dram.engine_batched import BatchedEngine
-from repro.dram.engine_grid import GridBatchedEngine, resolve_plan_grid
+from repro.dram.engine_grid import (
+    GridBatchedEngine,
+    depth_classes,
+    resolve_plan_grid,
+)
 from repro.dram.fanout import _build_line_batches, _grid_groups
+from repro.dram.vector_pass import VectorParams
+from repro.errors import DramError
 from repro.topology.layer import ConvLayer
 from repro.topology.topology import Topology
 
@@ -189,18 +195,50 @@ def _random_line_batch(rng: random.Random) -> LineRequestBatch:
     )
 
 
+def _assert_grid_matches_reference(configs, rng: random.Random, trial) -> None:
+    """Feed random line batches to a grid and to one reference per config."""
+    grid = GridBatchedEngine(configs)
+    references = [
+        ReferenceEngine(
+            make_ramulator(config.dram),
+            read_queue_entries=config.dram.read_queue_entries,
+            write_queue_entries=config.dram.write_queue_entries,
+            max_issue_per_cycle=config.dram.issue_per_cycle,
+        )
+        for config in configs
+    ]
+    cycles = [0] * len(configs)
+    for batch_index in range(rng.randint(2, 6)):
+        batch = _random_line_batch(rng)
+        issue = [cycle + rng.randrange(0, 3_000) for cycle in cycles]
+        want = [ref.process_batch(batch, c) for ref, c in zip(references, issue)]
+        assert grid.process_batch(batch, issue) == want, (trial, batch_index)
+        cycles = [result.ready_cycle for result in want]
+    for engine, ref in zip(grid.engines, references):
+        assert engine.aggregate_stats() == ref.aggregate_stats(), trial
+        assert engine.drain() == ref.drain(), trial
+        for got, spec in (
+            (engine.read_queue, ref.read_queue),
+            (engine.write_queue, ref.write_queue),
+        ):
+            assert got.total_enqueued == spec.total_enqueued, trial
+            assert got.total_stall_cycles == spec.total_stall_cycles, trial
+            assert got.peak_occupancy == spec.peak_occupancy, trial
+
+
 @pytest.mark.parametrize("channels", ((1,), (1, 2, 4)), ids=("one-channel", "mixed"))
 def test_vector_pass_lanes_match_reference(monkeypatch, channels):
-    """Every lane of the shared vector pass, engine-level, vs the spec.
+    """Every branch of the shared vector pass, engine-level, vs the spec.
 
     Line batches go straight into a :class:`GridBatchedEngine` (vector
     threshold 1, fast paths off) and into one :class:`ReferenceEngine`
     per config.  Tiny queues make in-block completions undercut later
-    constraints, forcing the speculation repairs: prefix commits in the
-    uniform rectangle lane (shared queue depths) and truncate-all
-    retries in the ragged lane (mixed depths).  Mixed technologies and
-    issue rates force the per-config timing gathers; all-1-channel
-    grids take the row-wise bus scan.  Grids of one config are the lone
+    constraints, forcing the speculation repair (the prefix commit).
+    Odd trials share one queue depth, so the whole grid is one pass;
+    even trials draw a depth per config, exercising the grid's split
+    into one pass per depth class.  Mixed technologies and issue rates
+    force the per-config timing gathers; all-1-channel grids take the
+    row-wise bus scan.  Grids of one config are the lone
     ``BatchedEngine`` case.
     """
     monkeypatch.setattr(BatchedEngine, "vector_threshold", 1)
@@ -236,30 +274,56 @@ def test_vector_pass_lanes_match_reference(monkeypatch, channels):
                     run=RunConfig(run_name=f"lane_{index}"),
                 )
             )
-        grid = GridBatchedEngine(configs)
-        references = [
-            ReferenceEngine(
-                make_ramulator(config.dram),
-                read_queue_entries=config.dram.read_queue_entries,
-                write_queue_entries=config.dram.write_queue_entries,
-                max_issue_per_cycle=config.dram.issue_per_cycle,
+        _assert_grid_matches_reference(configs, rng, trial)
+
+
+def test_depth_class_grids_match_reference(monkeypatch):
+    """Grids shaped like a channels x queue-depth sweep, vs the spec.
+
+    Each trial holds two or three depth classes of two or three configs
+    each, with channel counts mixed inside a class, so every class runs
+    as a multi-config pass of its own.  Tiny queues (2-5 entries) make
+    the prefix cuts fire.
+    """
+    monkeypatch.setattr(BatchedEngine, "vector_threshold", 1)
+    monkeypatch.setattr(BatchedEngine, "single_stream_fast_path", False)
+    for trial in range(8):
+        rng = random.Random(91_307 + 17 * trial)
+        depths = rng.sample(
+            [(read_q, write_q) for read_q in range(2, 6) for write_q in range(2, 6)],
+            rng.randint(2, 3),
+        )
+        technology = rng.choice(TECHNOLOGIES)
+        configs = [
+            SystemConfig(
+                dram=DramConfig(
+                    enabled=True,
+                    technology=technology,
+                    channels=rng.choice((1, 2, 4)),
+                    read_queue_entries=read_q,
+                    write_queue_entries=write_q,
+                    address_mapping=rng.choice(MAPPINGS),
+                ),
+                run=RunConfig(run_name=f"depth_{read_q}_{write_q}_{index}"),
             )
-            for config in configs
+            for read_q, write_q in depths
+            for index in range(rng.randint(2, 3))
         ]
-        cycles = [0] * len(configs)
-        for batch_index in range(rng.randint(2, 6)):
-            batch = _random_line_batch(rng)
-            issue = [cycle + rng.randrange(0, 3_000) for cycle in cycles]
-            want = [ref.process_batch(batch, c) for ref, c in zip(references, issue)]
-            assert grid.process_batch(batch, issue) == want, (trial, batch_index)
-            cycles = [result.ready_cycle for result in want]
-        for engine, ref in zip(grid.engines, references):
-            assert engine.aggregate_stats() == ref.aggregate_stats(), trial
-            assert engine.drain() == ref.drain(), trial
-            for got, spec in (
-                (engine.read_queue, ref.read_queue),
-                (engine.write_queue, ref.write_queue),
-            ):
-                assert got.total_enqueued == spec.total_enqueued, trial
-                assert got.total_stall_cycles == spec.total_stall_cycles, trial
-                assert got.peak_occupancy == spec.peak_occupancy, trial
+        rng.shuffle(configs)
+        assert len(depth_classes(configs)) == len(depths)
+        _assert_grid_matches_reference(configs, rng, trial)
+
+
+def test_vector_params_reject_mixed_queue_depths():
+    """One vector pass walks one block sequence: depths must agree."""
+
+    def engine(queue_entries):
+        return BatchedEngine(
+            make_ramulator(DramConfig(enabled=True)),
+            read_queue_entries=queue_entries,
+            write_queue_entries=queue_entries,
+        )
+
+    with pytest.raises(DramError, match="queue depths"):
+        VectorParams([engine(32), engine(128)])
+    assert VectorParams([engine(32), engine(32)]).cap_r == 32

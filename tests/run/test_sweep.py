@@ -679,6 +679,21 @@ class TestDramFanoutGrouping:
         runner.run(self._dram_spec())
         assert runner.last_grouping == (0, 0)
 
+    def test_fanout_summary_counts_one_grid_pass_per_queue_depth(self):
+        spec = self._dram_spec(
+            axes=[
+                Axis("dram.channels", (1, 2)),
+                Axis("dram.read_queue_entries", (32, 128)),
+            ]
+        )
+        runner = SweepRunner(workers=1)
+        runner.run(spec)
+        [unit] = runner.last_grouping.units
+        # Four batched configs share one word size, but the grid engine
+        # resolves each (read, write) queue depth as its own pass.
+        assert unit.points == 4
+        assert unit.grid_passes == (2, 2)
+
 
 class TestOnePipeline:
     """Every unit, a lone point included, runs through simulate_configs."""
