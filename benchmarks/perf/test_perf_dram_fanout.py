@@ -166,7 +166,6 @@ def test_dram_fanout_speedup():
                     config.layout.num_banks,
                     config.layout.total_bandwidth_words,
                     ports_per_bank=config.layout.ports_per_bank,
-                    evaluator=config.layout.evaluator,
                 )
                 for layer in point.topology
             ]

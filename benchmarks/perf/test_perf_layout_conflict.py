@@ -28,7 +28,8 @@ from benchmarks.conftest import output_path
 from repro.core.dataflow import Dataflow
 from repro.core.operand_matrix import IFMAP_BASE, operand_matrices
 from repro.core.systolic import TraceEngine
-from repro.layout.conflict import make_conflict_evaluator
+from repro.layout.conflict import BankConflictEvaluator
+from repro.layout.conflict_vectorized import VectorizedConflictEvaluator
 from repro.layout.spec import LayoutSpec, TensorView
 from repro.topology.models import resnet18
 
@@ -37,6 +38,8 @@ BENCH_PATH = output_path(Path(__file__).parent / "BENCH_layout_conflict.json")
 ARRAY = 128
 NUM_BANKS = 1
 BANDWIDTH = 64
+
+EVALUATORS = {"reference": BankConflictEvaluator, "vectorized": VectorizedConflictEvaluator}
 
 
 def _fig12_workload():
@@ -59,7 +62,7 @@ def _timed_run(name: str, layout, matrices, repeats: int) -> tuple[float, object
     best = float("inf")
     evaluator = None
     for _ in range(repeats):
-        evaluator = make_conflict_evaluator(name, layout, bandwidth_model_words=BANDWIDTH)
+        evaluator = EVALUATORS[name](layout, bandwidth_model_words=BANDWIDTH)
         start = time.perf_counter()
         for matrix in matrices:
             evaluator.add_demand_matrix(matrix, base_offset=IFMAP_BASE)

@@ -9,7 +9,6 @@ speedup the engine refactor shipped with.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from pathlib import Path
@@ -18,7 +17,10 @@ import pytest
 
 from benchmarks.conftest import output_path
 from repro.config.system import ArchitectureConfig, DramConfig, SystemConfig
-from repro.core.simulator import Simulator
+from repro.core.simulator import Simulator, resolve_plan
+from repro.dram.backend import DramBackend, make_ramulator
+from repro.dram.engine import ReferenceEngine
+from repro.dram.engine_batched import BatchedEngine
 from repro.topology.models import resnet18
 
 BENCH_PATH = output_path(Path(__file__).parent / "BENCH_memory_datapath.json")
@@ -30,6 +32,24 @@ BASE_CONFIG = SystemConfig(
     dram=DramConfig(enabled=True),
 )
 
+ENGINES = {"reference": ReferenceEngine, "batched": BatchedEngine}
+
+
+def _backend(engine: str) -> DramBackend:
+    """A fresh DRAM backend for ``BASE_CONFIG`` on the named engine."""
+    dram_cfg = BASE_CONFIG.dram
+    dram = make_ramulator(dram_cfg)
+    return DramBackend(
+        dram,
+        word_bytes=BASE_CONFIG.arch.word_bytes,
+        engine=ENGINES[engine](
+            dram,
+            read_queue_entries=dram_cfg.read_queue_entries,
+            write_queue_entries=dram_cfg.write_queue_entries,
+            max_issue_per_cycle=dram_cfg.issue_per_cycle,
+        ),
+    )
+
 
 def _timed_run(engine: str, repeats: int = 2) -> tuple[float, int, int]:
     """Run resnet18 ``repeats`` times; returns (best seconds, cycles, lines).
@@ -37,15 +57,14 @@ def _timed_run(engine: str, repeats: int = 2) -> tuple[float, int, int]:
     Best-of-N damps scheduler noise on shared CI runners — the
     measurement of interest is each engine's floor, not its jitter.
     """
-    config = BASE_CONFIG.replace(
-        dram=dataclasses.replace(BASE_CONFIG.dram, engine=engine)
-    )
     topology = resnet18()
     best = float("inf")
     for _ in range(repeats):
-        simulator = Simulator(config)
+        simulator = Simulator(BASE_CONFIG)
         start = time.perf_counter()
-        result = simulator.run(topology)
+        result = resolve_plan(
+            simulator.plan(topology), _backend(engine), BASE_CONFIG.run.run_name
+        )
         best = min(best, time.perf_counter() - start)
     stats = result.dram_stats
     assert stats is not None

@@ -41,9 +41,9 @@ def main() -> None:
     ]
     for dataflow in ("is", "ws", "os"):
         # Full-layer traces, one streaming pass per dataflow: the fan-out
-        # shares trace generation across the whole bank grid (pass
-        # evaluator="reference" per config to cross-check the scalar
-        # specification).
+        # shares trace generation across the whole bank grid
+        # (tests/layout/test_fanout_equivalence.py cross-checks it
+        # against the scalar BankConflictEvaluator).
         results = evaluate_layout_slowdown_many(
             LAYER, dataflow, ARRAY, ARRAY, grid
         )

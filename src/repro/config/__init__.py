@@ -5,7 +5,6 @@ from repro.config.system import (
     DramConfig,
     EnergyConfig,
     LayoutConfig,
-    MulticoreConfig,
     RunConfig,
     SparsityConfig,
     SystemConfig,
@@ -18,7 +17,6 @@ __all__ = [
     "DramConfig",
     "EnergyConfig",
     "LayoutConfig",
-    "MulticoreConfig",
     "RunConfig",
     "SparsityConfig",
     "SystemConfig",

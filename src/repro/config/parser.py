@@ -17,9 +17,10 @@ The file format follows SCALE-Sim's INI-like convention::
     SparseRep = ellpack_block
     BlockSize = 4
 
-v3's new sections (``sparsity``, ``memory``, ``layout``, ``energy``,
-``multicore``) are all optional; omitting a section leaves the feature at
-its defaults (usually disabled), matching the paper's modular design.
+v3's new sections (``sparsity``, ``memory``, ``layout``, ``energy``) are
+all optional; omitting a section leaves the feature at its defaults
+(usually disabled), matching the paper's modular design.  Unknown
+sections and keys raise :class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.config.system import (
     DramConfig,
     EnergyConfig,
     LayoutConfig,
-    MulticoreConfig,
     RunConfig,
     SparsityConfig,
     SystemConfig,
@@ -93,18 +93,6 @@ class _Section:
         raw = self._raw.get(key.lower())
         return default if raw is None else _parse_bool(raw, f"[{self.name}] {key}")
 
-    def get_int_tuple(self, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-        self._seen.add(key.lower())
-        raw = self._raw.get(key.lower())
-        if raw is None or not raw.strip():
-            return default
-        try:
-            return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-        except ValueError as exc:
-            raise ConfigError(
-                f"[{self.name}] {key}: expected comma-separated integers, got {raw!r}"
-            ) from exc
-
     def reject_unknown_keys(self) -> None:
         unknown = set(self._raw) - self._seen
         if unknown:
@@ -128,7 +116,6 @@ def parse_config_text(text: str) -> SystemConfig:
         "memory",
         "layout",
         "energy",
-        "multicore",
         "run_presets",
     }
     for section in parser.sections():
@@ -159,7 +146,6 @@ def parse_config_text(text: str) -> SystemConfig:
         bandwidth_words=arch_sec.get_int("Bandwidth", 10),
         word_bytes=arch_sec.get_int("WordBytes", 2),
         simd_lanes=arch_sec.get_int("SimdLanes", 0),
-        simd_latency_per_element=arch_sec.get_float("SimdLatencyPerElement", 1.0),
     )
     arch_sec.reject_unknown_keys()
 
@@ -186,7 +172,6 @@ def parse_config_text(text: str) -> SystemConfig:
         write_queue_entries=mem_sec.get_int("WriteQueueEntries", 128),
         address_mapping=mem_sec.get_str("AddressMapping", "ro_ba_ra_co_ch").lower(),
         issue_per_cycle=mem_sec.get_int("IssuePerCycle", 4),
-        engine=mem_sec.get_str("Engine", "batched").lower(),
     )
     mem_sec.reject_unknown_keys()
 
@@ -199,7 +184,6 @@ def parse_config_text(text: str) -> SystemConfig:
         c1_step=layout_sec.get_int("C1Step", 16),
         h1_step=layout_sec.get_int("H1Step", 4),
         w1_step=layout_sec.get_int("W1Step", 2),
-        evaluator=layout_sec.get_str("Evaluator", "vectorized").lower(),
     )
     layout_sec.reject_unknown_keys()
 
@@ -214,25 +198,12 @@ def parse_config_text(text: str) -> SystemConfig:
     )
     energy_sec.reject_unknown_keys()
 
-    mc_sec = section("multicore")
-    multicore = MulticoreConfig(
-        enabled=mc_sec.get_bool("Enabled", False),
-        partitions_row=mc_sec.get_int("PartitionsRow", 1),
-        partitions_col=mc_sec.get_int("PartitionsCol", 1),
-        partition_scheme=mc_sec.get_str("PartitionScheme", "spatial").lower(),
-        l2_sram_kb=mc_sec.get_int("L2SramSzkB", 2048),
-        nop_hops=mc_sec.get_int_tuple("NopHops", ()),
-        nop_latency_per_hop=mc_sec.get_int("NopLatencyPerHop", 1),
-    )
-    mc_sec.reject_unknown_keys()
-
     return SystemConfig(
         arch=arch,
         sparsity=sparsity,
         dram=dram,
         layout=layout,
         energy=energy,
-        multicore=multicore,
         run=run,
     )
 
@@ -248,8 +219,6 @@ def load_config(path: str | Path) -> SystemConfig:
 def _format_value(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ", ".join(str(item) for item in value)
     return str(value)
 
 
@@ -282,7 +251,6 @@ def serialize_config(config: SystemConfig) -> str:
                 ("Bandwidth", config.arch.bandwidth_words),
                 ("WordBytes", config.arch.word_bytes),
                 ("SimdLanes", config.arch.simd_lanes),
-                ("SimdLatencyPerElement", config.arch.simd_latency_per_element),
             ],
         ),
         (
@@ -309,7 +277,6 @@ def serialize_config(config: SystemConfig) -> str:
                 ("WriteQueueEntries", config.dram.write_queue_entries),
                 ("AddressMapping", config.dram.address_mapping),
                 ("IssuePerCycle", config.dram.issue_per_cycle),
-                ("Engine", config.dram.engine),
             ],
         ),
         (
@@ -322,7 +289,6 @@ def serialize_config(config: SystemConfig) -> str:
                 ("C1Step", config.layout.c1_step),
                 ("H1Step", config.layout.h1_step),
                 ("W1Step", config.layout.w1_step),
-                ("Evaluator", config.layout.evaluator),
             ],
         ),
         (
@@ -334,18 +300,6 @@ def serialize_config(config: SystemConfig) -> str:
                 ("BankSize", config.energy.bank_rows),
                 ("ClockGHz", config.energy.clock_ghz),
                 ("ClockGating", config.energy.clock_gating),
-            ],
-        ),
-        (
-            "multicore",
-            [
-                ("Enabled", config.multicore.enabled),
-                ("PartitionsRow", config.multicore.partitions_row),
-                ("PartitionsCol", config.multicore.partitions_col),
-                ("PartitionScheme", config.multicore.partition_scheme),
-                ("L2SramSzkB", config.multicore.l2_sram_kb),
-                ("NopHops", config.multicore.nop_hops),
-                ("NopLatencyPerHop", config.multicore.nop_latency_per_hop),
             ],
         ),
     ]

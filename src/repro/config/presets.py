@@ -4,8 +4,7 @@
   DDR4-2400, 4 Gb per channel, and 128-entry request queues.
 * ``eyeriss_like`` — a small OS-dataflow array for energy validation.
 * ``scale_sim_v2_default`` — v2's shipped default (32x32, OS).
-* ``simba_like`` — a multi-chiplet configuration with non-uniform NoP
-  hop counts for the non-uniform-partitioning feature.
+* ``layout_study`` — a 128x128 WS array with a 4-bank ifmap layout.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from repro.config.system import (
     DramConfig,
     EnergyConfig,
     LayoutConfig,
-    MulticoreConfig,
     RunConfig,
     SystemConfig,
 )
@@ -69,32 +67,6 @@ def _v2_default() -> SystemConfig:
     return SystemConfig(run=RunConfig(run_name="scale_sim_v2_default"))
 
 
-def _simba_like() -> SystemConfig:
-    # 4x4 chiplet grid; hop count grows with Manhattan distance from the
-    # package corner where the memory controller sits.
-    hops = tuple((r + c) for r in range(4) for c in range(4))
-    return SystemConfig(
-        arch=ArchitectureConfig(
-            array_rows=16,
-            array_cols=16,
-            ifmap_sram_kb=64,
-            filter_sram_kb=64,
-            ofmap_sram_kb=64,
-            dataflow="ws",
-            bandwidth_words=8,
-        ),
-        multicore=MulticoreConfig(
-            enabled=True,
-            partitions_row=4,
-            partitions_col=4,
-            l2_sram_kb=4096,
-            nop_hops=hops,
-            nop_latency_per_hop=4,
-        ),
-        run=RunConfig(run_name="simba_like"),
-    )
-
-
 def _layout_study() -> SystemConfig:
     return SystemConfig(
         arch=ArchitectureConfig(array_rows=128, array_cols=128, dataflow="ws"),
@@ -107,7 +79,6 @@ _PRESETS = {
     "google_tpu_v2": _tpu_v2,
     "eyeriss_like": _eyeriss_like,
     "scale_sim_v2_default": _v2_default,
-    "simba_like": _simba_like,
     "layout_study": _layout_study,
 }
 

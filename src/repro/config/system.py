@@ -3,7 +3,10 @@
 A :class:`SystemConfig` aggregates one section per simulator feature, in
 the same spirit as SCALE-Sim's ``.cfg`` files: ``[architecture_presets]``
 for the array and SRAM sizes, plus v3's new ``[sparsity]``, ``[memory]``
-(Ramulator), ``[layout]``, ``[energy]`` and ``[multicore]`` sections.
+(Ramulator), ``[layout]`` and ``[energy]`` sections.  The multi-core
+model (Section III) takes its partitioning as arguments of
+:class:`~repro.multicore.multicore_sim.MultiCoreSimulator`, not as a
+config section.
 
 Each dataclass validates itself in ``__post_init__`` so an invalid
 configuration fails loudly at construction, not deep inside a simulation.
@@ -23,12 +26,6 @@ VALID_DRAM_TECHNOLOGIES = ("ddr3", "ddr4", "lpddr4", "gddr5", "hbm", "hbm2", "wi
 
 VALID_SPARSE_REPRESENTATIONS = ("csr", "csc", "ellpack_block")
 
-#: Memory-datapath engines (see :mod:`repro.dram.engine`).
-VALID_DRAM_ENGINES = ("reference", "batched")
-
-#: Layout bank-conflict evaluators (see :mod:`repro.layout.conflict`).
-VALID_LAYOUT_EVALUATORS = ("reference", "vectorized")
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -47,8 +44,8 @@ class ArchitectureConfig:
         bandwidth_words: words per cycle deliverable by the interface in
             ideal-bandwidth mode (v2's monolithic main-memory model).
         word_bytes: bytes per data word (2 for 16-bit quantised models).
-        simd_lanes / simd_latency_per_element: vector-unit shape used for
-            the non-GEMM ops of a tensor core (activations, softmax).
+        simd_lanes: vector-unit width used for the non-GEMM ops of a
+            tensor core (activations, softmax).
     """
 
     array_rows: int = 32
@@ -60,7 +57,6 @@ class ArchitectureConfig:
     bandwidth_words: int = 10
     word_bytes: int = 2
     simd_lanes: int = 0
-    simd_latency_per_element: float = 1.0
 
     def __post_init__(self) -> None:
         _require(self.array_rows > 0, f"array_rows must be positive, got {self.array_rows}")
@@ -75,7 +71,6 @@ class ArchitectureConfig:
         _require(self.bandwidth_words > 0, "bandwidth_words must be positive")
         _require(self.word_bytes > 0, "word_bytes must be positive")
         _require(self.simd_lanes >= 0, "simd_lanes must be non-negative")
-        _require(self.simd_latency_per_element > 0, "simd_latency_per_element must be positive")
 
     @property
     def num_pes(self) -> int:
@@ -154,11 +149,6 @@ class DramConfig:
     # AXI outstanding-transaction rate the paper mimics from the Micron
     # DDR4 Verilog model).
     issue_per_cycle: int = 4
-    # Memory-datapath engine: "batched" (vectorized, default) or
-    # "reference" (the scalar executable specification).  Both produce
-    # bit-identical results; the knob exists for cross-validation and
-    # as the plug-in point for future engines.
-    engine: str = "batched"
 
     def __post_init__(self) -> None:
         _require(
@@ -173,10 +163,6 @@ class DramConfig:
         _require(self.read_queue_entries >= 1, "read_queue_entries must be >= 1")
         _require(self.write_queue_entries >= 1, "write_queue_entries must be >= 1")
         _require(self.issue_per_cycle >= 1, "issue_per_cycle must be >= 1")
-        _require(
-            self.engine in VALID_DRAM_ENGINES,
-            f"engine must be one of {VALID_DRAM_ENGINES}, got {self.engine!r}",
-        )
 
 
 @dataclass(frozen=True)
@@ -191,11 +177,6 @@ class LayoutConfig:
     c1_step: int = 16
     h1_step: int = 4
     w1_step: int = 2
-    # Bank-conflict evaluator: "vectorized" (numpy stack-distance scans,
-    # default) or "reference" (the scalar executable specification).
-    # Both produce bit-identical results; the knob exists for
-    # cross-validation and as the plug-in point for future evaluators.
-    evaluator: str = "vectorized"
 
     def __post_init__(self) -> None:
         _require(self.num_banks >= 1, f"num_banks must be >= 1, got {self.num_banks}")
@@ -204,10 +185,6 @@ class LayoutConfig:
         for name in ("c1_step", "h1_step", "w1_step"):
             value = getattr(self, name)
             _require(value >= 1, f"{name} must be >= 1, got {value}")
-        _require(
-            self.evaluator in VALID_LAYOUT_EVALUATORS,
-            f"evaluator must be one of {VALID_LAYOUT_EVALUATORS}, got {self.evaluator!r}",
-        )
 
     @property
     def total_bandwidth_words(self) -> int:
@@ -238,43 +215,6 @@ class EnergyConfig:
 
 
 @dataclass(frozen=True)
-class MulticoreConfig:
-    """Multi tensor-core parameters (Section III)."""
-
-    enabled: bool = False
-    partitions_row: int = 1
-    partitions_col: int = 1
-    partition_scheme: str = "spatial"
-    l2_sram_kb: int = 2048
-    # Per-core NoP hop counts for non-uniform partitioning; empty means a
-    # uniform latency profile.
-    nop_hops: tuple[int, ...] = ()
-    nop_latency_per_hop: int = 1
-
-    def __post_init__(self) -> None:
-        _require(self.partitions_row >= 1, "partitions_row must be >= 1")
-        _require(self.partitions_col >= 1, "partitions_col must be >= 1")
-        _require(
-            self.partition_scheme in ("spatial", "spatiotemporal_1", "spatiotemporal_2"),
-            f"unknown partition_scheme {self.partition_scheme!r}",
-        )
-        _require(self.l2_sram_kb > 0, "l2_sram_kb must be positive")
-        if self.nop_hops:
-            _require(
-                len(self.nop_hops) == self.num_cores,
-                f"nop_hops must list one hop count per core "
-                f"({self.num_cores}), got {len(self.nop_hops)}",
-            )
-            _require(all(h >= 0 for h in self.nop_hops), "nop_hops must be non-negative")
-        _require(self.nop_latency_per_hop >= 0, "nop_latency_per_hop must be >= 0")
-
-    @property
-    def num_cores(self) -> int:
-        """Total number of tensor cores (Pr x Pc)."""
-        return self.partitions_row * self.partitions_col
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Run metadata: name and output directory for report files."""
 
@@ -294,7 +234,6 @@ class SystemConfig:
     dram: DramConfig = field(default_factory=DramConfig)
     layout: LayoutConfig = field(default_factory=LayoutConfig)
     energy: EnergyConfig = field(default_factory=EnergyConfig)
-    multicore: MulticoreConfig = field(default_factory=MulticoreConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
     def replace(self, **sections: object) -> "SystemConfig":

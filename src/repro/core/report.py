@@ -175,7 +175,8 @@ def write_layout_sweep_report(results: list["SweepResult"], path: str | Path) ->
     :class:`~repro.layout.integrate.LayoutEvalResult` rows on every
     point (computed through the trace fan-out when points differ only
     in ``layout.*`` axes).  Like :func:`write_sweep_report`, the bytes
-    depend only on the simulated inputs.
+    depend only on the simulated inputs.  The ``Evaluator`` column is
+    kept for a stable format and always reads ``vectorized``.
     """
     header = [
         "PointID",
@@ -201,7 +202,7 @@ def write_layout_sweep_report(results: list["SweepResult"], path: str | Path) ->
                     layout.dataflow.value,
                     layout.num_banks,
                     layout.total_bandwidth,
-                    layout.evaluator,
+                    "vectorized",
                     layout.cycles_evaluated,
                     layout.layout_cycles,
                     layout.bandwidth_cycles,

@@ -30,7 +30,6 @@ Layout slowdown and energy are layered on top by their feature packages
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -45,7 +44,6 @@ from repro.core.report import (
 )
 from repro.dram.backend import DramBackend, make_ramulator
 from repro.dram.dram_sim import DramStats
-from repro.errors import ConfigError
 from repro.memory.double_buffer import (
     DoubleBufferMemory,
     IdealBandwidthBackend,
@@ -226,7 +224,8 @@ def layer_compute_store_key(
     )
 
 
-def _layer_compute_uncached(
+@lru_cache(maxsize=64)
+def layer_compute(
     layer: Layer,
     dataflow: Dataflow,
     array_rows: int,
@@ -235,7 +234,18 @@ def _layer_compute_uncached(
     filter_sram_words: int,
     ofmap_sram_words: int,
 ) -> LayerComputeResult:
-    """LRU-miss path: consult the artifact store, then really schedule."""
+    """Memoized per-layer compute simulation (fold schedule included).
+
+    Keyed on the layer plus every knob that can change the schedule, so
+    repeated layers across sweep points — and the single-layer
+    topologies of the fig9/fig10-style studies — are planned once per
+    worker process.  On an LRU miss the active artifact store (when one
+    is installed — see :mod:`repro.store`) is consulted before any
+    scheduling happens, so a cold process loads plans instead of
+    re-scheduling.  The returned record is shared between callers and
+    must be treated as immutable (consumers that need to drop
+    ``fold_specs`` copy via ``dataclasses.replace``).
+    """
     store = active_store()
     if store is not None:
         key = layer_compute_store_key(
@@ -263,69 +273,6 @@ def _layer_compute_uncached(
     return result
 
 
-#: Default in-process LRU size for memoized layer schedules; override
-#: with the ``REPRO_PLAN_CACHE_SIZE`` environment variable (store-backed
-#: workloads with many distinct layers thrash 64 entries) or at runtime
-#: via :func:`set_compute_plan_cache_size`.
-DEFAULT_PLAN_CACHE_SIZE = 64
-_PLAN_CACHE_SIZE_ENV = "REPRO_PLAN_CACHE_SIZE"
-
-
-def _initial_plan_cache_size() -> int:
-    raw = os.environ.get(_PLAN_CACHE_SIZE_ENV)
-    if raw is None:
-        return DEFAULT_PLAN_CACHE_SIZE
-    try:
-        size = int(raw)
-    except ValueError:
-        return DEFAULT_PLAN_CACHE_SIZE
-    return size if size >= 1 else DEFAULT_PLAN_CACHE_SIZE
-
-
-def _make_layer_compute(maxsize: int | None):
-    cached = lru_cache(maxsize=maxsize)(_layer_compute_uncached)
-    cached.__doc__ = (
-        """Memoized per-layer compute simulation (fold schedule included).
-
-    Keyed on the layer plus every knob that can change the schedule, so
-    repeated layers across sweep points — and the single-layer
-    topologies of the fig9/fig10-style studies — are planned once per
-    worker process.  On an LRU miss the active artifact store (when one
-    is installed — see :mod:`repro.store`) is consulted before any
-    scheduling happens, so a cold process loads plans instead of
-    re-scheduling.  The returned record is shared between callers and
-    must be treated as immutable (consumers that need to drop
-    ``fold_specs`` copy via ``dataclasses.replace``).
-    """
-    )
-    return cached
-
-
-#: The memoized entry point; rebound (not wrapped) by
-#: :func:`set_compute_plan_cache_size` so ``cache_info()`` /
-#: ``cache_clear()`` keep working on the public name.
-layer_compute = _make_layer_compute(_initial_plan_cache_size())
-
-
-def compute_plan_cache_size() -> int | None:
-    """Current LRU capacity of the per-layer plan cache (None = unbounded)."""
-    return layer_compute.cache_info().maxsize
-
-
-def set_compute_plan_cache_size(maxsize: int | None) -> None:
-    """Resize the per-layer plan LRU (dropping every memoized plan).
-
-    ``None`` makes the cache unbounded; otherwise ``maxsize`` must be
-    >= 1.  Store-backed sweeps over many distinct layers raise this
-    above the default so warm runs stay in memory after the first disk
-    load.
-    """
-    global layer_compute
-    if maxsize is not None and maxsize < 1:
-        raise ConfigError(f"plan cache size must be >= 1 or None, got {maxsize}")
-    layer_compute = _make_layer_compute(maxsize)
-
-
 def clear_compute_plan_cache() -> None:
     """Drop every memoized layer plan (tests and timing harnesses)."""
     layer_compute.cache_clear()
@@ -350,13 +297,12 @@ def plan_store_key(topology: Topology, arch: ArchitectureConfig) -> str:
 def make_memory_backend(config: SystemConfig) -> MemoryBackend:
     """Fresh memory backend for one config (state must not leak).
 
-    The DRAM path routes line batches through the engine the config
-    selects (``dram.engine``): the vectorized batched engine by
-    default, or the scalar reference engine for cross-validation.
-    DRAM statistics are read back through the backend's seam
-    (:meth:`DramBackend.dram_stats`), never from the
-    :class:`RamulatorLite` instance directly — the batched engine
-    keeps its own state.
+    The DRAM path routes line batches through the vectorized batched
+    engine (tests build a :class:`DramBackend` around the scalar
+    reference engine themselves).  DRAM statistics are read back
+    through the backend's seam (:meth:`DramBackend.dram_stats`), never
+    from the :class:`RamulatorLite` instance directly — the batched
+    engine keeps its own state.
     """
     if config.dram.enabled:
         dram_cfg = config.dram
@@ -366,7 +312,6 @@ def make_memory_backend(config: SystemConfig) -> MemoryBackend:
             write_queue_entries=dram_cfg.write_queue_entries,
             word_bytes=config.arch.word_bytes,
             max_issue_per_cycle=dram_cfg.issue_per_cycle,
-            engine=dram_cfg.engine,
         )
     return IdealBandwidthBackend(config.arch.bandwidth_words)
 
@@ -468,18 +413,4 @@ class Simulator:
             self._make_backend(),
             self.config.run.run_name,
             keep_timings=keep_timings,
-        )
-
-    def run_layer(self, layer: object, keep_timings: bool = False) -> LayerResult:
-        """Simulate a single layer with a fresh backend."""
-        backend = self._make_backend()
-        memory = DoubleBufferMemory(backend)
-        compute = self._layer_compute(layer)  # type: ignore[arg-type]
-        timeline = memory.run(compute.fold_specs, keep_timings=keep_timings)
-        return LayerResult(
-            layer_name=compute.layer_name,
-            compute=compute,
-            timeline=timeline,
-            backpressure_stall_cycles=backend.stall_cycles_from_backpressure,
-            drain_cycles=max(0, backend.drain() - timeline.total_cycles),
         )

@@ -1,7 +1,7 @@
 """RamulatorLite: a cycle-accurate banked DRAM model (paper Section V).
 
 The line pipeline (front-end pacing + request queues + banks/buses)
-lives behind the pluggable engine seam in :mod:`repro.dram.engine`.
+lives behind the engine seam in :mod:`repro.dram.engine`.
 """
 
 from repro.dram.timing import DramTiming, get_timing_preset
@@ -9,13 +9,11 @@ from repro.dram.address import LINE_BYTES, AddressMapper, DecodedAddress
 from repro.dram.dram_sim import DramStats, RamulatorLite
 from repro.dram.backend import DramBackend
 from repro.dram.engine import (
-    AVAILABLE_ENGINES,
     BatchResult,
     LineRequestBatch,
     LineStream,
     MemoryEngine,
     ReferenceEngine,
-    make_engine,
 )
 from repro.dram.engine_batched import (
     BatchedEngine,
@@ -35,7 +33,6 @@ __all__ = [
     "DramStats",
     "RamulatorLite",
     "DramBackend",
-    "AVAILABLE_ENGINES",
     "BatchResult",
     "LineRequestBatch",
     "LineStream",
@@ -47,6 +44,5 @@ __all__ = [
     "prepare_line_batch",
     "GridBatchedEngine",
     "resolve_plan_grid",
-    "make_engine",
     "simulate_many_dram",
 ]

@@ -9,8 +9,8 @@ backpressure is what makes small queues slow (Figure 10).
 The line pipeline itself lives behind the engine seam
 (:mod:`repro.dram.engine`): this backend only translates
 :class:`TileFetch` spans into a :class:`LineRequestBatch` and routes it
-through the configured :class:`MemoryEngine` (scalar reference or the
-vectorized batched engine).
+through its :class:`MemoryEngine`: the vectorized batched engine, or any
+engine instance passed in (tests pass the scalar reference).
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING
 
 from repro.core.compute_sim import TileFetch
 from repro.dram.dram_sim import DramStats, RamulatorLite
-from repro.dram.engine import LineRequestBatch, MemoryEngine, make_engine
+from repro.dram.engine import LineRequestBatch, MemoryEngine
+from repro.dram.engine_batched import BatchedEngine
 from repro.errors import DramError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,15 +55,14 @@ class DramBackend:
         write_queue_entries: int = 128,
         word_bytes: int = 2,
         max_issue_per_cycle: int = 1,
-        engine: str | MemoryEngine = "batched",
+        engine: MemoryEngine | None = None,
     ) -> None:
         """Build the adapter.
 
-        ``engine`` is either a name resolved through
-        :func:`repro.dram.engine.make_engine` (using ``dram``, the queue
-        sizes and ``max_issue_per_cycle``), or an already-constructed
-        :class:`MemoryEngine` — in which case the engine's own DRAM,
-        queues and issue rate are what the simulation uses.
+        ``engine=None`` builds a :class:`BatchedEngine` from ``dram``,
+        the queue sizes and ``max_issue_per_cycle``.  An
+        already-constructed :class:`MemoryEngine` is used as given: its
+        own DRAM, queues and issue rate are what the simulation uses.
         """
         if word_bytes < 1:
             raise DramError(f"word_bytes must be >= 1, got {word_bytes}")
@@ -71,17 +71,14 @@ class DramBackend:
         self.dram = dram
         self.word_bytes = word_bytes
         self.max_issue_per_cycle = max_issue_per_cycle
-        self.engine: MemoryEngine = (
-            make_engine(
-                engine,
+        if engine is None:
+            engine = BatchedEngine(
                 dram,
                 read_queue_entries=read_queue_entries,
                 write_queue_entries=write_queue_entries,
                 max_issue_per_cycle=max_issue_per_cycle,
             )
-            if isinstance(engine, str)
-            else engine
-        )
+        self.engine: MemoryEngine = engine
         self.total_lines_read = 0
         self.total_lines_written = 0
 

@@ -109,11 +109,6 @@ class RamulatorLite:
             for _ in range(channels)
         ]
 
-    @property
-    def num_channels(self) -> int:
-        """Number of independent channels."""
-        return len(self._channels)
-
     def submit(self, byte_address: int, cycle: int, is_write: bool = False) -> int:
         """Submit one 64B-line request; returns its completion cycle.
 

@@ -22,8 +22,8 @@ tile fetches into 64B lines and runs them through the front-end
   to the reference bit for bit.
 
 Engines own *all* datapath state — request queues, bank state, bus
-state, statistics — so alternative backends (async, distributed,
-trace-driven) can plug in behind :func:`make_engine` without touching
+state, statistics — so :class:`repro.dram.backend.DramBackend` takes
+any engine instance (the batched engine by default) without touching
 the simulator above the seam.
 """
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Protocol
 
-from repro.config.system import VALID_DRAM_ENGINES
 from repro.core.operand_matrix import FILTER_BASE, IFMAP_BASE, OFMAP_BASE
 from repro.dram.address import LINE_BYTES
 from repro.dram.dram_sim import DramStats, RamulatorLite
@@ -49,11 +48,6 @@ OPERAND_BASE_WORDS = {
     "filter": FILTER_BASE,
     "ofmap": OFMAP_BASE,
 }
-
-#: Engine implementations selectable via ``dram.engine`` (the canonical
-#: list lives in :mod:`repro.config.system` so the config layer stays a
-#: leaf; this alias is the seam-side name).
-AVAILABLE_ENGINES = VALID_DRAM_ENGINES
 
 
 @dataclass(frozen=True)
@@ -243,33 +237,3 @@ class ReferenceEngine:
     def channel_stats(self, channel: int) -> DramStats:
         """Statistics for one channel."""
         return self.dram.channel_stats(channel)
-
-
-def make_engine(
-    name: str,
-    dram: RamulatorLite,
-    read_queue_entries: int = 128,
-    write_queue_entries: int = 128,
-    max_issue_per_cycle: int = 1,
-) -> MemoryEngine:
-    """Build a memory engine by name (``reference`` or ``batched``)."""
-    key = name.strip().lower()
-    if key == "reference":
-        return ReferenceEngine(
-            dram,
-            read_queue_entries=read_queue_entries,
-            write_queue_entries=write_queue_entries,
-            max_issue_per_cycle=max_issue_per_cycle,
-        )
-    if key == "batched":
-        from repro.dram.engine_batched import BatchedEngine
-
-        return BatchedEngine(
-            dram,
-            read_queue_entries=read_queue_entries,
-            write_queue_entries=write_queue_entries,
-            max_issue_per_cycle=max_issue_per_cycle,
-        )
-    raise DramError(
-        f"unknown memory engine {name!r}; available: {', '.join(AVAILABLE_ENGINES)}"
-    )

@@ -15,7 +15,7 @@ against every memory configuration of a grid:
   fetch-to-64B-line chop plus the round-robin issue order the vector
   engine would otherwise rematerialize per config (mirroring the
   ``prime_key_lut`` sharing of the layout fan-out);
-* batched-engine configs sharing a word size resolve *together*: one
+* DRAM configs sharing a word size resolve *together*: one
   :class:`~repro.dram.engine_grid.GridBatchedEngine` pass walks the
   whole grid's stalls per line batch instead of one config at a time
   (the fifth engine-seam instance — see
@@ -111,15 +111,15 @@ def _resolve_config(
 
 
 def _grid_groups(configs: Sequence[SystemConfig]) -> dict[int, list[int]]:
-    """Indices of batched-engine DRAM configs, grouped by word size.
+    """Indices of DRAM-enabled configs, grouped by word size.
 
-    Only groups of two or more resolve through the grid engine —
-    a lone config gains nothing from the config axis, and reference /
-    custom engines and DRAM-disabled points keep the per-config path.
+    Only groups of two or more resolve through the grid engine — a lone
+    config gains nothing from the config axis, and it and DRAM-disabled
+    points keep the per-config path.
     """
     groups: dict[int, list[int]] = {}
     for index, config in enumerate(configs):
-        if config.dram.enabled and config.dram.engine == "batched":
+        if config.dram.enabled:
             groups.setdefault(config.arch.word_bytes, []).append(index)
     return {word: members for word, members in groups.items() if len(members) > 1}
 
@@ -133,16 +133,16 @@ def simulate_many_dram(
 
     Every config must share the plan's compute schedule — same array,
     dataflow and SRAM working sizes (:func:`plan_signature`); the
-    ``dram.*`` section (engine, technology, channels, queues, mapping,
+    ``dram.*`` section (technology, channels, queues, mapping,
     issue rate), ``arch.word_bytes`` (with SRAM kilobytes scaled to
     keep the word capacity fixed) and ``arch.bandwidth_words`` (the
     DRAM-disabled ideal backend) are free to vary.  Results come back
     in ``configs`` order, each bit-identical to
     ``Simulator(config).run(topology)`` for the planned topology.
 
-    Batched-engine configs sharing a word size resolve through one
+    DRAM configs sharing a word size resolve through one
     :class:`~repro.dram.engine_grid.GridBatchedEngine` pass per line
-    batch; other configs (reference engines, DRAM-disabled points)
+    batch; other configs (a lone word size, DRAM-disabled points)
     resolve one at a time.
 
     Args:

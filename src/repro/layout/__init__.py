@@ -2,12 +2,10 @@
 
 from repro.layout.spec import LayoutSpec, TensorView
 from repro.layout.conflict import (
-    AVAILABLE_LAYOUT_EVALUATORS,
     BankConflictEvaluator,
     CycleCost,
     FoldDemand,
     build_fold_demand,
-    make_conflict_evaluator,
 )
 from repro.layout.conflict_vectorized import VectorizedConflictEvaluator
 from repro.layout.integrate import (
@@ -18,7 +16,6 @@ from repro.layout.integrate import (
 )
 
 __all__ = [
-    "AVAILABLE_LAYOUT_EVALUATORS",
     "LayoutSpec",
     "TensorView",
     "BankConflictEvaluator",
@@ -30,5 +27,4 @@ __all__ = [
     "build_fold_demand",
     "evaluate_layout_slowdown",
     "evaluate_layout_slowdown_many",
-    "make_conflict_evaluator",
 ]

@@ -14,19 +14,17 @@ SCALE-Sim v2's pure bandwidth model instead charges
 negative: an open line delivers many elements per access, so well-laid-
 out requests beat the flat bandwidth assumption.
 
-Like the DRAM datapath (:mod:`repro.dram.engine`), the evaluation runs
-behind a *pluggable seam*:
+Like the DRAM datapath (:mod:`repro.dram.engine`), the evaluation has
+two bit-identical implementations:
 
 * :class:`BankConflictEvaluator` — the scalar semantics, one compute
   cycle at a time with per-bank ``OrderedDict`` LRUs.  It is the
   executable specification every other evaluator is validated against.
 * :class:`repro.layout.conflict_vectorized.VectorizedConflictEvaluator`
   — the vectorized evaluator (offline LRU stack distances over whole
-  demand matrices), exact to the reference bit for bit.
-
-Both are selected by name through :func:`make_conflict_evaluator`
-(config ``[layout] Evaluator``, CLI ``--layout-evaluator``, sweepable
-as ``layout.evaluator``).
+  demand matrices), exact to the reference bit for bit.  Every layout
+  study runs it; the equivalence fuzzes construct the reference
+  directly.
 """
 
 from __future__ import annotations
@@ -36,16 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config.system import VALID_LAYOUT_EVALUATORS
 from repro.errors import LayoutError
 from repro.layout.spec import LayoutSpec
 from repro.utils.math import ceil_div
-
-#: Evaluator implementations selectable via ``layout.evaluator`` (the
-#: canonical list lives in :mod:`repro.config.system` so the config
-#: layer stays a leaf; this alias is the seam-side name).
-AVAILABLE_LAYOUT_EVALUATORS = VALID_LAYOUT_EVALUATORS
-
 
 @dataclass(frozen=True)
 class CycleCost:
@@ -314,37 +305,3 @@ class BankConflictEvaluator:
         if self.total_bandwidth_cycles == 0:
             return 0.0
         return self.total_layout_cycles / self.total_bandwidth_cycles - 1.0
-
-
-def make_conflict_evaluator(
-    name: str,
-    layout: LayoutSpec,
-    bandwidth_model_words: int,
-    row_buffers_per_bank: int = 4,
-) -> "BankConflictEvaluator":
-    """Build a bank-conflict evaluator by name.
-
-    ``reference`` is the scalar executable specification above;
-    ``vectorized`` (the default everywhere) resolves whole demand
-    matrices with numpy stack-distance scans.  Both expose the same
-    interface and produce bit-identical cost streams.
-    """
-    key = name.strip().lower()
-    if key == "reference":
-        return BankConflictEvaluator(
-            layout,
-            bandwidth_model_words=bandwidth_model_words,
-            row_buffers_per_bank=row_buffers_per_bank,
-        )
-    if key == "vectorized":
-        from repro.layout.conflict_vectorized import VectorizedConflictEvaluator
-
-        return VectorizedConflictEvaluator(
-            layout,
-            bandwidth_model_words=bandwidth_model_words,
-            row_buffers_per_bank=row_buffers_per_bank,
-        )
-    raise LayoutError(
-        f"unknown layout evaluator {name!r}; "
-        f"available: {', '.join(AVAILABLE_LAYOUT_EVALUATORS)}"
-    )

@@ -25,11 +25,11 @@ Two entry points share one pipeline:
   artifacts.  Folds stream with O(one fold) memory, as in the
   single-configuration path.
 
-The default ``vectorized`` evaluator
-(:mod:`repro.layout.conflict_vectorized`) resolves each fold in a few
-numpy passes, which is what lets Figures 12/13 run at the paper's
-128x128 array on full-layer traces; ``evaluator="reference"`` selects
-the scalar executable specification for cross-validation.
+The vectorized evaluator (:mod:`repro.layout.conflict_vectorized`)
+resolves each fold in a few numpy passes, which is what lets Figures
+12/13 run at the paper's 128x128 array on full-layer traces; the scalar
+:class:`~repro.layout.conflict.BankConflictEvaluator` is its executable
+specification.
 """
 
 from __future__ import annotations
@@ -43,12 +43,7 @@ from repro.core.dataflow import Dataflow
 from repro.core.operand_matrix import FILTER_BASE, IFMAP_BASE, operand_matrices
 from repro.core.systolic import TraceEngine
 from repro.errors import LayoutError
-from repro.layout.conflict import (
-    BankConflictEvaluator,
-    FoldDemand,
-    build_fold_demand,
-    make_conflict_evaluator,
-)
+from repro.layout.conflict import FoldDemand, build_fold_demand
 from repro.layout.conflict_vectorized import (
     _LUT_MAX_ELEMENTS,
     VectorizedConflictEvaluator,
@@ -70,7 +65,6 @@ class LayoutEvalResult:
     layout_cycles: int
     bandwidth_cycles: int
     slowdown: float
-    evaluator: str = "vectorized"
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,6 @@ class LayoutEvalConfig:
     total_bandwidth_words: int
     ports_per_bank: int = 1
     layout: LayoutSpec | None = None
-    evaluator: str = "vectorized"
     row_buffers_per_bank: int = 4
 
     def resolve_layout(self, view: TensorView) -> LayoutSpec:
@@ -195,17 +188,16 @@ def _generate_fold_demand(
 def _make_evaluators(
     configs: Sequence[LayoutEvalConfig],
     layouts: Sequence[LayoutSpec],
-) -> list[BankConflictEvaluator]:
+) -> list[VectorizedConflictEvaluator]:
     """Build one evaluator per configuration, sharing decode work.
 
-    Vectorized evaluators whose layouts share inter-line steps decode
+    Evaluators whose layouts share inter-line steps decode
     the element space once (one ``locate`` call) and derive each
     configuration's (bank, line) LUT from it — bit-exact to the LUT
     each would lazily build on its own.
     """
     evaluators = [
-        make_conflict_evaluator(
-            cfg.evaluator,
+        VectorizedConflictEvaluator(
             layout,
             bandwidth_model_words=cfg.total_bandwidth_words,
             row_buffers_per_bank=cfg.row_buffers_per_bank,
@@ -216,10 +208,7 @@ def _make_evaluators(
         tuple[TensorView, int, int, int], list[VectorizedConflictEvaluator]
     ] = {}
     for evaluator, layout in zip(evaluators, layouts):
-        if (
-            isinstance(evaluator, VectorizedConflictEvaluator)
-            and layout.view.num_elements <= _LUT_MAX_ELEMENTS
-        ):
+        if layout.view.num_elements <= _LUT_MAX_ELEMENTS:
             # Keyed by the full (view, steps) decode identity: explicit
             # layouts may view the operand differently, and sharing a
             # decode across views would be wrong.
@@ -239,7 +228,7 @@ def _results_from_evaluators(
     layer: Layer,
     dataflow: Dataflow,
     configs: Sequence[LayoutEvalConfig],
-    evaluators: Sequence[BankConflictEvaluator],
+    evaluators: Sequence[VectorizedConflictEvaluator],
 ) -> list[LayoutEvalResult]:
     return [
         LayoutEvalResult(
@@ -251,7 +240,6 @@ def _results_from_evaluators(
             layout_cycles=evaluator.total_layout_cycles,
             bandwidth_cycles=evaluator.total_bandwidth_cycles,
             slowdown=evaluator.slowdown,
-            evaluator=cfg.evaluator,
         )
         for cfg, evaluator in zip(configs, evaluators)
     ]
@@ -307,7 +295,6 @@ def evaluate_layout_slowdown(
     ports_per_bank: int = 1,
     layout: LayoutSpec | None = None,
     max_folds: int | None = None,
-    evaluator: str = "vectorized",
 ) -> LayoutEvalResult:
     """Slowdown of the banked-layout model versus the flat-BW model.
 
@@ -318,8 +305,6 @@ def evaluate_layout_slowdown(
             :meth:`LayoutSpec.default_for` on the layer's ifmap view.
         max_folds: cap on folds traced (None, the default, traces the
             full layer).
-        evaluator: ``"vectorized"`` (default) or ``"reference"`` — both
-            produce bit-identical results.
     """
     [result] = evaluate_layout_slowdown_many(
         layer,
@@ -332,7 +317,6 @@ def evaluate_layout_slowdown(
                 total_bandwidth_words=total_bandwidth_words,
                 ports_per_bank=ports_per_bank,
                 layout=layout,
-                evaluator=evaluator,
             )
         ],
         max_folds=max_folds,

@@ -32,7 +32,6 @@ from pathlib import Path
 
 from repro.config.parser import load_config
 from repro.config.presets import available_presets, get_preset
-from repro.config.system import VALID_DRAM_ENGINES, VALID_LAYOUT_EVALUATORS
 from repro.core.report import (
     write_failure_report,
     write_layout_sweep_report,
@@ -122,19 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="simulate without writing report files",
     )
-    parser.add_argument(
-        "--engine",
-        choices=VALID_DRAM_ENGINES,
-        default=None,
-        help="override the memory-datapath engine (default: config's dram.engine)",
-    )
-    parser.add_argument(
-        "--layout-evaluator",
-        choices=VALID_LAYOUT_EVALUATORS,
-        default=None,
-        help="override the layout bank-conflict evaluator "
-        "(default: config's layout.evaluator)",
-    )
     return parser
 
 
@@ -203,19 +189,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--name", default="sweep", help="sweep name used for run names and the CSV"
-    )
-    parser.add_argument(
-        "--engine",
-        choices=VALID_DRAM_ENGINES,
-        default=None,
-        help="override the memory-datapath engine (default: config's dram.engine)",
-    )
-    parser.add_argument(
-        "--layout-evaluator",
-        choices=VALID_LAYOUT_EVALUATORS,
-        default=None,
-        help="override the layout bank-conflict evaluator "
-        "(default: config's layout.evaluator)",
     )
     parser.add_argument(
         "--failure-policy",
@@ -503,26 +476,6 @@ def build_fetch_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_engine(config, engine: str | None):
-    """Return ``config`` with ``dram.engine`` overridden when requested."""
-    if engine is None:
-        return config
-    import dataclasses
-
-    return config.replace(dram=dataclasses.replace(config.dram, engine=engine))
-
-
-def _with_layout_evaluator(config, evaluator: str | None):
-    """Return ``config`` with ``layout.evaluator`` overridden when requested."""
-    if evaluator is None:
-        return config
-    import dataclasses
-
-    return config.replace(
-        layout=dataclasses.replace(config.layout, evaluator=evaluator)
-    )
-
-
 def _parse_axis_value(raw: str) -> object:
     text = raw.strip()
     lowered = text.lower()
@@ -552,8 +505,6 @@ def sweep_main(argv: list[str]) -> int:
     """Entry point of the ``sweep`` subcommand."""
     args = build_sweep_parser().parse_args(argv)
     config = load_config(args.config) if args.config else get_preset(args.preset)
-    config = _with_engine(config, args.engine)
-    config = _with_layout_evaluator(config, args.layout_evaluator)
     if args.topology:
         topology = Topology.from_csv(args.topology)
     else:
@@ -831,8 +782,6 @@ def main(argv: list[str] | None = None) -> int:
         return _SUBCOMMANDS[argv[0]](argv[1:])
     args = build_parser().parse_args(argv)
     config = load_config(args.config) if args.config else get_preset(args.preset)
-    config = _with_engine(config, args.engine)
-    config = _with_layout_evaluator(config, args.layout_evaluator)
     if args.topology:
         topology = Topology.from_csv(args.topology)
     else:
@@ -858,15 +807,13 @@ def main(argv: list[str] | None = None) -> int:
         stats = result.dram_stats
         print(
             f"dram:           {stats.reads} reads, {stats.writes} writes, "
-            f"row-hit rate {stats.row_hit_rate * 100:.1f}% "
-            f"({config.dram.engine} engine)"
+            f"row-hit rate {stats.row_hit_rate * 100:.1f}%"
         )
     if outputs.layout_results:
         worst = max(outputs.layout_results, key=lambda r: r.slowdown)
         print(
             f"layout:         worst slowdown {worst.slowdown:+.4f} "
-            f"({worst.layer_name}, {config.layout.num_banks} banks, "
-            f"{config.layout.evaluator} evaluator)"
+            f"({worst.layer_name}, {config.layout.num_banks} banks)"
         )
     for path in outputs.report_paths:
         print(f"report:         {path}")

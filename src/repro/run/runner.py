@@ -85,6 +85,8 @@ def _write_energy_report(
 
 
 def _write_layout_report(results: list[LayoutEvalResult], out_dir: Path) -> Path:
+    # "Evaluator" is kept so the file format stays stable; every layout
+    # study runs the vectorized evaluator.
     header = [
         "LayerID",
         "LayerName",
@@ -104,7 +106,7 @@ def _write_layout_report(results: list[LayoutEvalResult], out_dir: Path) -> Path
             result.dataflow.value,
             result.num_banks,
             result.total_bandwidth,
-            result.evaluator,
+            "vectorized",
             result.cycles_evaluated,
             result.layout_cycles,
             result.bandwidth_cycles,
@@ -153,7 +155,6 @@ def _layout_config(config: SystemConfig) -> LayoutEvalConfig:
         num_banks=config.layout.num_banks,
         total_bandwidth_words=config.layout.total_bandwidth_words,
         ports_per_bank=config.layout.ports_per_bank,
-        evaluator=config.layout.evaluator,
     )
 
 

@@ -82,7 +82,7 @@ from repro.store.artifact_store import (
 from repro.topology.topology import Topology
 
 #: Config sections an axis may touch (the run section is metadata, not a knob).
-_SWEEPABLE_SECTIONS = ("arch", "sparsity", "dram", "layout", "energy", "multicore")
+_SWEEPABLE_SECTIONS = ("arch", "sparsity", "dram", "layout", "energy")
 
 #: Axis classes that fan out *inside* one simulation unit: points whose
 #: configs differ only in these sections share the compute plan, the

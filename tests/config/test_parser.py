@@ -44,19 +44,11 @@ WriteQueueEntries = 64
 Enabled = true
 NumBanks = 8
 BandwidthPerBank = 8
-Evaluator = reference
 
 [energy]
 Enabled = true
 TechnologyNm = 45
 ClockGHz = 0.8
-
-[multicore]
-Enabled = true
-PartitionsRow = 2
-PartitionsCol = 2
-PartitionScheme = spatiotemporal_1
-NopHops = 0, 1, 1, 2
 """
 
 
@@ -87,10 +79,6 @@ class TestParseFullConfig:
     def test_layout(self):
         layout = parse_config_text(FULL_CFG).layout
         assert layout.enabled and layout.num_banks == 8
-        assert layout.evaluator == "reference"
-
-    def test_layout_evaluator_defaults_to_vectorized(self):
-        assert parse_config_text("[general]\nrun_name = x\n").layout.evaluator == "vectorized"
 
     def test_energy(self):
         energy = parse_config_text(FULL_CFG).energy
@@ -99,10 +87,10 @@ class TestParseFullConfig:
         assert energy.clock_ghz == pytest.approx(0.8)
 
     def test_multicore(self):
-        mc = parse_config_text(FULL_CFG).multicore
-        assert mc.enabled and mc.num_cores == 4
-        assert mc.partition_scheme == "spatiotemporal_1"
-        assert mc.nop_hops == (0, 1, 1, 2)
+        # Not a config section: MultiCoreSimulator takes its partitioning
+        # as arguments.
+        with pytest.raises(ConfigError, match="multicore"):
+            parse_config_text(FULL_CFG + "\n[multicore]\nEnabled = true\nPartitionsRow = 2\n")
 
 
 class TestDefaultsAndErrors:
@@ -116,8 +104,14 @@ class TestDefaultsAndErrors:
             parse_config_text("[bogus]\nx = 1\n")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("[architecture_presets]\nNotAKnob = 5\n")
+        for text in (
+            "[architecture_presets]\nNotAKnob = 5\n",
+            "[memory]\nEngine = reference\n",
+            "[layout]\nEvaluator = reference\n",
+            "[architecture_presets]\nSimdLatencyPerElement = 2.0\n",
+        ):
+            with pytest.raises(ConfigError):
+                parse_config_text(text)
 
     def test_bad_int_rejected(self):
         with pytest.raises(ConfigError):
@@ -152,11 +146,6 @@ class TestSerializer:
         assert parse_config_text(serialize_config(config)) == config
 
     def test_save_and_load(self, tmp_path):
-        config = get_preset("simba_like")  # exercises the NopHops tuple
-        path = save_config(config, tmp_path / "simba.cfg")
+        config = get_preset("google_tpu_v2")
+        path = save_config(config, tmp_path / "tpu.cfg")
         assert load_config(path) == config
-
-    def test_empty_nop_hops_round_trips(self):
-        config = parse_config_text("")
-        assert config.multicore.nop_hops == ()
-        assert parse_config_text(serialize_config(config)).multicore.nop_hops == ()

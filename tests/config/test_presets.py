@@ -24,17 +24,10 @@ class TestPresets:
     def test_eyeriss_preset_is_os(self):
         assert get_preset("eyeriss_like").arch.dataflow == "os"
 
-    def test_simba_preset_has_nonuniform_hops(self):
-        cfg = get_preset("simba_like")
-        assert cfg.multicore.enabled
-        assert len(cfg.multicore.nop_hops) == 16
-        assert max(cfg.multicore.nop_hops) > min(cfg.multicore.nop_hops)
-
     def test_v2_default_has_no_v3_features(self):
         cfg = get_preset("scale_sim_v2_default")
         assert not cfg.dram.enabled
         assert not cfg.energy.enabled
-        assert not cfg.multicore.enabled
 
     def test_presets_are_fresh_instances(self):
         assert get_preset("google_tpu_v2") is not get_preset("google_tpu_v2")

@@ -7,7 +7,6 @@ from repro.config.system import (
     DramConfig,
     EnergyConfig,
     LayoutConfig,
-    MulticoreConfig,
     RunConfig,
     SparsityConfig,
     SystemConfig,
@@ -96,12 +95,6 @@ class TestLayoutConfig:
         with pytest.raises(ConfigError):
             LayoutConfig(num_banks=0)
 
-    def test_evaluator_validated(self):
-        assert LayoutConfig().evaluator == "vectorized"
-        assert LayoutConfig(evaluator="reference").evaluator == "reference"
-        with pytest.raises(ConfigError):
-            LayoutConfig(evaluator="turbo")
-
 
 class TestEnergyConfig:
     def test_defaults(self):
@@ -112,23 +105,6 @@ class TestEnergyConfig:
     def test_bad_clock(self):
         with pytest.raises(ConfigError):
             EnergyConfig(clock_ghz=0)
-
-
-class TestMulticoreConfig:
-    def test_num_cores(self):
-        assert MulticoreConfig(partitions_row=4, partitions_col=2).num_cores == 8
-
-    def test_nop_hops_length_checked(self):
-        with pytest.raises(ConfigError):
-            MulticoreConfig(partitions_row=2, partitions_col=2, nop_hops=(1, 2))
-
-    def test_nop_hops_valid(self):
-        cfg = MulticoreConfig(partitions_row=2, partitions_col=2, nop_hops=(0, 1, 1, 2))
-        assert cfg.nop_hops == (0, 1, 1, 2)
-
-    def test_bad_scheme(self):
-        with pytest.raises(ConfigError):
-            MulticoreConfig(partition_scheme="diagonal")
 
 
 class TestSystemConfig:

@@ -95,7 +95,7 @@ class TestDramRuns:
 
     def test_run_layer_single(self):
         sim = Simulator(self._dram_config())
-        layer_result = sim.run_layer(toy_conv()[0])
+        [layer_result] = sim.run(toy_conv().first_layers(1)).layers
         assert layer_result.total_cycles > 0
 
     def test_backpressure_and_drain_surfaced_per_layer(self):
@@ -111,12 +111,26 @@ class TestDramRuns:
         assert all(layer.backpressure_stall_cycles == 0 for layer in result.layers)
 
     def test_engine_choice_is_bit_exact(self):
-        runs = {
-            engine: Simulator(self._dram_config(engine=engine)).run(toy_conv())
-            for engine in ("reference", "batched")
-        }
-        assert runs["reference"].total_cycles == runs["batched"].total_cycles
-        assert runs["reference"].dram_stats == runs["batched"].dram_stats
+        from repro.core.simulator import resolve_plan
+        from repro.dram.backend import DramBackend, make_ramulator
+        from repro.dram.engine import ReferenceEngine
+
+        config = self._dram_config()
+        dram = make_ramulator(config.dram)
+        engine = ReferenceEngine(
+            dram,
+            read_queue_entries=config.dram.read_queue_entries,
+            write_queue_entries=config.dram.write_queue_entries,
+            max_issue_per_cycle=config.dram.issue_per_cycle,
+        )
+        reference = resolve_plan(
+            Simulator(config).plan(toy_conv()),
+            DramBackend(dram, word_bytes=config.arch.word_bytes, engine=engine),
+            config.run.run_name,
+        )
+        batched = Simulator(config).run(toy_conv())
+        assert reference.total_cycles == batched.total_cycles
+        assert reference.dram_stats == batched.dram_stats
 
 
 class TestReports:
@@ -194,58 +208,19 @@ class TestComputePlanSeam:
 
 
 class TestPlanCacheSizing:
-    """The per-layer plan LRU is resizable (env var or runtime setter)."""
-
-    def teardown_method(self):
-        import repro.core.simulator as simulator
-
-        simulator.set_compute_plan_cache_size(simulator.DEFAULT_PLAN_CACHE_SIZE)
+    """The per-layer plan LRU holds 64 schedules."""
 
     def test_default_size(self):
-        import repro.core.simulator as simulator
+        from repro.core.simulator import layer_compute
 
-        assert simulator.DEFAULT_PLAN_CACHE_SIZE == 64
-        assert simulator.compute_plan_cache_size() in (
-            64,
-            simulator._initial_plan_cache_size(),
-        )
-
-    def test_runtime_resize_and_clear_keep_working(self):
-        import repro.core.simulator as simulator
-
-        simulator.set_compute_plan_cache_size(2)
-        assert simulator.compute_plan_cache_size() == 2
-        Simulator(_config()).plan(toy_conv())
-        assert simulator.layer_compute.cache_info().currsize > 0
-        simulator.clear_compute_plan_cache()
-        assert simulator.layer_compute.cache_info().currsize == 0
-        simulator.set_compute_plan_cache_size(None)  # unbounded
-        assert simulator.compute_plan_cache_size() is None
-
-    def test_resize_rejects_nonpositive(self):
-        from repro.core.simulator import set_compute_plan_cache_size
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            set_compute_plan_cache_size(0)
-
-    def test_env_var_controls_initial_size(self, monkeypatch):
-        import repro.core.simulator as simulator
-
-        monkeypatch.setenv("REPRO_PLAN_CACHE_SIZE", "7")
-        assert simulator._initial_plan_cache_size() == 7
-        monkeypatch.setenv("REPRO_PLAN_CACHE_SIZE", "not-a-number")
-        assert simulator._initial_plan_cache_size() == simulator.DEFAULT_PLAN_CACHE_SIZE
-        monkeypatch.setenv("REPRO_PLAN_CACHE_SIZE", "-3")
-        assert simulator._initial_plan_cache_size() == simulator.DEFAULT_PLAN_CACHE_SIZE
-        monkeypatch.delenv("REPRO_PLAN_CACHE_SIZE")
-        assert simulator._initial_plan_cache_size() == simulator.DEFAULT_PLAN_CACHE_SIZE
+        assert layer_compute.cache_info().maxsize == 64
 
     def test_tiny_cache_still_correct(self):
         import repro.core.simulator as simulator
 
-        simulator.set_compute_plan_cache_size(1)
         sim = Simulator(_config())
         first = sim.plan(toy_conv())
+        simulator.clear_compute_plan_cache()
+        assert simulator.layer_compute.cache_info().currsize == 0
         second = sim.plan(toy_conv())
         assert first.computes == second.computes

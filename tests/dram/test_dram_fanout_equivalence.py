@@ -2,15 +2,16 @@
 
 ``simulate_many_dram`` must be *bit-exact* to one ``Simulator.run`` per
 config — same timelines, same backpressure/drain accounting, same DRAM
-statistics — across mixed grids of engines, channel counts, queue
-depths, technologies, address mappings, issue rates and word sizes
-(configs sharing a word size share one decoded line stream), with
-DRAM-disabled ideal-bandwidth points mixed in, serially and split over
-a sweep's worker pool.  Batched-engine configs sharing a word size resolve
-through one config-batched ``GridBatchedEngine`` pass (see
+statistics — across mixed grids of channel counts, queue depths,
+technologies, address mappings, issue rates and word sizes (configs
+sharing a word size share one decoded line stream), with DRAM-disabled
+ideal-bandwidth points mixed in, serially and split over a sweep's
+worker pool.  DRAM configs sharing a word size resolve through one
+config-batched ``GridBatchedEngine`` pass (see
 ``tests/dram/test_grid_engine_equivalence.py`` for the engine-level
-fuzz); the grids here mix in reference engines and disabled points so
-the grouped and per-config paths are exercised side by side.
+fuzz); lone word sizes and disabled points take the per-config path, so
+both are exercised side by side.  The independent runs use the scalar
+``ReferenceEngine``, the executable spec.
 """
 
 import dataclasses
@@ -24,7 +25,9 @@ from repro.config.system import (
     RunConfig,
     SystemConfig,
 )
-from repro.core.simulator import Simulator, clear_compute_plan_cache
+from repro.core.simulator import Simulator, clear_compute_plan_cache, resolve_plan
+from repro.dram.backend import DramBackend, make_ramulator
+from repro.dram.engine import ReferenceEngine
 from repro.dram.fanout import simulate_many_dram
 from repro.errors import DramError
 from repro.run.sweep import Axis, SweepRunner, SweepSpec
@@ -114,8 +117,8 @@ def _random_grid(rng: random.Random, arch: ArchitectureConfig) -> list[SystemCon
                 write_queue_entries=rng.choice((2, 8, 128)),
                 address_mapping=rng.choice(MAPPINGS),
                 issue_per_cycle=rng.choice((1, 2, 4)),
-                engine=rng.choice(("reference", "batched")),
             )
+            rng.randrange(2)  # spare draw (the retired engine choice): seeds keep their grids
         configs.append(
             SystemConfig(
                 arch=point_arch,
@@ -126,14 +129,24 @@ def _random_grid(rng: random.Random, arch: ArchitectureConfig) -> list[SystemCon
     return configs
 
 
+def _reference_run(config, topology):
+    """``Simulator(config).run(topology)`` with DRAM on the scalar reference engine."""
+    if not config.dram.enabled:
+        return Simulator(config).run(topology)
+    dram = make_ramulator(config.dram)
+    engine = ReferenceEngine(
+        dram,
+        read_queue_entries=config.dram.read_queue_entries,
+        write_queue_entries=config.dram.write_queue_entries,
+        max_issue_per_cycle=config.dram.issue_per_cycle,
+    )
+    backend = DramBackend(dram, word_bytes=config.arch.word_bytes, engine=engine)
+    return resolve_plan(Simulator(config).plan(topology), backend, config.run.run_name)
+
+
 def _reference_runs(configs, topology):
-    """One ``Simulator.run`` per config on the scalar reference engine."""
-    return [
-        Simulator(
-            config.replace(dram=dataclasses.replace(config.dram, engine="reference"))
-        ).run(topology)
-        for config in configs
-    ]
+    """One reference-engine run per config."""
+    return [_reference_run(config, topology) for config in configs]
 
 
 def _assert_results_equal(fanout, independent, context):
@@ -150,7 +163,7 @@ def test_randomized_grids_are_bit_exact():
         configs = _random_grid(rng, arch)
         plan = Simulator(configs[0]).plan(topology)
         fanout = simulate_many_dram(plan, configs)
-        independent = [Simulator(config).run(topology) for config in configs]
+        independent = _reference_runs(configs, topology)
         _assert_results_equal(fanout, independent, trial)
 
 
@@ -161,7 +174,7 @@ def test_grid_engaged_fanout_matches_independent():
     engine may or may not form a group; this variant keeps only trials
     with at least one multi-config group, so the grid path inside
     ``simulate_many_dram`` is provably on the line being compared.  The
-    independent runs use the scalar ``reference`` engine: a solo batched
+    independent runs use the scalar reference engine: a solo batched
     engine resolves its vector batches through the same pass as the
     grid, so only the spec can catch a defect in that pass.
     """
@@ -209,7 +222,6 @@ def test_parallel_fanout_matches_serial():
             Axis("dram.enabled", (True, False)),
             Axis("dram.channels", tuple(rng.sample((1, 2, 4), 2))),
             Axis("dram.read_queue_entries", tuple(rng.sample((1, 4, 16, 128), 2))),
-            Axis("dram.engine", ("batched", "reference")),
         ],
         topologies=[topology],
         name="split",
@@ -222,7 +234,7 @@ def test_parallel_fanout_matches_serial():
         [r.run_result for r in parallel], [r.run_result for r in serial], "workers=2"
     )
     for result in parallel:
-        solo = Simulator(result.config).run(topology)
+        solo = _reference_run(result.config, topology)
         assert result.total_cycles == solo.total_cycles, result.config.run.run_name
         assert result.run_result.dram_stats == solo.dram_stats
         assert [layer.timeline for layer in result.run_result.layers] == [

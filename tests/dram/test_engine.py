@@ -5,15 +5,12 @@ import pytest
 from repro.core.compute_sim import TileFetch
 from repro.dram.backend import DramBackend
 from repro.dram.dram_sim import RamulatorLite
-from repro.dram.engine import (
-    AVAILABLE_ENGINES,
-    LineRequestBatch,
-    LineStream,
-    ReferenceEngine,
-    make_engine,
-)
+from repro.dram.engine import LineRequestBatch, LineStream, ReferenceEngine
 from repro.dram.engine_batched import BatchedEngine
 from repro.errors import DramError
+
+#: Both engines behind the seam; the protocol tests run against each.
+ENGINES = {"reference": ReferenceEngine, "batched": BatchedEngine}
 
 
 class TestLineRequestBatch:
@@ -66,35 +63,17 @@ class TestLineRequestBatch:
             LineStream(-1, 4)
 
 
-class TestMakeEngine:
-    def test_reference(self):
-        engine = make_engine("reference", RamulatorLite())
-        assert isinstance(engine, ReferenceEngine)
-
-    def test_batched(self):
-        engine = make_engine("batched", RamulatorLite())
-        assert isinstance(engine, BatchedEngine)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(DramError):
-            make_engine("warp-drive", RamulatorLite())
-
-    def test_available_engines_all_constructible(self):
-        for name in AVAILABLE_ENGINES:
-            make_engine(name, RamulatorLite())
-
-
-@pytest.mark.parametrize("name", AVAILABLE_ENGINES)
+@pytest.mark.parametrize("name", ENGINES)
 class TestEngineProtocol:
     def test_empty_batch_advances_clock_only(self, name):
-        engine = make_engine(name, RamulatorLite())
+        engine = ENGINES[name](RamulatorLite())
         result = engine.process_batch(LineRequestBatch(streams=()), 7)
         assert result.ready_cycle == 7
         assert result.lines_read == 0
         assert engine.drain() == 0
 
     def test_reads_complete_after_issue(self, name):
-        engine = make_engine(name, RamulatorLite())
+        engine = ENGINES[name](RamulatorLite())
         batch = LineRequestBatch(streams=(LineStream(0, 100, False),))
         result = engine.process_batch(batch, 10)
         assert result.ready_cycle > 10
@@ -104,14 +83,14 @@ class TestEngineProtocol:
         assert stats.first_request_cycle == 10
 
     def test_writes_gate_drain_not_ready(self, name):
-        engine = make_engine(name, RamulatorLite())
+        engine = ENGINES[name](RamulatorLite())
         batch = LineRequestBatch(streams=(LineStream(0, 50, True),))
         result = engine.process_batch(batch, 0)
         assert result.lines_written == 50
         assert engine.drain() > 0
 
     def test_negative_cycle_rejected(self, name):
-        engine = make_engine(name, RamulatorLite())
+        engine = ENGINES[name](RamulatorLite())
         with pytest.raises(DramError):
             engine.process_batch(LineRequestBatch(streams=()), -1)
 

@@ -17,10 +17,30 @@ import pytest
 from repro.core.compute_sim import TileFetch
 from repro.dram.backend import DramBackend
 from repro.dram.dram_sim import RamulatorLite
+from repro.dram.engine import ReferenceEngine
 
 MAPPINGS = ("ro_ba_ra_co_ch", "ro_ba_ra_ch_co", "ro_co_ra_ba_ch", "ch_ro_ba_ra_co")
 TECHNOLOGIES = ("ddr3", "ddr4", "lpddr4", "gddr5", "hbm", "hbm2", "wio2")
 OPERANDS = ("ifmap", "filter", "ofmap")
+
+
+def _reference_backend(
+    dram: RamulatorLite,
+    read_queue_entries: int = 128,
+    write_queue_entries: int = 128,
+    word_bytes: int = 2,
+    max_issue_per_cycle: int = 1,
+) -> DramBackend:
+    """A :class:`DramBackend` around the scalar :class:`ReferenceEngine`."""
+    engine = ReferenceEngine(
+        dram,
+        read_queue_entries=read_queue_entries,
+        write_queue_entries=write_queue_entries,
+        max_issue_per_cycle=max_issue_per_cycle,
+    )
+    return DramBackend(
+        dram, word_bytes=word_bytes, max_issue_per_cycle=max_issue_per_cycle, engine=engine
+    )
 
 
 def _random_backend_pair(rng: random.Random, force_path: int):
@@ -38,10 +58,8 @@ def _random_backend_pair(rng: random.Random, force_path: int):
         word_bytes=rng.choice((1, 2, 4)),
         max_issue_per_cycle=rng.choice((1, 2, 4, 7)),
     )
-    reference = DramBackend(
-        RamulatorLite(**dram_kwargs), engine="reference", **queue_kwargs
-    )
-    batched = DramBackend(RamulatorLite(**dram_kwargs), engine="batched", **queue_kwargs)
+    reference = _reference_backend(RamulatorLite(**dram_kwargs), **queue_kwargs)
+    batched = DramBackend(RamulatorLite(**dram_kwargs), **queue_kwargs)
     # 0: everything vectorized, 1: mixed, 2: everything scalar.
     batched.engine.vector_threshold = (1, 40, 10**9)[force_path]
     return reference, batched
@@ -117,12 +135,8 @@ def test_single_stream_bursts_are_bit_exact():
             read_queue_entries=rng.choice((8, 32, 128)),
             max_issue_per_cycle=rng.choice((1, 2, 4)),
         )
-        reference = DramBackend(
-            RamulatorLite(**dram_kwargs), engine="reference", **queue_kwargs
-        )
-        batched = DramBackend(
-            RamulatorLite(**dram_kwargs), engine="batched", **queue_kwargs
-        )
+        reference = _reference_backend(RamulatorLite(**dram_kwargs), **queue_kwargs)
+        batched = DramBackend(RamulatorLite(**dram_kwargs), **queue_kwargs)
         assert batched.engine.single_stream_fast_path
         cycle = 0
         base = 0
@@ -149,9 +163,7 @@ def test_fast_path_disabled_matches_enabled():
         rng = random.Random(60 + trial)
         engines = []
         for enabled in (True, False):
-            backend = DramBackend(
-                RamulatorLite(technology="ddr4", channels=1), engine="batched"
-            )
+            backend = DramBackend(RamulatorLite(technology="ddr4", channels=1))
             backend.engine.single_stream_fast_path = enabled
             engines.append(backend)
         cycle = 0
@@ -175,8 +187,8 @@ def test_saturated_queues_stall_identically():
             max_issue_per_cycle=4,
         )
         pair = [
-            DramBackend(RamulatorLite(**dram_kwargs), engine=name, **queue_kwargs)
-            for name in ("reference", "batched")
+            _reference_backend(RamulatorLite(**dram_kwargs), **queue_kwargs),
+            DramBackend(RamulatorLite(**dram_kwargs), **queue_kwargs),
         ]
         pair[1].engine.vector_threshold = 1
         fetches = (
@@ -192,10 +204,9 @@ def test_saturated_queues_stall_identically():
 
 def test_dense_run_identical_through_simulator():
     """Engine choice must not move a single cycle of a full dense run."""
-    import dataclasses
-
     from repro.config.system import ArchitectureConfig, DramConfig, SystemConfig
-    from repro.core.simulator import Simulator
+    from repro.core.simulator import Simulator, resolve_plan
+    from repro.dram.backend import make_ramulator
     from repro.topology.models import resnet18
 
     topology = resnet18(scale=16).first_layers(4)
@@ -205,12 +216,15 @@ def test_dense_run_identical_through_simulator():
         dram=DramConfig(enabled=True, channels=2, read_queue_entries=16,
                         write_queue_entries=16),
     )
-    results = {}
-    for engine in ("reference", "batched"):
-        config = base.replace(dram=dataclasses.replace(base.dram, engine=engine))
-        run = Simulator(config).run(topology)
-        results[engine] = run
-    ref, bat = results["reference"], results["batched"]
+    reference = _reference_backend(
+        make_ramulator(base.dram),
+        read_queue_entries=base.dram.read_queue_entries,
+        write_queue_entries=base.dram.write_queue_entries,
+        word_bytes=base.arch.word_bytes,
+        max_issue_per_cycle=base.dram.issue_per_cycle,
+    )
+    ref = resolve_plan(Simulator(base).plan(topology), reference, base.run.run_name)
+    bat = Simulator(base).run(topology)
     assert ref.total_cycles == bat.total_cycles
     assert ref.dram_stats == bat.dram_stats
     for layer_ref, layer_bat in zip(ref.layers, bat.layers):

@@ -1,10 +1,10 @@
 """Grid-engine equivalence: one config-batched pass == the reference.
 
 :func:`repro.dram.engine_grid.resolve_plan_grid` resolves every
-batched-engine DRAM config of a grid in one vectorized pass per line
+DRAM config of a grid in one vectorized pass per line
 batch (queue/bank/channel state carries a leading config axis).  Its
 results must be *bit-exact* to one ``Simulator.run`` per config on the
-scalar ``reference`` engine — same timelines, same backpressure/drain
+scalar ``ReferenceEngine`` — same timelines, same backpressure/drain
 accounting, same DRAM statistics — across mixed technologies, queue
 depths, channel and bank counts, address mappings and issue rates,
 including degenerate 1-config grids.  The per-config side runs the
@@ -58,9 +58,7 @@ def _batched_grid(rng: random.Random, arch: ArchitectureConfig):
     return [
         config
         for config in grid
-        if config.dram.enabled
-        and config.dram.engine == "batched"
-        and config.arch.word_bytes == word
+        if config.dram.enabled and config.arch.word_bytes == word
     ]
 
 
@@ -165,7 +163,7 @@ def test_degenerate_single_config_grid():
 def test_grid_groups_select_only_shared_batched_configs():
     """Only word sizes with >= 2 batched DRAM configs form grid groups."""
     arch = ArchitectureConfig(array_rows=8, array_cols=8, dataflow="ws")
-    batched = lambda name, **kwargs: SystemConfig(  # noqa: E731
+    batched = lambda name, arch=arch, **kwargs: SystemConfig(  # noqa: E731
         arch=arch,
         dram=DramConfig(enabled=True, technology="ddr4", **kwargs),
         run=RunConfig(run_name=name),
@@ -173,7 +171,12 @@ def test_grid_groups_select_only_shared_batched_configs():
     configs = [
         batched("a", channels=1),
         batched("b", channels=2),
-        batched("c", channels=4, engine="reference"),
+        # The only config of its word size: no group to join.
+        batched(
+            "c",
+            arch=ArchitectureConfig(array_rows=8, array_cols=8, dataflow="ws", word_bytes=4),
+            channels=4,
+        ),
         SystemConfig(arch=arch, dram=DramConfig(enabled=False)),
     ]
     groups = _grid_groups(configs)

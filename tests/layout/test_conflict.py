@@ -2,17 +2,18 @@
 
 Every behavioural test is parametrized over both evaluator
 implementations (``reference`` scalar LRUs and ``vectorized`` offline
-stack distances) — the seam guarantees they are interchangeable.
+stack distances): they are interchangeable bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import LayoutError
-from repro.layout.conflict import BankConflictEvaluator, make_conflict_evaluator
+from repro.layout.conflict import BankConflictEvaluator
+from repro.layout.conflict_vectorized import VectorizedConflictEvaluator
 from repro.layout.spec import LayoutSpec, TensorView
 
-EVALUATORS = ("reference", "vectorized")
+EVALUATORS = {"reference": BankConflictEvaluator, "vectorized": VectorizedConflictEvaluator}
 
 
 def _spec(num_banks=4, bandwidth_per_bank=4, ports=1):
@@ -29,8 +30,7 @@ def _spec(num_banks=4, bandwidth_per_bank=4, ports=1):
 
 def _evaluator(name="reference", num_banks=4, bandwidth_per_bank=4, ports=1,
                bw_model=16, row_buffers=4):
-    return make_conflict_evaluator(
-        name,
+    return EVALUATORS[name](
         _spec(num_banks=num_banks, bandwidth_per_bank=bandwidth_per_bank, ports=ports),
         bandwidth_model_words=bw_model,
         row_buffers_per_bank=row_buffers,
@@ -138,7 +138,7 @@ class TestAccumulation:
             num_banks=8,
             bandwidth_per_bank=4,
         )
-        ev = make_conflict_evaluator(name, spec, bandwidth_model_words=16)
+        ev = EVALUATORS[name](spec, bandwidth_model_words=16)
         for _ in range(10):
             ev.add_cycle(np.arange(32))
         assert ev.slowdown < 0
@@ -181,21 +181,5 @@ class TestAccumulation:
             num_banks=1, bandwidth_per_bank=4,
         )
         with pytest.raises(LayoutError):
-            make_conflict_evaluator(name, spec, bandwidth_model_words=0)
+            EVALUATORS[name](spec, bandwidth_model_words=0)
 
-
-class TestSeam:
-    def test_factory_names(self):
-        from repro.layout.conflict import AVAILABLE_LAYOUT_EVALUATORS
-        from repro.layout.conflict_vectorized import VectorizedConflictEvaluator
-
-        assert set(AVAILABLE_LAYOUT_EVALUATORS) == {"reference", "vectorized"}
-        assert type(make_conflict_evaluator("reference", _spec(), 16)) is BankConflictEvaluator
-        assert isinstance(
-            make_conflict_evaluator("vectorized", _spec(), 16),
-            VectorizedConflictEvaluator,
-        )
-
-    def test_factory_rejects_unknown(self):
-        with pytest.raises(LayoutError):
-            make_conflict_evaluator("nope", _spec(), 16)

@@ -12,9 +12,8 @@ streams, accumulated totals and slowdowns.
 import random
 
 import numpy as np
-import pytest
 
-from repro.layout.conflict import BankConflictEvaluator, make_conflict_evaluator
+from repro.layout.conflict import BankConflictEvaluator
 from repro.layout.conflict_vectorized import VectorizedConflictEvaluator
 from repro.layout.spec import LayoutSpec, TensorView
 
@@ -71,13 +70,12 @@ def test_randomized_demand_is_bit_exact():
         layout = _random_layout(rng)
         bandwidth_model = rng.randint(1, 32)
         row_buffers = rng.choice((1, 2, 4, 7))
-        reference = make_conflict_evaluator(
-            "reference", layout, bandwidth_model, row_buffers_per_bank=row_buffers
+        reference = BankConflictEvaluator(
+            layout, bandwidth_model, row_buffers_per_bank=row_buffers
         )
-        vectorized = make_conflict_evaluator(
-            "vectorized", layout, bandwidth_model, row_buffers_per_bank=row_buffers
+        vectorized = VectorizedConflictEvaluator(
+            layout, bandwidth_model, row_buffers_per_bank=row_buffers
         )
-        assert isinstance(vectorized, VectorizedConflictEvaluator)
         for chunk in range(rng.randint(1, 5)):
             base = rng.choice((0, 0, 1000))
             demand = _random_demand(rng, layout.view.num_elements)
@@ -163,8 +161,3 @@ def test_sparse_residual_threshold_crossing():
         ) == vectorized.add_demand_matrix(demand, return_costs=True)
         _assert_equivalent(reference, vectorized, rows)
 
-
-def test_make_conflict_evaluator_rejects_unknown():
-    layout = _random_layout(random.Random(0))
-    with pytest.raises(Exception):
-        make_conflict_evaluator("turbo", layout, 16)

@@ -1,13 +1,14 @@
 """Randomized fan-out equivalence: one trace pass == N independent calls.
 
 ``evaluate_layout_slowdown_many`` must be *bit-identical* to running
-``evaluate_layout_slowdown`` once per configuration — for mixed grids
-(bank counts, bandwidths, ports, explicit layouts, row-buffer depths,
-both evaluators), across multiple folds (cross-fold LRU state rides on
-the shared artifacts), and regardless of how configurations share (or
-don't share) inter-line steps.  The artifact layer itself
-(``FoldDemand`` / ``add_fold_demand``) is fuzzed against
-``add_demand_matrix`` for both evaluator implementations.
+``evaluate_layout_slowdown`` once per configuration, and to feeding the
+layer's fold demands to the scalar ``BankConflictEvaluator`` — for mixed
+grids (bank counts, bandwidths, ports, explicit layouts, row-buffer
+depths), across multiple folds (cross-fold LRU state rides on the shared
+artifacts), and regardless of how configurations share (or don't share)
+inter-line steps.  The artifact layer itself (``FoldDemand`` /
+``add_fold_demand``) is fuzzed against ``add_demand_matrix`` for both
+evaluator implementations.
 """
 
 import random
@@ -22,9 +23,12 @@ from repro.config.system import (
     SystemConfig,
 )
 from repro.core.dataflow import Dataflow
-from repro.layout.conflict import build_fold_demand, make_conflict_evaluator
+from repro.layout.conflict import BankConflictEvaluator, build_fold_demand
+from repro.layout.conflict_vectorized import VectorizedConflictEvaluator
 from repro.layout.integrate import (
     LayoutEvalConfig,
+    LayoutEvalResult,
+    _generate_fold_demand,
     evaluate_layout_slowdown,
     evaluate_layout_slowdown_many,
 )
@@ -72,13 +76,14 @@ def _random_grid(rng: random.Random, view: TensorView) -> list[LayoutEvalConfig]
                 num_banks=num_banks,
                 bandwidth_per_bank=bandwidth // num_banks,
             )
+        ports = rng.choice((1, 1, 2))
+        rng.randrange(3)  # spare draw (the retired evaluator choice): seeds keep their grids
         configs.append(
             LayoutEvalConfig(
                 num_banks=num_banks,
                 total_bandwidth_words=bandwidth,
-                ports_per_bank=rng.choice((1, 1, 2)),
+                ports_per_bank=ports,
                 layout=layout,
-                evaluator=rng.choice(("vectorized", "vectorized", "reference")),
                 row_buffers_per_bank=rng.choice((1, 2, 4)),
             )
         )
@@ -91,8 +96,30 @@ def _view_for(layer) -> TensorView:
     return TensorView.for_matrix(layer.k, layer.n)
 
 
+def _reference_result(layer, dataflow, array, cfg, max_folds=None) -> LayoutEvalResult:
+    """``cfg``'s result from the scalar ``BankConflictEvaluator``, the spec."""
+    dataflow = Dataflow.parse(dataflow) if isinstance(dataflow, str) else dataflow
+    evaluator = BankConflictEvaluator(
+        cfg.resolve_layout(_view_for(layer)),
+        bandwidth_model_words=cfg.total_bandwidth_words,
+        row_buffers_per_bank=cfg.row_buffers_per_bank,
+    )
+    for fold in _generate_fold_demand(layer, dataflow, array, array, max_folds):
+        evaluator.add_fold_demand(fold)
+    return LayoutEvalResult(
+        layer_name=layer.name,
+        dataflow=dataflow,
+        num_banks=cfg.num_banks,
+        total_bandwidth=cfg.total_bandwidth_words,
+        cycles_evaluated=evaluator.cycles_evaluated,
+        layout_cycles=evaluator.total_layout_cycles,
+        bandwidth_cycles=evaluator.total_bandwidth_cycles,
+        slowdown=evaluator.slowdown,
+    )
+
+
 def test_fanout_is_bit_identical_to_independent_calls():
-    """Mixed config grids over full multi-fold traces, both evaluators."""
+    """Mixed config grids over full multi-fold traces, checked against the spec."""
     for trial in range(12):
         rng = random.Random(31_000 + 7 * trial)
         layer = _conv(rng) if rng.random() < 0.6 else _gemm(rng)
@@ -116,10 +143,13 @@ def test_fanout_is_bit_identical_to_independent_calls():
                 ports_per_bank=cfg.ports_per_bank,
                 layout=cfg.layout,
                 max_folds=max_folds,
-                evaluator=cfg.evaluator,
             )
             for cfg in configs
         ]
+        reference = [
+            _reference_result(layer, dataflow, array, cfg, max_folds) for cfg in configs
+        ]
+        assert many == reference, trial
         # row_buffers_per_bank is not exposed by the single-call API;
         # compare those configs against a 4-deep independent grid run.
         for m, i, cfg in zip(many, independent, configs):
@@ -163,7 +193,6 @@ def test_fanout_parallel_matches_serial():
             Axis("layout.num_banks", tuple(rng.sample((1, 2, 4, 8), 3))),
             Axis("layout.bandwidth_per_bank_words", tuple(rng.sample((1, 2, 4, 8), 2))),
             Axis("layout.ports_per_bank", (1, 2)),
-            Axis("layout.evaluator", ("vectorized", "reference")),
         ],
         topologies=[Topology("fuzz", [layer])],
         name="split",
@@ -176,6 +205,7 @@ def test_fanout_parallel_matches_serial():
     configs = [_layout_config(result.config) for result in parallel]
     fanout = evaluate_layout_slowdown_many(layer, "ws", 8, 8, configs)
     assert [r.layout_results for r in parallel] == [[result] for result in fanout]
+    assert fanout == [_reference_result(layer, "ws", 8, cfg) for cfg in configs]
 
 
 def test_fanout_preserves_config_order_and_metadata():
@@ -183,13 +213,12 @@ def test_fanout_preserves_config_order_and_metadata():
     layer = _gemm(rng)
     configs = [
         LayoutEvalConfig(num_banks=1, total_bandwidth_words=8),
-        LayoutEvalConfig(num_banks=8, total_bandwidth_words=64, evaluator="reference"),
+        LayoutEvalConfig(num_banks=8, total_bandwidth_words=64),
         LayoutEvalConfig(num_banks=2, total_bandwidth_words=16),
     ]
     results = evaluate_layout_slowdown_many(layer, Dataflow.WEIGHT_STATIONARY, 4, 4, configs)
     assert [r.num_banks for r in results] == [1, 8, 2]
     assert [r.total_bandwidth for r in results] == [8, 64, 16]
-    assert [r.evaluator for r in results] == ["vectorized", "reference", "vectorized"]
     assert results[0].dataflow is Dataflow.WEIGHT_STATIONARY
 
 
@@ -207,11 +236,12 @@ def test_fold_demand_feed_matches_matrix_feed():
         layout = LayoutSpec.default_for(
             view, num_banks=num_banks, bandwidth_per_bank=bandwidth
         )
-        for name in ("reference", "vectorized"):
-            direct = make_conflict_evaluator(name, layout, 16, row_buffers_per_bank=2)
-            via_artifact = make_conflict_evaluator(
-                name, layout, 16, row_buffers_per_bank=2
-            )
+        for name, evaluator in (
+            ("reference", BankConflictEvaluator),
+            ("vectorized", VectorizedConflictEvaluator),
+        ):
+            direct = evaluator(layout, 16, row_buffers_per_bank=2)
+            via_artifact = evaluator(layout, 16, row_buffers_per_bank=2)
             for _ in range(rng.randint(1, 4)):
                 rows, ports = rng.randint(1, 30), rng.randint(1, 6)
                 base = rng.choice((0, 1000))

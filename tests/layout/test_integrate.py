@@ -1,10 +1,11 @@
 """Unit tests for layout-dataflow integration (Figures 12/13 machinery)."""
 
 import pytest
+from test_fanout_equivalence import _reference_result
 
 from repro.core.dataflow import Dataflow
 from repro.errors import LayoutError
-from repro.layout.integrate import evaluate_layout_slowdown
+from repro.layout.integrate import LayoutEvalConfig, evaluate_layout_slowdown
 from repro.topology.layer import ConvLayer, GemmLayer
 
 
@@ -59,7 +60,6 @@ class TestEvaluateLayoutSlowdown:
         assert result.layer_name == "c"
         assert result.num_banks == 4
         assert result.total_bandwidth == 64
-        assert result.evaluator == "vectorized"
 
     def test_default_traces_full_layer(self):
         capped = evaluate_layout_slowdown(_conv(), "ws", 8, 8, 4, 64, max_folds=4)
@@ -70,29 +70,17 @@ class TestEvaluateLayoutSlowdown:
 class TestEvaluatorSeam:
     @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
     def test_evaluators_bit_exact_through_integration(self, dataflow):
-        """The seam's two implementations agree on whole-layer results."""
-        results = [
-            evaluate_layout_slowdown(
-                _conv(), dataflow, 8, 8, 4, 64, max_folds=3, evaluator=name
-            )
-            for name in ("reference", "vectorized")
-        ]
-        ref, vec = results
+        """The scalar reference and the vectorized evaluator agree on whole layers."""
+        vec = evaluate_layout_slowdown(_conv(), dataflow, 8, 8, 4, 64, max_folds=3)
+        ref = _reference_result(
+            _conv(), dataflow, 8, LayoutEvalConfig(4, 64), max_folds=3
+        )
         assert ref.layout_cycles == vec.layout_cycles
         assert ref.bandwidth_cycles == vec.bandwidth_cycles
         assert ref.cycles_evaluated == vec.cycles_evaluated
         assert ref.slowdown == vec.slowdown
-        assert (ref.evaluator, vec.evaluator) == ("reference", "vectorized")
 
     def test_gemm_layers_bit_exact(self):
-        results = [
-            evaluate_layout_slowdown(
-                _gemm(), "ws", 8, 8, 4, 64, max_folds=3, evaluator=name
-            )
-            for name in ("reference", "vectorized")
-        ]
-        assert results[0].slowdown == results[1].slowdown
-
-    def test_unknown_evaluator_rejected(self):
-        with pytest.raises(LayoutError):
-            evaluate_layout_slowdown(_conv(), "ws", 8, 8, 4, 64, evaluator="turbo")
+        vec = evaluate_layout_slowdown(_gemm(), "ws", 8, 8, 4, 64, max_folds=3)
+        ref = _reference_result(_gemm(), "ws", 8, LayoutEvalConfig(4, 64), max_folds=3)
+        assert ref.slowdown == vec.slowdown

@@ -80,48 +80,17 @@ class TestMain:
         assert code == 0
         assert "resnet18" in capsys.readouterr().out
 
-    def test_layout_evaluator_flag_parses(self):
-        args = build_parser().parse_args(
-            [
-                "--preset",
-                "scale_sim_v2_default",
-                "--model",
-                "toy_gemm",
-                "--layout-evaluator",
-                "reference",
-            ]
-        )
-        assert args.layout_evaluator == "reference"
-
     def test_layout_evaluator_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                [
-                    "--preset",
-                    "scale_sim_v2_default",
-                    "--model",
-                    "toy_gemm",
-                    "--layout-evaluator",
-                    "turbo",
-                ]
-            )
+        # Neither subcommand has an engine or layout-evaluator option.
+        from repro.run.cli import build_sweep_parser
 
-    def test_layout_evaluator_override_runs(self, tmp_path, capsys):
-        code = main(
-            [
-                "--preset",
-                "scale_sim_v2_default",
-                "--model",
-                "toy_gemm",
-                "-p",
-                str(tmp_path),
-                "--no-reports",
-                "--layout-evaluator",
-                "reference",
-            ]
-        )
-        assert code == 0
-        assert "total cycles:" in capsys.readouterr().out
+        for flag, value in (("--layout-evaluator", "reference"), ("--engine", "batched")):
+            for parser in (build_parser(), build_sweep_parser()):
+                with pytest.raises(SystemExit):
+                    parser.parse_args(
+                        ["--preset", "scale_sim_v2_default", "--model", "toy_gemm",
+                         flag, value]
+                    )
 
     def test_energy_output_for_energy_preset(self, tmp_path, capsys):
         code = main(

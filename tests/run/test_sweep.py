@@ -53,7 +53,6 @@ def _reference_layout(config: SystemConfig, topology) -> list:
             config.layout.num_banks,
             config.layout.total_bandwidth_words,
             ports_per_bank=config.layout.ports_per_bank,
-            evaluator=config.layout.evaluator,
         )
         for layer in topology
     ]
@@ -88,8 +87,14 @@ class TestApplyOverride:
         assert config.arch == _base().arch
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError):
-            apply_override(_base(), "dram.bogus", 1)
+        for path, value in (
+            ("dram.bogus", 1),
+            ("dram.engine", "reference"),
+            ("layout.evaluator", "reference"),
+            ("multicore.partitions_row", 2),
+        ):
+            with pytest.raises(ConfigError):
+                apply_override(_base(), path, value)
 
     def test_invalid_value_fails_at_construction(self):
         with pytest.raises(ConfigError):
@@ -276,7 +281,7 @@ class TestSweepRunner:
             [(4, 1)],
         ]
         # Nothing to spread: one distinct value per class, or no dense run.
-        assert split([Axis("dram.engine", ("batched",))]) == [[(1, 1)]]
+        assert split([Axis("dram.channels", (1,))]) == [[(1, 1)]]
         assert split(cross, dense=False) == [[(1, 1), (1, 2), (2, 1), (2, 2)]]
 
     def test_repeated_sweep_hits_cache(self):
@@ -611,11 +616,10 @@ class TestDramFanoutGrouping:
                     (4, 128),
                     fields=("dram.read_queue_entries", "dram.write_queue_entries"),
                 ),
-                Axis("dram.engine", ("batched", "reference")),
             ]
         )
         results = SweepRunner(workers=1).run(spec)
-        assert len(results) == 8
+        assert len(results) == 4
         for result in results:
             solo = Simulator(result.config).run(spec.topologies[0])
             assert result.run_result.total_cycles == solo.total_cycles
@@ -623,10 +627,28 @@ class TestDramFanoutGrouping:
             assert result.run_result.dram_stats == solo.dram_stats
 
     def test_engines_agree_inside_one_group(self):
-        spec = self._dram_spec(axes=[Axis("dram.engine", ("reference", "batched"))])
-        reference, batched = SweepRunner(workers=1).run(spec)
-        assert reference.total_cycles == batched.total_cycles
-        assert reference.run_result.dram_stats == batched.run_result.dram_stats
+        """The grouped (grid-engine) points equal scalar ReferenceEngine runs."""
+        from repro.core.simulator import Simulator, resolve_plan
+        from repro.dram.backend import DramBackend, make_ramulator
+        from repro.dram.engine import ReferenceEngine
+
+        spec = self._dram_spec()
+        for result in SweepRunner(workers=1).run(spec):
+            config = result.config
+            dram = make_ramulator(config.dram)
+            engine = ReferenceEngine(
+                dram,
+                read_queue_entries=config.dram.read_queue_entries,
+                write_queue_entries=config.dram.write_queue_entries,
+                max_issue_per_cycle=config.dram.issue_per_cycle,
+            )
+            reference = resolve_plan(
+                Simulator(config).plan(spec.topologies[0]),
+                DramBackend(dram, word_bytes=config.arch.word_bytes, engine=engine),
+                config.run.run_name,
+            )
+            assert result.total_cycles == reference.total_cycles
+            assert result.run_result.dram_stats == reference.dram_stats
 
     def test_mixed_enabled_and_ideal_points_group(self):
         spec = self._dram_spec(axes=[Axis("dram.enabled", (False, True))])
