@@ -181,9 +181,6 @@ def parse_config_text(text: str) -> SystemConfig:
         num_banks=layout_sec.get_int("NumBanks", 4),
         ports_per_bank=layout_sec.get_int("PortsPerBank", 1),
         bandwidth_per_bank_words=layout_sec.get_int("BandwidthPerBank", 16),
-        c1_step=layout_sec.get_int("C1Step", 16),
-        h1_step=layout_sec.get_int("H1Step", 4),
-        w1_step=layout_sec.get_int("W1Step", 2),
     )
     layout_sec.reject_unknown_keys()
 
@@ -286,9 +283,6 @@ def serialize_config(config: SystemConfig) -> str:
                 ("NumBanks", config.layout.num_banks),
                 ("PortsPerBank", config.layout.ports_per_bank),
                 ("BandwidthPerBank", config.layout.bandwidth_per_bank_words),
-                ("C1Step", config.layout.c1_step),
-                ("H1Step", config.layout.h1_step),
-                ("W1Step", config.layout.w1_step),
             ],
         ),
         (

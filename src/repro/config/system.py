@@ -173,18 +173,11 @@ class LayoutConfig:
     num_banks: int = 4
     ports_per_bank: int = 1
     bandwidth_per_bank_words: int = 16
-    # Inter-line loop steps for a C x H x W tensor (Figure 11).
-    c1_step: int = 16
-    h1_step: int = 4
-    w1_step: int = 2
 
     def __post_init__(self) -> None:
         _require(self.num_banks >= 1, f"num_banks must be >= 1, got {self.num_banks}")
         _require(self.ports_per_bank >= 1, "ports_per_bank must be >= 1")
         _require(self.bandwidth_per_bank_words >= 1, "bandwidth_per_bank_words must be >= 1")
-        for name in ("c1_step", "h1_step", "w1_step"):
-            value = getattr(self, name)
-            _require(value >= 1, f"{name} must be >= 1, got {value}")
 
     @property
     def total_bandwidth_words(self) -> int:

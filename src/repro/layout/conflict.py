@@ -30,6 +30,7 @@ two bit-identical implementations:
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,31 @@ class FoldDemand:
     def total_requests(self) -> int:
         """Raw requests across the fold (pre-dedup)."""
         return int(self.requests.sum())
+
+    @classmethod
+    def concat(cls, folds: Sequence["FoldDemand"]) -> "FoldDemand":
+        """Join consecutive folds into one artifact, in order.
+
+        Each fold's ``cycle_index`` shifts by the cycles before it, so
+        the joined stream stays sorted by (cycle, offset).  Evaluating
+        it is bit-identical to evaluating the folds one call at a time:
+        evaluators carry their per-bank LRU state across calls, so
+        either way they see the same cycle sequence.  A lone fold is
+        returned as is, uncopied.
+        """
+        if len(folds) == 1:
+            return folds[0]
+        cycles = 0
+        cycle_index = []
+        for fold in folds:
+            cycle_index.append(fold.cycle_index + cycles)
+            cycles += fold.cycles
+        return cls(
+            cycles=cycles,
+            requests=np.concatenate([fold.requests for fold in folds]),
+            cycle_index=np.concatenate(cycle_index),
+            offsets=np.concatenate([fold.offsets for fold in folds]),
+        )
 
 
 def build_fold_demand(

@@ -72,6 +72,13 @@ _INT32_MAX = np.iinfo(np.int32).max
 #: take over (see the residual dispatch in ``_resolve_worst_new``).
 _WINDOW_SCAN_BUDGET = 1 << 24
 
+#: The layout fan-out joins consecutive small folds into one
+#: ``add_fold_demand`` call until the batch holds at least this many
+#: offsets (:func:`repro.layout.integrate.evaluate_layout_slowdown_many`).
+#: Most folds carry a few dozen offsets, where a call's fixed numpy
+#: cost outweighs its per-element work; larger folds pass alone.
+_FOLD_BATCH_OFFSETS = 1 << 12
+
 
 def _count_prev_greater(values: np.ndarray) -> np.ndarray:
     """For each i: ``#{j < i : values[j] > values[i]}`` (values >= 0).

@@ -9,9 +9,9 @@ realistic bank model versus SCALE-Sim v2's flat bandwidth model.
 Two entry points share one pipeline:
 
 * :func:`evaluate_layout_slowdown` — one (banks, bandwidth, layout)
-  configuration.  Traces stream fold by fold — each fold's demand is
-  consumed (and released) before the next is generated, so memory
-  stays O(one fold) rather than O(whole layer).
+  configuration, a one-config fan-out.  Traces stream fold by fold,
+  so memory stays O(max(one fold, batch budget)) rather than
+  O(whole layer).
 * :func:`evaluate_layout_slowdown_many` — the **trace fan-out**: one
   streaming pass over the layer's fold traces feeds an arbitrary grid
   of evaluator configurations simultaneously.  The layout-independent
@@ -20,10 +20,13 @@ Two entry points share one pipeline:
   :class:`repro.layout.conflict.FoldDemand`) runs once; only the
   address -> (bank, line) mapping and the LRU stack-distance cascade
   run per configuration, with configurations sharing inter-line steps
-  also sharing one (line, col) decode of the element space.  Results
-  are bit-identical to independent calls — both paths consume the same
-  artifacts.  Folds stream with O(one fold) memory, as in the
-  single-configuration path.
+  also sharing one (line, col) decode of the element space.  Runs of
+  small consecutive folds are joined (:meth:`FoldDemand.concat`), so
+  each cascade runs once per batch of ``_FOLD_BATCH_OFFSETS`` offsets
+  rather than once per fold.  Results are bit-identical to
+  independent calls: both paths consume the same artifacts, and the
+  evaluators carry their bank state across calls.  Folds stream with
+  O(max(one fold, batch budget)) memory.
 
 The vectorized evaluator (:mod:`repro.layout.conflict_vectorized`)
 resolves each fold in a few numpy passes, which is what lets Figures
@@ -45,6 +48,7 @@ from repro.core.systolic import TraceEngine
 from repro.errors import LayoutError
 from repro.layout.conflict import FoldDemand, build_fold_demand
 from repro.layout.conflict_vectorized import (
+    _FOLD_BATCH_OFFSETS,
     _LUT_MAX_ELEMENTS,
     VectorizedConflictEvaluator,
 )
@@ -185,6 +189,29 @@ def _generate_fold_demand(
                 yield build_fold_demand(ifmap_only, base_offset=IFMAP_BASE)
 
 
+def _fold_batches(stream: Iterator[FoldDemand]) -> Iterator[FoldDemand]:
+    """Join runs of consecutive small folds into one artifact each.
+
+    A batch is flushed once it holds at least ``_FOLD_BATCH_OFFSETS``
+    offsets, and at the end of the stream.  A fold that alone reaches
+    the budget is never joined or split: it flushes the pending batch
+    and then passes alone, uncopied.  Exact by :meth:`FoldDemand.concat`.
+    """
+    batch: list[FoldDemand] = []
+    size = 0
+    for fold in stream:
+        if batch and fold.offsets.size >= _FOLD_BATCH_OFFSETS:
+            yield FoldDemand.concat(batch)
+            batch, size = [], 0
+        batch.append(fold)
+        size += fold.offsets.size
+        if size >= _FOLD_BATCH_OFFSETS:
+            yield FoldDemand.concat(batch)
+            batch, size = [], 0
+    if batch:
+        yield FoldDemand.concat(batch)
+
+
 def _make_evaluators(
     configs: Sequence[LayoutEvalConfig],
     layouts: Sequence[LayoutSpec],
@@ -258,10 +285,13 @@ def evaluate_layout_slowdown_many(
 ) -> list[LayoutEvalResult]:
     """Evaluate a whole grid of layout configurations in one trace pass.
 
-    Generates each fold's demand artifact once and broadcasts it to
-    every configuration's evaluator; results come back in ``configs``
-    order and are bit-identical to ``len(configs)`` independent
-    :func:`evaluate_layout_slowdown` calls (enforced by
+    Generates each fold's demand artifact once, joins runs of small
+    consecutive folds into batches of at least ``_FOLD_BATCH_OFFSETS``
+    offsets, and broadcasts each batch to every configuration's
+    evaluator in one call.  Memory is O(max(one fold, batch budget)).
+    Results come back in ``configs`` order and are bit-identical to
+    ``len(configs)`` independent :func:`evaluate_layout_slowdown`
+    calls and to the per-fold scalar reference (enforced by
     ``tests/layout/test_fanout_equivalence.py``).
 
     Args:
@@ -279,9 +309,9 @@ def evaluate_layout_slowdown_many(
     stream = _fold_demand_stream(layer, dataflow, array_rows, array_cols, max_folds)
 
     evaluators = _make_evaluators(configs, layouts)
-    for fold in stream:
+    for batch in _fold_batches(stream):
         for evaluator in evaluators:
-            evaluator.add_fold_demand(fold)
+            evaluator.add_fold_demand(batch)
     return _results_from_evaluators(layer, dataflow, configs, evaluators)
 
 

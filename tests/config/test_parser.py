@@ -109,6 +109,9 @@ class TestDefaultsAndErrors:
             "[memory]\nEngine = reference\n",
             "[layout]\nEvaluator = reference\n",
             "[architecture_presets]\nSimdLatencyPerElement = 2.0\n",
+            "[layout]\nC1Step = 16\n",
+            "[layout]\nH1Step = 4\n",
+            "[layout]\nW1Step = 2\n",
         ):
             with pytest.raises(ConfigError):
                 parse_config_text(text)

@@ -8,7 +8,8 @@ depths), across multiple folds (cross-fold LRU state rides on the shared
 artifacts), and regardless of how configurations share (or don't share)
 inter-line steps.  The artifact layer itself (``FoldDemand`` /
 ``add_fold_demand``) is fuzzed against ``add_demand_matrix`` for both
-evaluator implementations.
+evaluator implementations, and the fan-out's fold batching
+(``FoldDemand.concat``) against one call per fold.
 """
 
 import random
@@ -23,11 +24,16 @@ from repro.config.system import (
     SystemConfig,
 )
 from repro.core.dataflow import Dataflow
-from repro.layout.conflict import BankConflictEvaluator, build_fold_demand
-from repro.layout.conflict_vectorized import VectorizedConflictEvaluator
+from repro.errors import LayoutError
+from repro.layout.conflict import BankConflictEvaluator, FoldDemand, build_fold_demand
+from repro.layout.conflict_vectorized import (
+    _FOLD_BATCH_OFFSETS,
+    VectorizedConflictEvaluator,
+)
 from repro.layout.integrate import (
     LayoutEvalConfig,
     LayoutEvalResult,
+    _fold_batches,
     _generate_fold_demand,
     evaluate_layout_slowdown,
     evaluate_layout_slowdown_many,
@@ -266,9 +272,119 @@ def test_fold_demand_feed_matches_matrix_feed():
             assert direct.cycles_evaluated == via_artifact.cycles_evaluated
 
 
-def test_fanout_validates_bandwidth_divisibility():
-    from repro.errors import LayoutError
+def _small_fold(np_rng: np.random.Generator, view: TensorView) -> FoldDemand:
+    """A random fold of a few cycles, some of them without requests."""
+    rows, ports = int(np_rng.integers(1, 12)), int(np_rng.integers(1, 6))
+    demand = np.full((rows, ports), -1, dtype=np.int64)
+    mask = np_rng.random((rows, ports)) < 0.6
+    mask[np_rng.random(rows) < 0.2] = False  # whole cycles of bubbles
+    demand[mask] = np_rng.integers(0, view.num_elements, int(mask.sum()))
+    return build_fold_demand(demand)
 
+
+def _big_fold(view: TensorView, ports: int) -> FoldDemand:
+    """A fold that alone reaches the batch budget (distinct offsets per cycle)."""
+    rows = -(-_FOLD_BATCH_OFFSETS // ports) + 3
+    demand = np.arange(rows * ports, dtype=np.int64).reshape(rows, ports)
+    fold = build_fold_demand(demand % view.num_elements)
+    assert fold.offsets.size >= _FOLD_BATCH_OFFSETS
+    return fold
+
+
+def test_concatenated_folds_match_per_fold_calls():
+    """One call on ``FoldDemand.concat(batch)`` == one call per fold.
+
+    Runs of small folds (with bubble-only cycles) and a fold over the
+    batch budget between them go to both evaluators three ways: one
+    call per fold, random consecutive batches joined by
+    ``FoldDemand.concat``, and the fan-out's own ``_fold_batches``.
+    Every row-buffer depth carries LRU state across batch edges.
+    """
+    for trial in range(8):
+        rng = random.Random(61_000 + trial)
+        np_rng = np.random.default_rng(61_000 + trial)
+        view = TensorView(rng.choice((4, 8, 16)), rng.randint(2, 8), rng.randint(2, 8))
+        num_banks = rng.choice((1, 2, 4))
+        layout = LayoutSpec.default_for(
+            view, num_banks=num_banks, bandwidth_per_bank=rng.randint(1, 6)
+        )
+        folds = [_small_fold(np_rng, view) for _ in range(rng.randint(4, 40))]
+        if rng.random() < 0.5:
+            big = _big_fold(view, ports=min(32, view.num_elements))
+            folds.insert(rng.randrange(1, len(folds)), big)
+        cuts = sorted(rng.sample(range(1, len(folds)), rng.randint(0, 3)))
+        batches = [
+            folds[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(folds)])
+        ]
+        fan_out = list(_fold_batches(iter(folds)))
+        assert len(fan_out) < len(folds), trial
+        for evaluator_cls in (BankConflictEvaluator, VectorizedConflictEvaluator):
+            for row_buffers in (1, 2, 4):
+                feeds = {
+                    "per_fold": [[fold] for fold in folds],
+                    "batched": batches,
+                    "fan_out": [[batch] for batch in fan_out],
+                }
+                evaluators = {}
+                costs = {}
+                for name, feed in feeds.items():
+                    evaluator = evaluator_cls(layout, 8, row_buffers_per_bank=row_buffers)
+                    costs[name] = [
+                        cost
+                        for batch in feed
+                        for cost in evaluator.add_fold_demand(
+                            FoldDemand.concat(batch), return_costs=True
+                        )
+                    ]
+                    evaluators[name] = evaluator
+                case = (trial, evaluator_cls.__name__, row_buffers)
+                expected = evaluators["per_fold"]
+                for name in ("batched", "fan_out"):
+                    assert costs[name] == costs["per_fold"], (case, name)
+                    got = evaluators[name]
+                    assert got.total_layout_cycles == expected.total_layout_cycles, case
+                    assert got.total_bandwidth_cycles == expected.total_bandwidth_cycles, case
+                    assert got.total_requests == expected.total_requests, case
+                    assert got.cycles_evaluated == expected.cycles_evaluated, case
+
+
+def test_fold_batches_pass_big_folds_alone():
+    """A fold over the budget is never joined: it passes through uncopied."""
+    np_rng = np.random.default_rng(3)
+    view = TensorView(8, 8, 8)
+    big = _big_fold(view, ports=32)
+    small = [_small_fold(np_rng, view) for _ in range(5)]
+    batches = list(_fold_batches(iter([*small[:2], big, *small[2:]])))
+    assert len(batches) == 3
+    assert batches[1] is big
+    assert batches[0].cycles == small[0].cycles + small[1].cycles
+    assert FoldDemand.concat([big]) is big
+
+
+def test_fanout_batches_small_folds(monkeypatch):
+    """Many small folds reach the cascade in fewer calls, with the spec's results."""
+    layer = ConvLayer(
+        name="c", ifmap_h=12, ifmap_w=12, filter_h=3, filter_w=3,
+        channels=8, num_filters=16,
+    )
+    folds = sum(1 for _ in _generate_fold_demand(layer, Dataflow.parse("ws"), 4, 4, None))
+    calls = []
+    feed = VectorizedConflictEvaluator.add_fold_demand
+
+    def counting(self, fold, return_costs=False):
+        calls.append(fold.cycles)
+        return feed(self, fold, return_costs)
+
+    monkeypatch.setattr(VectorizedConflictEvaluator, "add_fold_demand", counting)
+    configs = [
+        LayoutEvalConfig(num_banks=4, total_bandwidth_words=16, row_buffers_per_bank=2)
+    ]
+    results = evaluate_layout_slowdown_many(layer, "ws", 4, 4, configs)
+    assert 0 < len(calls) < folds
+    assert results == [_reference_result(layer, "ws", 4, cfg) for cfg in configs]
+
+
+def test_fanout_validates_bandwidth_divisibility():
     layer = _gemm(random.Random(2))
     with pytest.raises(LayoutError):
         evaluate_layout_slowdown_many(

@@ -92,6 +92,9 @@ class TestApplyOverride:
             ("dram.engine", "reference"),
             ("layout.evaluator", "reference"),
             ("multicore.partitions_row", 2),
+            ("layout.c1_step", 4),
+            ("layout.h1_step", 1),
+            ("layout.w1_step", 8),
         ):
             with pytest.raises(ConfigError):
                 apply_override(_base(), path, value)
