@@ -31,12 +31,17 @@ array passes over whole demand matrices:
      window repeats, so ``D = gap`` exactly (the segmented running-max
      is one scan).  This covers the periodic line-cycling that
      dominates systolic traces;
-  3. residual touches — ``D = #{j in window : p[j] <= p[k]}``, counted
-     directly: one vector pass per window offset while windows stay
-     shallow, one contiguous slice per touch when residuals are few,
-     and otherwise a full offline prev-greater merge count (sorted
-     blocks + one global ``searchsorted`` per level, banks kept
-     disjoint by segment offsets).
+  3. residual touches — ``D = #{j in window : p[j] <= p[k]}`` (the
+     window's first occurrences are exactly its distinct lines), found
+     by one bounded scan: with the touches laid out bank-major, each
+     window is a contiguous run, scanned forward in ``(touches x
+     columns)`` rectangles of capped size, 16 columns wide and 8x wider
+     each round, until it has seen ``B`` first occurrences (a miss) or
+     its whole length (``D`` exact).  Total work is ``O(B * n)`` per
+     call plus the 8x overshoot: touches of distinct lines whose
+     scanned prefixes share a position each have their own line inside
+     the prefix of every earlier-starting one, so at most ``B`` of them
+     cover it, and windows of one line never overlap.
 
 * **cost reduction** — per-(cycle, bank) new-line counts and the
   per-cycle ``worst_new`` maximum are segmented ``reduceat`` scans; the
@@ -46,7 +51,9 @@ State across calls (the per-bank LRU buffers the scalar reference
 carries between folds) is exact: each call is prefixed with synthetic
 *preamble* touches replaying every bank's open lines in LRU order, and
 ends by re-extracting the ``row_buffers_per_bank`` most recently used
-distinct lines per bank.
+distinct lines per bank.  The same carry lets one call resolve a big
+fold in consecutive passes of whole cycles (about ``_PASS_OFFSETS``
+offsets each), which bounds every pass's scratch arrays.
 """
 
 from __future__ import annotations
@@ -66,11 +73,16 @@ _LUT_MAX_ELEMENTS = 1 << 22
 
 _INT32_MAX = np.iinfo(np.int32).max
 
-#: Residual windows are counted directly (one contiguous slice per
-#: touch) while their summed lengths stay under this budget; beyond it
-#: the gap-class difference-array passes or the offline merge count
-#: take over (see the residual dispatch in ``_resolve_worst_new``).
-_WINDOW_SCAN_BUDGET = 1 << 24
+#: Element cap of one residual-scan rectangle (touches x window columns);
+#: a round over wider windows takes fewer touches per rectangle, down to
+#: one, so scratch memory stays O(max(cap, one window)).
+_SCAN_RECT_ELEMENTS = 1 << 16
+
+#: One cascade pass resolves whole cycles up to about this many offsets;
+#: a bigger fold runs in consecutive passes.  Each pass allocates a few
+#: dozen bytes of scratch per offset, so the cap keeps that in cache
+#: and off fresh pages.
+_PASS_OFFSETS = 1 << 16
 
 #: The layout fan-out joins consecutive small folds into one
 #: ``add_fold_demand`` call until the batch holds at least this many
@@ -78,54 +90,6 @@ _WINDOW_SCAN_BUDGET = 1 << 24
 #: Most folds carry a few dozen offsets, where a call's fixed numpy
 #: cost outweighs its per-element work; larger folds pass alone.
 _FOLD_BATCH_OFFSETS = 1 << 12
-
-
-def _count_prev_greater(values: np.ndarray) -> np.ndarray:
-    """For each i: ``#{j < i : values[j] > values[i]}`` (values >= 0).
-
-    Bottom-up merge counting: at each level the array is sorted within
-    blocks of ``width``; every right-half element is ranked against its
-    left half with one global ``searchsorted`` (per-block offsets keep
-    the concatenated left halves globally sorted), then blocks merge by
-    an axis sort.  O(n log^2 n) in a handful of numpy passes per level.
-    """
-    n = values.size
-    counts = np.zeros(n, dtype=np.int64)
-    if n < 2:
-        return counts
-    arr = values.astype(np.int64) + 1  # pads are 0, real values >= 1
-    perm = np.arange(n, dtype=np.int64)
-    width = 1
-    while width < arr.size:
-        size = 2 * width
-        nblocks = -(-arr.size // size)
-        padded = nblocks * size
-        if padded != arr.size:
-            arr = np.concatenate([arr, np.zeros(padded - arr.size, dtype=np.int64)])
-            perm = np.concatenate(
-                [perm, np.full(padded - perm.size, -1, dtype=np.int64)]
-            )
-        blocks = arr.reshape(nblocks, size)
-        lefts = blocks[:, :width]
-        rights = blocks[:, width:]
-        span = int(arr.max()) + 1
-        offsets = np.arange(nblocks, dtype=np.int64)[:, None] * span
-        flat_lefts = (lefts + offsets).ravel()
-        queries = (rights + offsets).ravel()
-        le_within = np.searchsorted(flat_lefts, queries, side="right").astype(
-            np.int64
-        ) - np.repeat(np.arange(nblocks, dtype=np.int64) * width, width)
-        greater = width - le_within
-        right_perm = perm.reshape(nblocks, size)[:, width:].ravel()
-        real = right_perm >= 0
-        # Each original index occupies exactly one slot per level, so a
-        # plain fancy-index accumulate is safe (and much faster than ufunc.at).
-        counts[right_perm[real]] += greater[real]
-        order = np.argsort(blocks, axis=1, kind="stable")
-        arr = np.take_along_axis(blocks, order, axis=1).ravel()
-        perm = np.take_along_axis(perm.reshape(nblocks, size), order, axis=1).ravel()
-        width = size
-    return counts
 
 
 def _segmented_running_max_exclusive(
@@ -141,6 +105,51 @@ def _segmented_running_max_exclusive(
     exclusive[1:] = running[:-1]
     exclusive[seg_starts] = 0  # no predecessor within the segment
     return exclusive - seg_id * big - 2  # 0 maps below any real value
+
+
+def _window_hits(
+    p_seq: np.ndarray,
+    first: np.ndarray,
+    lo: np.ndarray,
+    length: np.ndarray,
+    row_buffers: int,
+) -> np.ndarray:
+    """Per residual window: fewer than ``row_buffers`` distinct lines?
+
+    Window ``i`` is ``p_seq[first[i] : first[i] + length[i]]``; its
+    distinct lines are its first occurrences, the entries with
+    ``p_seq[j] <= lo[i]``.  Every window is scanned forward in rounds of
+    ``(touches x columns)`` rectangles, each round 8x wider than the
+    last and continuing where it stopped, until it has seen
+    ``row_buffers`` first occurrences (a miss) or its whole length (then
+    the count is exact).  The round whose width reaches the longest
+    pending window decides every window still pending.
+    """
+    hit = np.zeros(first.size, dtype=bool)
+    seen = np.zeros(first.size, dtype=np.int64)
+    todo = np.arange(first.size)
+    done, span = 0, 16
+    while todo.size:
+        longest = int(length[todo].max())
+        width = min(span, longest)
+        cols = np.arange(done, width)
+        rows = max(1, _SCAN_RECT_ELEMENTS // cols.size)
+        for start in range(0, todo.size, rows):
+            t = todo[start : start + rows]
+            # Columns past a window's end may leave the array: clip them,
+            # then mask them out.
+            fresh = p_seq.take(first[t, None] + cols, mode="clip") <= lo[t, None]
+            fresh &= cols < length[t, None]
+            seen[t] += np.count_nonzero(fresh, axis=1)
+        if width == longest:
+            hit[todo] = seen[todo] < row_buffers
+            break
+        open_ = seen[todo] < row_buffers
+        covered = length[todo] <= width
+        hit[todo[open_ & covered]] = True
+        todo = todo[open_ & ~covered]
+        done, span = width, span * 8
+    return hit
 
 
 class VectorizedConflictEvaluator(BankConflictEvaluator):
@@ -281,25 +290,33 @@ class VectorizedConflictEvaluator(BankConflictEvaluator):
         rows = fold.cycles
         requests = fold.requests
         worst_new = np.zeros(rows, dtype=np.int64)
-
-        if fold.offsets.size:
-            keys = self._keys_for(fold.offsets)
-            num_lines1 = self.layout.num_lines + 1
-            key_space = self.layout.num_banks * num_lines1
-            # One global sort reproduces the reference's per-cycle
-            # ascending-key walk; adjacent duplicates are distinct
-            # offsets sharing a (cycle, bank, line).
-            if rows * key_space <= _INT32_MAX:
-                combined = fold.cycle_index.astype(np.int32) * np.int32(key_space)
+        num_lines1 = self.layout.num_lines + 1
+        key_space = self.layout.num_banks * num_lines1
+        # Passes of whole cycles, about _PASS_OFFSETS offsets each; the
+        # bank state carries across them as it does across calls.
+        cycle_index = fold.cycle_index
+        bounds = [0, *cycle_index[_PASS_OFFSETS::_PASS_OFFSETS].tolist(), rows]
+        starts = np.searchsorted(cycle_index, bounds).tolist()
+        for r0, r1, lo, hi in zip(bounds, bounds[1:], starts, starts[1:]):
+            if lo == hi:
+                continue  # no offsets, or a repeated cut
+            keys = self._keys_for(fold.offsets[lo:hi])
+            # One sort reproduces the reference's per-cycle ascending-key
+            # walk; adjacent duplicates are distinct offsets sharing a
+            # (cycle, bank, line).
+            if (r1 - r0) * key_space <= _INT32_MAX:
+                combined = cycle_index[lo:hi].astype(np.int32)
+                combined -= r0
+                combined *= np.int32(key_space)
                 combined += keys.astype(np.int32, copy=False)
             else:
-                combined = fold.cycle_index * np.int64(key_space) + keys
+                combined = (cycle_index[lo:hi] - r0) * np.int64(key_space) + keys
             combined.sort()
             keep = np.empty(combined.size, dtype=bool)
             keep[0] = True
             np.not_equal(combined[1:], combined[:-1], out=keep[1:])
             touches = combined[keep]
-            self._resolve_worst_new(touches, key_space, num_lines1, worst_new)
+            self._resolve_worst_new(touches, key_space, num_lines1, worst_new[r0:r1])
 
         layout_cycles = np.maximum(1, -(-worst_new // self.layout.ports_per_bank))
         bandwidth_cycles = np.maximum(1, -(-requests // self.bandwidth_model_words))
@@ -433,66 +450,25 @@ class VectorizedConflictEvaluator(BankConflictEvaluator):
 
         # --- exact three-tier cascade (module docstring).
         hit = has_prev & (gap <= row_buffers)  # gap here is true gap + 1
-        residual = has_prev & ~hit & ~tier2
-        res_idx = residual.nonzero()[0]
+        res_idx = (has_prev & ~hit & ~tier2).nonzero()[0]
         if res_idx.size:
-            bank_all = key_all // num_lines1
-            if num_banks <= 1 << 8:
-                by_bank = np.argsort(bank_all.astype(np.uint8), kind="stable")
-            elif num_banks <= 1 << 16:
-                by_bank = np.argsort(bank_all.astype(np.uint16), kind="stable")
+            # Lay p out bank-major (each group starts at its exclusive
+            # size prefix ``csum`` in bank order): every residual window
+            # is then the contiguous run just before its touch.
+            if num_banks == 1:
+                p_seq, res_seq = p, res_idx
             else:
-                by_bank = np.argsort(bank_all, kind="stable")
-            p_seq = p[by_bank].astype(np.int64)
-            bank_seq = bank_all[by_bank]
-            res_gap = gap[res_idx].astype(np.int64)
-            seg_first = np.searchsorted(
-                bank_seq, np.arange(num_banks, dtype=bank_seq.dtype)
-            ).astype(np.int64)
-            gap_classes, class_counts = np.unique(res_gap, return_counts=True)
-            # Dominant window lengths (periodic revisit strides) resolve
-            # with one O(n) pass each; the straggler classes (typically
-            # fold-boundary touches) fall to the per-touch slice count.
-            # Strategy choice is by estimated work: per-touch slices cost
-            # their summed window lengths, a gap-class pass costs O(n).
-            dominant = class_counts >= max(64, res_idx.size // 64)
-            stragglers = int(class_counts[~dominant].sum())
-            total_window = int(res_gap.sum()) - res_idx.size
-            if res_idx.size <= 16384 and total_window <= _WINDOW_SCAN_BUDGET:
-                self._resolve_residuals_by_slice(
-                    res_idx, p, r, bank_all, p_seq, seg_first, hit
-                )
-            elif dominant.sum() <= 32 and stragglers <= 16384:
-                self._resolve_residuals_by_gap_class(
-                    res_idx,
-                    res_gap,
-                    gap_classes[dominant],
-                    p,
-                    bank_all,
-                    p_seq,
-                    bank_seq,
-                    seg_first,
-                    hit,
-                )
-                if stragglers:
-                    strag = np.isin(res_gap, gap_classes[~dominant]).nonzero()[0]
-                    self._resolve_residuals_by_slice(
-                        res_idx[strag], p, r, bank_all, p_seq, seg_first, hit
-                    )
-            else:
-                # Many residuals over many window lengths: one offline
-                # merge count resolves every touch's distance at once.
-                seg_start = np.empty(n, dtype=bool)
-                seg_start[0] = True
-                seg_start[1:] = bank_seq[1:] != bank_seq[:-1]
-                seg_id = np.cumsum(seg_start) - 1
-                inversions = _count_prev_greater(
-                    (p_seq + 1) + seg_id * np.int64(n + 2)
-                )
-                distance_seq = (gap[by_bank] - 1) - inversions
-                exact_hit = np.empty(n, dtype=bool)
-                exact_hit[by_bank] = distance_seq < row_buffers
-                hit[residual] = exact_hit[residual]
+                g_seq = np.empty(g_by_bank.size, dtype=pos_dtype)
+                g_seq[g_by_bank] = csum
+                g_seq -= g_starts.astype(pos_dtype)
+                seq = index + g_seq[g_id]
+                p_seq = np.empty_like(p)
+                p_seq[seq] = p
+                res_seq = seq[res_idx]
+            res_len = gap[res_idx] - 1
+            hit[res_idx] = _window_hits(
+                p_seq, res_seq - res_len, p[res_idx], res_len, row_buffers
+            )
 
         # --- per-(cycle, bank) new-line counts over the real groups, then
         # the per-cycle max (preamble groups are exactly the first n_pre).
@@ -530,68 +506,3 @@ class VectorizedConflictEvaluator(BankConflictEvaluator):
             keep_lo = max(lo, hi - row_buffers)
             state[int(lg_bank[lo])] = lg_line[keep_lo:hi].tolist()
         self._bank_lines = state
-
-    def _resolve_residuals_by_slice(
-        self,
-        res_idx: np.ndarray,
-        p: np.ndarray,
-        r: np.ndarray,
-        bank_all: np.ndarray,
-        p_seq: np.ndarray,
-        seg_first: np.ndarray,
-        hit: np.ndarray,
-    ) -> None:
-        """Resolve residual windows with one contiguous slice count each.
-
-        ``D = #{j in window : p[j] <= p[k]}`` — the first-in-window
-        touches are exactly the distinct lines.
-        """
-        row_buffers = self.row_buffers_per_bank
-        starts = seg_first[bank_all[res_idx]]
-        for t, start, lo_t in zip(
-            res_idx.tolist(), starts.tolist(), p[res_idx].tolist()
-        ):
-            window = p_seq[start + lo_t + 1 : start + int(r[t])]
-            hit[t] = int(np.count_nonzero(window <= lo_t)) < row_buffers
-
-    def _resolve_residuals_by_gap_class(
-        self,
-        res_idx: np.ndarray,
-        res_gap: np.ndarray,
-        gap_classes: np.ndarray,
-        p: np.ndarray,
-        bank_all: np.ndarray,
-        p_seq: np.ndarray,
-        bank_seq: np.ndarray,
-        seg_first: np.ndarray,
-        hit: np.ndarray,
-    ) -> None:
-        """Resolve residual windows exactly, one O(n) pass per window length.
-
-        Periodic systolic traces revisit lines at a handful of fixed
-        strides, so residual touches cluster into very few distinct gap
-        values.  For one gap ``g`` every query is a length-(g-1)
-        sliding window, and the distinct-line count of *every* window
-        start resolves offline: per-bank position ``j`` is
-        first-in-window (``p[j] <= s``) for exactly the window starts
-        ``s in [max(p[j], j - g + 1), j - 1]``, so two ``bincount``
-        difference arrays plus one ``cumsum`` yield
-        ``D(s) = #{first-in-window touches}`` for all ``s`` at once.
-        Queries then gather their window start's count.
-        """
-        n = p_seq.size
-        row_buffers = self.row_buffers_per_bank
-        index = np.arange(n, dtype=np.int64)
-        seg_start_j = seg_first[bank_seq]  # global start of each touch's bank
-        # Class-independent interval floor: the window start can never
-        # precede the line's previous touch or the segment start.
-        floor = seg_start_j + np.maximum(p_seq, 0)
-        q_pos = seg_first[bank_all[res_idx]] + p[res_idx]  # window starts, global
-        for g in gap_classes.tolist():
-            sel = (res_gap == g).nonzero()[0]
-            lo = np.maximum(floor, index - g + 1)
-            valid = lo < index  # interval [lo, j - 1] non-empty
-            add = np.bincount(lo[valid], minlength=n)
-            sub = np.bincount(index[valid], minlength=n)
-            counts = np.cumsum(add[:n] - sub[:n])
-            hit[res_idx[sel]] = counts[q_pos[sel]] < row_buffers

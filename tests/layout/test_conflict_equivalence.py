@@ -12,7 +12,9 @@ streams, accumulated totals and slowdowns.
 import random
 
 import numpy as np
+import pytest
 
+from repro.layout import conflict_vectorized
 from repro.layout.conflict import BankConflictEvaluator
 from repro.layout.conflict_vectorized import VectorizedConflictEvaluator
 from repro.layout.spec import LayoutSpec, TensorView
@@ -90,6 +92,29 @@ def test_randomized_demand_is_bit_exact():
         _assert_equivalent(reference, vectorized, trial)
 
 
+@pytest.mark.parametrize("pass_offsets", [1, 5, 37])
+def test_multi_pass_folds_are_bit_exact(monkeypatch, pass_offsets):
+    """Folds split into many cascade passes, some cycles over the cap."""
+    monkeypatch.setattr(conflict_vectorized, "_PASS_OFFSETS", pass_offsets)
+    for trial in range(20):
+        rng = random.Random(12_000 + 31 * trial)
+        layout = _random_layout(rng)
+        row_buffers = rng.choice((1, 2, 4))
+        reference = BankConflictEvaluator(layout, 8, row_buffers_per_bank=row_buffers)
+        vectorized = VectorizedConflictEvaluator(
+            layout, 8, row_buffers_per_bank=row_buffers
+        )
+        for chunk in range(rng.randint(1, 3)):
+            demand = _random_demand(rng, layout.view.num_elements)
+            assert reference.add_demand_matrix(
+                demand, return_costs=True
+            ) == vectorized.add_demand_matrix(demand, return_costs=True), (
+                trial,
+                chunk,
+            )
+        _assert_equivalent(reference, vectorized, trial)
+
+
 def test_single_cycle_api_is_bit_exact():
     """add_cycle / cost_of_cycle must carry LRU state identically."""
     for trial in range(20):
@@ -110,7 +135,7 @@ def test_single_cycle_api_is_bit_exact():
 
 
 def test_dense_residual_fallback_is_bit_exact():
-    """Force the offline merge-count path (the >4096-residual regime)."""
+    """Many residual windows: shuffled revisits of a small working set."""
     rng = random.Random(77)
     layout = LayoutSpec(
         view=TensorView(4, 32, 32),
@@ -136,7 +161,7 @@ def test_dense_residual_fallback_is_bit_exact():
 
 
 def test_sparse_residual_threshold_crossing():
-    """Both residual strategies agree around the 4096-query cutover."""
+    """Few residual windows, at two stream sizes (50 and 400 cycles)."""
     rng = random.Random(5)
     layout = LayoutSpec(
         view=TensorView(2, 16, 16),
@@ -161,3 +186,99 @@ def test_sparse_residual_threshold_crossing():
         ) == vectorized.add_demand_matrix(demand, return_costs=True)
         _assert_equivalent(reference, vectorized, rows)
 
+
+
+def _long_window_demand(
+    rng: random.Random, layout: LayoutSpec, row_buffers: int
+) -> np.ndarray:
+    """Per-bank streams of long revisit windows over a hot working set.
+
+    Each bank cycles through episodes: touch a cold line, then a few
+    hundred to a few thousand touches of a hot set of
+    ``row_buffers - 1`` lines (sometimes ``row_buffers``).  The cold
+    line's next episode closes a long window with fewer than
+    ``row_buffers`` distinct lines (a long hit) unless a second cold
+    line lands late in it, making its ``row_buffers``-th distinct line
+    arrive late (a long miss).
+    """
+    num_banks = layout.num_banks
+    line_id, _, bank_id = layout.locate(np.arange(layout.view.num_elements))
+    offsets_of: dict[tuple[int, int], list[int]] = {}
+    for offset, (line, bank) in enumerate(zip(line_id.tolist(), bank_id.tolist())):
+        offsets_of.setdefault((bank, line), []).append(offset)
+
+    def episodes(bank):
+        lines = rng.sample(range(layout.num_lines), layout.num_lines)
+        hot_size = max(1, row_buffers - rng.choice((1, 1, 0)))
+        hot, cold = lines[:hot_size], lines[hot_size : hot_size + 2]
+        while True:
+            yield rng.choice(cold)
+            length = rng.randint(100, 2500)
+            late = rng.randint(length // 2, length) if rng.random() < 0.5 else -1
+            for i in range(length):
+                yield rng.choice(cold) if i == late else rng.choice(hot)
+
+    streams = [episodes(bank) for bank in range(num_banks)]
+    rows, ports = rng.randint(1500, 2500), num_banks * rng.randint(1, 3)
+    demand = np.full((rows, ports), -1, dtype=np.int64)
+    for i in range(rows):
+        for j in range(ports):
+            if rng.random() < 0.05:
+                continue  # bubble
+            bank = rng.randrange(num_banks)
+            demand[i, j] = rng.choice(offsets_of[(bank, next(streams[bank]))])
+    return demand
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("rect_elements", [None, 64], ids=["module-cap", "cap-64"])
+def test_long_residual_windows_are_bit_exact(monkeypatch, rect_elements):
+    """Long hits and long misses, scanned over many rectangles and rounds.
+
+    With the 64-element cap every wide round splits its windows over many
+    rectangles; the longest hit window must outgrow three widening rounds
+    (16, 128, 1024 columns).  LRU state carries across 2-4 calls.
+    """
+    if rect_elements is not None:
+        monkeypatch.setattr(conflict_vectorized, "_SCAN_RECT_ELEMENTS", rect_elements)
+    longest_hit = 0
+    window_hits = conflict_vectorized._window_hits
+
+    def spy(p_seq, first, lo, length, row_buffers):
+        nonlocal longest_hit
+        hit = window_hits(p_seq, first, lo, length, row_buffers)
+        if hit.any():
+            longest_hit = max(longest_hit, int(length[hit].max()))
+        return hit
+
+    monkeypatch.setattr(conflict_vectorized, "_window_hits", spy)
+    trial = 0
+    for num_banks in (1, 2, 4):
+        for row_buffers in (1, 2, 3, 4, 8):
+            rng = random.Random(31_000 + trial)
+            trial += 1
+            layout = LayoutSpec(
+                view=TensorView(2 * num_banks, 4, 4),
+                c1_step=num_banks,
+                h1_step=1,
+                w1_step=1,
+                num_banks=num_banks,
+                bandwidth_per_bank=1,
+            )
+            reference = BankConflictEvaluator(
+                layout, 4, row_buffers_per_bank=row_buffers
+            )
+            vectorized = VectorizedConflictEvaluator(
+                layout, 4, row_buffers_per_bank=row_buffers
+            )
+            demand = _long_window_demand(rng, layout, row_buffers)
+            cuts = sorted(rng.sample(range(1, demand.shape[0]), rng.randint(1, 3)))
+            for chunk in np.split(demand, cuts):
+                assert reference.add_demand_matrix(
+                    chunk, return_costs=True
+                ) == vectorized.add_demand_matrix(chunk, return_costs=True), (
+                    num_banks,
+                    row_buffers,
+                )
+            _assert_equivalent(reference, vectorized, (num_banks, row_buffers))
+    assert longest_hit > 16 * 8 * 8
