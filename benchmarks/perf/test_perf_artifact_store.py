@@ -6,11 +6,10 @@ DRAM enabled (DDR4) and the layout study on.  A sweep point at this
 scale splits into:
 
 * shared upstream work the store persists — the compute schedule
-  (fold specs + fetch plans), the layer's fold-demand stream (trace
-  generation + the per-fold (cycle, offset) sort) and the decoded
-  DRAM line stream (fetch-to-64B-line chop + issue-order sort);
-* per-config work it cannot skip — the DRAM stall walk, the layout
-  cascade, the energy model.
+  (fold specs + fetch plans) and the layer's fold-demand stream (trace
+  generation + the per-fold (cycle, offset) sort);
+* work it does not skip — the DRAM line chop (rebuilt from the plan),
+  the DRAM stall walk, the layout cascade, the energy model.
 
 The cold run populates an empty store; the warm runs reload every
 artifact from disk with the in-process plan LRU cleared in between
@@ -50,9 +49,9 @@ BENCH_PATH = output_path(Path(__file__).parent / "BENCH_artifact_store.json")
 ARRAY = 128
 LAYER = "conv2_1a"
 
-#: Warm-over-cold contract: reloading the persisted compute schedule,
-#: fold-demand stream and decoded line stream must beat rebuilding them
-#: by >= 1.5x even though the stall walk / cascade / energy run anew.
+#: Warm-over-cold contract: reloading the persisted compute schedule
+#: and fold-demand stream must beat rebuilding them by >= 1.5x even
+#: though the line chop / stall walk / cascade / energy run anew.
 MIN_WARM_SPEEDUP = 1.5
 
 
@@ -71,9 +70,9 @@ def _spec() -> SweepSpec:
         run=RunConfig(run_name="store_bench"),
     )
     layer = resnet18(scale=1).layer_named(LAYER)
-    # The channels axis turns the unit into a DRAM fan-out group, so all
-    # three artifact kinds flow through the store: the compute schedule,
-    # the fold-demand stream and the decoded line stream.
+    # The channels axis turns the unit into a DRAM fan-out group; both
+    # artifact kinds flow through the store: the compute schedule and
+    # the fold-demand stream.  The group's line stream is rebuilt.
     return SweepSpec(
         base=base,
         axes=[Axis("dram.channels", (1, 2))],

@@ -160,12 +160,6 @@ class ComputePlan:
     topology_name: str
     signature: tuple
     computes: tuple[LayerComputeResult, ...]
-    #: Content address of (topology, signature) under the artifact-store
-    #: schema — the key downstream per-plan artifacts (shared decoded
-    #: line streams) hang off.  Identity metadata, not plan content, so
-    #: it never enters equality; empty for hand-built plans, which then
-    #: simply skip the store.
-    store_key: str = field(default="", compare=False, repr=False)
 
     @property
     def num_layers(self) -> int:
@@ -278,22 +272,6 @@ def clear_compute_plan_cache() -> None:
     layer_compute.cache_clear()
 
 
-def plan_store_key(topology: Topology, arch: ArchitectureConfig) -> str:
-    """Artifact-store content address of a whole topology's compute plan.
-
-    Hashes the canonical topology plus :func:`plan_signature`, i.e. the
-    complete input set of :meth:`Simulator.plan` — per-plan artifacts
-    (the DRAM fan-out's decoded line streams) key off this.
-    """
-    return content_address(
-        "compute_plan",
-        {
-            "topology": [canonical_artifact(layer) for layer in topology],
-            "signature": [str(part) for part in plan_signature(arch)],
-        },
-    )
-
-
 def make_memory_backend(config: SystemConfig) -> MemoryBackend:
     """Fresh memory backend for one config (state must not leak).
 
@@ -321,27 +299,15 @@ def resolve_plan(
     backend: MemoryBackend,
     run_name: str,
     keep_timings: bool = False,
-    line_batches: list[list] | None = None,
 ) -> RunResult:
-    """Per-config stall resolution: walk one plan against one backend.
-
-    ``line_batches`` optionally supplies each layer's fold traffic as
-    prebuilt :class:`~repro.dram.engine.LineRequestBatch` lists (outer
-    list per layer, aligned with ``plan.computes``), letting a fan-out
-    share the fetch-to-line chop and decoded issue order across
-    configs; requires a backend exposing ``complete_batch`` (the DRAM
-    backend).  Results are bit-identical either way.
-    """
+    """Per-config stall resolution: walk one plan against one backend."""
     memory = DoubleBufferMemory(backend)
     result = RunResult(run_name=run_name, topology_name=plan.topology_name)
     clock = 0
-    for index, compute in enumerate(plan.computes):
+    for compute in plan.computes:
         stalls_before = backend.stall_cycles_from_backpressure
         timeline = memory.run(
-            compute.fold_specs,
-            keep_timings=keep_timings,
-            start_cycle=clock,
-            line_batches=line_batches[index] if line_batches is not None else None,
+            compute.fold_specs, keep_timings=keep_timings, start_cycle=clock
         )
         clock += timeline.total_cycles
         result.layers.append(
@@ -394,16 +360,14 @@ class Simulator:
     def plan(self, topology: Topology) -> ComputePlan:
         """Build the DRAM-independent compute plan for ``topology``.
 
-        Each layer's schedule comes from the per-process LRU — which
+        Each layer's schedule comes from the per-process LRU, which
         itself falls back to the active artifact store before
-        re-scheduling — and the plan carries its content address so
-        downstream per-plan artifacts can persist too.
+        re-scheduling.
         """
         return ComputePlan(
             topology_name=topology.name,
             signature=plan_signature(self.config.arch),
             computes=tuple(self._layer_compute(layer) for layer in topology),
-            store_key=plan_store_key(topology, self.config.arch),
         )
 
     def run(self, topology: Topology, keep_timings: bool = False) -> RunResult:

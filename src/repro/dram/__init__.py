@@ -15,12 +15,7 @@ from repro.dram.engine import (
     MemoryEngine,
     ReferenceEngine,
 )
-from repro.dram.engine_batched import (
-    BatchedEngine,
-    PreparedLineBatch,
-    issue_order_arrays,
-    prepare_line_batch,
-)
+from repro.dram.engine_batched import BatchedEngine, issue_order_arrays
 from repro.dram.engine_grid import GridBatchedEngine, resolve_plan_grid
 from repro.dram.fanout import simulate_many_dram
 
@@ -39,9 +34,7 @@ __all__ = [
     "MemoryEngine",
     "ReferenceEngine",
     "BatchedEngine",
-    "PreparedLineBatch",
     "issue_order_arrays",
-    "prepare_line_batch",
     "GridBatchedEngine",
     "resolve_plan_grid",
     "simulate_many_dram",

@@ -92,19 +92,9 @@ class DramBackend:
         the interleaving that makes DRAM bank behaviour (and request
         queues) matter for mixed traffic.
         """
-        return self.complete_batch(
+        result = self.engine.process_batch(
             LineRequestBatch.from_fetches(fetches, self.word_bytes), issue_cycle
         )
-
-    def complete_batch(self, batch: LineRequestBatch, issue_cycle: int) -> int:
-        """Issue a prebuilt line batch; return the read-data-ready cycle.
-
-        The DRAM fan-out uses this to share one fetch-to-line chop (and
-        the precomputed issue order of a
-        :class:`~repro.dram.engine_batched.PreparedLineBatch`) across a
-        grid of backends; ``complete_fetches`` is the 1-config case.
-        """
-        result = self.engine.process_batch(batch, issue_cycle)
         self.total_lines_read += result.lines_read
         self.total_lines_written += result.lines_written
         return result.ready_cycle

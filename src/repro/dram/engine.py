@@ -9,9 +9,7 @@ tile fetches into 64B lines and runs them through the front-end
 * :class:`LineRequestBatch` — one fold's demand traffic as per-operand
   contiguous line streams, issued round-robin across streams (the
   concurrent per-operand DMA engines of the accelerator).  The DRAM
-  fan-out shares one batch (and, via
-  :class:`repro.dram.engine_batched.PreparedLineBatch`, one
-  precomputed issue order) across a whole ``dram.*`` config grid.
+  fan-out shares one batch across a whole ``dram.*`` config grid.
 * :class:`MemoryEngine` — the protocol: ``process_batch`` consumes a
   batch at an issue cycle and returns a :class:`BatchResult`.
 * :class:`ReferenceEngine` — the scalar semantics, line by line,

@@ -20,9 +20,7 @@ takes the first dispatch path that accepts it:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,20 +30,13 @@ from repro.dram.engine import BatchResult, LineRequestBatch
 from repro.dram.vector_pass import VectorParams, resolve_vector_pass
 from repro.errors import DramError, MemoryModelError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.compute_sim import TileFetch
-
 
 def issue_order_arrays(batch: LineRequestBatch) -> tuple[np.ndarray, np.ndarray]:
     """The batch's round-robin issue order as ``(lines, is_write)`` arrays.
 
     Stream concatenation, then a (round, stream) key sort — the input
-    of the vector pass.  A :class:`PreparedLineBatch` hands back its
-    precomputed (read-only) arrays, so a fan-out decodes the stream once
-    and shares it across engines.
+    of the vector pass.
     """
-    if isinstance(batch, PreparedLineBatch) and batch.lines_in_order is not None:
-        return batch.lines_in_order, batch.writes_in_order
     streams = [s for s in batch.streams if s.num_lines]
     lines = np.concatenate(
         [
@@ -69,43 +60,6 @@ def issue_order_arrays(batch: LineRequestBatch) -> tuple[np.ndarray, np.ndarray]
         lines = lines[order]
         is_write = is_write[order]
     return lines, is_write
-
-
-@dataclass(frozen=True)
-class PreparedLineBatch(LineRequestBatch):
-    """A line batch with its vector-pass issue order precomputed.
-
-    Behaves exactly like a plain :class:`LineRequestBatch` everywhere
-    (the reference engine, the scalar and fast paths read the streams);
-    :func:`issue_order_arrays` hands the vector pass the attached
-    read-only arrays instead of re-sorting the streams.  Built by
-    :func:`prepare_line_batch` so the DRAM fan-out shares one decoded
-    line stream per word size across a whole config grid.
-    """
-
-    lines_in_order: np.ndarray | None = field(
-        default=None, compare=False, repr=False
-    )
-    writes_in_order: np.ndarray | None = field(
-        default=None, compare=False, repr=False
-    )
-
-
-def prepare_line_batch(
-    fetches: tuple["TileFetch", ...], word_bytes: int
-) -> LineRequestBatch:
-    """Chop fetches into lines and precompute the vector issue order.
-
-    Batches below the vector threshold stay plain (the scalar and
-    single-stream paths never touch the arrays).
-    """
-    base = LineRequestBatch.from_fetches(fetches, word_bytes)
-    if base.total_lines < BatchedEngine.vector_threshold:
-        return base
-    lines, is_write = issue_order_arrays(base)
-    return PreparedLineBatch(
-        streams=base.streams, lines_in_order=lines, writes_in_order=is_write
-    )
 
 
 def _interleave(batch: LineRequestBatch) -> tuple[list[int], list[int]]:

@@ -4,7 +4,7 @@ The fifth engine-seam instance (see DESIGN.md): where
 :class:`~repro.dram.engine_batched.BatchedEngine` replaced the per-line
 Python loop with array passes over one config's line batches, this
 module promotes the *config* to an extra array axis.  A pure ``dram.*``
-grid shares one compute plan and one decoded line stream per word size
+grid shares one compute plan and one line stream per word size
 (PR 5's fan-out), so the only per-config work left is the stall walk —
 and those walks are data-parallel over identical line sequences.
 
@@ -61,7 +61,7 @@ class GridBatchedEngine:
     """A grid of batched engines resolved by one vector pass per queue depth.
 
     ``configs`` must all be DRAM-enabled and share ``arch.word_bytes``
-    (they consume one decoded line stream).  :meth:`process_batch`
+    (they consume one line stream).  :meth:`process_batch`
     issues the same batch into every config's datapath and returns one
     :class:`BatchResult` per config, bit-identical to calling each
     config's :class:`BatchedEngine` alone.
@@ -75,7 +75,7 @@ class GridBatchedEngine:
         if len(word_sizes) != 1:
             raise DramError(
                 f"grid configs span word sizes {sorted(word_sizes)}; "
-                "one grid pass shares one decoded line stream"
+                "one grid pass shares one line stream"
             )
         for config in configs:
             if not config.dram.enabled:
@@ -183,7 +183,7 @@ def resolve_plan_grid(
     The config-axis twin of :func:`repro.core.simulator.resolve_plan`:
     one :class:`GridBatchedEngine` replays the double-buffer fold walk
     with per-config clock vectors, issuing each shared line batch into
-    every datapath at once.  ``line_batches`` carries the shared decoded
+    every datapath at once.  ``line_batches`` carries the shared line
     streams (outer list per layer, aligned with ``plan.computes``).
     Results are bit-identical to resolving each config alone.
     """

@@ -11,10 +11,9 @@ architecture section — and :func:`simulate_many_dram` resolves it
 against every memory configuration of a grid:
 
 * the plan is built (and memoized) once;
-* DRAM configs sharing a word size share one decoded line stream — the
-  fetch-to-64B-line chop plus the round-robin issue order the vector
-  engine would otherwise rematerialize per config (mirroring the
-  ``prime_key_lut`` sharing of the layout fan-out);
+* DRAM configs sharing a word size share one line stream — each fold's
+  fetches chopped into 64B lines once (:func:`prepare_line_batch`), not
+  once per config;
 * DRAM configs sharing a word size resolve *together*: one
   :class:`~repro.dram.engine_grid.GridBatchedEngine` pass walks the
   whole grid's stalls per line batch instead of one config at a time
@@ -33,81 +32,41 @@ sweep splits an oversized unit and the executor runs the pieces.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.config.system import SystemConfig
 from repro.dram.engine import LineRequestBatch
-from repro.dram.engine_batched import prepare_line_batch
 from repro.errors import DramError
-from repro.store.artifact_store import ArtifactStore, active_store
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     # The simulator imports repro.dram.backend (whose package init loads
     # this module), so the runtime imports below are deferred into the
     # functions; annotations stay string-typed via __future__.
+    from repro.core.compute_sim import TileFetch
     from repro.core.simulator import ComputePlan, RunResult
 
 #: Per-layer, per-fold line batches for one word size.
 _LineBatches = list[list[LineRequestBatch]]
 
 
+def prepare_line_batch(
+    fetches: tuple[TileFetch, ...], word_bytes: int
+) -> LineRequestBatch:
+    """One fold's fetches chopped into the 64B line streams a grid shares.
+
+    ``perfbench/tracing.py`` wraps this module global by name to time
+    the chop and count its lines (``dram.prepare_s``, ``dram.lines``).
+    """
+    return LineRequestBatch.from_fetches(fetches, word_bytes)
+
+
 def _build_line_batches(plan: ComputePlan, word_bytes: int) -> _LineBatches:
+    """The plan's line stream for one word size (outer list per layer)."""
     return [
         [prepare_line_batch(fetches, word_bytes) for fetches in compute.fold_specs]
         for compute in plan.computes
     ]
-
-
-def _shared_line_batches(
-    plan: ComputePlan,
-    configs: Sequence[SystemConfig],
-    store: ArtifactStore | None = None,
-) -> dict[int, _LineBatches]:
-    """One decoded line stream per word size the grid shares.
-
-    Only DRAM-enabled configs consume line batches (the ideal-bandwidth
-    backend works in words, straight from the fold schedule), and only a
-    word size two or more of them use is worth prebuilding: a lone
-    config resolves with ``line_batches=None`` exactly as
-    ``Simulator.run`` does, decoding fold by fold.  With an artifact
-    store (and a plan that carries its content address) each shared
-    stream is served from / persisted to disk, keyed on the plan key +
-    word size, so a cold process skips the fetch-to-line chop and the
-    issue-order sort.
-    """
-    users = Counter(c.arch.word_bytes for c in configs if c.dram.enabled)
-    batches: dict[int, _LineBatches] = {}
-    for word_bytes in sorted(word for word, count in users.items() if count > 1):
-        if store is not None and plan.store_key:
-            key = store.key(
-                "line_batches",
-                {"plan": plan.store_key, "word_bytes": word_bytes},
-            )
-            batches[word_bytes] = store.get_or_build(
-                "line_batches", key, lambda: _build_line_batches(plan, word_bytes)
-            )
-        else:
-            batches[word_bytes] = _build_line_batches(plan, word_bytes)
-    return batches
-
-
-def _resolve_config(
-    plan: ComputePlan,
-    config: SystemConfig,
-    line_batches: _LineBatches | None,
-) -> RunResult:
-    """One config's stall resolution against a fresh backend."""
-    from repro.core.simulator import make_memory_backend, resolve_plan
-
-    backend = make_memory_backend(config)
-    return resolve_plan(
-        plan,
-        backend,
-        config.run.run_name,
-        line_batches=line_batches if config.dram.enabled else None,
-    )
 
 
 def _grid_groups(configs: Sequence[SystemConfig]) -> dict[int, list[int]]:
@@ -125,9 +84,7 @@ def _grid_groups(configs: Sequence[SystemConfig]) -> dict[int, list[int]]:
 
 
 def simulate_many_dram(
-    plan: ComputePlan,
-    configs: Sequence[SystemConfig],
-    store: ArtifactStore | None = None,
+    plan: ComputePlan, configs: Sequence[SystemConfig]
 ) -> list[RunResult]:
     """Resolve one compute plan against a grid of memory configurations.
 
@@ -148,11 +105,8 @@ def simulate_many_dram(
     Args:
         plan: the shared compute plan (:meth:`Simulator.plan`).
         configs: memory configurations to fan out over.
-        store: artifact store for the shared decoded line streams;
-            defaults to the process's active store (see
-            :mod:`repro.store`).
     """
-    from repro.core.simulator import plan_signature
+    from repro.core.simulator import make_memory_backend, plan_signature, resolve_plan
     from repro.dram.engine_grid import resolve_plan_grid
 
     configs = list(configs)
@@ -166,9 +120,6 @@ def simulate_many_dram(
                 f"{signature}, plan was built for {plan.signature}; "
                 "dram.* fan-out requires an identical fold schedule"
             )
-    batches = _shared_line_batches(
-        plan, configs, store if store is not None else active_store()
-    )
 
     # Grid passes first, stragglers alone.
     results: list[RunResult | None] = [None] * len(configs)
@@ -178,14 +129,16 @@ def simulate_many_dram(
         for index, result in zip(
             members,
             resolve_plan_grid(
-                plan, [configs[i] for i in members], batches[word_bytes]
+                plan,
+                [configs[i] for i in members],
+                _build_line_batches(plan, word_bytes),
             ),
         ):
             results[index] = result
     for index, config in enumerate(configs):
         if index not in grid_members:
-            results[index] = _resolve_config(
-                plan, config, batches.get(config.arch.word_bytes)
+            results[index] = resolve_plan(
+                plan, make_memory_backend(config), config.run.run_name
             )
     return results  # type: ignore[return-value]
 

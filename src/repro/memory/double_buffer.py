@@ -162,7 +162,6 @@ class DoubleBufferMemory:
         schedule: FoldSchedule,
         keep_timings: bool = False,
         start_cycle: int = 0,
-        line_batches: list | None = None,
     ) -> MemoryTimeline:
         """Resolve the timeline for one layer's fold schedule.
 
@@ -170,39 +169,20 @@ class DoubleBufferMemory:
         a backend shared across layers (one DRAM, one bus) sees globally
         consistent issue times; the returned cycle counts are all
         layer-relative.
-
-        ``line_batches`` optionally carries each fold's traffic as a
-        prebuilt :class:`~repro.dram.engine.LineRequestBatch` (one per
-        fold, aligned with ``schedule``); the backend must then expose
-        ``complete_batch`` (the DRAM backend does).  A fan-out sharing
-        one fold schedule across many backends uses this to chop and
-        order the line streams once instead of once per config — the
-        resolved timeline is bit-identical to the fetch-span path.
         """
         folds = len(schedule)
         if not folds:
             return MemoryTimeline(0, 0, 0, 0)
-        if line_batches is not None and len(line_batches) != folds:
-            raise MemoryModelError(f"{len(line_batches)} line batches for {folds} folds")
-        if line_batches is None and type(self.backend) is IdealBandwidthBackend:
+        if type(self.backend) is IdealBandwidthBackend:
             return self._run_closed_form(schedule, keep_timings, start_cycle)
 
         # Folds issue their traffic strictly in order, so one ordered pass
         # over the schedule's per-fold fetches feeds the walk.
-        if line_batches is None:
-            fetches = iter(schedule)
-
-            def complete(cycle: int) -> int:
-                return self.backend.complete_fetches(next(fetches), cycle)
-        else:
-            batches = iter(line_batches)
-
-            def complete(cycle: int) -> int:
-                return self.backend.complete_batch(next(batches), cycle)
-
+        fetches = iter(schedule)
+        complete = self.backend.complete_fetches
         timings: list[FoldTiming] = []
         # Cold start: fold 0's data fetched before compute begins.
-        ready = complete(start_cycle)
+        ready = complete(next(fetches), start_cycle)
         cold_start = ready - start_cycle
         clock = ready
         stall_total = 0
@@ -225,7 +205,7 @@ class DoubleBufferMemory:
                 )
             # Prefetch the next fold while this one computes.
             if index + 1 < folds:
-                ready = complete(compute_start)
+                ready = complete(next(fetches), compute_start)
             clock = compute_end
 
         # Note: ``clock`` started at ``ready``, so the cold start is not

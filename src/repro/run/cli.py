@@ -184,7 +184,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "--store-dir",
         default=None,
         help="content-addressed artifact store for mid-level artifacts "
-        "(compute schedules, fold-demand streams, decoded line batches); "
+        "(compute schedules and fold-demand streams); "
         "warm stores skip the shared upstream work",
     )
     parser.add_argument(

@@ -32,8 +32,8 @@ workloads.  This module turns that pattern into a first-class subsystem:
   one layer that runs anything in parallel;
   :attr:`SweepRunner.last_grouping` reports the units dispatched.
   An optional :class:`~repro.store.ArtifactStore` persists the
-  mid-level artifacts those seams share (compute schedules, fold
-  demand streams, decoded line batches) across processes and sessions.
+  mid-level artifacts those seams share (compute schedules and fold
+  demand streams) across processes and sessions.
 
 Example::
 
@@ -477,7 +477,7 @@ class UnitFanout:
     """Fan-out detail of one simulation unit (one :class:`SweepGrouping` entry).
 
     ``points`` is how many grid points the unit collapsed; ``word_streams``
-    how many distinct word-size line streams it decodes (0 when no member
+    how many distinct word-size line streams it builds (0 when no member
     enables DRAM); ``grid_passes`` the width of each config-batched
     :class:`~repro.dram.engine_grid.GridBatchedEngine` pass, one per
     queue-depth class of each shared word size (empty when no word size
@@ -592,8 +592,8 @@ def _simulate_unit(
     ``store`` (bound via :func:`functools.partial` so the executor can
     ship it to any substrate) is installed as the process's active
     artifact store for the unit's duration — every mid-level producer
-    underneath (plan memoization, fold-demand streams, decoded line
-    batches) then persists through it.
+    underneath (plan memoization, fold-demand streams) then persists
+    through it.
     """
     configs, topology, dense = unit_args
     previous = set_active_store(store) if store is not None else None
@@ -633,7 +633,7 @@ class SweepRunner:
             units to a shared directory.
         store: optional :class:`~repro.store.ArtifactStore` persisting
             the mid-level artifacts simulation units share (compute
-            schedules, fold-demand streams, decoded line batches); its
+            schedules and fold-demand streams); its
             hit/miss counters cover lookups made in this process.
         failure_policy: ``raise`` (default) re-raises a unit's terminal
             failure with the original traceback chained; ``degrade``

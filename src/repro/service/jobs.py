@@ -47,6 +47,8 @@ from repro.core.report import write_failure_report, write_sweep_report
 from repro.errors import ReproError, ServiceError
 from repro.run.executors import (
     _TASK_SUFFIX,
+    DEFAULT_LEASE_TTL,
+    DEFAULT_MAX_ATTEMPTS,
     QueueExecutor,
     make_executor,
     release_claims,
@@ -770,9 +772,13 @@ class JobManager:
                 run_local_worker=not self.external_workers,
                 timeout=None,
                 max_attempts=(
-                    self.max_attempts if self.max_attempts is not None else 3
+                    self.max_attempts
+                    if self.max_attempts is not None
+                    else DEFAULT_MAX_ATTEMPTS
                 ),
-                lease_ttl=self.lease_ttl if self.lease_ttl is not None else 300.0,
+                lease_ttl=(
+                    self.lease_ttl if self.lease_ttl is not None else DEFAULT_LEASE_TTL
+                ),
             )
         return make_executor(
             self.executor_name,

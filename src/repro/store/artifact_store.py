@@ -1,14 +1,14 @@
 """Content-addressed, atomic on-disk store for mid-level artifacts.
 
 :class:`~repro.run.sweep.ResultCache` persists *final* simulation
-payloads; everything in between — per-layer compute schedules
-(:class:`~repro.core.simulator.ComputePlan` pieces), layout demand
-artifacts (:class:`~repro.layout.conflict.FoldDemand` streams) and
-decoded DRAM line streams
-(:class:`~repro.dram.engine_batched.PreparedLineBatch`) — used to die
-with the process.  :class:`ArtifactStore` content-addresses those
-mid-level artifacts on disk so a cold process loads them instead of
-rebuilding them:
+payloads; the two expensive artifacts in between — per-layer compute
+schedules (``layer_compute``, the :class:`~repro.core.simulator.ComputePlan`
+pieces) and layout demand artifacts (``fold_demand``,
+:class:`~repro.layout.conflict.FoldDemand` streams) — used to die with
+the process.  :class:`ArtifactStore` content-addresses those mid-level
+artifacts on disk so a cold process loads them instead of rebuilding
+them.  The DRAM fan-out's line streams are not stored: the fan-out
+rebuilds them from the plan in under a millisecond.
 
 * **keys** are SHA-256 hashes of a canonical JSON rendering of the
   artifact's *inputs* (never of the artifact itself), salted with
@@ -25,9 +25,9 @@ rebuilding them:
 
 Producers look the store up through the *active-store* seam
 (:func:`set_active_store` / :func:`active_store`) so the hot functions
-they hook — ``layer_compute``, the fold-demand stream, the shared line
-batches — keep their signatures; :class:`~repro.run.sweep.SweepRunner`
-installs the store around each simulation unit.
+they hook — ``layer_compute`` and the fold-demand stream — keep their
+signatures; :class:`~repro.run.sweep.SweepRunner` installs the store
+around each simulation unit.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 config — same timelines, same backpressure/drain accounting, same DRAM
 statistics — across mixed grids of channel counts, queue depths,
 technologies, address mappings, issue rates and word sizes (configs
-sharing a word size share one decoded line stream), with DRAM-disabled
+sharing a word size share one line stream), with DRAM-disabled
 ideal-bandwidth points mixed in, serially and split over a sweep's
 worker pool.  DRAM configs sharing a word size resolve through one
 config-batched ``GridBatchedEngine`` pass (see
@@ -86,7 +86,7 @@ def _word_size_variant(arch: ArchitectureConfig, word_bytes: int) -> Architectur
 
     Scaling the kilobyte knobs with ``word_bytes`` keeps the fold
     schedule (and hence the plan signature) identical, while the
-    fetch-to-line chop — the decoded line stream — changes.
+    fetch-to-line chop — the line stream — changes.
     """
     scale = word_bytes // arch.word_bytes
     return dataclasses.replace(
@@ -283,55 +283,3 @@ def test_empty_grid_is_empty():
     config = SystemConfig(arch=_random_arch(rng))
     plan = Simulator(config).plan(topology)
     assert simulate_many_dram(plan, []) == []
-
-
-def test_store_backed_fanout_is_bit_exact_cold_and_warm(tmp_path):
-    """Randomized grids through an artifact store: cold populates, warm serves.
-
-    Both passes must stay bit-exact to independent per-config runs —
-    the store may change *where* the decoded line streams come from,
-    never what they contain.
-    """
-    from repro.store.artifact_store import ArtifactStore
-
-    store = ArtifactStore(tmp_path / "store")
-    for trial in range(6):
-        rng = random.Random(41_000 + 13 * trial)
-        topology = _random_topology(rng)
-        arch = _random_arch(rng)
-        configs = _random_grid(rng, arch)
-        plan = Simulator(configs[0]).plan(topology)
-        independent = [Simulator(config).run(topology) for config in configs]
-        cold = simulate_many_dram(plan, configs, store=store)
-        _assert_results_equal(cold, independent, ("cold", trial))
-        warm = simulate_many_dram(plan, configs, store=store)
-        _assert_results_equal(warm, independent, ("warm", trial))
-    # The warm passes actually hit: every line-batch artifact the cold
-    # passes persisted was served back at least once.
-    assert store.hits > 0
-    assert store.hits >= store.misses
-
-
-def test_store_backed_fanout_matches_active_store_seam(tmp_path):
-    """Explicit ``store=`` and the installed active store agree."""
-    from repro.store.artifact_store import ArtifactStore, set_active_store
-
-    rng = random.Random(606)
-    topology = _random_topology(rng)
-    arch = _random_arch(rng)
-    configs = _random_grid(rng, arch)
-    plan = Simulator(configs[0]).plan(topology)
-    reference = simulate_many_dram(plan, configs)
-
-    explicit_store = ArtifactStore(tmp_path / "explicit")
-    explicit = simulate_many_dram(plan, configs, store=explicit_store)
-    _assert_results_equal(explicit, reference, "explicit store")
-
-    active = ArtifactStore(tmp_path / "active")
-    previous = set_active_store(active)
-    try:
-        ambient = simulate_many_dram(plan, configs)
-    finally:
-        set_active_store(previous)
-    _assert_results_equal(ambient, reference, "active store")
-    assert active.misses > 0 or not any(c.dram.enabled for c in configs)

@@ -900,25 +900,20 @@ class TestArtifactStoreIntegration:
         # Workers persisted artifacts even though their counters are lost.
         assert list((tmp_path / "store").glob("layer_compute/*.pkl"))
 
-    def _line_streams(self, tmp_path, axes) -> list:
+    def test_dram_grid_stores_only_layer_compute(self, tmp_path):
+        # The fan-out rebuilds its shared line stream from the plan; only
+        # the compute schedules are worth persisting.
         from repro.config.system import DramConfig
         from repro.store.artifact_store import ArtifactStore
 
         base = _base().replace(dram=DramConfig(enabled=True))
-        store = ArtifactStore(tmp_path / "store")
-        runner = SweepRunner(store=store)
-        runner.run(_spec(base=base, axes=axes, topologies=[toy_conv()]))
+        runner = SweepRunner(store=ArtifactStore(tmp_path / "store"))
+        runner.run(
+            _spec(base=base, axes=[Axis("dram.channels", (1, 2))], topologies=[toy_conv()])
+        )
         assert tuple(runner.last_grouping) == (2, 1)
-        return list((tmp_path / "store").glob("line_batches/*.pkl"))
-
-    def test_lone_dram_config_writes_no_line_stream(self, tmp_path):
-        # One DRAM config per word size decodes fold by fold, exactly as
-        # Simulator.run does: nothing shared, nothing persisted.
-        assert self._line_streams(tmp_path, [Axis("dram.enabled", (False, True))]) == []
-
-    def test_shared_word_size_writes_one_line_stream(self, tmp_path):
-        streams = self._line_streams(tmp_path, [Axis("dram.channels", (1, 2))])
-        assert len(streams) == 1
+        kinds = sorted(p.name for p in (tmp_path / "store").iterdir())
+        assert kinds == ["layer_compute"]
 
     def test_active_store_restored_after_unit(self, tmp_path):
         from repro.store.artifact_store import ArtifactStore, active_store

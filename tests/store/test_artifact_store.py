@@ -2,8 +2,8 @@
 
 The round-trip tests double as the fast-lane smoke for the store: each
 mid-level artifact kind the sweep persists — per-layer compute
-schedules, fold-demand streams, decoded line batches — goes through a
-tmpdir store and comes back equal, in well under a second.
+schedules and fold-demand streams — goes through a tmpdir store and
+comes back equal, in well under a second.
 """
 
 import pickle
@@ -12,13 +12,7 @@ import pytest
 
 from repro.config.presets import get_preset
 from repro.core.dataflow import Dataflow
-from repro.core.simulator import (
-    Simulator,
-    layer_compute,
-    layer_compute_store_key,
-    plan_store_key,
-)
-from repro.dram.fanout import _build_line_batches
+from repro.core.simulator import Simulator, layer_compute, layer_compute_store_key
 from repro.layout.integrate import _fold_demand_stream, fold_demand_store_key
 from repro.store.artifact_store import (
     STORE_SCHEMA_VERSION,
@@ -237,38 +231,3 @@ def test_fold_demand_roundtrips_through_store(tmp_path):
         assert (a.cycle_index == b.cycle_index).all()
         assert (a.cycle_index == c.cycle_index).all()
         assert (a.offsets == b.offsets).all() and (a.offsets == c.offsets).all()
-
-
-def test_line_batches_roundtrip_through_store(tmp_path):
-    config = get_preset("google_tpu_v2")
-    topology = toy_conv()
-    plan = Simulator(config).plan(topology)
-    assert plan.store_key  # Simulator.plan stamps the content address
-    reference = _build_line_batches(plan, config.arch.word_bytes)
-
-    store = ArtifactStore(tmp_path)
-    key = store.key(
-        "line_batches",
-        {"plan": plan.store_key, "word_bytes": config.arch.word_bytes},
-    )
-    cold = store.get_or_build(
-        "line_batches", key, lambda: _build_line_batches(plan, config.arch.word_bytes)
-    )
-    warm = store.get_or_build(
-        "line_batches", key, lambda: pytest.fail("warm run must not rebuild")
-    )
-    assert store.misses == 1 and store.hits == 1
-    for built, loaded in ((cold, reference), (warm, reference)):
-        assert len(built) == len(loaded)
-        for layer_a, layer_b in zip(built, loaded):
-            assert len(layer_a) == len(layer_b)
-
-
-def test_plan_store_key_tracks_inputs():
-    config = get_preset("scale_sim_v2_default")
-    topology = toy_conv()
-    key = plan_store_key(topology, config.arch)
-    assert key == plan_store_key(topology, config.arch)
-    assert key != plan_store_key(toy_gemm(), config.arch)
-    other = get_preset("eyeriss_like")
-    assert key != plan_store_key(topology, other.arch)
