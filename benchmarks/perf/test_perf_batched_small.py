@@ -13,12 +13,6 @@ batch sizes on that traffic shape, writes
 * ``single_stream_fast_path``: prefetch-shaped batches must beat the
   scalar loop by >= 1.5x (measured ~3x), which is what the end-to-end
   DRAM run's ~20% improvement rests on.
-
-It also gates the *saturated* single-stream regime: read bursts larger
-than the read queue settle into an exact affine steady state whose
-row-hit streaks commit closed-form (steady-state block extrapolation),
-so long fold fetches must beat the vector path by >= 4x (measured
->= 10x).
 """
 
 from __future__ import annotations
@@ -69,18 +63,15 @@ def test_small_batch_paths():
         path: {n: round(_time_path(path, n), 1) for n in sizes}
         for path in ("fast", "scalar", "vector")
     }
-    payload = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
-    payload.update(
-        {
-            "workload": "single-stream read bursts (DDR4 x1), us per batch",
-            "sizes": list(sizes),
-            "per_batch_us": table,
-            "vector_threshold": BatchedEngine.vector_threshold,
-            "fast_vs_scalar_at_prefetch": round(
-                table["scalar"][PREFETCH_LINES] / table["fast"][PREFETCH_LINES], 2
-            ),
-        }
-    )
+    payload = {
+        "workload": "single-stream read bursts (DDR4 x1), us per batch",
+        "sizes": list(sizes),
+        "per_batch_us": table,
+        "vector_threshold": BatchedEngine.vector_threshold,
+        "fast_vs_scalar_at_prefetch": round(
+            table["scalar"][PREFETCH_LINES] / table["fast"][PREFETCH_LINES], 2
+        ),
+    }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nbatched small-batch: {json.dumps(payload, indent=2)}")
 
@@ -90,49 +81,3 @@ def test_small_batch_paths():
     # at 128 lines (the old threshold) scalar must still win.
     assert table["scalar"][128] < table["vector"][128]
 
-
-SATURATED_LINES = 20_000  # a fold-sized fetch, >> the 128-entry read queue
-
-
-def _time_saturated(path: str, batches: int = 5) -> float:
-    """Milliseconds per batch for one pipeline on a saturated burst."""
-    engine = BatchedEngine(
-        RamulatorLite(technology="ddr4", channels=1), max_issue_per_cycle=4
-    )
-    if path == "fast":
-        engine.vector_threshold = 10**9
-    else:  # vector
-        engine.single_stream_fast_path = False
-        engine.vector_threshold = 1
-    cycle = 0
-    start = time.perf_counter()
-    for index in range(batches):
-        batch = LineRequestBatch(
-            streams=(LineStream(index * SATURATED_LINES, SATURATED_LINES),)
-        )
-        engine.process_batch(batch, cycle)
-        cycle += 10_000_000  # next fold: prior reads retired
-    return (time.perf_counter() - start) / batches * 1e3
-
-
-@pytest.mark.slow
-def test_saturated_stream_extrapolation():
-    fast_ms = _time_saturated("fast")
-    vector_ms = _time_saturated("vector")
-    speedup = vector_ms / fast_ms
-
-    payload = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
-    payload["saturated_stream"] = {
-        "lines": SATURATED_LINES,
-        "fast_ms_per_batch": round(fast_ms, 2),
-        "vector_ms_per_batch": round(vector_ms, 2),
-        "speedup": round(speedup, 1),
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nsaturated stream: {json.dumps(payload['saturated_stream'], indent=2)}")
-
-    assert speedup >= 4.0, (
-        f"steady-state extrapolation regressed: saturated {SATURATED_LINES}-line "
-        f"burst only {speedup:.1f}x faster than the vector path "
-        f"({fast_ms:.2f}ms vs {vector_ms:.2f}ms)"
-    )

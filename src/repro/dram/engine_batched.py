@@ -3,10 +3,9 @@
 Bit-exact to :class:`repro.dram.engine.ReferenceEngine`.  Each batch
 takes the first dispatch path that accepts it:
 
-* **closed-form single-stream paths** — one contiguous read stream on
-  one channel resolves per (bank, row) streak with O(streaks) Python
-  arithmetic, either below the read-queue capacity or in the saturated
-  affine steady state beyond it;
+* **closed-form single-stream path** — one contiguous read stream on
+  one channel, no longer than the read queue, resolves per (bank, row)
+  streak with O(streaks) Python arithmetic;
 * **scalar loop** — batches below :attr:`BatchedEngine.vector_threshold`
   lines run an inlined per-line loop over the same state (identical
   semantics, no numpy dispatch overhead);
@@ -144,11 +143,12 @@ class BatchedEngine:
     #: beyond ~190 lines.
     vector_threshold = 192
 
-    #: Closed-form fast path for single-stream read-only batches (the
-    #: many ~30-line prefetch bursts): whole (bank, row) streaks resolve
-    #: as affine sequences with O(streaks) Python work — no per-line
-    #: loop, no numpy dispatch.  Exactness is guarded (and fuzzed); any
-    #: batch the guards reject falls through to scalar/vector.
+    #: Closed-form fast path for single-stream read-only batches no
+    #: longer than the read queue (the many ~30-line prefetch bursts):
+    #: whole (bank, row) streaks resolve as affine sequences with
+    #: O(streaks) Python work — no per-line loop, no numpy dispatch.
+    #: Exactness is guarded (and fuzzed); any batch the guards reject,
+    #: longer bursts included, falls through to scalar/vector.
     single_stream_fast_path = True
 
     def __init__(
@@ -205,7 +205,7 @@ class BatchedEngine:
         if total == 0:
             self._issue_clock = clock0
             return BatchResult(ready_cycle=clock0, lines_read=0, lines_written=0)
-        result = self._try_fast_paths(batch, clock0, total)
+        result = self._process_single_stream(batch, clock0, total)
         if result is not None:
             return result
         if total < self.vector_threshold:
@@ -221,23 +221,6 @@ class BatchedEngine:
         if self._vector_params is None:
             self._vector_params = VectorParams([self])
         return self._vector_params
-
-    def _try_fast_paths(
-        self, batch: LineRequestBatch, clock0: int, total: int
-    ) -> BatchResult | None:
-        """Attempt the closed-form single-stream paths; ``None`` declines.
-
-        Factored out of :meth:`process_batch` so the grid-batched engine
-        (:mod:`repro.dram.engine_grid`) can peel off the configs these
-        O(streaks) paths accept before the shared vector pass — the
-        guards and commits are per-config state anyway.
-        """
-        if not self.single_stream_fast_path:
-            return None
-        result = self._process_single_stream(batch, clock0, total)
-        if result is None and total > self.read_queue.capacity:
-            result = self._process_single_stream_saturated(batch, clock0, total)
-        return result
 
     def drain(self) -> int:
         """Cycle when every in-flight read and write has completed."""
@@ -285,10 +268,15 @@ class BatchedEngine:
         recurrences telescope into affine sequences (``issue[i] = issue0
         + i*tCCD``; ``completion[i] = max(data[i], bus-chain) + tBURST``).
         Each streak costs O(1) Python arithmetic plus two ``range``
-        materializations; anything outside the guarded regime returns
-        ``None`` and takes the scalar loop or the vector pass.  Nothing is
-        mutated until every exactness guard has passed.
+        materializations; anything outside the guarded regime (or every
+        batch, with :attr:`single_stream_fast_path` off) returns ``None``
+        and takes the scalar loop or the vector pass.  Nothing is mutated
+        until every exactness guard has passed.  The grid engine
+        (:mod:`repro.dram.engine_grid`) calls it per config before its
+        shared vector pass.
         """
+        if not self.single_stream_fast_path:
+            return None
         streams = [s for s in batch.streams if s.num_lines]
         if len(streams) != 1 or streams[0].is_write or self.channels != 1:
             return None
@@ -422,222 +410,6 @@ class BatchedEngine:
             self._s_last[0] = completions[-1]
         if self._s_first[0] is None:
             self._s_first[0] = clock0
-        self._s_bytes[0] += LINE_BYTES * k
-        return BatchResult(
-            ready_cycle=completions[-1], lines_read=k, lines_written=0
-        )
-
-    # ------------------------------------------- saturated single-stream path
-
-    def _process_single_stream_saturated(
-        self, batch: LineRequestBatch, clock0: int, k: int
-    ) -> BatchResult | None:
-        """Steady-state block extrapolation for long read bursts.
-
-        A single-stream read burst larger than the read queue saturates
-        it: once every line's issue is gated by the jump to the oldest
-        in-flight completion, the whole pipeline settles into an exact
-        affine steady state — ``clock[i] = completion[i - Q]`` and
-        ``completion[i] = completion[i - 1] + tBURST``, with the bank
-        CAS chain trailing the clock by a non-increasing offset ``X``
-        and every row-boundary penalty absorbed by the queue delay
-        while ``X + tCL <= (Q - 1) * tBURST``.  Lines run through an
-        exact specialized scalar recurrence until the lock conditions
-        hold (a jump, the last ``Q`` completion gaps uniformly tBURST),
-        then each remaining row-hit streak commits closed-form: an
-        arithmetic completion series, per-line stall ``tBURST - bump``
-        and latency ``Q * tBURST``, O(1) Python work per streak.
-        Anything outside the guarded regime returns ``None`` untouched
-        and takes the scalar loop or the vector pass.
-        """
-        streams = [s for s in batch.streams if s.num_lines]
-        if len(streams) != 1 or streams[0].is_write or self.channels != 1:
-            return None
-        timing = self.timing
-        t_ccd = timing.t_ccd
-        t_cl = timing.t_cl
-        t_burst = timing.t_burst
-        ipc = self.max_issue_per_cycle
-        if t_ccd < 1 or t_cl < 1 or t_burst < 1:
-            return None
-        if t_ccd > t_burst:
-            return None  # CAS-paced: completions never settle on tBURST
-        if t_burst < (2 if ipc == 1 else 1):
-            return None  # the per-line queue jump would not persist
-        read_q = self.read_queue
-        cap = read_q.capacity
-        if cap < 8:
-            return None  # lock window too small to ever amortize
-        out_r = read_q.outstanding
-        if out_r and max(out_r) > clock0:
-            return None  # in-flight prior reads complicate occupancy
-        strides = self._strides
-        candidates = [
-            stride
-            for stride, size in (
-                (strides["ba"], self.banks),
-                (strides["ra"], self.ranks),
-                (strides["ro"], self._sizes["ro"]),
-            )
-            if size > 1
-        ]
-        s_min = min(candidates) if candidates else None
-        if s_min is not None and s_min < 4:
-            return None  # streaks degenerate: boundary work dominates
-
-        st_ra, n_ra = strides["ra"], self.ranks
-        st_ba, n_ba = strides["ba"], self.banks
-        st_ro, n_ro = strides["ro"], self._sizes["ro"]
-        t_ras, t_rp, t_rcd = timing.t_ras, timing.t_rp, timing.t_rcd
-        open_row = self._open_row
-        ready = self._ready
-        act = self._act
-        bump = 1 if ipc == 1 else 0
-
-        # --- exact local recurrence; nothing mutated until commit.
-        completions: list[int] = []
-        bank_updates: dict[int, tuple[int, int, int]] = {}
-        clock = clock0
-        issued = 0
-        pos = 0  # completions[:pos] have retired (lazily, like the heap)
-        stall = 0
-        lat_sum = 0
-        peak = 0
-        hits = misses = conflicts = 0
-        uniform_since = 0  # completions[uniform_since:] spaced exactly tBURST
-        first_clock: int | None = None
-        bus_chain = self._bus_ready[0]
-        line = streams[0].first_line
-        i = 0
-        while i < k:
-            run = k - i if s_min is None else min(k - i, s_min - (line % s_min))
-            bank_index = ((line // st_ra) % n_ra) * n_ba + (line // st_ba) % n_ba
-            row = (line // st_ro) % n_ro
-            orow, bank_ready, bank_act = bank_updates.get(
-                bank_index,
-                (open_row[bank_index], ready[bank_index], act[bank_index]),
-            )
-            consumed = 0
-            while consumed < run:
-                # Front-end pacing + lazy retirement + queue jump.
-                if issued >= ipc:
-                    clock += 1
-                    issued = 0
-                while pos < i and completions[pos] <= clock:
-                    pos += 1
-                jumped = False
-                if i - pos >= cap:
-                    target = completions[i - cap]
-                    stall += target - clock
-                    clock = target
-                    issued = 0
-                    jumped = True
-                    while pos < i and completions[pos] <= clock:
-                        pos += 1
-                # Bank access.
-                start = bank_ready if bank_ready > clock else clock
-                if orow == row:
-                    issue_bank = start
-                    hits += 1
-                elif orow < 0:
-                    issue_bank = start + t_rcd
-                    bank_act = start
-                    orow = row
-                    misses += 1
-                else:
-                    pre = bank_act + t_ras
-                    if start > pre:
-                        pre = start
-                    bank_act = pre + t_rp
-                    issue_bank = bank_act + t_rcd
-                    orow = row
-                    conflicts += 1
-                bank_ready = issue_bank + t_ccd
-                data = issue_bank + t_cl
-                comp = (data if data > bus_chain else bus_chain) + t_burst
-                if completions and comp - completions[-1] != t_burst:
-                    uniform_since = i
-                completions.append(comp)
-                bus_chain = comp
-                if first_clock is None:
-                    first_clock = clock
-                lat_sum += comp - clock
-                occupancy = i + 1 - pos
-                if occupancy > peak:
-                    peak = occupancy
-                issued += 1
-                i += 1
-                line += 1
-                consumed += 1
-
-                # --- steady-state lock: commit the rest of the streak.
-                remaining = run - consumed
-                if (
-                    remaining
-                    and jumped
-                    and i - uniform_since > cap
-                    and issue_bank - clock + t_cl <= (cap - 1) * t_burst
-                ):
-                    x = issue_bank - clock
-                    completions.extend(
-                        range(comp + t_burst, comp + remaining * t_burst + 1, t_burst)
-                    )
-                    stall += remaining * (t_burst - bump)
-                    lat_sum += remaining * cap * t_burst
-                    hits += remaining
-                    i += remaining
-                    line += remaining
-                    consumed = run
-                    clock = completions[i - 1 - cap]
-                    pos = i - cap
-                    issued = 1
-                    x -= remaining * (t_burst - t_ccd)
-                    if x < 0:
-                        x = 0
-                    issue_bank = clock + x
-                    bank_ready = issue_bank + t_ccd
-                    bus_chain = completions[-1]
-            bank_updates[bank_index] = (orow, bank_ready, bank_act)
-
-        # Final lazy retirement mirror: everything <= the final clock is
-        # popped by the last line's processing.
-        while pos < k and completions[pos] <= clock:
-            pos += 1
-
-        # --- commit: bank state, bus, queue, statistics.
-        for bank_index, (orow, bank_ready, bank_act) in bank_updates.items():
-            open_row[bank_index] = orow
-            ready[bank_index] = bank_ready
-            act[bank_index] = bank_act
-        self._bus_ready[0] = bus_chain
-        self._issue_clock = clock
-        pops = min(k, max(0, read_q.pushed + k - cap))
-        pend = read_q.pending
-        pend.sort()
-        if pops <= len(pend):
-            del pend[:pops]
-            pend.extend(completions)
-        else:
-            # Prior pend entries all precede the new completions (no
-            # in-flight priors), so the overflow pops take the oldest
-            # new completions — never the final one, pushed after the
-            # last pop.
-            read_q.pending = completions[pops - len(pend) :]
-        read_q.outstanding = completions[pos:]
-        read_q.pushed += k
-        read_q.total_enqueued += k
-        read_q.total_stall_cycles += stall
-        if peak > read_q.peak_occupancy:
-            read_q.peak_occupancy = peak
-        self._s_reads[0] += k
-        self._s_hits[0] += hits
-        self._s_misses[0] += misses
-        self._s_conflicts[0] += conflicts
-        self._s_lat[0] += lat_sum
-        if completions[-1] > self._s_last[0]:
-            self._s_last[0] = completions[-1]
-        if self._s_first[0] is None:
-            self._s_first[0] = first_clock if first_clock is not None else clock0
         self._s_bytes[0] += LINE_BYTES * k
         return BatchResult(
             ready_cycle=completions[-1], lines_read=k, lines_written=0

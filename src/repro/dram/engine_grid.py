@@ -16,13 +16,12 @@ One pass walks one block sequence, so it needs one (read, write) queue
 depth: the grid splits its configs into depth classes
 (:func:`depth_classes`), and each class resolves as its own pass.
 Here each config keeps its own :class:`BatchedEngine` as the canonical
-state owner.  Per batch, configs a closed-form fast path accepts
-(single-stream bursts, the saturated affine steady state) take it *per
-config* — each locks into its own ``completion[i - Q]`` recurrence
-exactly as it would alone — small batches run each config's scalar
-loop, and the rest of each depth class resolve together in one pass
-whose per-config rows are element-for-element the walk of that config
-alone.  The whole thing is pinned to
+state owner.  Per batch, configs the closed-form single-stream path
+accepts (a read burst no longer than that config's read queue) take it
+*per config*, exactly as they would alone; small batches run each
+config's scalar loop, and the rest of each depth class resolve together
+in one pass whose per-config rows are element-for-element the walk of
+that config alone.  The whole thing is pinned to
 :class:`~repro.dram.engine.ReferenceEngine` by
 ``tests/dram/test_grid_engine_equivalence.py``.
 """
@@ -105,10 +104,10 @@ class GridBatchedEngine:
     ) -> list[BatchResult]:
         """Issue every line of ``batch`` into every config's datapath.
 
-        ``issue_cycles`` carries one issue cycle per config.  Configs a
-        per-config fast path accepts commit immediately through their
-        own engine; the rest of each depth class resolve together in
-        one vector pass.
+        ``issue_cycles`` carries one issue cycle per config.  Configs
+        the single-stream fast path accepts commit immediately through
+        their own engine; the rest of each depth class resolve together
+        in one vector pass.
         """
         engines = self.engines
         if len(issue_cycles) != len(engines):
@@ -117,7 +116,7 @@ class GridBatchedEngine:
             )
         total = batch.total_lines
         results: list[BatchResult | None] = [None] * len(engines)
-        rest: dict[int, int] = {}  # config index -> clock0, fast paths declined
+        rest: dict[int, int] = {}  # config index -> clock0, fast path declined
         for index, engine in enumerate(engines):
             cycle = int(issue_cycles[index])
             if cycle < 0:
@@ -129,7 +128,7 @@ class GridBatchedEngine:
                     ready_cycle=clock0, lines_read=0, lines_written=0
                 )
                 continue
-            fast = engine._try_fast_paths(batch, clock0, total)
+            fast = engine._process_single_stream(batch, clock0, total)
             if fast is not None:
                 results[index] = fast
                 continue

@@ -38,7 +38,6 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Callable
 
 #: Schema-version salt folded into every key.  Bump whenever any stored
 #: artifact's shape or meaning changes without an input change, so
@@ -210,10 +209,6 @@ class ArtifactStore:
         self.hits = 0
         self.misses = 0
 
-    def key(self, kind: str, payload: dict) -> str:
-        """Content address of one artifact's inputs (see module docs)."""
-        return content_address(kind, payload)
-
     def path(self, kind: str, key: str) -> Path:
         """On-disk location of one artifact."""
         return self.directory / kind / f"{key}.pkl"
@@ -232,14 +227,6 @@ class ArtifactStore:
         path = self.path(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         dump_pickle_atomic(path, payload)
-
-    def get_or_build(self, kind: str, key: str, build: Callable[[], object]) -> object:
-        """Serve an artifact from disk, building (and storing) on a miss."""
-        payload = self.get(kind, key)
-        if payload is None:
-            payload = build()
-            self.put(kind, key, payload)
-        return payload
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -121,7 +121,10 @@ def test_single_stream_bursts_are_bit_exact():
     spaced so earlier reads have retired — is exactly the regime the
     fast path claims; interleave it with occasional disqualifying
     batches (writes, multi-stream, tight spacing) so the guards and the
-    regular paths hand state back and forth.
+    regular paths hand state back and forth.  Half the bursts may run
+    to 20,000 words, past every read queue drawn here and past
+    ``vector_threshold``, so single-stream bursts the fast path declines
+    also take the scalar loop and the vector pass.
     """
     for trial in range(15):
         rng = random.Random(1_300 + trial)
@@ -142,7 +145,8 @@ def test_single_stream_bursts_are_bit_exact():
         base = 0
         for _ in range(40):
             if rng.random() < 0.8:  # the prefetch shape
-                fetches = (TileFetch("ifmap", base, rng.randint(1, 4000)),)
+                words = rng.randint(1, rng.choice((4_000, 20_000)))
+                fetches = (TileFetch("ifmap", base, words),)
                 cycle += rng.randrange(500, 20_000)
             else:  # disqualify: mixed streams / writes / tight spacing
                 fetches = (

@@ -88,7 +88,7 @@ def test_fold_demand_key_includes_cap():
 
 def test_store_get_put_roundtrip_and_counters(tmp_path):
     store = ArtifactStore(tmp_path / "store")
-    key = store.key("demo", {"v": 1})
+    key = content_address("demo", {"v": 1})
     assert store.get("demo", key) is None
     store.put("demo", key, {"payload": [1, 2, 3]})
     assert store.get("demo", key) == {"payload": [1, 2, 3]}
@@ -96,24 +96,9 @@ def test_store_get_put_roundtrip_and_counters(tmp_path):
     assert store.path("demo", key).exists()
 
 
-def test_store_get_or_build_builds_once(tmp_path):
-    store = ArtifactStore(tmp_path)
-    calls = []
-
-    def build():
-        calls.append(1)
-        return "built"
-
-    key = store.key("demo", {"v": 2})
-    assert store.get_or_build("demo", key, build) == "built"
-    assert store.get_or_build("demo", key, build) == "built"
-    assert len(calls) == 1
-    assert (store.hits, store.misses) == (1, 1)
-
-
 def test_corrupt_artifact_counts_as_miss_and_is_unlinked(tmp_path):
     store = ArtifactStore(tmp_path)
-    key = store.key("demo", {"v": 3})
+    key = content_address("demo", {"v": 3})
     store.put("demo", key, "good")
     path = store.path("demo", key)
     path.write_bytes(b"\x80\x04 truncated garbage")

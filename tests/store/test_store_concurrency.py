@@ -12,7 +12,7 @@ import pickle
 from repro.config.system import RunConfig, SystemConfig
 from repro.core.simulator import clear_compute_plan_cache
 from repro.run.sweep import Axis, ResultCache, SweepRunner, SweepSpec
-from repro.store.artifact_store import ArtifactStore
+from repro.store.artifact_store import ArtifactStore, content_address
 from repro.topology.models import toy_gemm
 from repro.utils.pool import pool_context
 
@@ -73,7 +73,7 @@ def _hammer_store(args):
     store = ArtifactStore(directory)
     outcomes = []
     for round_index in range(20):
-        key = store.key("hammer", {"round": round_index % 5})
+        key = content_address("hammer", {"round": round_index % 5})
         payload = {"round": round_index % 5, "blob": list(range(200))}
         store.put("hammer", key, payload)
         seen = store.get("hammer", key)
