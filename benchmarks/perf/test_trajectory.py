@@ -7,6 +7,7 @@ from pathlib import Path
 
 from benchmarks.perf.trajectory import (
     PERF_DIR,
+    bench_paths,
     build_markdown,
     build_trajectory,
     gate_regressions,
@@ -135,3 +136,16 @@ def test_committed_trajectory_covers_baselines():
     assert set(committed["benches"]) == set(fresh["benches"])
     for name, bench in fresh["benches"].items():
         assert set(committed["benches"][name]["speedups"]) == set(bench["speedups"]), name
+
+
+def test_committed_trajectory_matches_committed_baselines():
+    """TRAJECTORY.{json,md} are exactly the aggregate of the committed BENCH files.
+
+    Unlike the coverage checks above, this pins values: a baseline
+    re-recorded without re-aggregating (``REPRO_UPDATE_BASELINES=1
+    python benchmarks/perf/trajectory.py --markdown``) fails here.
+    Fresh harness output under ``benchmarks/out/`` plays no part.
+    """
+    trajectory = build_trajectory(bench_paths())
+    assert json.loads((PERF_DIR / "TRAJECTORY.json").read_text()) == trajectory
+    assert (PERF_DIR / "TRAJECTORY.md").read_text() == build_markdown(trajectory)

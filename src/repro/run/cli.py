@@ -176,16 +176,11 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         help="output directory for the sweep report (default ./outputs)",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persist simulated points here so repeated sweeps reuse them",
-    )
-    parser.add_argument(
         "--store-dir",
         default=None,
-        help="content-addressed artifact store for mid-level artifacts "
-        "(compute schedules and fold-demand streams); "
-        "warm stores skip the shared upstream work",
+        help="content-addressed artifact store persisting simulated points "
+        "and mid-level artifacts (compute schedules and fold-demand "
+        "streams); repeated sweeps reuse them",
     )
     parser.add_argument(
         "--name", default="sweep", help="sweep name used for run names and the CSV"
@@ -269,9 +264,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--data-dir",
         required=True,
-        help="root of all durable state: job journals, result cache, "
-        "artifact store, spool; restarting on the same directory recovers "
-        "unfinished jobs",
+        help="root of all durable state: job journals, artifact store "
+        "(simulated points included), spool; restarting on the same "
+        "directory recovers unfinished jobs",
     )
     parser.add_argument(
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
@@ -328,11 +323,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=30.0,
         help="seconds SIGTERM waits for running jobs before journaling "
         "them interrupted (default 30)",
-    )
-    parser.add_argument(
-        "--no-store",
-        action="store_true",
-        help="disable the shared artifact store under <data-dir>/store",
     )
     parser.add_argument(
         "--external-workers",
@@ -516,8 +506,8 @@ def sweep_main(argv: list[str]) -> int:
         topologies=[topology],
         name=args.name,
     )
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
     store = ArtifactStore(args.store_dir) if args.store_dir else None
+    cache = ResultCache(store)
     if args.executor is not None:
         executor = make_executor(
             args.executor,
@@ -648,7 +638,6 @@ def serve_main(argv: list[str]) -> int:
         max_active=args.max_active,
         max_attempts=args.max_attempts,
         lease_ttl=args.lease_ttl,
-        use_store=not args.no_store,
         external_workers=args.external_workers,
     )
     return serve(

@@ -15,7 +15,8 @@ workloads.  This module turns that pattern into a first-class subsystem:
 * :class:`ResultCache` — a content-hash cache (config sans run metadata
   + topology -> simulation payload).  Identical points are never
   simulated twice, within a sweep or across sweeps; an optional
-  directory persists payloads on disk between processes.
+  :class:`~repro.store.ArtifactStore` persists payloads on disk between
+  processes as its ``sweep_point`` kind.
 * :class:`SweepRunner` — fans cache misses out over a pluggable
   :class:`~repro.run.executors.Executor` (``workers=N`` is sugar for
   the multiprocessing :class:`~repro.run.executors.PoolExecutor`).
@@ -33,7 +34,8 @@ workloads.  This module turns that pattern into a first-class subsystem:
   :attr:`SweepRunner.last_grouping` reports the units dispatched.
   An optional :class:`~repro.store.ArtifactStore` persists the
   mid-level artifacts those seams share (compute schedules and fold
-  demand streams) across processes and sessions.
+  demand streams) across processes and sessions; hand the same store
+  to the :class:`ResultCache` and finished points persist there too.
 
 Example::
 
@@ -50,13 +52,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import itertools
-import json
 import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.config.system import RunConfig, SystemConfig
 from repro.core.simulator import RunResult
@@ -75,8 +74,8 @@ from repro.run.runner import _layout_config, _memory_key, simulate_configs
 from repro.sparsity.sparse_compute import SparseLayerResult
 from repro.store.artifact_store import (
     ArtifactStore,
-    dump_pickle_atomic,
-    load_pickle_guarded,
+    canonical_artifact,
+    content_address,
     set_active_store,
 )
 from repro.topology.topology import Topology
@@ -96,15 +95,6 @@ _GROUPABLE_SECTIONS = ("dram", "layout")
 #: chained; ``degrade`` completes the sweep with the points it could
 #: compute and records the rest in :attr:`SweepRunner.last_failures`.
 FAILURE_POLICIES = ("raise", "degrade")
-
-#: Simulator-semantics salt folded into every content key.  Bump this
-#: whenever output *shape or meaning* changes without a config-field
-#: change, so pre-existing disk caches re-simulate instead of serving
-#: stale rows.  2026-07 (dram fanout): grouped units now resolve dense
-#: runs through the shared-plan DRAM fan-out, so pre-PR-5 disk caches
-#: re-simulate once under the new grouping.
-_SEMANTICS_SALT = "v5-dram-fanout-2026-07"
-
 
 @dataclass(frozen=True)
 class Axis:
@@ -272,15 +262,21 @@ def _slim_run_result(run_result: RunResult) -> RunResult:
 # ------------------------------------------------------------------ cache
 
 
-def _canonical_layer(layer: object) -> dict:
-    data = dataclasses.asdict(layer)  # type: ignore[call-overload]
-    data["__kind__"] = type(layer).__name__
-    return data
-
-
-def _hashed(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()
+def _point_inputs(
+    config: SystemConfig,
+    topology: Topology,
+    simulate_dense: bool,
+    sections: Sequence[str],
+) -> dict:
+    """The content-address payload of a point, over the given config sections."""
+    return {
+        "config": {
+            section: dataclasses.asdict(getattr(config, section))
+            for section in sections
+        },
+        "topology": [canonical_artifact(layer) for layer in topology],
+        "simulate_dense": simulate_dense,
+    }
 
 
 def content_key(
@@ -291,16 +287,9 @@ def content_key(
     The ``run`` section (name / output dir) is metadata and deliberately
     excluded, so renamed runs of the same point still hit the cache.
     """
-    return _hashed(
-        {
-            "salt": _SEMANTICS_SALT,
-            "config": {
-                section: dataclasses.asdict(getattr(config, section))
-                for section in _SWEEPABLE_SECTIONS
-            },
-            "topology": [_canonical_layer(layer) for layer in topology],
-            "simulate_dense": simulate_dense,
-        }
+    return content_address(
+        "sweep_point",
+        _point_inputs(config, topology, simulate_dense, _SWEEPABLE_SECTIONS),
     )
 
 
@@ -313,59 +302,39 @@ def _fanout_group_key(
     ``layout.*`` knobs, so they share one compute plan / sparsity pass
     and resolve per-config through the DRAM and layout fan-out seams.
     """
-    return _hashed(
-        {
-            "salt": _SEMANTICS_SALT,
-            "config": {
-                section: dataclasses.asdict(getattr(config, section))
-                for section in _SWEEPABLE_SECTIONS
-                if section not in _GROUPABLE_SECTIONS
-            },
-            "topology": [_canonical_layer(layer) for layer in topology],
-            "simulate_dense": simulate_dense,
-        }
+    sections = [s for s in _SWEEPABLE_SECTIONS if s not in _GROUPABLE_SECTIONS]
+    return content_address(
+        "fanout_group", _point_inputs(config, topology, simulate_dense, sections)
     )
 
 
 class ResultCache:
     """Content-addressed store of simulated sweep points.
 
-    Always caches in memory; pass ``directory`` to also persist payloads
-    as pickles so repeated sweeps across processes skip re-simulation.
+    Always caches in memory; pass ``store`` to also persist payloads as
+    its ``sweep_point`` kind, so repeated sweeps across processes skip
+    re-simulation.  A corrupt file there reads as a miss and is removed,
+    and writes are atomic (see :class:`~repro.store.ArtifactStore`).
     """
 
-    def __init__(self, directory: str | Path | None = None) -> None:
+    def __init__(self, store: ArtifactStore | None = None) -> None:
         self._memory: dict[str, _PointPayload] = {}
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
+        self.store = store
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._memory)
 
-    def key(
-        self, config: SystemConfig, topology: Topology, simulate_dense: bool = True
-    ) -> str:
-        """Content hash for a (config, topology) pair."""
-        return content_key(config, topology, simulate_dense)
-
     def peek(self, key: str) -> _PointPayload | None:
         """Look a payload up in memory without touching the counters."""
         return self._memory.get(key)
 
     def get(self, key: str) -> _PointPayload | None:
-        """Look a payload up, counting the hit or miss.
-
-        A truncated or corrupt pickle in a shared cache directory — a
-        crashed writer, a disk error — counts as a miss and the bad
-        file is unlinked so the re-simulation repairs it
-        (:func:`repro.store.load_pickle_guarded`).
-        """
+        """Look a payload up (memory, then the store), counting the hit or miss."""
         payload = self._memory.get(key)
-        if payload is None and self.directory is not None:
-            payload = load_pickle_guarded(self.directory / f"{key}.pkl")
+        if payload is None and self.store is not None:
+            payload = self.store.get("sweep_point", key)
             if payload is not None:
                 self._memory[key] = payload
         if payload is None:
@@ -375,16 +344,10 @@ class ResultCache:
         return payload
 
     def put(self, key: str, payload: _PointPayload) -> None:
-        """Store a payload in memory (and on disk when configured).
-
-        Disk writes go through a per-process temp name + atomic replace
-        (:func:`repro.store.dump_pickle_atomic`): concurrent sweeps
-        sharing a cache directory never interleave writes or expose a
-        partial payload.
-        """
+        """Store a payload in memory (and in the store when configured)."""
         self._memory[key] = payload
-        if self.directory is not None:
-            dump_pickle_atomic(self.directory / f"{key}.pkl", payload)
+        if self.store is not None:
+            self.store.put("sweep_point", key, payload)
 
 
 # ----------------------------------------------------------------- runner
@@ -702,10 +665,6 @@ class SweepRunner:
         #: A :class:`SweepGrouping`, so per-unit fan-out detail rides
         #: along in ``last_grouping.units``.  ``None`` before any run.
         self.last_grouping: SweepGrouping | None = None
-        #: Content keys the current run already wrote to the cache via
-        #: the per-unit ``unit_done`` hook (crash-safe incremental
-        #: persistence); :meth:`run` skips re-writing these at the end.
-        self._persisted: set[str] = set()
 
     def run(self, spec: SweepSpec) -> list[SweepResult]:
         """Run every grid point; results come back ordered by index.
@@ -720,7 +679,7 @@ class SweepRunner:
         self.last_grouping = SweepGrouping(0, 0)
         self.last_failures = []
         keys = [
-            self.cache.key(point.config, point.topology, spec.simulate_dense)
+            content_key(point.config, point.topology, spec.simulate_dense)
             for point in points
         ]
 
@@ -741,22 +700,14 @@ class SweepRunner:
             else:
                 unique[key] = point
 
-        self._persisted: set[str] = set()
         computed = self._compute(
             list(unique.values()), spec.simulate_dense, keys=list(unique)
         )
-        failed_keys: dict[str, UnitFailure] = {}
-        for key, envelope in zip(unique, computed):
-            if envelope.ok:
-                # Successes are cached even when a sibling failed, so a
-                # re-run (or a degrade-policy retry) resumes instead of
-                # re-simulating the healthy points.  Units persisted
-                # incrementally by the unit_done hook are already on disk.
-                if key not in self._persisted:
-                    self.cache.put(key, envelope.value)
-            else:
-                assert envelope.failure is not None
-                failed_keys[key] = envelope.failure
+        failed_keys: dict[str, UnitFailure] = {
+            key: envelope.failure
+            for key, envelope in zip(unique, computed)
+            if not envelope.ok
+        }
         if failed_keys and self.failure_policy == "raise":
             next(iter(failed_keys.values())).raise_()
 
@@ -829,9 +780,9 @@ class SweepRunner:
         unit completes, through the executor's ``unit_done`` hook —
         crash-safe incremental persistence: a process killed mid-batch
         re-simulates only the units still in flight, because everything
-        finished is already on disk.  Keys persisted this way land in
-        :attr:`_persisted` so :meth:`run` skips the (idempotent but
-        wasteful) end-of-batch re-write.
+        finished is already on disk.  Successes are cached even when a
+        sibling failed, so a re-run resumes instead of re-simulating the
+        healthy points.
         """
         if not points:
             return []
@@ -855,7 +806,6 @@ class SweepRunner:
                 return
             for position, payload in zip(units[unit_index][0], envelope.value):
                 self.cache.put(keys[position], payload)
-                self._persisted.add(keys[position])
 
         unit_envelopes = self.executor.map_units_enveloped(
             fn,

@@ -18,9 +18,10 @@ recovery, and graceful drain:
 * **crash recovery** — :meth:`JobManager.recover` (run at startup)
   replays every job journal under the data directory: jobs with a
   terminal event are loaded as finished history, jobs without one are
-  re-enqueued.  Re-running is idempotent: completed units are hits in
-  the shared on-disk :class:`~repro.run.sweep.ResultCache`, so only
-  results lost with the dead process are re-simulated;
+  re-enqueued.  Re-running is idempotent: completed units are
+  ``sweep_point`` hits in the shared on-disk
+  :class:`~repro.store.ArtifactStore`, so only results lost with the
+  dead process are re-simulated;
 * **graceful drain** — :meth:`begin_drain` stops admission (new
   submits raise :class:`DrainingError` -> 503), :meth:`drain` waits for
   running jobs up to a timeout, journals the stragglers as
@@ -420,15 +421,13 @@ class JobManager:
     outside the lock.
 
     Args:
-        data_dir: root of all durable state (jobs, cache, store, spool).
+        data_dir: root of all durable state (jobs, store, spool).
         executor_name: ``serial`` (default), ``pool`` or ``queue`` —
             how each job's simulation units execute.
         workers: per-job unit parallelism for the ``pool`` executor.
         max_queued: admission bound on jobs waiting to run.
         max_active: worker threads = jobs running concurrently.
         max_attempts / lease_ttl: executor fault-tolerance overrides.
-        use_store: keep a shared on-disk ArtifactStore under the data
-            dir (mid-level artifact reuse across jobs and restarts).
         external_workers: with the ``queue`` executor, don't drain the
             spool in-process — remote ``scale-sim-repro worker``
             processes own execution.
@@ -446,7 +445,6 @@ class JobManager:
         max_active: int = 1,
         max_attempts: int | None = None,
         lease_ttl: float | None = None,
-        use_store: bool = True,
         external_workers: bool = False,
         job_runner=None,
     ) -> None:
@@ -464,8 +462,8 @@ class JobManager:
         self.max_attempts = max_attempts
         self.lease_ttl = lease_ttl
         self.external_workers = external_workers
-        self.cache = ResultCache(self.data_dir / "cache")
-        self.store = ArtifactStore(self.data_dir / "store") if use_store else None
+        self.store = ArtifactStore(self.data_dir / "store")
+        self.cache = ResultCache(self.store)
         self.spool_dir = self.data_dir / "spool"
         self.server_journal = JobJournal(self.data_dir / "server.jsonl")
         self._job_runner = job_runner if job_runner is not None else _run_sweep_job
@@ -685,11 +683,6 @@ class JobManager:
                 states[job.state] += 1
             queued_depth = len(self._queue)
             draining = self._draining
-        store_counters = (
-            {"hits": self.store.hits, "misses": self.store.misses}
-            if self.store is not None
-            else None
-        )
         return {
             "status": "draining" if draining else "ok",
             "uptime_seconds": time.time() - self.started_at,
@@ -698,7 +691,7 @@ class JobManager:
             "queue": {"depth": queued_depth, "max_queued": self.max_queued},
             "active": {"running": states["running"], "max_active": self.max_active},
             "result_cache": {"hits": self.cache.hits, "misses": self.cache.misses},
-            "artifact_store": store_counters,
+            "artifact_store": {"hits": self.store.hits, "misses": self.store.misses},
             "spool": {"depth": self.spool_depth()},
         }
 

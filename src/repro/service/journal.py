@@ -27,8 +27,8 @@ Event vocabulary (see DESIGN.md "Sweep-as-a-service"):
 A journal whose last terminal event exists describes a finished job;
 one without describes work the server still owes and must re-enqueue on
 startup.  Re-running is idempotent because every simulated point lands
-in the shared on-disk :class:`~repro.run.sweep.ResultCache` *before*
-the terminal event is journaled — a replayed job re-simulates only the
+in the shared on-disk store (as a ``sweep_point``) *before* the
+terminal event is journaled — a replayed job re-simulates only the
 units whose results were lost with the process.
 """
 

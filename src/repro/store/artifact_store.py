@@ -1,14 +1,14 @@
-"""Content-addressed, atomic on-disk store for mid-level artifacts.
+"""Content-addressed, atomic on-disk store: the one disk format.
 
-:class:`~repro.run.sweep.ResultCache` persists *final* simulation
-payloads; the two expensive artifacts in between — per-layer compute
-schedules (``layer_compute``, the :class:`~repro.core.simulator.ComputePlan`
+Everything the simulator persists lives here, one kind per
+subdirectory: finished sweep points (``sweep_point``, written through
+:class:`~repro.run.sweep.ResultCache`), per-layer compute schedules
+(``layer_compute``, the :class:`~repro.core.simulator.ComputePlan`
 pieces) and layout demand artifacts (``fold_demand``,
-:class:`~repro.layout.conflict.FoldDemand` streams) — used to die with
-the process.  :class:`ArtifactStore` content-addresses those mid-level
-artifacts on disk so a cold process loads them instead of rebuilding
-them.  The DRAM fan-out's line streams are not stored: the fan-out
-rebuilds them from the plan in under a millisecond.
+:class:`~repro.layout.conflict.FoldDemand` streams).  A cold process
+loads them instead of rebuilding them.  The DRAM fan-out's line streams
+are not stored: the fan-out rebuilds them from the plan in under a
+millisecond.
 
 * **keys** are SHA-256 hashes of a canonical JSON rendering of the
   artifact's *inputs* (never of the artifact itself), salted with
@@ -16,12 +16,12 @@ rebuilds them from the plan in under a millisecond.
   artifact's shape or meaning changes and every existing store
   re-populates instead of serving stale objects;
 * **writes** are atomic: pickle to a per-process temp name, then
-  ``os.replace`` into place — the same discipline as
-  ``ResultCache.put``, so any number of processes can share one store
-  directory without ever exposing a half-written file;
+  ``os.replace`` into place, so any number of processes can share one
+  store directory without ever exposing a half-written file;
 * **reads** are guarded: a truncated or corrupt pickle (a crashed
-  writer on a non-atomic filesystem, a disk error) counts as a miss and
-  the bad file is unlinked so the next write repairs it.
+  writer on a non-atomic filesystem, a disk error, a flipped bit)
+  counts as a miss and the bad file is unlinked so the next write
+  repairs it.
 
 Producers look the store up through the *active-store* seam
 (:func:`set_active_store` / :func:`active_store`) so the hot functions
@@ -39,10 +39,11 @@ import os
 import pickle
 from pathlib import Path
 
-#: Schema-version salt folded into every key.  Bump whenever any stored
-#: artifact's shape or meaning changes without an input change, so
-#: existing store directories re-populate instead of serving stale
-#: objects (mirrors ``repro.run.sweep._SEMANTICS_SALT``).  v2: a
+#: The one salt folded into every key on disk.  Bump it whenever any
+#: stored kind's shape or meaning changes without an input change — a
+#: new ``layer_compute`` layout, or simulator output that changes
+#: without a config-field change (``sweep_point``) — so existing store
+#: directories re-populate instead of serving stale objects.  v2: a
 #: ``layer_compute`` artifact carries a columnar ``FoldSchedule`` instead
 #: of a per-fold list.  v3: ``FoldSchedule`` holds only ``folds``,
 #: ``cycles`` and ``slots`` (the per-fold grid fields are gone); a v2
@@ -50,23 +51,21 @@ from pathlib import Path
 #: first walk.
 STORE_SCHEMA_VERSION = "store-v3-2026-10"
 
-#: Errors a corrupt/truncated/vanished pickle can raise on load; all are
-#: treated as a miss (and the bad file removed) rather than propagated.
-_CORRUPT_PICKLE_ERRORS = (EOFError, pickle.UnpicklingError, OSError)
-
 
 def load_pickle_guarded(path: Path) -> object | None:
     """Load a pickle, treating corruption as absence.
 
     A truncated or corrupt file — a crashed writer, a disk error — is
     unlinked so the next ``put`` repairs it; a file another process
-    removed mid-read simply reads as missing.  Returns ``None`` in
-    every failure case (stored payloads are never ``None``).
+    removed mid-read simply reads as missing.  Any exception the load
+    raises counts: a flipped bit can surface as a bad opcode, a garbled
+    string, an unknown module or a huge allocation.  Returns ``None``
+    in every failure case (stored payloads are never ``None``).
     """
     try:
         with path.open("rb") as handle:
             return pickle.load(handle)
-    except _CORRUPT_PICKLE_ERRORS:
+    except Exception:
         try:
             path.unlink(missing_ok=True)
         except OSError:  # pragma: no cover - unlink race / read-only dir

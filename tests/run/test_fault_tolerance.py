@@ -286,17 +286,20 @@ def test_process_spool_reap_flag(tmp_path):
 
 
 def test_bare_tuple_task_is_dropped(tmp_path):
-    # Only TaskRecord payloads are work: a bare (fn, unit) tuple is
-    # foreign input, dropped unexecuted like a corrupt pickle, and the
-    # worker loop carries on with the next task.
+    # Only TaskRecord payloads are work: a bare (fn, unit) tuple, or a
+    # pickle naming a module that does not exist, is foreign input,
+    # dropped unexecuted like a corrupt pickle, and the worker loop
+    # carries on with the next task.
     batch = tmp_path / f"batch_{os.getpid()}_0001"
     batch.mkdir()
-    bare, record = _spool_task_paths(batch, 2)
+    bare, unknown_module, record = _spool_task_paths(batch, 3)
     dump_pickle_atomic(bare, (_double, 8))
+    unknown_module.write_bytes(b"cno_such_module\nThing\n.")
     dump_pickle_atomic(record, TaskRecord(fn=_double, unit=9))
     assert process_spool(tmp_path) == 1
-    assert not _result_path(bare).exists()
-    assert not list(batch.glob(bare.name + "*"))  # task and claim both gone
+    for foreign in (bare, unknown_module):
+        assert not _result_path(foreign).exists()
+        assert not list(batch.glob(foreign.name + "*"))  # task and claim gone
     envelope = _read_result(record)
     assert envelope.ok and envelope.value == 18
 

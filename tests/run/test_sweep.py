@@ -321,9 +321,11 @@ class TestSweepRunner:
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_disk_cache_persists_across_instances(self, tmp_path):
+        from repro.store.artifact_store import ArtifactStore
+
         spec = _spec()
-        SweepRunner(cache=ResultCache(tmp_path / "cache")).run(spec)
-        cache = ResultCache(tmp_path / "cache")
+        SweepRunner(cache=ResultCache(ArtifactStore(tmp_path / "store"))).run(spec)
+        cache = ResultCache(ArtifactStore(tmp_path / "store"))
         results = SweepRunner(cache=cache).run(spec)
         assert all(r.from_cache for r in results)
         assert cache.misses == 0
@@ -404,8 +406,8 @@ class TestSweepCli:
             "dram.channels=1,2",
             "-p",
             str(tmp_path),
-            "--cache-dir",
-            str(tmp_path / "cache"),
+            "--store-dir",
+            str(tmp_path / "store"),
         ]
         assert main(argv) == 0
         capsys.readouterr()

@@ -33,7 +33,6 @@ def test_hammer_submit_poll_cancel(tmp_path):
         job_runner=lambda m, j: None,
         max_queued=4,
         max_active=2,
-        use_store=False,
     )
     httpd, _ = start_server(manager)
     base_url = f"http://127.0.0.1:{httpd.server_address[1]}"

@@ -96,12 +96,21 @@ def test_store_get_put_roundtrip_and_counters(tmp_path):
     assert store.path("demo", key).exists()
 
 
-def test_corrupt_artifact_counts_as_miss_and_is_unlinked(tmp_path):
+@pytest.mark.parametrize(
+    "garbage",
+    [
+        b"\x80\x04 truncated garbage",
+        b"cno_such_module\nThing\n.",  # ModuleNotFoundError on load
+        b"X\x02\x00\x00\x00\xff\xfe.",  # UnicodeDecodeError on load
+    ],
+    ids=["truncated", "missing_module", "bad_utf8"],
+)
+def test_corrupt_artifact_counts_as_miss_and_is_unlinked(tmp_path, garbage):
     store = ArtifactStore(tmp_path)
     key = content_address("demo", {"v": 3})
     store.put("demo", key, "good")
     path = store.path("demo", key)
-    path.write_bytes(b"\x80\x04 truncated garbage")
+    path.write_bytes(garbage)
     assert store.get("demo", key) is None
     assert not path.exists()  # repaired: next put recreates it
     store.put("demo", key, "good again")

@@ -31,9 +31,9 @@ def _spec(name: str = "shared") -> SweepSpec:
 
 
 def test_two_runners_share_a_cache_directory(tmp_path):
-    cache_dir = tmp_path / "cache"
-    first = SweepRunner(cache=ResultCache(cache_dir))
-    second = SweepRunner(cache=ResultCache(cache_dir))
+    store_dir = tmp_path / "store"
+    first = SweepRunner(cache=ResultCache(ArtifactStore(store_dir)))
+    second = SweepRunner(cache=ResultCache(ArtifactStore(store_dir)))
 
     cold = first.run(_spec())
     warm = second.run(_spec())
@@ -99,31 +99,32 @@ def test_store_survives_multiprocess_hammer(tmp_path):
 
 def _hammer_cache(args):
     directory, worker = args
-    cache = ResultCache(directory)
+    cache = ResultCache(ArtifactStore(directory))
     ok = True
     for round_index in range(10):
         key = f"key_{round_index % 3}"
         payload = {"round": round_index % 3, "worker-agnostic": True}
         cache.put(key, payload)
-        fresh = ResultCache(directory)  # force a disk read, not memory
+        fresh = ResultCache(ArtifactStore(directory))  # force a disk read
         ok = ok and fresh.get(key) == payload
     return worker, ok
 
 
 def test_result_cache_survives_multiprocess_hammer(tmp_path):
-    directory = tmp_path / "cache"
+    directory = tmp_path / "store"
     with pool_context().Pool(processes=4) as pool:
         results = pool.map(_hammer_cache, [(str(directory), i) for i in range(4)])
     assert all(ok for _, ok in results)
 
 
 def test_result_cache_corrupt_entry_is_a_miss_and_repaired(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = ResultCache(ArtifactStore(tmp_path))
     cache.put("k", {"v": 1})
-    other = ResultCache(tmp_path)
-    (tmp_path / "k.pkl").write_bytes(b"\x80\x04 not a pickle")
+    other = ResultCache(ArtifactStore(tmp_path))
+    entry = tmp_path / "sweep_point" / "k.pkl"
+    entry.write_bytes(b"\x80\x04 not a pickle")
     assert other.get("k") is None
     assert (other.hits, other.misses) == (0, 1)
-    assert not (tmp_path / "k.pkl").exists()
+    assert not entry.exists()
     cache.put("k", {"v": 2})  # repair
-    assert ResultCache(tmp_path).get("k") == {"v": 2}
+    assert ResultCache(ArtifactStore(tmp_path)).get("k") == {"v": 2}
