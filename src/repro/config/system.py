@@ -15,6 +15,8 @@ configuration fails loudly at construction, not deep inside a simulation.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -24,12 +26,64 @@ VALID_DATAFLOWS = ("os", "ws", "is")
 #: Known DRAM technology presets (see :mod:`repro.dram.timing`).
 VALID_DRAM_TECHNOLOGIES = ("ddr3", "ddr4", "lpddr4", "gddr5", "hbm", "hbm2", "wio2")
 
+#: Ramulator's address-field codes; a DRAM address mapping is an
+#: underscore-joined permutation of them (see :mod:`repro.dram.address`).
+ADDRESS_FIELD_CODES = ("ro", "ba", "ra", "co", "ch")
+
 VALID_SPARSE_REPRESENTATIONS = ("csr", "csc", "ellpack_block")
+
+#: Words a boolean field accepts as text, in any case.
+BOOL_WORDS = {
+    **dict.fromkeys(("true", "yes", "on", "1"), True),
+    **dict.fromkeys(("false", "no", "off", "0"), False),
+}
+
+#: Declared field type -> (what an error calls it, accepted non-text type).
+_FIELD_KINDS = {
+    "bool": ("a boolean", bool),
+    "int": ("an integer", numbers.Integral),
+    "float": ("a number", numbers.Real),
+    "str": ("a string", str),
+}
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def field_value(section_cfg: object, name: str, value: object, where: str) -> object:
+    """Type ``value`` for field ``name`` of a config section dataclass.
+
+    The one rule for every input source (``.cfg`` text, ``--set``
+    values, job payloads).  Text is parsed by the field's declared
+    type; booleans take :data:`BOOL_WORDS`.  Any other value must
+    already have the field's type: an int is accepted for a float field
+    and returned unchanged, a bool is never an int.  Properties and
+    methods are not fields.  Raises :class:`ConfigError` prefixed with
+    ``where``; range checks stay in each ``__post_init__``.
+    """
+    declared = {f.name: f.type for f in dataclasses.fields(section_cfg)}.get(name)
+    if declared is None:
+        raise ConfigError(f"{where}: unknown config field {name!r}")
+    kind, value_type = _FIELD_KINDS[declared]
+    if isinstance(value, str) and declared != "str":
+        text = value.strip().lower()
+        try:
+            if declared == "bool":
+                return BOOL_WORDS[text]
+            value = int(text) if declared == "int" else float(text)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{where}: expected {kind}, got {value!r}") from None
+    elif isinstance(value, str):
+        return value.strip()
+    elif isinstance(value, bool) != (declared == "bool") or not isinstance(
+        value, value_type
+    ):
+        raise ConfigError(f"{where}: expected {kind}, got {value!r}")
+    if declared == "float" and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -162,6 +216,12 @@ class DramConfig:
         _require(self.speed_mts > 0, "speed_mts must be positive")
         _require(self.read_queue_entries >= 1, "read_queue_entries must be >= 1")
         _require(self.write_queue_entries >= 1, "write_queue_entries must be >= 1")
+        mapping = sorted(self.address_mapping.strip().lower().split("_"))
+        _require(
+            mapping == sorted(ADDRESS_FIELD_CODES),
+            f"address_mapping must be a permutation of {ADDRESS_FIELD_CODES}, "
+            f"got {self.address_mapping!r}",
+        )
         _require(self.issue_per_cycle >= 1, "issue_per_cycle must be >= 1")
 
 

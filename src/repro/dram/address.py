@@ -11,11 +11,11 @@ makes streaming workloads scale with channel count (paper Figure 9).
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.config.system import ADDRESS_FIELD_CODES
 from repro.errors import DramError
 
 LINE_BYTES = 64
-
-_FIELD_CODES = ("ro", "ba", "ra", "co", "ch")
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,9 @@ class AddressMapper:
         capacity_bytes_per_channel: int,
     ) -> None:
         fields = tuple(mapping.strip().lower().split("_"))
-        if sorted(fields) != sorted(_FIELD_CODES):
+        if sorted(fields) != sorted(ADDRESS_FIELD_CODES):
             raise DramError(
-                f"mapping must be a permutation of {_FIELD_CODES}, got {mapping!r}"
+                f"mapping must be a permutation of {ADDRESS_FIELD_CODES}, got {mapping!r}"
             )
         if channels < 1 or ranks < 1 or banks < 1:
             raise DramError("channels/ranks/banks must all be >= 1")

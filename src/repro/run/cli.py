@@ -11,7 +11,12 @@ Either a ``.cfg`` file or a named preset selects the architecture, and
 either a topology CSV or a built-in model name selects the workload.
 The ``sweep`` subcommand crosses the selected config with one or more
 ``--set section.field=v1,v2,...`` axes, fans the grid out over a worker
-pool (:mod:`repro.run.sweep`), and writes a sweep-report CSV.  The
+pool (:mod:`repro.run.sweep`), and writes a sweep-report CSV.  ``sweep``
+and ``submit`` turn their arguments into one
+:class:`~repro.run.request.SweepRequest`, which types each ``--set``
+value by its field's declared type and checks every grid point before
+any work starts; input it rejects prints one ``error:`` line and exits
+2.  The
 ``worker`` subcommand runs the spool worker loop
 (:func:`repro.run.executors.process_spool`) against a shared spool
 directory — the remote half of ``sweep --executor queue``.
@@ -37,16 +42,11 @@ from repro.core.report import (
     write_layout_sweep_report,
     write_sweep_report,
 )
-from repro.errors import ServiceError
+from repro.errors import ConfigError, ServiceError, TopologyError
 from repro.run.executors import AVAILABLE_EXECUTORS, make_executor, process_spool
+from repro.run.request import SweepRequest
 from repro.run.runner import run_simulation
-from repro.run.sweep import (
-    FAILURE_POLICIES,
-    Axis,
-    ResultCache,
-    SweepRunner,
-    SweepSpec,
-)
+from repro.run.sweep import FAILURE_POLICIES, ResultCache, SweepRunner
 from repro.store.artifact_store import ArtifactStore
 from repro.topology.models import available_models, get_model
 from repro.topology.topology import Topology
@@ -80,6 +80,58 @@ def positive_float(raw: str) -> float:
     return value
 
 
+def _add_source_args(parser: argparse.ArgumentParser) -> None:
+    """The config source, workload source and ``--scale`` of every sweep."""
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("-c", "--config", help="path to a SCALE-Sim style .cfg file")
+    source.add_argument(
+        "--preset", choices=available_presets(), help="named architecture preset"
+    )
+    workload = parser.add_mutually_exclusive_group(required=True)
+    workload.add_argument("-t", "--topology", help="path to a topology CSV")
+    workload.add_argument(
+        "--model", choices=available_models(), help="built-in workload model"
+    )
+    parser.add_argument(
+        "--scale",
+        type=positive_int,
+        default=1,
+        help="divisor shrinking built-in model dimensions (default 1)",
+    )
+
+
+def _add_request_args(parser: argparse.ArgumentParser, failure_policy: str) -> None:
+    """The source args plus what else :meth:`SweepRequest.from_args` reads."""
+    _add_source_args(parser)
+    parser.add_argument(
+        "--set",
+        dest="axes",
+        action="append",
+        default=[],
+        metavar="FIELD=V1,V2,...",
+        help="sweep axis over a dotted config field, e.g. dram.channels=1,2,4 "
+        "(repeatable; axes cross-multiply; values take the field's type)",
+    )
+    parser.add_argument(
+        "--name", default="sweep", help="sweep name used for run names and the CSV"
+    )
+    parser.add_argument(
+        "--failure-policy",
+        choices=FAILURE_POLICIES,
+        default=failure_policy,
+        help="what to do when a point exhausts its attempt budget: 'raise' "
+        "aborts the sweep; 'degrade' finishes the surviving points and "
+        f"reports the rest in <name>_failures.csv (default {failure_policy})",
+    )
+    parser.add_argument(
+        "--max-attempts",
+        type=positive_int,
+        default=None,
+        help="attempt budget per simulation unit before it is quarantined "
+        "(default 3; a server's own for submit)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser."""
     parser = argparse.ArgumentParser(
@@ -90,26 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(grid over config fields, worker pool, result cache)"
         ),
     )
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("-c", "--config", help="path to a SCALE-Sim style .cfg file")
-    source.add_argument(
-        "--preset",
-        choices=available_presets(),
-        help="named architecture preset",
-    )
-    workload = parser.add_mutually_exclusive_group(required=True)
-    workload.add_argument("-t", "--topology", help="path to a topology CSV")
-    workload.add_argument(
-        "--model",
-        choices=available_models(),
-        help="built-in workload model",
-    )
-    parser.add_argument(
-        "--scale",
-        type=positive_int,
-        default=1,
-        help="divisor shrinking built-in model dimensions (default 1)",
-    )
+    _add_source_args(parser)
     parser.add_argument(
         "-p",
         "--output",
@@ -130,31 +163,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         prog="scale-sim-repro sweep",
         description="fan a config grid out over a worker pool and report CSV",
     )
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("-c", "--config", help="path to a SCALE-Sim style .cfg file")
-    source.add_argument(
-        "--preset", choices=available_presets(), help="named architecture preset"
-    )
-    workload = parser.add_mutually_exclusive_group(required=True)
-    workload.add_argument("-t", "--topology", help="path to a topology CSV")
-    workload.add_argument(
-        "--model", choices=available_models(), help="built-in workload model"
-    )
-    parser.add_argument(
-        "--scale",
-        type=positive_int,
-        default=1,
-        help="divisor shrinking built-in model dimensions (default 1)",
-    )
-    parser.add_argument(
-        "--set",
-        dest="axes",
-        action="append",
-        default=[],
-        metavar="FIELD=V1,V2,...",
-        help="sweep axis over a dotted config field, e.g. dram.channels=1,2,4 "
-        "(repeatable; axes cross-multiply)",
-    )
+    _add_request_args(parser, failure_policy="raise")
     parser.add_argument(
         "--workers",
         type=positive_int,
@@ -181,24 +190,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         help="content-addressed artifact store persisting simulated points "
         "and mid-level artifacts (compute schedules and fold-demand "
         "streams); repeated sweeps reuse them",
-    )
-    parser.add_argument(
-        "--name", default="sweep", help="sweep name used for run names and the CSV"
-    )
-    parser.add_argument(
-        "--failure-policy",
-        choices=FAILURE_POLICIES,
-        default="raise",
-        help="what to do when a point exhausts its attempt budget: 'raise' "
-        "aborts the sweep (default); 'degrade' finishes the surviving points "
-        "and writes the rest to <name>_failures.csv",
-    )
-    parser.add_argument(
-        "--max-attempts",
-        type=positive_int,
-        default=None,
-        help="attempt budget per simulation unit before it is quarantined "
-        "(default 3)",
     )
     parser.add_argument(
         "--lease-ttl",
@@ -346,46 +337,7 @@ def build_submit_parser() -> argparse.ArgumentParser:
         default="http://127.0.0.1:8537",
         help="server base URL (default http://127.0.0.1:8537)",
     )
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("-c", "--config", help="path to a SCALE-Sim style .cfg file")
-    source.add_argument(
-        "--preset", choices=available_presets(), help="named architecture preset"
-    )
-    workload = parser.add_mutually_exclusive_group(required=True)
-    workload.add_argument("-t", "--topology", help="path to a topology CSV")
-    workload.add_argument(
-        "--model", choices=available_models(), help="built-in workload model"
-    )
-    parser.add_argument(
-        "--scale",
-        type=positive_int,
-        default=1,
-        help="divisor shrinking built-in model dimensions (default 1)",
-    )
-    parser.add_argument(
-        "--set",
-        dest="axes",
-        action="append",
-        default=[],
-        metavar="FIELD=V1,V2,...",
-        help="sweep axis over a dotted config field (repeatable)",
-    )
-    parser.add_argument(
-        "--name", default="sweep", help="job name used for the report CSV"
-    )
-    parser.add_argument(
-        "--failure-policy",
-        choices=FAILURE_POLICIES,
-        default="degrade",
-        help="server-side policy when a point exhausts its attempts "
-        "(default degrade: finish survivors, report the rest)",
-    )
-    parser.add_argument(
-        "--max-attempts",
-        type=positive_int,
-        default=None,
-        help="attempt budget per simulation unit (default: server's)",
-    )
+    _add_request_args(parser, failure_policy="degrade")
     parser.add_argument(
         "--max-retries",
         type=positive_int,
@@ -466,46 +418,10 @@ def build_fetch_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_axis_value(raw: str) -> object:
-    text = raw.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _parse_axis(option: str) -> Axis:
-    field_path, sep, values = option.partition("=")
-    if not sep or not values.strip():
-        raise SystemExit(
-            f"--set expects FIELD=V1,V2,... with at least one value, got {option!r}"
-        )
-    return Axis(
-        field_path.strip(),
-        tuple(_parse_axis_value(part) for part in values.split(",") if part.strip()),
-    )
-
-
 def sweep_main(argv: list[str]) -> int:
     """Entry point of the ``sweep`` subcommand."""
     args = build_sweep_parser().parse_args(argv)
-    config = load_config(args.config) if args.config else get_preset(args.preset)
-    if args.topology:
-        topology = Topology.from_csv(args.topology)
-    else:
-        topology = get_model(args.model, scale=args.scale)
-
-    spec = SweepSpec(
-        base=config,
-        axes=[_parse_axis(option) for option in args.axes],
-        topologies=[topology],
-        name=args.name,
-    )
+    spec = SweepRequest.from_args(args).build()
     store = ArtifactStore(args.store_dir) if args.store_dir else None
     cache = ResultCache(store)
     if args.executor is not None:
@@ -645,35 +561,6 @@ def serve_main(argv: list[str]) -> int:
     )
 
 
-def _submit_payload(args: argparse.Namespace) -> dict:
-    """Build the POST /jobs payload from submit-subcommand arguments.
-
-    File arguments are inlined (config text, topology CSV) so the
-    server needs no filesystem shared with the client.
-    """
-    payload: dict = {"name": args.name, "failure_policy": args.failure_policy}
-    if args.config:
-        payload["config_text"] = Path(args.config).read_text(encoding="utf-8")
-    else:
-        payload["preset"] = args.preset
-    if args.topology:
-        topology_path = Path(args.topology)
-        payload["topology_csv"] = topology_path.read_text(encoding="utf-8")
-        payload["topology_name"] = topology_path.stem
-    else:
-        payload["model"] = args.model
-    if args.scale != 1:
-        payload["scale"] = args.scale
-    if args.axes:
-        payload["axes"] = [
-            {"field": axis.name, "values": list(axis.values)}
-            for axis in (_parse_axis(option) for option in args.axes)
-        ]
-    if args.max_attempts is not None:
-        payload["max_attempts"] = args.max_attempts
-    return payload
-
-
 def submit_main(argv: list[str]) -> int:
     """Entry point of the ``submit`` subcommand."""
     import json
@@ -681,11 +568,13 @@ def submit_main(argv: list[str]) -> int:
     from repro.service import ServiceClient
 
     args = build_submit_parser().parse_args(argv)
+    request = SweepRequest.from_args(args)
+    request.build()  # reject bad input here, before any connection
     client = ServiceClient(
         args.url, max_retries=args.max_retries, backoff_seed=args.backoff_seed
     )
     try:
-        job = client.submit(_submit_payload(args))
+        job = client.submit(request.to_payload())
     except ServiceError as exc:
         print(f"submit failed: {exc}", file=sys.stderr)
         return 1
@@ -765,10 +654,23 @@ _SUBCOMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    Bad input (a config, topology or ``--set`` value the boundary
+    rejects) prints one ``error:`` line on stderr and exits 2.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _SUBCOMMANDS[argv[0]](argv[1:])
+    try:
+        if argv and argv[0] in _SUBCOMMANDS:
+            return _SUBCOMMANDS[argv[0]](argv[1:])
+        return run_main(argv)
+    except (ConfigError, TopologyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def run_main(argv: list[str]) -> int:
+    """Entry point of the classic single run (no subcommand)."""
     args = build_parser().parse_args(argv)
     config = load_config(args.config) if args.config else get_preset(args.preset)
     if args.topology:

@@ -57,7 +57,7 @@ import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.config.system import RunConfig, SystemConfig
+from repro.config.system import RunConfig, SystemConfig, field_value
 from repro.core.simulator import RunResult
 from repro.energy.accelergy import EnergyReport
 from repro.errors import ConfigError
@@ -137,11 +137,11 @@ def _split_field_path(path: str) -> tuple[str, str]:
 
 
 def apply_override(config: SystemConfig, path: str, value: object) -> SystemConfig:
-    """Copy of ``config`` with one dotted field replaced."""
+    """Copy of ``config`` with one dotted field replaced, ``value``
+    typed by :func:`~repro.config.system.field_value`."""
     section, name = _split_field_path(path)
     section_cfg = getattr(config, section)
-    if not hasattr(section_cfg, name):
-        raise ConfigError(f"unknown sweep field {path!r}")
+    value = field_value(section_cfg, name, value, path)
     return config.replace(**{section: dataclasses.replace(section_cfg, **{name: value})})
 
 

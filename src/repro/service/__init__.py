@@ -5,8 +5,9 @@ The package turns the existing sweep machinery (SweepSpec -> SweepRunner
 
 * :mod:`repro.service.journal` — durable append-only job journals, the
   crash-proof source of truth;
-* :mod:`repro.service.jobs` — job specs, the job state machine, and the
+* :mod:`repro.service.jobs` — the job state machine and the
   :class:`JobManager` (admission control, recovery, graceful drain);
+  a job is a :class:`~repro.run.request.SweepRequest`;
 * :mod:`repro.service.server` — the stdlib HTTP layer;
 * :mod:`repro.service.client` — a retrying client that honours the
   server's 429/503 + ``Retry-After`` admission contract.
@@ -22,7 +23,6 @@ from repro.service.jobs import (
     Job,
     JobCancelled,
     JobManager,
-    JobSpec,
     JobStateError,
     QueueFullError,
     UnknownJobError,
@@ -38,7 +38,6 @@ __all__ = [
     "JobCancelled",
     "JobJournal",
     "JobManager",
-    "JobSpec",
     "JobStateError",
     "QueueFullError",
     "ServiceClient",

@@ -1,9 +1,11 @@
-"""Job specs, the job state machine, and the crash-safe job manager.
+"""The job state machine and the crash-safe job manager.
 
-The service half that knows nothing about HTTP.  :class:`JobSpec`
-validates a wire payload and turns it into a
-:class:`~repro.run.sweep.SweepSpec`; :class:`Job` is one accepted job's
-state machine (``queued -> running -> done/degraded/failed/cancelled``)
+The service half that knows nothing about HTTP.  A job is a
+:class:`~repro.run.request.SweepRequest`, the typed boundary CLI
+``sweep`` and ``submit`` share: admission builds it once, so a payload
+the boundary rejects is a 400 and queues nothing, and its wire form is
+what the journal keeps.  :class:`Job` is one accepted job's state
+machine (``queued -> running -> done/degraded/failed/cancelled``)
 riding on a durable :class:`~repro.service.journal.JobJournal`; and
 :class:`JobManager` owns admission control, the worker threads, crash
 recovery, and graceful drain:
@@ -35,15 +37,12 @@ dependencies.
 
 from __future__ import annotations
 
-import re
 import threading
 import time
 import uuid
 from collections import deque
 from pathlib import Path
 
-from repro.config.parser import parse_config_text
-from repro.config.presets import available_presets, get_preset
 from repro.core.report import write_failure_report, write_sweep_report
 from repro.errors import ReproError, ServiceError
 from repro.run.executors import (
@@ -54,26 +53,16 @@ from repro.run.executors import (
     make_executor,
     release_claims,
 )
-from repro.run.sweep import (
-    FAILURE_POLICIES,
-    Axis,
-    ResultCache,
-    SweepRunner,
-    SweepSpec,
-)
+from repro.run.request import SweepRequest
+from repro.run.sweep import ResultCache, SweepRunner
 from repro.service.journal import JobJournal
 from repro.store import ArtifactStore, dump_json_atomic
-from repro.topology.models import available_models, get_model
-from repro.topology.topology import Topology
 
 #: Every state a job can be in, in lifecycle order.
 JOB_STATES = ("queued", "running", "done", "degraded", "failed", "cancelled")
 
 #: States a job never leaves.
 TERMINAL_STATES = ("done", "degraded", "failed", "cancelled")
-
-#: Job names must stay path- and CSV-safe.
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 
 #: Subdirectory of the data dir holding one directory per job.
 JOBS_DIRNAME = "jobs"
@@ -117,231 +106,13 @@ class JobCancelled(Exception):
     """Raised inside a running job when its cancellation was requested."""
 
 
-# ------------------------------------------------------------------ spec
-
-
-class JobSpec:
-    """A validated job submission: what to sweep, and how.
-
-    The wire payload is a JSON object::
-
-        {
-          "name": "channels",                  # optional, path-safe
-          "preset": "scale_sim_v2_default",    # XOR "config_text": "..."
-          "model": "resnet18",                 # XOR "topology_csv": "..."
-          "scale": 8,                          # model divisor, default 1
-          "topology_name": "resnet18",         # name for inline CSVs
-          "axes": {"dram.channels": [1, 2]},   # or [{"field":..,"values":[..]}]
-          "failure_policy": "degrade",         # default degrade
-          "max_attempts": 3                    # optional, >= 1
-        }
-
-    Exactly one config source and one workload source are required.
-    The payload round-trips: it is journaled verbatim in the job's
-    ``submitted`` event and is sufficient to rebuild the sweep after a
-    crash.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        preset: str | None,
-        config_text: str | None,
-        model: str | None,
-        topology_csv: str | None,
-        topology_name: str,
-        scale: int,
-        axes: list[tuple[str, list]],
-        failure_policy: str,
-        max_attempts: int | None,
-    ) -> None:
-        self.name = name
-        self.preset = preset
-        self.config_text = config_text
-        self.model = model
-        self.topology_csv = topology_csv
-        self.topology_name = topology_name
-        self.scale = scale
-        self.axes = axes
-        self.failure_policy = failure_policy
-        self.max_attempts = max_attempts
-
-    @classmethod
-    def from_payload(cls, payload: object) -> JobSpec:
-        """Validate a wire payload; raises :class:`InvalidJobError`."""
-        if not isinstance(payload, dict):
-            raise InvalidJobError("job payload must be a JSON object")
-        known = {
-            "name", "preset", "config_text", "model", "topology_csv",
-            "topology_name", "scale", "axes", "failure_policy", "max_attempts",
-        }
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise InvalidJobError(f"unknown job field(s): {', '.join(unknown)}")
-
-        name = payload.get("name", "job")
-        if not isinstance(name, str) or not _NAME_RE.match(name):
-            raise InvalidJobError(
-                "job name must be 1-64 characters of [A-Za-z0-9_.-]"
-            )
-
-        preset = payload.get("preset")
-        config_text = payload.get("config_text")
-        if (preset is None) == (config_text is None):
-            raise InvalidJobError(
-                "exactly one of 'preset' or 'config_text' is required"
-            )
-        if preset is not None and preset not in available_presets():
-            raise InvalidJobError(
-                f"unknown preset {preset!r}; available: "
-                f"{', '.join(available_presets())}"
-            )
-        if config_text is not None and not isinstance(config_text, str):
-            raise InvalidJobError("'config_text' must be a string")
-
-        model = payload.get("model")
-        topology_csv = payload.get("topology_csv")
-        if (model is None) == (topology_csv is None):
-            raise InvalidJobError(
-                "exactly one of 'model' or 'topology_csv' is required"
-            )
-        if model is not None and model not in available_models():
-            raise InvalidJobError(
-                f"unknown model {model!r}; available: "
-                f"{', '.join(available_models())}"
-            )
-        if topology_csv is not None and not isinstance(topology_csv, str):
-            raise InvalidJobError("'topology_csv' must be a string")
-        topology_name = payload.get("topology_name", "topology")
-        if not isinstance(topology_name, str) or not _NAME_RE.match(topology_name):
-            raise InvalidJobError(
-                "topology_name must be 1-64 characters of [A-Za-z0-9_.-]"
-            )
-
-        scale = payload.get("scale", 1)
-        if not isinstance(scale, int) or isinstance(scale, bool) or scale < 1:
-            raise InvalidJobError(f"scale must be a positive integer, got {scale!r}")
-
-        axes = _normalize_axes(payload.get("axes", []))
-
-        failure_policy = payload.get("failure_policy", "degrade")
-        if failure_policy not in FAILURE_POLICIES:
-            raise InvalidJobError(
-                f"failure_policy must be one of {FAILURE_POLICIES}, "
-                f"got {failure_policy!r}"
-            )
-
-        max_attempts = payload.get("max_attempts")
-        if max_attempts is not None and (
-            not isinstance(max_attempts, int)
-            or isinstance(max_attempts, bool)
-            or max_attempts < 1
-        ):
-            raise InvalidJobError(
-                f"max_attempts must be a positive integer, got {max_attempts!r}"
-            )
-
-        return cls(
-            name=name,
-            preset=preset,
-            config_text=config_text,
-            model=model,
-            topology_csv=topology_csv,
-            topology_name=topology_name,
-            scale=scale,
-            axes=axes,
-            failure_policy=failure_policy,
-            max_attempts=max_attempts,
-        )
-
-    def to_payload(self) -> dict:
-        """The canonical wire form (journaled; rebuilds this spec)."""
-        payload: dict = {"name": self.name}
-        if self.preset is not None:
-            payload["preset"] = self.preset
-        if self.config_text is not None:
-            payload["config_text"] = self.config_text
-        if self.model is not None:
-            payload["model"] = self.model
-        if self.topology_csv is not None:
-            payload["topology_csv"] = self.topology_csv
-            payload["topology_name"] = self.topology_name
-        if self.scale != 1:
-            payload["scale"] = self.scale
-        if self.axes:
-            payload["axes"] = [
-                {"field": field, "values": values} for field, values in self.axes
-            ]
-        payload["failure_policy"] = self.failure_policy
-        if self.max_attempts is not None:
-            payload["max_attempts"] = self.max_attempts
-        return payload
-
-    def build_sweep_spec(self, job_dir: Path) -> SweepSpec:
-        """Materialise the concrete :class:`SweepSpec` for this job.
-
-        Validation above is wire-level; config parsing and axis/field
-        resolution can still reject here (e.g. an unknown sweep field),
-        which the manager reports as a failed job rather than a crash.
-        """
-        if self.preset is not None:
-            config = get_preset(self.preset)
-        else:
-            assert self.config_text is not None
-            config = parse_config_text(self.config_text)
-        if self.model is not None:
-            topology = get_model(self.model, scale=self.scale)
-        else:
-            assert self.topology_csv is not None
-            csv_path = job_dir / "topology.csv"
-            if not csv_path.exists():
-                csv_path.write_text(self.topology_csv, encoding="utf-8")
-            topology = Topology.from_csv(csv_path, name=self.topology_name)
-        return SweepSpec(
-            base=config,
-            axes=[Axis(field, tuple(values)) for field, values in self.axes],
-            topologies=[topology],
-            name=self.name,
-        )
-
-
-def _normalize_axes(raw: object) -> list[tuple[str, list]]:
-    """Accept ``{"f": [v]}`` or ``[{"field": f, "values": [v]}]`` forms."""
-    if isinstance(raw, dict):
-        items = [{"field": field, "values": values} for field, values in raw.items()]
-    elif isinstance(raw, list):
-        items = raw
-    else:
-        raise InvalidJobError("axes must be an object or a list of axis objects")
-    axes: list[tuple[str, list]] = []
-    for item in items:
-        if not isinstance(item, dict) or "field" not in item or "values" not in item:
-            raise InvalidJobError(
-                "each axis needs 'field' and 'values', "
-                f"got {item!r}"
-            )
-        field = item["field"]
-        values = item["values"]
-        if not isinstance(field, str) or not field:
-            raise InvalidJobError(f"axis field must be a non-empty string, got {field!r}")
-        if not isinstance(values, list) or not values:
-            raise InvalidJobError(f"axis {field!r} needs a non-empty list of values")
-        for value in values:
-            if not isinstance(value, (int, float, str, bool)):
-                raise InvalidJobError(
-                    f"axis {field!r} values must be scalars, got {value!r}"
-                )
-        axes.append((field, list(values)))
-    return axes
-
-
 # ------------------------------------------------------------------- job
 
 
 class Job:
     """One accepted job: durable identity plus volatile run state."""
 
-    def __init__(self, job_id: str, spec: JobSpec, job_dir: Path) -> None:
+    def __init__(self, job_id: str, spec: SweepRequest, job_dir: Path) -> None:
         self.id = job_id
         self.spec = spec
         self.dir = job_dir
@@ -502,7 +273,9 @@ class JobManager:
         history (their reports are already on disk).  Jobs without one
         — the server died while they were queued or running — are
         re-enqueued in submission order, *bypassing* the admission
-        bound: they were admitted once and are owed.  Returns the
+        bound: they were admitted once and are owed.  Only the
+        payload's shape is checked here, so a job admitted under looser
+        rules is still recovered and fails when it runs.  Returns the
         number of jobs re-enqueued.
         """
         recovered = 0
@@ -525,8 +298,8 @@ class JobManager:
         for _, job_dir, events, submitted in sorted(entries, key=lambda item: item[0]):
             payload = submitted.get("payload")
             try:
-                spec = JobSpec.from_payload(payload)
-            except ServiceError:
+                spec = SweepRequest.from_payload(payload)
+            except ReproError:
                 continue  # journaled by an incompatible future/past version
             job = Job(job_dir.name, spec, job_dir)
             job.created_at = submitted.get("time", job.created_at)
@@ -602,9 +375,15 @@ class JobManager:
         ``submitted`` journal line are written *before* the job becomes
         visible in the queue, so any job a client ever saw an id for is
         recoverable, and a crash inside submit leaves at most an inert
-        directory without a journal.
+        directory without a journal.  Admission builds the sweep once,
+        so a payload the boundary rejects is an :class:`InvalidJobError`
+        and queues nothing.
         """
-        spec = JobSpec.from_payload(payload)
+        try:
+            spec = SweepRequest.from_payload(payload)
+            spec.build()
+        except ReproError as exc:
+            raise InvalidJobError(str(exc)) from exc
         with self._cond:
             if self._draining:
                 raise DrainingError("server is draining; not accepting jobs")
@@ -813,7 +592,7 @@ def _run_sweep_job(manager: JobManager, job: Job) -> None:
     between the two re-runs the job into pure cache hits and rewrites
     identical bytes.
     """
-    spec = job.spec.build_sweep_spec(job.dir)
+    spec = job.spec.build()
 
     def progress(done: int, total: int) -> None:
         if job.cancel_requested.is_set():
@@ -863,7 +642,6 @@ __all__ = [
     "Job",
     "JobCancelled",
     "JobManager",
-    "JobSpec",
     "JobStateError",
     "QueueFullError",
     "TERMINAL_STATES",

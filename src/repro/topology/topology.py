@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.errors import TopologyError
 from repro.topology.layer import ConvLayer, GemmLayer, Layer, SparsityRatio
-from repro.utils.csvio import read_csv_rows, write_csv
+from repro.utils.csvio import parse_csv_rows, read_csv_rows, write_csv
 
 _CONV_HEADER = [
     "Layer name",
@@ -122,15 +122,23 @@ class Topology:
     def from_csv(cls, path: str | Path, name: str | None = None) -> "Topology":
         """Load a topology CSV (conv or GEMM dialect, auto-detected)."""
         path = Path(path)
-        rows = read_csv_rows(path)
+        return cls._from_rows(read_csv_rows(path), name or path.stem, path)
+
+    @classmethod
+    def from_csv_text(cls, text: str, name: str) -> "Topology":
+        """:meth:`from_csv` over CSV content already in memory."""
+        rows = parse_csv_rows(text.splitlines())
+        return cls._from_rows(rows, name, f"{name} (inline CSV)")
+
+    @classmethod
+    def _from_rows(cls, rows: list[list[str]], name: str, source: object) -> "Topology":
         if not rows:
-            raise TopologyError(f"empty topology file: {path}")
+            raise TopologyError(f"empty topology file: {source}")
         header = [cell.lower() for cell in rows[0] if cell]
         body = rows[1:]
-        topo_name = name or path.stem
         if len(header) >= 2 and header[1] == "m":
-            return cls(topo_name, [_parse_gemm_row(row, path) for row in body])
-        return cls(topo_name, [_parse_conv_row(row, path) for row in body])
+            return cls(name, [_parse_gemm_row(row, source) for row in body])
+        return cls(name, [_parse_conv_row(row, source) for row in body])
 
     def to_csv(self, path: str | Path) -> Path:
         """Write this topology as a SCALE-Sim style CSV file."""
@@ -176,14 +184,14 @@ def _parse_sparsity_cell(cells: list[str], index: int) -> SparsityRatio | None:
     return SparsityRatio.parse(raw)
 
 
-def _int_cell(cells: list[str], index: int, field: str, path: Path) -> int:
+def _int_cell(cells: list[str], index: int, field: str, path: object) -> int:
     try:
         return int(cells[index])
     except (IndexError, ValueError) as exc:
         raise TopologyError(f"{path}: bad {field} in row {cells!r}") from exc
 
 
-def _parse_conv_row(cells: list[str], path: Path) -> ConvLayer:
+def _parse_conv_row(cells: list[str], path: object) -> ConvLayer:
     if len(cells) < 8:
         raise TopologyError(f"{path}: conv row needs >= 8 cells, got {cells!r}")
     stride = _int_cell(cells, 7, "stride", path)
@@ -201,7 +209,7 @@ def _parse_conv_row(cells: list[str], path: Path) -> ConvLayer:
     )
 
 
-def _parse_gemm_row(cells: list[str], path: Path) -> GemmLayer:
+def _parse_gemm_row(cells: list[str], path: object) -> GemmLayer:
     if len(cells) < 4:
         raise TopologyError(f"{path}: GEMM row needs >= 4 cells, got {cells!r}")
     return GemmLayer(

@@ -23,15 +23,23 @@ def read_csv_rows(path: str | Path) -> list[list[str]]:
     path = Path(path)
     if not path.exists():
         raise TopologyError(f"CSV file not found: {path}")
-    rows: list[list[str]] = []
     with path.open(newline="") as handle:
-        for raw in csv.reader(handle):
+        return parse_csv_rows(handle)
+
+
+def parse_csv_rows(lines: Iterable[str]) -> list[list[str]]:
+    """:func:`read_csv_rows` over lines already in memory."""
+    rows: list[list[str]] = []
+    try:
+        for raw in csv.reader(lines):
             cells = [cell.strip() for cell in raw]
             if not cells or all(not cell for cell in cells):
                 continue
             if cells[0].startswith("#"):
                 continue
             rows.append(cells)
+    except csv.Error as exc:
+        raise TopologyError(f"malformed CSV: {exc}") from exc
     return rows
 
 

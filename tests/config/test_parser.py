@@ -9,6 +9,7 @@ from repro.config.parser import (
     serialize_config,
 )
 from repro.config.presets import available_presets, get_preset
+from repro.config.system import SystemConfig
 from repro.errors import ConfigError
 
 FULL_CFG = """
@@ -96,8 +97,10 @@ class TestParseFullConfig:
 class TestDefaultsAndErrors:
     def test_empty_config_gives_defaults(self):
         cfg = parse_config_text("")
+        assert cfg == SystemConfig()
         assert cfg.arch.array_rows == 32
         assert not cfg.dram.enabled
+        assert not cfg.energy.clock_gating
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):

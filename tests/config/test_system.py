@@ -10,6 +10,7 @@ from repro.config.system import (
     RunConfig,
     SparsityConfig,
     SystemConfig,
+    field_value,
 )
 from repro.errors import ConfigError
 
@@ -80,6 +81,11 @@ class TestDramConfig:
         with pytest.raises(ConfigError):
             DramConfig(technology="ddr9")
 
+    @pytest.mark.parametrize("mapping", ["zzz", "ro_ba_ra_co", "ro_ba_ra_co_ch_ch"])
+    def test_bad_address_mapping(self, mapping):
+        with pytest.raises(ConfigError, match="address_mapping"):
+            DramConfig(address_mapping=mapping)
+
     @pytest.mark.parametrize("field", ["channels", "read_queue_entries", "write_queue_entries"])
     def test_positive_required(self, field):
         with pytest.raises(ConfigError):
@@ -118,3 +124,48 @@ class TestSystemConfig:
         cfg = SystemConfig().replace(run=RunConfig(run_name="other"))
         assert cfg.run.run_name == "other"
         assert cfg.arch.array_rows == 32
+
+
+class TestFieldValue:
+    """The one rule typing every config value from text or JSON."""
+
+    @pytest.mark.parametrize(
+        "section, name, value, expected",
+        [
+            (DramConfig(), "channels", " 4 ", 4),
+            (DramConfig(), "enabled", "Yes", True),
+            (DramConfig(), "enabled", "off", False),
+            (DramConfig(), "capacity_gb_per_channel", "0.25", 0.25),
+            (ArchitectureConfig(), "dataflow", " ws ", "ws"),
+            (DramConfig(), "channels", 4, 4),
+            (DramConfig(), "enabled", True, True),
+        ],
+    )
+    def test_accepts(self, section, name, value, expected):
+        typed = field_value(section, name, value, "here")
+        assert typed == expected and type(typed) is type(expected)
+
+    def test_int_for_float_is_returned_unchanged(self):
+        typed = field_value(DramConfig(), "capacity_gb_per_channel", 1, "here")
+        assert typed == 1 and type(typed) is int
+
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            (DramConfig(), "channels", "two"),
+            (DramConfig(), "channels", "1.5"),
+            (DramConfig(), "channels", 1.5),
+            (DramConfig(), "channels", True),
+            (DramConfig(), "channels", None),
+            (DramConfig(), "enabled", 1),
+            (DramConfig(), "enabled", "maybe"),
+            (DramConfig(), "capacity_gb_per_channel", float("nan")),
+            (ArchitectureConfig(), "dataflow", 3),
+            (ArchitectureConfig(), "num_pes", 4),
+            (ArchitectureConfig(), "with_array", 4),
+            (DramConfig(), "no_such_field", 1),
+        ],
+    )
+    def test_rejects(self, section, name, value):
+        with pytest.raises(ConfigError, match="^here: "):
+            field_value(section, name, value, "here")

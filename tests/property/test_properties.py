@@ -1,9 +1,12 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config.system import SystemConfig
 from repro.core.compute_sim import ComputeSimulator
 from repro.core.dataflow import (
     Dataflow,
@@ -16,9 +19,12 @@ from repro.core.operand_matrix import operand_matrices
 from repro.core.systolic import TraceEngine
 from repro.dram.address import LINE_BYTES, AddressMapper
 from repro.dram.dram_sim import RamulatorLite
+from repro.errors import ReproError
 from repro.layout.spec import LayoutSpec, TensorView
 from repro.memory.request_queue import RequestQueue
 from repro.multicore.noc import nonuniform_shares
+from repro.run.request import SweepRequest
+from repro.run.sweep import apply_override
 from repro.sparsity.formats import blocked_ellpack_storage, dense_storage
 from repro.sparsity.pattern import layerwise_pattern, rowwise_pattern
 from repro.topology.layer import GemmLayer, GemmShape, SparsityRatio
@@ -229,3 +235,50 @@ class TestNocProperties:
         shares = nonuniform_shares(lats, work)
         assert all(s >= 0 for s in shares)
         assert sum(shares) == 1 or abs(sum(shares) - 1) < 1e-9
+
+
+_SECTIONS = ("arch", "sparsity", "dram", "layout", "energy")
+_REAL_FIELDS = [
+    f"{section}.{f.name}"
+    for section in _SECTIONS
+    for f in dataclasses.fields(getattr(SystemConfig(), section))
+]
+field_paths = st.one_of(
+    st.sampled_from(_REAL_FIELDS),
+    st.sampled_from(["arch.num_pes", "arch.with_array", "layout.total_bandwidth_words"]),
+    st.builds(
+        "{}.{}".format,
+        st.sampled_from(_SECTIONS + ("run", "multicore", "")),
+        st.text(alphabet="abcdefghijklmnopqrstuvwxyz_.", max_size=12),
+    ),
+    st.text(max_size=16),
+)
+wire_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(1 << 40), 1 << 40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=12),
+    st.sampled_from(["1", "0", "true", "no", "2.5", "os", "hbm", "ch_ro_ba_ra_co", "inf"]),
+)
+
+
+class TestInputBoundaryProperties:
+    @given(path=field_paths, value=wire_values)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_boundary_raises_only_typed_errors(self, path, value):
+        """Any field path and JSON scalar: a result or a ReproError, never
+        a TypeError or AttributeError from inside a config."""
+        payload = {
+            "preset": "scale_sim_v2_default",
+            "model": "toy_gemm",
+            "axes": {path: [value]},
+        }
+        for attempt in (
+            lambda: SweepRequest.from_payload(payload).build(),
+            lambda: apply_override(SystemConfig(), path, value),
+        ):
+            try:
+                attempt()
+            except ReproError:
+                pass

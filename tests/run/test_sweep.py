@@ -436,20 +436,54 @@ class TestSweepCli:
         assert "grouping: 2 points -> 1 simulation unit" in out
 
     def test_bad_axis_option_exits(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "sweep",
-                    "--preset",
-                    "scale_sim_v2_default",
-                    "--model",
-                    "toy_gemm",
-                    "--set",
-                    "dram.channels",
-                    "-p",
-                    str(tmp_path),
-                ]
-            )
+        code = main(
+            [
+                "sweep",
+                "--preset",
+                "scale_sim_v2_default",
+                "--model",
+                "toy_gemm",
+                "--set",
+                "dram.channels",
+                "-p",
+                str(tmp_path),
+            ]
+        )
+        assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            "dram.channels=two",
+            "dram.channels=1.5",
+            "arch.num_pes=4",
+            "dram.no_such_field=1",
+            "arch.dataflow=xyz",
+            "arch.array_rows=true",
+            "dram.address_mapping=zzz",
+        ],
+    )
+    def test_bad_axis_value_is_one_error_line(self, tmp_path, capsys, option):
+        argv = ["sweep", "--preset", "google_tpu_v2", "--model", "toy_gemm"]
+        assert main(argv + ["--set", option, "-p", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())  # nothing ran, nothing written
+
+    def test_submit_posts_typed_axis_values(self):
+        from repro.run.cli import build_submit_parser
+        from repro.run.request import SweepRequest
+
+        args = build_submit_parser().parse_args(
+            ["--preset", "google_tpu_v2", "--model", "toy_gemm",
+             "--set", "dram.channels=1,2", "--set", "dram.enabled=true"]
+        )
+        payload = SweepRequest.from_args(args).to_payload()
+        assert payload["axes"] == [
+            {"field": "dram.channels", "values": [1, 2]},
+            {"field": "dram.enabled", "values": [True]},
+        ]
 
 
 class TestLayoutFanoutGrouping:

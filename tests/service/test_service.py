@@ -13,7 +13,8 @@ import urllib.request
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ConfigError, ServiceError
+from repro.run.request import SweepRequest
 from repro.run.sweep import Axis, SweepRunner, SweepSpec
 from repro.config.presets import get_preset
 from repro.core.report import write_sweep_report
@@ -23,7 +24,7 @@ from repro.service import (
     ServiceClient,
     start_server,
 )
-from repro.service.jobs import JobSpec
+from repro.service.journal import JobJournal
 from repro.topology.models import toy_gemm
 
 
@@ -92,20 +93,49 @@ def test_job_spec_rejects_bad_payloads(mutation):
             payload.pop(key, None)
         else:
             payload[key] = value
-    with pytest.raises(InvalidJobError):
-        JobSpec.from_payload(payload)
+    with pytest.raises(ConfigError):
+        SweepRequest.from_payload(payload)
 
 
 def test_job_spec_round_trips_through_payload():
-    spec = JobSpec.from_payload(_PAYLOAD)
-    again = JobSpec.from_payload(spec.to_payload())
+    spec = SweepRequest.from_payload(_PAYLOAD)
+    again = SweepRequest.from_payload(spec.to_payload())
     assert again.to_payload() == spec.to_payload()
     assert again.failure_policy == "degrade"  # the service default
 
 
 def test_job_spec_rejects_non_object_payload():
+    with pytest.raises(ConfigError):
+        SweepRequest.from_payload(["not", "an", "object"])
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        {"axes": {"dram.channels": ["two"]}},        # text that is no integer
+        {"axes": {"dram.channels": [1.5]}},          # float for an int field
+        {"axes": {"arch.num_pes": [4]}},             # a property, not a field
+        {"axes": {"dram.no_such_field": [1]}},
+        {"axes": {"no.such_field": [1, 2]}},         # not a config section
+        {"axes": {"arch.dataflow": ["xyz"]}},
+        {"axes": {"arch.array_rows": [True]}},       # a bool is no integer
+        {"axes": {"dram.address_mapping": ["zzz"]}},
+        {"preset": None, "config_text": "[nope]"},
+        {"model": None, "topology_csv": "Layer,M,N,K\n"},  # header, no layers
+    ],
+)
+def test_submit_rejects_what_the_boundary_rejects(tmp_path, mutation):
+    manager = JobManager(tmp_path / "data", job_runner=lambda m, j: None)
+    payload = dict(_PAYLOAD)
+    for key, value in mutation.items():
+        if value is None:
+            payload.pop(key, None)
+        else:
+            payload[key] = value
     with pytest.raises(InvalidJobError):
-        JobSpec.from_payload(["not", "an", "object"])
+        manager.submit(payload)
+    assert manager.jobs() == []
+    assert list((tmp_path / "data" / "jobs").iterdir()) == []
 
 
 # ------------------------------------------------------- end-to-end smoke
@@ -146,13 +176,28 @@ def test_unknown_routes_and_jobs_are_404(service):
         client._call("GET", "/no/such/route")
 
 
-def test_failed_job_reports_error(service):
+def test_failed_job_reports_error(tmp_path):
+    def failing_runner(manager, job):
+        raise RuntimeError("simulated mid-run failure")
+
+    manager, httpd, client = _stub_service(tmp_path, failing_runner)
+    try:
+        job = client.submit(_PAYLOAD)
+        final = client.wait(job["id"], timeout=60.0)
+        assert final["state"] == "failed"
+        assert "error" in final
+    finally:
+        httpd.shutdown()
+        manager.drain(timeout=10.0)
+
+
+def test_bad_payload_is_a_400(service):
     manager, client = service
-    payload = dict(_PAYLOAD, axes={"no.such_field": [1, 2]})
-    job = client.submit(payload)
-    final = client.wait(job["id"], timeout=60.0)
-    assert final["state"] == "failed"
-    assert "error" in final
+    status, headers, body = client._request(
+        "POST", "/jobs", dict(_PAYLOAD, axes={"no.such_field": [1, 2]})
+    )
+    assert status == 400
+    assert json.loads(body)["error"] == "InvalidJobError"
 
 
 # ------------------------------------------------- admission and capacity
@@ -282,6 +327,42 @@ def test_restart_recovers_unfinished_jobs(tmp_path):
     assert "recovered" in events
     assert events.count("started") == 2  # one per attempt, across processes
     assert manager2.drain(timeout=10.0) is True
+
+
+def _wait_terminal(job, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while job.state not in ("done", "degraded", "failed", "cancelled"):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+
+def test_restart_fails_a_job_journaled_under_loose_rules(tmp_path):
+    # An older server admitted axes without typing them; such a job is
+    # recovered, fails with the boundary's typed error, and does not
+    # stop the manager from running new work.
+    data_dir = tmp_path / "data"
+    job_dir = data_dir / "jobs" / "loose0job001"
+    job_dir.mkdir(parents=True)
+    JobJournal.for_job_dir(job_dir).append(
+        "submitted",
+        job_id=job_dir.name,
+        payload=dict(_PAYLOAD, axes={"dram.channels": ["two"]}),
+    )
+
+    manager = JobManager(data_dir)
+    manager.start()
+    try:
+        loose = manager.get(job_dir.name)
+        assert loose.recovered is True
+        _wait_terminal(loose)
+        assert loose.state == "failed"
+        assert loose.error["error_class"] == "ConfigError"
+
+        fresh = manager.submit(_PAYLOAD)
+        _wait_terminal(fresh)
+        assert fresh.state == "done"
+    finally:
+        assert manager.drain(timeout=10.0) is True
 
 
 def test_restart_loads_finished_jobs_as_history(tmp_path):
