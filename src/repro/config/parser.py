@@ -13,8 +13,8 @@ One table, :data:`CFG_SECTIONS`, maps each file section and key to a
 :class:`SystemConfig` field; parsing and :func:`serialize_config` both
 walk it.  Types and defaults come from the config dataclasses, and
 :func:`~repro.config.system.field_value` types each value, the rule
-``--set`` values and job payloads follow too.  Keys are
-case-insensitive; values outside ``[general]`` are lower-cased.  v3's
+``--set`` values and job payloads follow too; it also lower-cases
+string values outside ``[general]``.  Keys are case-insensitive.  v3's
 sections (``sparsity``, ``memory``, ``layout``, ``energy``) are
 optional, leaving the feature at its defaults (usually disabled).
 SCALE-Sim v2's ``[run_presets]`` is ignored; any other unknown section
@@ -123,8 +123,6 @@ def parse_config_text(text: str) -> SystemConfig:
             value = values.pop(key.lower(), None)
             if value is None:
                 continue
-            if file_section != "general":
-                value = value.lower()
             fields[name] = field_value(default, name, value, f"[{file_section}] {key}")
         if values:
             raise ConfigError(

@@ -57,7 +57,9 @@ def field_value(section_cfg: object, name: str, value: object, where: str) -> ob
 
     The one rule for every input source (``.cfg`` text, ``--set``
     values, job payloads).  Text is parsed by the field's declared
-    type; booleans take :data:`BOOL_WORDS`.  Any other value must
+    type; booleans take :data:`BOOL_WORDS`.  A string field is stripped
+    and, outside :class:`RunConfig` (names and paths), lower-cased, so
+    ``WS`` names the same dataflow from every source.  Any other value must
     already have the field's type: an int is accepted for a float field
     and returned unchanged, a bool is never an int.  Properties and
     methods are not fields.  Raises :class:`ConfigError` prefixed with
@@ -76,7 +78,8 @@ def field_value(section_cfg: object, name: str, value: object, where: str) -> ob
         except (KeyError, ValueError):
             raise ConfigError(f"{where}: expected {kind}, got {value!r}") from None
     elif isinstance(value, str):
-        return value.strip()
+        value = value.strip()
+        return value if isinstance(section_cfg, RunConfig) else value.lower()
     elif isinstance(value, bool) != (declared == "bool") or not isinstance(
         value, value_type
     ):

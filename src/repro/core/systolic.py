@@ -117,6 +117,25 @@ class TraceEngine:
                 yield self._one_fold(fold_r, fold_c, start, length)
                 start += length
 
+    def fold_runs(self) -> Iterator[tuple[FoldTrace, int]]:
+        """Yield ``(trace, repeats)`` runs of :meth:`fold_traces`, in order.
+
+        A run stands for ``repeats`` consecutive folds whose ifmap
+        demand is identical; ``trace`` is the first of them, so only its
+        ifmap requests speak for the whole run.  In WS the row ports
+        stream ``X[sr0:sr0+rows, :T]``, which depends on the row fold
+        alone, so each row fold is one run of ``folds_col`` folds.  OS
+        and IS yield every fold alone.
+        """
+        if self.dataflow is not Dataflow.WEIGHT_STATIONARY:
+            for fold in self.fold_traces():
+                yield fold, 1
+            return
+        length = fold_cycles(self.rows, self.cols, self.mapping.t)
+        for fold_r in range(self.folds_row):
+            start = fold_r * self.folds_col * length
+            yield self._one_fold(fold_r, 0, start, length), self.folds_col
+
     def _one_fold(self, fold_r: int, fold_c: int, start: int, length: int) -> FoldTrace:
         sr0 = fold_r * self.rows
         sc0 = fold_c * self.cols

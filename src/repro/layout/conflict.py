@@ -293,36 +293,38 @@ class BankConflictEvaluator:
         return costs
 
     def add_fold_demand(
-        self, fold: FoldDemand, return_costs: bool = False
+        self, fold: FoldDemand, return_costs: bool = False, repeats: int = 1
     ) -> list[CycleCost] | None:
-        """Evaluate one fold from its layout-independent artifact.
+        """Evaluate ``repeats`` consecutive copies of one fold's artifact.
 
         Bit-identical to feeding the raw matrix through
-        :meth:`add_demand_matrix`: the artifact's per-cycle offset dedup
-        never changes the per-cycle key set, and the raw request counts
-        it carries keep the bandwidth model exact.
+        :meth:`add_demand_matrix` ``repeats`` times: the artifact's
+        per-cycle offset dedup never changes the per-cycle key set, and
+        the raw request counts it carries keep the bandwidth model
+        exact.  Every copy is walked cycle by cycle.
         """
         costs: list[CycleCost] | None = [] if return_costs else None
         bounds = np.searchsorted(
             fold.cycle_index, np.arange(fold.cycles + 1, dtype=np.int64)
         )
-        for row in range(fold.cycles):
-            raw = int(fold.requests[row])
-            if raw:
-                cost = self._cost_of_deduped_cycle(
-                    fold.offsets[bounds[row] : bounds[row + 1]], raw
-                )
-                self.total_layout_cycles += cost.layout_cycles
-                self.total_bandwidth_cycles += cost.bandwidth_cycles
-                self.total_requests += cost.requests
-                self.cycles_evaluated += 1
-            else:
-                cost = CycleCost(0, 1, 1)
-                self.total_layout_cycles += 1
-                self.total_bandwidth_cycles += 1
-                self.cycles_evaluated += 1
-            if costs is not None:
-                costs.append(cost)
+        for _ in range(repeats):
+            for row in range(fold.cycles):
+                raw = int(fold.requests[row])
+                if raw:
+                    cost = self._cost_of_deduped_cycle(
+                        fold.offsets[bounds[row] : bounds[row + 1]], raw
+                    )
+                    self.total_layout_cycles += cost.layout_cycles
+                    self.total_bandwidth_cycles += cost.bandwidth_cycles
+                    self.total_requests += cost.requests
+                    self.cycles_evaluated += 1
+                else:
+                    cost = CycleCost(0, 1, 1)
+                    self.total_layout_cycles += 1
+                    self.total_bandwidth_cycles += 1
+                    self.cycles_evaluated += 1
+                if costs is not None:
+                    costs.append(cost)
         return costs
 
     @property

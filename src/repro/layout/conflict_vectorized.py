@@ -53,7 +53,10 @@ carries between folds) is exact: each call is prefixed with synthetic
 ends by re-extracting the ``row_buffers_per_bank`` most recently used
 distinct lines per bank.  The same carry lets one call resolve a big
 fold in consecutive passes of whole cycles (about ``_PASS_OFFSETS``
-offsets each), which bounds every pass's scratch arrays.
+offsets each), which bounds every pass's scratch arrays.  Because a
+call's effect depends only on (fold, carried state), a run of identical
+folds stops evaluating once a copy hands on the state it received
+(:meth:`VectorizedConflictEvaluator.add_fold_demand`).
 """
 
 from __future__ import annotations
@@ -90,6 +93,14 @@ _PASS_OFFSETS = 1 << 16
 #: Most folds carry a few dozen offsets, where a call's fixed numpy
 #: cost outweighs its per-element work; larger folds pass alone.
 _FOLD_BATCH_OFFSETS = 1 << 12
+
+#: The running totals one fold evaluation adds to.
+_TOTALS = (
+    "total_layout_cycles",
+    "total_bandwidth_cycles",
+    "total_requests",
+    "cycles_evaluated",
+)
 
 
 def _segmented_running_max_exclusive(
@@ -220,17 +231,40 @@ class VectorizedConflictEvaluator(BankConflictEvaluator):
         )
 
     def add_fold_demand(
-        self, fold: FoldDemand, return_costs: bool = False
+        self, fold: FoldDemand, return_costs: bool = False, repeats: int = 1
     ) -> list[CycleCost] | None:
-        """Evaluate one fold from its layout-independent artifact.
+        """Evaluate ``repeats`` consecutive copies of one fold's artifact.
 
         The fan-out entry point: the caller builds the
-        :class:`~repro.layout.conflict.FoldDemand` once per fold and
-        broadcasts it to every evaluator configuration; only the
-        address -> (bank, line) mapping and the LRU stack-distance
-        cascade below run per configuration.
+        :class:`~repro.layout.conflict.FoldDemand` once per run of
+        identical folds and broadcasts it to every evaluator
+        configuration; only the address -> (bank, line) mapping and the
+        LRU stack-distance cascade below run per configuration.
+
+        Copies are evaluated until one leaves the bank state equal to
+        the state it received.  A copy's effect is a function of the
+        fold and its incoming state alone, so every later copy would
+        repeat that copy's totals and per-cycle costs exactly; they are
+        added without evaluating them.
         """
-        return self._evaluate_fold(fold, accumulate=True, return_costs=return_costs)
+        costs: list[CycleCost] | None = [] if return_costs else None
+        for done in range(1, repeats + 1):
+            state = self._bank_lines
+            before = [getattr(self, name) for name in _TOTALS]
+            fold_costs = self._evaluate_fold(
+                fold, accumulate=True, return_costs=return_costs
+            )
+            if costs is not None:
+                costs += fold_costs
+            if done < repeats and self._bank_lines == state:
+                left = repeats - done
+                for name, then in zip(_TOTALS, before):
+                    now = getattr(self, name)
+                    setattr(self, name, now + left * (now - then))
+                if costs is not None:
+                    costs += fold_costs * left
+                break
+        return costs
 
     # ----------------------------------------------------------- decode LUT
 

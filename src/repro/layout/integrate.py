@@ -9,9 +9,7 @@ realistic bank model versus SCALE-Sim v2's flat bandwidth model.
 Two entry points share one pipeline:
 
 * :func:`evaluate_layout_slowdown` — one (banks, bandwidth, layout)
-  configuration, a one-config fan-out.  Traces stream fold by fold,
-  so memory stays O(max(one fold, batch budget)) rather than
-  O(whole layer).
+  configuration, a one-config fan-out.
 * :func:`evaluate_layout_slowdown_many` — the **trace fan-out**: one
   streaming pass over the layer's fold traces feeds an arbitrary grid
   of evaluator configurations simultaneously.  The layout-independent
@@ -20,13 +18,21 @@ Two entry points share one pipeline:
   :class:`repro.layout.conflict.FoldDemand`) runs once; only the
   address -> (bank, line) mapping and the LRU stack-distance cascade
   run per configuration, with configurations sharing inter-line steps
-  also sharing one (line, col) decode of the element space.  Runs of
-  small consecutive folds are joined (:meth:`FoldDemand.concat`), so
-  each cascade runs once per batch of ``_FOLD_BATCH_OFFSETS`` offsets
-  rather than once per fold.  Results are bit-identical to
-  independent calls: both paths consume the same artifacts, and the
-  evaluators carry their bank state across calls.  Folds stream with
-  O(max(one fold, batch budget)) memory.
+  also sharing one (line, col) decode of the element space.  Results
+  are bit-identical to independent calls: both paths consume the same
+  artifacts, and the evaluators carry their bank state across calls.
+
+The unit that flows down the pipeline is a **run**: ``(FoldDemand,
+repeats)``, ``repeats`` consecutive folds with the same ifmap demand
+(:meth:`TraceEngine.fold_runs`; in WS every column fold of a row fold
+re-streams the same ifmap slice).  Each run's trace and artifact are
+built once.  A long run reaches each evaluator in one call, which
+evaluates copies only until the bank state stops changing; other runs
+are expanded, and small consecutive folds are joined
+(:meth:`FoldDemand.concat`) so each cascade call covers at least
+``_FOLD_BATCH_OFFSETS`` offsets.  Runs stream with O(max(one fold,
+batch budget)) memory; with an artifact store the layer's run list is
+held instead, one artifact per run rather than per fold.
 
 The vectorized evaluator (:mod:`repro.layout.conflict_vectorized`)
 resolves each fold in a few numpy passes, which is what lets Figures
@@ -139,26 +145,25 @@ def _fold_demand_stream(
     array_rows: int,
     array_cols: int,
     max_folds: int | None,
-) -> Iterator[FoldDemand]:
-    """Each fold's ifmap demand artifact, in execution order.
+) -> Iterator[tuple[FoldDemand, int]]:
+    """Each run's ``(ifmap demand artifact, repeats)``, in execution order.
 
-    With an active artifact store the whole per-layer stream is served
+    With an active artifact store the layer's whole run list is served
     from (or persisted to) disk — skipping trace generation and the
     per-fold (cycle, offset) sort entirely on a warm run — at the cost
-    of materialising the fold list instead of streaming it.  Without a
-    store the folds stream lazily with O(one fold) memory, exactly as
-    before.
+    of materialising one artifact per run instead of streaming them.
+    Without a store the runs stream lazily with O(one fold) memory.
     """
     store = active_store()
     if store is not None:
         key = fold_demand_store_key(layer, dataflow, array_rows, array_cols, max_folds)
-        folds = store.get("fold_demand", key)
-        if folds is None:
-            folds = list(
+        runs = store.get("fold_demand", key)
+        if runs is None:
+            runs = list(
                 _generate_fold_demand(layer, dataflow, array_rows, array_cols, max_folds)
             )
-            store.put("fold_demand", key, folds)
-        return iter(folds)
+            store.put("fold_demand", key, runs)
+        return iter(runs)
     return _generate_fold_demand(layer, dataflow, array_rows, array_cols, max_folds)
 
 
@@ -168,48 +173,77 @@ def _generate_fold_demand(
     array_rows: int,
     array_cols: int,
     max_folds: int | None,
-) -> Iterator[FoldDemand]:
-    """Yield each fold's ifmap demand artifact, in execution order."""
+) -> Iterator[tuple[FoldDemand, int]]:
+    """Yield each run's ``(ifmap demand artifact, repeats)``, in order.
+
+    One artifact stands for ``repeats`` consecutive folds; a fold with
+    ifmap demand on both port sides is one artifact, its row-port cycles
+    first.  ``max_folds`` counts trace folds, so the run that reaches
+    the cap is cut short.
+    """
     engine = TraceEngine(operand_matrices(layer), dataflow, array_rows, array_cols)
-    for index, fold in enumerate(engine.fold_traces()):
-        if max_folds is not None and index >= max_folds:
-            break
+    remaining = max_folds
+    for fold, repeats in engine.fold_runs():
+        if remaining is not None:
+            if remaining < 1:
+                break
+            repeats = min(repeats, remaining)
+            remaining -= repeats
+        parts = []
         for matrix in (fold.row_port_demand, fold.col_port_demand):
             top = int(matrix.max()) if matrix.size else -1
             if top < IFMAP_BASE:
                 continue  # bubbles only — the reference skips these too
             if top < FILTER_BASE:
                 # Pure ifmap stream: feed the trace through unmasked.
-                yield build_fold_demand(matrix, base_offset=IFMAP_BASE)
+                parts.append(build_fold_demand(matrix, base_offset=IFMAP_BASE))
                 continue
             ifmap_only = np.where(
                 (matrix >= IFMAP_BASE) & (matrix < FILTER_BASE), matrix, -1
             )
             if (ifmap_only >= 0).any():
-                yield build_fold_demand(ifmap_only, base_offset=IFMAP_BASE)
+                parts.append(build_fold_demand(ifmap_only, base_offset=IFMAP_BASE))
+        if parts:
+            yield FoldDemand.concat(parts), repeats
+        if remaining == 0:
+            break  # the cap is reached: trace no further fold
 
 
-def _fold_batches(stream: Iterator[FoldDemand]) -> Iterator[FoldDemand]:
-    """Join runs of consecutive small folds into one artifact each.
+def _fold_batches(
+    runs: Iterator[tuple[FoldDemand, int]],
+) -> Iterator[tuple[FoldDemand, int]]:
+    """Turn runs into ``(artifact, repeats)`` cascade calls.
 
-    A batch is flushed once it holds at least ``_FOLD_BATCH_OFFSETS``
+    A run of at least three copies holding at least
+    ``_FOLD_BATCH_OFFSETS`` offsets in all flushes the pending batch and
+    passes alone, uncopied: the evaluator closes it after as few as two
+    copies, so a shorter run would save nothing.  Every other run is
+    expanded into consecutive folds, which are joined into batches: a
+    batch is flushed once it holds at least ``_FOLD_BATCH_OFFSETS``
     offsets, and at the end of the stream.  A fold that alone reaches
     the budget is never joined or split: it flushes the pending batch
-    and then passes alone, uncopied.  Exact by :meth:`FoldDemand.concat`.
+    and then passes alone.  Exact by :meth:`FoldDemand.concat`.
     """
     batch: list[FoldDemand] = []
     size = 0
-    for fold in stream:
-        if batch and fold.offsets.size >= _FOLD_BATCH_OFFSETS:
-            yield FoldDemand.concat(batch)
-            batch, size = [], 0
-        batch.append(fold)
-        size += fold.offsets.size
-        if size >= _FOLD_BATCH_OFFSETS:
-            yield FoldDemand.concat(batch)
-            batch, size = [], 0
+    for fold, repeats in runs:
+        if repeats >= 3 and repeats * fold.offsets.size >= _FOLD_BATCH_OFFSETS:
+            if batch:
+                yield FoldDemand.concat(batch), 1
+                batch, size = [], 0
+            yield fold, repeats
+            continue
+        for _ in range(repeats):
+            if batch and fold.offsets.size >= _FOLD_BATCH_OFFSETS:
+                yield FoldDemand.concat(batch), 1
+                batch, size = [], 0
+            batch.append(fold)
+            size += fold.offsets.size
+            if size >= _FOLD_BATCH_OFFSETS:
+                yield FoldDemand.concat(batch), 1
+                batch, size = [], 0
     if batch:
-        yield FoldDemand.concat(batch)
+        yield FoldDemand.concat(batch), 1
 
 
 def _make_evaluators(
@@ -285,13 +319,15 @@ def evaluate_layout_slowdown_many(
 ) -> list[LayoutEvalResult]:
     """Evaluate a whole grid of layout configurations in one trace pass.
 
-    Generates each fold's demand artifact once, joins runs of small
-    consecutive folds into batches of at least ``_FOLD_BATCH_OFFSETS``
-    offsets, and broadcasts each batch to every configuration's
-    evaluator in one call.  Memory is O(max(one fold, batch budget)).
-    Results come back in ``configs`` order and are bit-identical to
-    ``len(configs)`` independent :func:`evaluate_layout_slowdown`
-    calls and to the per-fold scalar reference (enforced by
+    Generates each run of identical folds' demand artifact once (in WS
+    a row fold's ``folds_col`` folds share one), feeds long runs to
+    every configuration's evaluator in one call each, joins the other
+    folds into batches of at least ``_FOLD_BATCH_OFFSETS`` offsets, and
+    broadcasts each batch the same way.  Memory is O(max(one fold,
+    batch budget)).  Results come back in ``configs`` order and are
+    bit-identical to ``len(configs)`` independent
+    :func:`evaluate_layout_slowdown` calls and to the per-fold scalar
+    reference fed from :meth:`TraceEngine.fold_traces` (enforced by
     ``tests/layout/test_fanout_equivalence.py``).
 
     Args:
@@ -309,9 +345,9 @@ def evaluate_layout_slowdown_many(
     stream = _fold_demand_stream(layer, dataflow, array_rows, array_cols, max_folds)
 
     evaluators = _make_evaluators(configs, layouts)
-    for batch in _fold_batches(stream):
+    for batch, repeats in _fold_batches(stream):
         for evaluator in evaluators:
-            evaluator.add_fold_demand(batch)
+            evaluator.add_fold_demand(batch, repeats=repeats)
     return _results_from_evaluators(layer, dataflow, configs, evaluators)
 
 

@@ -52,6 +52,16 @@ from repro.topology.models import available_models, get_model
 from repro.topology.topology import Topology
 
 
+def _int_at_least(raw: str, minimum: int, kind: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"expected {kind}, got {raw!r}")
+    return value
+
+
 def positive_int(raw: str) -> int:
     """argparse type for options that only make sense strictly positive.
 
@@ -60,13 +70,12 @@ def positive_int(raw: str) -> int:
     message instead of surfacing later as a confusing deadlock, divide
     error, or silently-serial sweep.
     """
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
-    return value
+    return _int_at_least(raw, 1, "a positive integer")
+
+
+def non_negative_int(raw: str) -> int:
+    """argparse type for counts where zero means none (``--max-retries``)."""
+    return _int_at_least(raw, 0, "a non-negative integer")
 
 
 def positive_float(raw: str) -> float:
@@ -340,7 +349,7 @@ def build_submit_parser() -> argparse.ArgumentParser:
     _add_request_args(parser, failure_policy="degrade")
     parser.add_argument(
         "--max-retries",
-        type=positive_int,
+        type=non_negative_int,
         default=5,
         help="client retries for 429/503/connection errors (default 5)",
     )

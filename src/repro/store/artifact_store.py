@@ -5,7 +5,7 @@ subdirectory: finished sweep points (``sweep_point``, written through
 :class:`~repro.run.sweep.ResultCache`), per-layer compute schedules
 (``layer_compute``, the :class:`~repro.core.simulator.ComputePlan`
 pieces) and layout demand artifacts (``fold_demand``,
-:class:`~repro.layout.conflict.FoldDemand` streams).  A cold process
+:class:`~repro.layout.conflict.FoldDemand` runs).  A cold process
 loads them instead of rebuilding them.  The DRAM fan-out's line streams
 are not stored: the fan-out rebuilds them from the plan in under a
 millisecond.
@@ -48,8 +48,9 @@ from pathlib import Path
 #: of a per-fold list.  v3: ``FoldSchedule`` holds only ``folds``,
 #: ``cycles`` and ``slots`` (the per-fold grid fields are gone); a v2
 #: pickle would load into a schedule without ``folds`` and fail on the
-#: first walk.
-STORE_SCHEMA_VERSION = "store-v3-2026-10"
+#: first walk.  v4: a ``fold_demand`` entry is a list of ``(FoldDemand,
+#: repeats)`` runs instead of one ``FoldDemand`` per fold.
+STORE_SCHEMA_VERSION = "store-v4-2026-10"
 
 
 def load_pickle_guarded(path: Path) -> object | None:

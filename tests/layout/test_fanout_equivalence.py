@@ -9,10 +9,16 @@ artifacts), and regardless of how configurations share (or don't share)
 inter-line steps.  The artifact layer itself (``FoldDemand`` /
 ``add_fold_demand``) is fuzzed against ``add_demand_matrix`` for both
 evaluator implementations, and the fan-out's fold batching
-(``FoldDemand.concat``) against one call per fold.
+(``FoldDemand.concat``) against one call per fold.  Runs of identical
+folds are checked on both sides: ``TraceEngine.fold_runs`` expanded
+must equal ``fold_traces`` fold for fold, and an evaluator's closed
+run (``add_fold_demand(..., repeats=r)``) must equal ``r`` reference
+copies.  The spec side never uses runs: ``_reference_result`` feeds the
+scalar evaluator straight from ``fold_traces``.
 """
 
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -24,8 +30,15 @@ from repro.config.system import (
     SystemConfig,
 )
 from repro.core.dataflow import Dataflow
+from repro.core.operand_matrix import FILTER_BASE, IFMAP_BASE, operand_matrices
+from repro.core.systolic import TraceEngine
 from repro.errors import LayoutError
-from repro.layout.conflict import BankConflictEvaluator, FoldDemand, build_fold_demand
+from repro.layout.conflict import (
+    BankConflictEvaluator,
+    CycleCost,
+    FoldDemand,
+    build_fold_demand,
+)
 from repro.layout.conflict_vectorized import (
     _FOLD_BATCH_OFFSETS,
     VectorizedConflictEvaluator,
@@ -102,16 +115,32 @@ def _view_for(layer) -> TensorView:
     return TensorView.for_matrix(layer.k, layer.n)
 
 
+def _ifmap_matrices(fold) -> list[np.ndarray]:
+    """A trace fold's ifmap requests per port side (others masked to -1)."""
+    return [
+        np.where((matrix >= IFMAP_BASE) & (matrix < FILTER_BASE), matrix, -1)
+        for matrix in (fold.row_port_demand, fold.col_port_demand)
+    ]
+
+
 def _reference_result(layer, dataflow, array, cfg, max_folds=None) -> LayoutEvalResult:
-    """``cfg``'s result from the scalar ``BankConflictEvaluator``, the spec."""
+    """``cfg``'s result from the scalar ``BankConflictEvaluator``, the spec.
+
+    Fed fold by fold from ``TraceEngine.fold_traces()``, one
+    ``add_demand_matrix`` call per port side with ifmap requests, so it
+    shares neither the run logic nor the ``FoldDemand`` artifacts.
+    """
     dataflow = Dataflow.parse(dataflow) if isinstance(dataflow, str) else dataflow
     evaluator = BankConflictEvaluator(
         cfg.resolve_layout(_view_for(layer)),
         bandwidth_model_words=cfg.total_bandwidth_words,
         row_buffers_per_bank=cfg.row_buffers_per_bank,
     )
-    for fold in _generate_fold_demand(layer, dataflow, array, array, max_folds):
-        evaluator.add_fold_demand(fold)
+    engine = TraceEngine(operand_matrices(layer), dataflow, array, array)
+    for fold in islice(engine.fold_traces(), max_folds):
+        for matrix in _ifmap_matrices(fold):
+            if (matrix >= 0).any():
+                evaluator.add_demand_matrix(matrix, base_offset=IFMAP_BASE)
     return LayoutEvalResult(
         layer_name=layer.name,
         dataflow=dataflow,
@@ -316,7 +345,7 @@ def test_concatenated_folds_match_per_fold_calls():
         batches = [
             folds[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(folds)])
         ]
-        fan_out = list(_fold_batches(iter(folds)))
+        fan_out = [batch for batch, _ in _fold_batches((fold, 1) for fold in folds)]
         assert len(fan_out) < len(folds), trial
         for evaluator_cls in (BankConflictEvaluator, VectorizedConflictEvaluator):
             for row_buffers in (1, 2, 4):
@@ -354,11 +383,207 @@ def test_fold_batches_pass_big_folds_alone():
     view = TensorView(8, 8, 8)
     big = _big_fold(view, ports=32)
     small = [_small_fold(np_rng, view) for _ in range(5)]
-    batches = list(_fold_batches(iter([*small[:2], big, *small[2:]])))
+    runs = [(fold, 1) for fold in [*small[:2], big, *small[2:]]]
+    batches = [batch for batch, _ in _fold_batches(iter(runs))]
     assert len(batches) == 3
     assert batches[1] is big
     assert batches[0].cycles == small[0].cycles + small[1].cycles
     assert FoldDemand.concat([big]) is big
+
+
+def test_fold_batches_pass_long_runs_alone():
+    """A run of >= 3 copies over the budget passes alone; other runs expand."""
+    np_rng = np.random.default_rng(4)
+    view = TensorView(8, 8, 8)
+    big = _big_fold(view, ports=32)
+    small = [_small_fold(np_rng, view) for _ in range(4)]
+    tiny = small[3]
+    long_tiny = -(-_FOLD_BATCH_OFFSETS // tiny.offsets.size)
+    runs = [
+        (small[0], 1),
+        (small[1], 2),
+        (big, 3),  # passes alone
+        (small[2], 3),  # three copies, far below the budget: expanded
+        (tiny, long_tiny),  # passes alone
+        (big, 2),  # two copies: expanded, each big copy alone
+    ]
+    out = list(_fold_batches(iter(runs)))
+    assert [repeats for _, repeats in out] == [1, 3, 1, long_tiny, 1, 1]
+    assert out[1][0] is big and out[3][0] is tiny
+    assert out[4][0] is big and out[5][0] is big
+    assert out[0][0].cycles == small[0].cycles + 2 * small[1].cycles
+    assert out[2][0].cycles == 3 * small[2].cycles
+    assert sum(b.cycles * r for b, r in out) == sum(f.cycles * r for f, r in runs)
+
+
+def test_fold_runs_expand_to_fold_traces():
+    """``fold_runs`` expanded == ``fold_traces``'s ifmap demand, fold for fold.
+
+    Random GEMM/conv layers on random (non-square) arrays, every
+    dataflow.  WS collapses each row fold's ``folds_col`` folds into one
+    run; OS and IS never repeat.
+    """
+    repeated = 0
+    for trial in range(24):
+        rng = random.Random(71_000 + trial)
+        layer = _conv(rng) if rng.random() < 0.5 else _gemm(rng)
+        rows, cols = rng.choice((2, 3, 4, 8)), rng.choice((2, 3, 4, 8))
+        for dataflow in Dataflow:
+            engine = TraceEngine(operand_matrices(layer), dataflow, rows, cols)
+            runs = list(engine.fold_runs())
+            expanded = [fold for fold, repeats in runs for _ in range(repeats)]
+            traces = list(engine.fold_traces())
+            case = (trial, dataflow, rows, cols)
+            assert len(expanded) == len(traces), case
+            for got, want in zip(expanded, traces):
+                assert got.cycles == want.cycles, case
+                for a, b in zip(_ifmap_matrices(got), _ifmap_matrices(want)):
+                    assert np.array_equal(a, b), case
+            if dataflow is Dataflow.WEIGHT_STATIONARY:
+                assert len(runs) == engine.folds_row, case
+                repeated += engine.folds_col > 1
+            else:
+                assert all(repeats == 1 for _, repeats in runs), case
+    assert repeated > 0
+
+
+def test_closed_runs_match_reference_copies(monkeypatch):
+    """``add_fold_demand(fold, repeats=r)`` == ``r`` copies on the reference.
+
+    Runs of small and big folds, from cold and from carried bank state,
+    at every row-buffer depth, with and without per-cycle costs, and
+    through the fan-out's ``_fold_batches``.  An LRU bank holds the most
+    recent distinct lines, so a copy's outgoing state depends only on
+    the fold once its lines are in: no run needs more than two
+    evaluations.  A first copy that changes the state must not close
+    the run.
+    """
+    evaluations = []
+    evaluate = VectorizedConflictEvaluator._evaluate_fold
+
+    def counting(self, fold, accumulate, return_costs):
+        evaluations.append(fold)
+        return evaluate(self, fold, accumulate, return_costs)
+
+    monkeypatch.setattr(VectorizedConflictEvaluator, "_evaluate_fold", counting)
+    for trial in range(6):
+        rng = random.Random(73_000 + trial)
+        np_rng = np.random.default_rng(73_000 + trial)
+        view = TensorView(rng.choice((4, 8, 16)), rng.randint(2, 8), rng.randint(2, 8))
+        layout = LayoutSpec.default_for(
+            view,
+            num_banks=rng.choice((1, 2, 4)),
+            bandwidth_per_bank=rng.randint(1, 6),
+        )
+        runs = []
+        for _ in range(rng.randint(3, 8)):
+            fold = _small_fold(np_rng, view)
+            long = -(-_FOLD_BATCH_OFFSETS // max(1, fold.offsets.size))
+            runs.append((fold, rng.choice((1, 2, 3, 5, long))))
+        if rng.random() < 0.5:
+            big = _big_fold(view, ports=min(32, view.num_elements))
+            runs.insert(rng.randrange(len(runs)), (big, rng.choice((2, 3, 4))))
+        for row_buffers in (1, 2, 4, 8):
+            case = (trial, row_buffers)
+            reference = BankConflictEvaluator(layout, 8, row_buffers_per_bank=row_buffers)
+            closed = VectorizedConflictEvaluator(layout, 8, row_buffers_per_bank=row_buffers)
+            batched = VectorizedConflictEvaluator(layout, 8, row_buffers_per_bank=row_buffers)
+            for fold, repeats in runs:
+                want = reference.add_fold_demand(fold, True, repeats)
+                del evaluations[:]
+                assert closed.add_fold_demand(fold, True, repeats) == want, case
+                assert len(evaluations) <= 2, case
+            for batch, repeats in _fold_batches(iter(runs)):
+                assert batched.add_fold_demand(batch, repeats=repeats) is None
+            for got in (closed, batched):
+                assert got.total_layout_cycles == reference.total_layout_cycles, case
+                assert got.total_bandwidth_cycles == reference.total_bandwidth_cycles, case
+                assert got.total_requests == reference.total_requests, case
+                assert got.cycles_evaluated == reference.cycles_evaluated, case
+
+
+class _DriftingEvaluator(VectorizedConflictEvaluator):
+    """A stand-in cascade whose state only repeats every ``period`` copies.
+
+    Each evaluation charges cycles that depend on the incoming state,
+    then advances it; the state returns to its start only at the end of
+    a period, so a run's closure must keep evaluating until it does.
+    """
+
+    def __init__(self, layout: LayoutSpec, period: int) -> None:
+        super().__init__(layout, bandwidth_model_words=8)
+        self.period = period
+        self._bank_lines = {0: [0]}
+
+    def _evaluate_fold(self, fold, accumulate, return_costs):
+        step = self._bank_lines[0][0]
+        settled = step == self.period - 1
+        self._bank_lines = {0: [step if settled else step + 1]}
+        cost = CycleCost(fold.cycles, step + 1, 1)
+        self.total_layout_cycles += cost.layout_cycles
+        self.total_bandwidth_cycles += 1
+        self.total_requests += cost.requests
+        self.cycles_evaluated += 1
+        return [cost] if return_costs else None
+
+
+def test_closure_waits_for_a_copy_that_keeps_its_state():
+    """A run closes only once a copy hands on the state it received."""
+    layout = LayoutSpec.default_for(TensorView(4, 4, 4), num_banks=2, bandwidth_per_bank=2)
+    fold = _small_fold(np.random.default_rng(9), layout.view)
+    for period in (1, 2, 3, 5):
+        for repeats in (1, 2, 3, 4, 7, 12):
+            one_call = _DriftingEvaluator(layout, period)
+            per_copy = _DriftingEvaluator(layout, period)
+            costs = one_call.add_fold_demand(fold, True, repeats)
+            want = [c for _ in range(repeats) for c in per_copy.add_fold_demand(fold, True)]
+            case = (period, repeats)
+            assert costs == want, case
+            assert one_call.total_layout_cycles == per_copy.total_layout_cycles, case
+            assert one_call.total_requests == per_copy.total_requests, case
+            assert one_call.cycles_evaluated == per_copy.cycles_evaluated, case
+            assert one_call._bank_lines == per_copy._bank_lines, case
+
+
+def test_max_folds_cut_a_run(monkeypatch):
+    """Whole WS layers whose runs close, with ``max_folds`` cutting a run.
+
+    Each row fold is a run of 8 copies of ~780 offsets, so long runs
+    reach the evaluator in one closed call; a cap of 6, 15 or 20 folds
+    cuts a run short, to a length that still passes alone or not.  No
+    trace is generated past the cap.
+    """
+    traced = []
+    one_fold = TraceEngine._one_fold
+    monkeypatch.setattr(
+        TraceEngine,
+        "_one_fold",
+        lambda self, *args: traced.append(args) or one_fold(self, *args),
+    )
+    layer = ConvLayer(
+        name="c", ifmap_h=16, ifmap_w=16, filter_h=3, filter_w=3,
+        channels=4, num_filters=32,
+    )
+    engine = TraceEngine(operand_matrices(layer), Dataflow.WEIGHT_STATIONARY, 4, 4)
+    assert engine.folds_col == 8 and engine.folds_row == 9
+    configs = [
+        LayoutEvalConfig(num_banks=2, total_bandwidth_words=8, row_buffers_per_bank=depth)
+        for depth in (1, 2, 4, 8)
+    ]
+    for max_folds in (1, 6, 15, 20):
+        del traced[:]
+        runs = list(_generate_fold_demand(layer, engine.dataflow, 4, 4, max_folds))
+        assert sum(repeats for _, repeats in runs) == max_folds
+        assert len(traced) == len(runs) == -(-max_folds // 8)
+        assert any(repeats >= 3 for _, repeats in _fold_batches(iter(runs))) == (
+            max_folds != 1
+        )
+        many = evaluate_layout_slowdown_many(
+            layer, "ws", 4, 4, configs, max_folds=max_folds
+        )
+        assert many == [
+            _reference_result(layer, "ws", 4, cfg, max_folds) for cfg in configs
+        ], max_folds
 
 
 def test_fanout_batches_small_folds(monkeypatch):
@@ -367,13 +592,16 @@ def test_fanout_batches_small_folds(monkeypatch):
         name="c", ifmap_h=12, ifmap_w=12, filter_h=3, filter_w=3,
         channels=8, num_filters=16,
     )
-    folds = sum(1 for _ in _generate_fold_demand(layer, Dataflow.parse("ws"), 4, 4, None))
+    folds = sum(
+        repeats
+        for _, repeats in _generate_fold_demand(layer, Dataflow.parse("ws"), 4, 4, None)
+    )
     calls = []
     feed = VectorizedConflictEvaluator.add_fold_demand
 
-    def counting(self, fold, return_costs=False):
+    def counting(self, fold, return_costs=False, repeats=1):
         calls.append(fold.cycles)
-        return feed(self, fold, return_costs)
+        return feed(self, fold, return_costs, repeats)
 
     monkeypatch.setattr(VectorizedConflictEvaluator, "add_fold_demand", counting)
     configs = [

@@ -5,7 +5,8 @@ Satellite of the service PR: every strictly-positive numeric option —
 serve limits — goes through :func:`repro.run.cli.positive_int` /
 :func:`positive_float`, so a zero or negative value dies in argparse
 with a message naming the option, instead of surfacing later as a
-deadlock or a silently-serial sweep.
+deadlock or a silently-serial sweep.  ``submit --max-retries`` counts
+retries, so it takes zero (:func:`repro.run.cli.non_negative_int`).
 """
 
 import argparse
@@ -100,7 +101,14 @@ def test_submit_parser_rejects_non_positive_values(capsys):
         build_submit_parser().parse_args(base + ["--poll", "0"])
     assert "expected a positive" in capsys.readouterr().err
     with pytest.raises(SystemExit):
-        build_submit_parser().parse_args(base + ["--max-retries", "0"])
+        build_submit_parser().parse_args(base + ["--max-retries", "-1"])
+    assert "expected a non-negative integer" in capsys.readouterr().err
+
+
+def test_submit_accepts_zero_retries():
+    """``--max-retries 0`` is one attempt, as ``ServiceClient`` allows."""
+    args = build_submit_parser().parse_args(_SWEEP_BASE + ["--max-retries", "0"])
+    assert args.max_retries == 0
 
 
 def test_valid_values_still_parse():

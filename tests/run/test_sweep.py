@@ -471,6 +471,17 @@ class TestSweepCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())  # nothing ran, nothing written
 
+    def test_upper_case_text_matches_cfg_text(self, tmp_path, capsys):
+        """``--set arch.dataflow=WS`` runs, as ``Dataflow = WS`` loads."""
+        from repro.config.parser import parse_config_text
+
+        argv = ["sweep", "--preset", "scale_sim_v2_default", "--model", "toy_gemm"]
+        assert main(argv + ["--set", "arch.dataflow=WS", "-p", str(tmp_path)]) == 0
+        assert "1 points" in capsys.readouterr().out
+        cfg = parse_config_text("[architecture_presets]\nDataflow = WS\n")
+        assert cfg.arch.dataflow == "ws"
+        assert apply_override(_base(), "arch.dataflow", "WS").arch.dataflow == "ws"
+
     def test_submit_posts_typed_axis_values(self):
         from repro.run.cli import build_submit_parser
         from repro.run.request import SweepRequest

@@ -200,6 +200,17 @@ def test_bad_payload_is_a_400(service):
     assert json.loads(body)["error"] == "InvalidJobError"
 
 
+def test_upper_case_axis_value_is_accepted(service):
+    """``"WS"`` is the dataflow a ``.cfg`` file's ``Dataflow = WS`` names."""
+    manager, client = service
+    status, headers, body = client._request(
+        "POST", "/jobs", dict(_PAYLOAD, axes={"arch.dataflow": ["WS"]})
+    )
+    assert status == 202
+    final = client.wait(json.loads(body)["id"], timeout=60.0)
+    assert final["state"] == "done" and final["rows"] == 1
+
+
 # ------------------------------------------------- admission and capacity
 
 

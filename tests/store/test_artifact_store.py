@@ -210,9 +210,11 @@ def test_plan_through_store_roundtrips_to_equal_schedules(tmp_path):
 
 
 def test_fold_demand_roundtrips_through_store(tmp_path):
-    layer = toy_conv()[0]
-    args = (layer, Dataflow.OUTPUT_STATIONARY, 8, 8, None)
+    # WS with 16 filters on 4 columns: every row fold is a run of 4.
+    layer = toy_conv()[1]
+    args = (layer, Dataflow.WEIGHT_STATIONARY, 4, 4, None)
     reference = list(_fold_demand_stream(*args))
+    assert any(repeats > 1 for _, repeats in reference)
 
     store = ArtifactStore(tmp_path)
     with _with_store(store):
@@ -220,7 +222,8 @@ def test_fold_demand_roundtrips_through_store(tmp_path):
         warm = list(_fold_demand_stream(*args))
     assert store.misses == 1 and store.hits == 1
     assert len(cold) == len(reference) > 0
-    for a, b, c in zip(reference, cold, warm):
+    for (a, ra), (b, rb), (c, rc) in zip(reference, cold, warm):
+        assert ra == rb == rc
         assert a.cycles == b.cycles == c.cycles
         assert (a.cycle_index == b.cycle_index).all()
         assert (a.cycle_index == c.cycle_index).all()
