@@ -10,8 +10,10 @@ or result stitching:
 * :class:`SerialExecutor` — in-process, no pool.  The executable
   specification every other executor must match result-for-result.
 * :class:`PoolExecutor` — a local ``multiprocessing`` pool
-  (:func:`repro.utils.pool.pool_context` fork/spawn selection) and the
-  only layer of the code base that forks.  A lone unit runs in-process;
+  (:func:`repro.utils.pool.pool_context` fork/spawn selection, each
+  worker started on a CPU of its own by
+  :func:`repro.utils.pool.spread_worker`) and the only layer of the
+  code base that forks.  A lone unit runs in-process;
   the sweep runner splits a lone oversized fan-out unit into up to
   ``workers`` sub-units before dispatch, so the pool is not left idle.
 * :class:`QueueExecutor` — the cross-machine sharding drop-in point:
@@ -73,7 +75,7 @@ from repro.store.artifact_store import (
     load_json_guarded,
     load_pickle_guarded,
 )
-from repro.utils.pool import pool_context
+from repro.utils.pool import pool_context, spread_worker
 
 #: Executor names selectable via the CLI's ``--executor`` flag.
 AVAILABLE_EXECUTORS = ("serial", "pool", "queue")
@@ -392,7 +394,12 @@ class PoolExecutor:
             jobs = [(fn, index, units[index], attempt) for index in pending]
             processes = min(self.workers, len(jobs))
             still_failing = []
-            with pool_context().Pool(processes=processes) as pool:
+            context = pool_context()
+            with context.Pool(
+                processes=processes,
+                initializer=spread_worker,
+                initargs=(context.Value("i", 0),),
+            ) as pool:
                 for index, envelope in zip(
                     pending, pool.imap(_pool_attempt, jobs, chunksize=1)
                 ):

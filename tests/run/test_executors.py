@@ -1,5 +1,6 @@
 """Unit tests for the pluggable sweep-execution backends (repro.run.executors)."""
 
+import multiprocessing
 import os
 import pickle
 
@@ -22,6 +23,7 @@ from repro.config.system import RunConfig, SystemConfig
 from repro.run.sweep import Axis, SweepRunner, SweepSpec
 from repro.store.artifact_store import dump_pickle_atomic
 from repro.topology.models import toy_gemm
+from repro.utils import pool as pool_utils
 
 
 def _base() -> SystemConfig:
@@ -48,6 +50,22 @@ def _pid(unit):
     return os.getpid()
 
 
+def _affinity(unit):
+    return sorted(os.sched_getaffinity(0))
+
+
+_INITIALIZED_WITH = None
+
+
+def _record_initializer(slots):
+    global _INITIALIZED_WITH
+    _INITIALIZED_WITH = type(slots.value).__name__
+
+
+def _initialized_with(unit):
+    return _INITIALIZED_WITH
+
+
 def test_executor_protocol_matches_implementations(tmp_path):
     assert isinstance(SerialExecutor(), Executor)
     assert isinstance(PoolExecutor(2), Executor)
@@ -70,6 +88,49 @@ def test_pool_executor_maps_in_order():
     executor = PoolExecutor(2)
     assert executor.map_units(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
     assert executor.map_units(_double, []) == []
+
+
+def test_spread_worker_places_each_worker_then_releases(monkeypatch):
+    # Each worker moves to the next allowed CPU (slots wrap around the
+    # allowed set), then gets the whole set back.
+    calls = []
+    monkeypatch.setattr(pool_utils.os, "sched_getaffinity", lambda pid: {5, 2})
+    monkeypatch.setattr(
+        pool_utils.os, "sched_setaffinity", lambda pid, cpus: calls.append(set(cpus))
+    )
+    slots = multiprocessing.Value("i", 0)
+    for _ in range(3):
+        pool_utils.spread_worker(slots)
+    assert slots.value == 3
+    assert calls == [{2}, {2, 5}, {5}, {2, 5}, {2}, {2, 5}]
+
+
+def test_spread_worker_leaves_a_single_cpu_alone(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pool_utils.os, "sched_getaffinity", lambda pid: {3})
+    monkeypatch.setattr(
+        pool_utils.os, "sched_setaffinity", lambda pid, cpus: calls.append(cpus)
+    )
+    slots = multiprocessing.Value("i", 0)
+    pool_utils.spread_worker(slots)
+    assert calls == [] and slots.value == 0
+
+
+def test_pool_workers_start_through_spread_worker(monkeypatch):
+    from repro.run import executors
+
+    monkeypatch.setattr(executors, "spread_worker", _record_initializer)
+    assert PoolExecutor(2).map_units(_initialized_with, [1, 2]) == ["int", "int"]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="CPU affinity is Linux-only"
+)
+def test_pool_workers_keep_the_full_cpu_set():
+    # The placement is a start, not a pin: workers run with the
+    # parent's whole allowed set.
+    allowed = sorted(os.sched_getaffinity(0))
+    assert PoolExecutor(2).map_units(_affinity, [1, 2, 3]) == [allowed] * 3
 
 
 def test_pool_executor_workers_one_is_serial():
