@@ -198,23 +198,36 @@ class BatchedEngine:
 
     def process_batch(self, batch: LineRequestBatch, issue_cycle: int) -> BatchResult:
         """Issue every line of ``batch``; return the read-ready horizon."""
+        result, clock0 = self._dispatch(batch, issue_cycle)
+        if result is not None:
+            return result
+        lines, is_write = issue_order_arrays(batch)
+        [result] = resolve_vector_pass(
+            self.vector_params(), [self], lines, is_write, [clock0]
+        )
+        return result
+
+    def _dispatch(
+        self, batch: LineRequestBatch, issue_cycle: int
+    ) -> tuple[BatchResult | None, int]:
+        """Every dispatch path but the vector pass; ``(result, clock0)``.
+
+        An empty batch, the single-stream path or (below
+        :attr:`vector_threshold`) the scalar loop; ``None`` leaves the
+        batch to the caller's vector pass from ``clock0``.
+        """
         if issue_cycle < 0:
             raise DramError(f"negative cycle {issue_cycle}")
         clock0 = max(issue_cycle, self._issue_clock)
         total = batch.total_lines
         if total == 0:
             self._issue_clock = clock0
-            return BatchResult(ready_cycle=clock0, lines_read=0, lines_written=0)
+            result = BatchResult(ready_cycle=clock0, lines_read=0, lines_written=0)
+            return result, clock0
         result = self._process_single_stream(batch, clock0, total)
-        if result is not None:
-            return result
-        if total < self.vector_threshold:
-            return self._process_scalar(batch, clock0)
-        lines, is_write = issue_order_arrays(batch)
-        [result] = resolve_vector_pass(
-            self.vector_params(), [self], lines, is_write, [clock0]
-        )
-        return result
+        if result is None and total < self.vector_threshold:
+            result = self._process_scalar(batch, clock0)
+        return result, clock0
 
     def vector_params(self) -> VectorParams:
         """This engine's vector-pass parameters, built on first use."""
@@ -272,8 +285,8 @@ class BatchedEngine:
         batch, with :attr:`single_stream_fast_path` off) returns ``None``
         and takes the scalar loop or the vector pass.  Nothing is mutated
         until every exactness guard has passed.  The grid engine
-        (:mod:`repro.dram.engine_grid`) calls it per config before its
-        shared vector pass.
+        (:mod:`repro.dram.engine_grid`) reaches it per config, through
+        :meth:`_dispatch`, before its shared vector pass.
         """
         if not self.single_stream_fast_path:
             return None
@@ -422,7 +435,7 @@ class BatchedEngine:
         timing = self.timing
         t_burst = timing.t_burst
         t_ccd = timing.t_ccd
-        t_ccd_wr = t_ccd + timing.t_wr
+        write_ccd = t_ccd + timing.t_wr
         t_rcd = timing.t_rcd
         t_rp = timing.t_rp
         t_ras = timing.t_ras
@@ -514,7 +527,7 @@ class BatchedEngine:
             # Shared data bus.
             if is_write:
                 data_start = issue_bank + t_cwl
-                ready[bank_index] = issue_bank + t_ccd_wr
+                ready[bank_index] = issue_bank + write_ccd
             else:
                 data_start = issue_bank + t_cl
                 ready[bank_index] = issue_bank + t_ccd

@@ -12,16 +12,16 @@ The stall walk itself is :func:`repro.dram.vector_pass.resolve_vector_pass`,
 the one vector pass a lone :class:`BatchedEngine` also runs (as a
 1-participant pass); its module docstring derives the scans and the
 offset-flattened state layout that lets ragged geometries share them.
-One pass walks one block sequence, so it needs one (read, write) queue
-depth: the grid splits its configs into depth classes
-(:func:`depth_classes`), and each class resolves as its own pass.
+One pass walks one block sequence with one set of timing constants, so
+it needs one (read, write) queue depth, one DRAM timing and one issue
+rate: the grid splits its configs into pass classes
+(:func:`pass_classes`), and each class resolves as its own pass.
 Here each config keeps its own :class:`BatchedEngine` as the canonical
-state owner.  Per batch, configs the closed-form single-stream path
-accepts (a read burst no longer than that config's read queue) take it
-*per config*, exactly as they would alone; small batches run each
-config's scalar loop, and the rest of each depth class resolve together
-in one pass whose per-config rows are element-for-element the walk of
-that config alone.  The whole thing is pinned to
+state owner.  Per batch, each config first takes its own dispatch
+(:meth:`BatchedEngine._dispatch`), exactly as it would alone; the rest
+of each pass class resolve together in one pass whose per-config rows
+are element-for-element the walk of that config alone, so how configs
+split into passes changes no result.  The whole thing is pinned to
 :class:`~repro.dram.engine.ReferenceEngine` by
 ``tests/dram/test_grid_engine_equivalence.py``.
 """
@@ -35,6 +35,7 @@ from repro.config.system import SystemConfig
 from repro.dram.backend import make_ramulator
 from repro.dram.engine import BatchResult, LineRequestBatch
 from repro.dram.engine_batched import BatchedEngine, issue_order_arrays
+from repro.dram.timing import DramTiming, get_timing_preset
 from repro.dram.vector_pass import VectorParams, resolve_vector_pass
 from repro.errors import DramError, MemoryModelError
 
@@ -42,22 +43,52 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.simulator import ComputePlan, RunResult
 
 
-def depth_classes(configs: Sequence[SystemConfig]) -> list[list[int]]:
-    """Indices of ``configs`` grouped by (read, write) queue depth.
+def pass_classes(configs: Sequence[SystemConfig]) -> list[list[int]]:
+    """Indices of ``configs`` grouped into vector-pass classes.
 
-    Classes come in first-appearance order; each is one vector pass of
-    :class:`GridBatchedEngine` (the sweep's fan-out summary reports the
-    same partition).
+    A class shares one (read, write) queue depth, one
+    :class:`~repro.dram.timing.DramTiming` and one issue rate, the
+    preconditions of :class:`VectorParams`.  Classes come in
+    first-appearance order; each is one vector pass of
+    :class:`GridBatchedEngine`.
     """
-    classes: dict[tuple[int, int], list[int]] = {}
+    classes: dict[tuple[int, int, DramTiming, int], list[int]] = {}
     for index, config in enumerate(configs):
-        depth = (config.dram.read_queue_entries, config.dram.write_queue_entries)
-        classes.setdefault(depth, []).append(index)
+        dram = config.dram
+        key = (
+            dram.read_queue_entries,
+            dram.write_queue_entries,
+            get_timing_preset(dram.technology),
+            dram.issue_per_cycle,
+        )
+        classes.setdefault(key, []).append(index)
     return list(classes.values())
 
 
+def grid_partition(configs: Sequence[SystemConfig]) -> dict[int, list[list[int]]]:
+    """The grid passes of ``configs``: word size first, then pass class.
+
+    Maps each word size shared by two or more DRAM-enabled configs (one
+    line stream, one :class:`GridBatchedEngine`), ascending, to its pass
+    classes as indices into ``configs``.  Lone word sizes and
+    DRAM-disabled configs keep the per-config path.
+    """
+    groups: dict[int, list[int]] = {}
+    for index, config in enumerate(configs):
+        if config.dram.enabled:
+            groups.setdefault(config.arch.word_bytes, []).append(index)
+    return {
+        word: [
+            [members[i] for i in cls]
+            for cls in pass_classes([configs[i] for i in members])
+        ]
+        for word, members in sorted(groups.items())
+        if len(members) > 1
+    }
+
+
 class GridBatchedEngine:
-    """A grid of batched engines resolved by one vector pass per queue depth.
+    """A grid of batched engines resolved by one vector pass per pass class.
 
     ``configs`` must all be DRAM-enabled and share ``arch.word_bytes``
     (they consume one line stream).  :meth:`process_batch`
@@ -94,7 +125,7 @@ class GridBatchedEngine:
         ]
         self._classes = [
             (members, VectorParams([self.engines[i] for i in members]))
-            for members in depth_classes(configs)
+            for members in pass_classes(configs)
         ]
 
     # ------------------------------------------------------------- protocol
@@ -104,42 +135,23 @@ class GridBatchedEngine:
     ) -> list[BatchResult]:
         """Issue every line of ``batch`` into every config's datapath.
 
-        ``issue_cycles`` carries one issue cycle per config.  Configs
-        the single-stream fast path accepts commit immediately through
-        their own engine; the rest of each depth class resolve together
-        in one vector pass.
+        ``issue_cycles`` carries one issue cycle per config.  Each config
+        takes its own engine's dispatch first; the configs left for the
+        vector pass resolve together, one pass per pass class.
         """
         engines = self.engines
         if len(issue_cycles) != len(engines):
             raise DramError(
                 f"{len(issue_cycles)} issue cycles for {len(engines)} configs"
             )
-        total = batch.total_lines
-        results: list[BatchResult | None] = [None] * len(engines)
-        rest: dict[int, int] = {}  # config index -> clock0, fast path declined
-        for index, engine in enumerate(engines):
-            cycle = int(issue_cycles[index])
-            if cycle < 0:
-                raise DramError(f"negative cycle {cycle}")
-            clock0 = max(cycle, engine._issue_clock)
-            if total == 0:
-                engine._issue_clock = clock0
-                results[index] = BatchResult(
-                    ready_cycle=clock0, lines_read=0, lines_written=0
-                )
-                continue
-            fast = engine._process_single_stream(batch, clock0, total)
-            if fast is not None:
-                results[index] = fast
-                continue
-            rest[index] = clock0
+        results: list[BatchResult | None] = []
+        rest: dict[int, int] = {}  # config index -> clock0, vector pass needed
+        for index, (engine, cycle) in enumerate(zip(engines, issue_cycles)):
+            result, clock0 = engine._dispatch(batch, int(cycle))
+            results.append(result)
+            if result is None:
+                rest[index] = clock0
         if not rest:
-            return results  # type: ignore[return-value]
-        if total < BatchedEngine.vector_threshold:
-            # Small batches: the per-config inlined scalar loop beats any
-            # array machinery (same dispatch rule as one engine).
-            for index, clock0 in rest.items():
-                results[index] = engines[index]._process_scalar(batch, clock0)
             return results  # type: ignore[return-value]
         lines, is_write = issue_order_arrays(batch)
         for members, params in self._classes:
@@ -251,4 +263,4 @@ def resolve_plan_grid(
     return results
 
 
-__all__ = ["GridBatchedEngine", "depth_classes", "resolve_plan_grid"]
+__all__ = ["GridBatchedEngine", "grid_partition", "pass_classes", "resolve_plan_grid"]

@@ -15,9 +15,10 @@ against every memory configuration of a grid:
   fetches chopped into 64B lines once (:func:`prepare_line_batch`), not
   once per config;
 * DRAM configs sharing a word size resolve *together*: one
-  :class:`~repro.dram.engine_grid.GridBatchedEngine` pass walks the
-  whole grid's stalls per line batch instead of one config at a time
-  (the fifth engine-seam instance — see
+  :class:`~repro.dram.engine_grid.GridBatchedEngine` walks their
+  stalls per line batch, one pass per queue depth, DRAM timing and
+  issue rate (:func:`~repro.dram.engine_grid.grid_partition`), instead
+  of one config at a time (the fifth engine-seam instance — see
   :mod:`repro.dram.engine_grid`).
 
 Results are bit-identical to ``Simulator(config).run(topology)`` per
@@ -33,6 +34,7 @@ sweep splits an oversized unit and the executor runs the pieces.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from repro.config.system import SystemConfig
@@ -69,20 +71,6 @@ def _build_line_batches(plan: ComputePlan, word_bytes: int) -> _LineBatches:
     ]
 
 
-def _grid_groups(configs: Sequence[SystemConfig]) -> dict[int, list[int]]:
-    """Indices of DRAM-enabled configs, grouped by word size.
-
-    Only groups of two or more resolve through the grid engine — a lone
-    config gains nothing from the config axis, and it and DRAM-disabled
-    points keep the per-config path.
-    """
-    groups: dict[int, list[int]] = {}
-    for index, config in enumerate(configs):
-        if config.dram.enabled:
-            groups.setdefault(config.arch.word_bytes, []).append(index)
-    return {word: members for word, members in groups.items() if len(members) > 1}
-
-
 def simulate_many_dram(
     plan: ComputePlan, configs: Sequence[SystemConfig]
 ) -> list[RunResult]:
@@ -98,16 +86,16 @@ def simulate_many_dram(
     ``Simulator(config).run(topology)`` for the planned topology.
 
     DRAM configs sharing a word size resolve through one
-    :class:`~repro.dram.engine_grid.GridBatchedEngine` pass per line
-    batch; other configs (a lone word size, DRAM-disabled points)
-    resolve one at a time.
+    :class:`~repro.dram.engine_grid.GridBatchedEngine`
+    (:func:`~repro.dram.engine_grid.grid_partition`); other configs (a
+    lone word size, DRAM-disabled points) resolve one at a time.
 
     Args:
         plan: the shared compute plan (:meth:`Simulator.plan`).
         configs: memory configurations to fan out over.
     """
     from repro.core.simulator import make_memory_backend, plan_signature, resolve_plan
-    from repro.dram.engine_grid import resolve_plan_grid
+    from repro.dram.engine_grid import grid_partition, resolve_plan_grid
 
     configs = list(configs)
     if not configs:
@@ -124,7 +112,8 @@ def simulate_many_dram(
     # Grid passes first, stragglers alone.
     results: list[RunResult | None] = [None] * len(configs)
     grid_members: set[int] = set()
-    for word_bytes, members in sorted(_grid_groups(configs).items()):
+    for word_bytes, passes in grid_partition(configs).items():
+        members = sorted(chain.from_iterable(passes))
         grid_members.update(members)
         for index, result in zip(
             members,

@@ -176,36 +176,6 @@ _PRESETS: dict[str, DramTiming] = {
 }
 
 
-#: The per-cycle timing knobs the batched engines consume, in the order
-#: :func:`timing_param_arrays` packs them.
-BROADCAST_TIMING_FIELDS = (
-    "t_rcd",
-    "t_rp",
-    "t_cl",
-    "t_cwl",
-    "t_ras",
-    "t_ccd",
-    "t_wr",
-    "t_burst",
-)
-
-
-def timing_param_arrays(timings) -> dict:
-    """Pack a sequence of :class:`DramTiming` into broadcast arrays.
-
-    Returns one ``int64`` array per field in
-    :data:`BROADCAST_TIMING_FIELDS`, each of length ``len(timings)`` —
-    the per-participant parameter axis the vector pass
-    (:mod:`repro.dram.vector_pass`) broadcasts against element data.
-    """
-    import numpy as np
-
-    return {
-        name: np.array([getattr(t, name) for t in timings], dtype=np.int64)
-        for name in BROADCAST_TIMING_FIELDS
-    }
-
-
 def available_timing_presets() -> tuple[str, ...]:
     """Names of all DRAM technology presets."""
     return tuple(sorted(_PRESETS))

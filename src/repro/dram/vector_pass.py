@@ -3,9 +3,9 @@
 Every vector-size line batch resolves here — a lone
 :class:`~repro.dram.engine_batched.BatchedEngine` as a 1-participant
 pass, a :class:`~repro.dram.engine_grid.GridBatchedEngine` with every
-config of one queue-depth class the fast paths declined.  The
-per-64B-line loop of :class:`repro.dram.engine.ReferenceEngine`
-becomes array scans:
+config of one pass class (queue depth, DRAM timing, issue rate) the
+fast paths declined.  The per-64B-line loop of
+:class:`repro.dram.engine.ReferenceEngine` becomes array scans:
 
 * **front-end pacing + queue backpressure** become one running-max
   scan.  With ``c = max_issue_per_cycle``, the scalar recurrence
@@ -46,11 +46,12 @@ flat bank ids live in ``[bank_off[p], bank_off[p+1])`` and its channel
 ids in ``[chan_off[p], chan_off[p+1])``.  Ragged geometries (1 channel
 next to 8, 2 banks next to 16) need no bucketing — the offsets make
 every (config, bank) and (config, channel) pair globally unique, so one
-stable sort groups the whole grid's traffic and the segmented scans run
-with per-config parameters gathered per element.  Queue state is a
-``(configs, k)`` pending matrix per queue: every participant shares one
-(read, write) depth and has been issued every batch, so each holds
-``min(pushed, depth)`` pending completions.
+stable sort groups the whole grid's traffic.  Every participant shares
+one DRAM timing and one issue rate, so the segmented scans run on
+Python-int timing constants.  Queue state is a ``(configs, k)`` pending
+matrix per queue: every participant shares one (read, write) depth and
+has been issued every batch, so each holds ``min(pushed, depth)``
+pending completions.
 
 Exactness.  Equal depths put every participant on one block sequence:
 block bounds come from the shared capacities and cursor, and a
@@ -73,7 +74,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.dram.engine import BatchResult
-from repro.dram.timing import BROADCAST_TIMING_FIELDS, timing_param_arrays
+from repro.dram.timing import DramTiming
 from repro.errors import DramError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,33 +85,48 @@ _BIG = 1 << 44  # segment offset for segmented running-max scans
 
 
 class VectorParams:
-    """Per-participant parameter axes of the vector pass.
+    """Shared parameters of the vector pass.
 
     Built once per participant set — a lone engine keeps its own, a
-    grid keeps one per queue-depth class — from the engines' timing,
-    decode plan, queue capacities and issue rates.  Holds the int64
-    broadcast arrays, the offset-flattened bank/channel geometry, the
-    homogeneity flags that collapse per-element gathers into Python
-    ints, and a lazily grown ``0..n`` ramp shared by the scans.
+    grid keeps one per pass class — from the engines' timing, decode
+    plan, queue capacities and issue rates.  Holds the timing constants
+    as Python ints, the offset-flattened bank/channel geometry and a
+    lazily grown ``0..n`` ramp shared by the scans.
 
-    Every participant must share one (read, write) queue depth: the
-    pass walks them all on one block sequence.  Mixed depths raise
-    :class:`~repro.errors.DramError`.
+    Every participant must share one (read, write) queue depth, one
+    :class:`~repro.dram.timing.DramTiming` and one issue rate: the pass
+    walks them all on one block sequence with one set of constants.
+    Anything else raises :class:`~repro.errors.DramError`.
     """
 
     def __init__(self, engines: Sequence["BatchedEngine"]) -> None:
-        depths = {(e.read_queue.capacity, e.write_queue.capacity) for e in engines}
-        if len(depths) != 1:
-            raise DramError(
-                f"vector pass participants span queue depths {sorted(depths)}; "
-                "one pass needs one (read, write) depth"
+        classes = {
+            (
+                e.read_queue.capacity,
+                e.write_queue.capacity,
+                e.timing,
+                e.max_issue_per_cycle,
             )
-        [(self.cap_r, self.cap_w)] = depths
-        timings = [e.timing for e in engines]
-        self.timing = timing_param_arrays(timings)
-        self.t_ccd_wr = self.timing["t_ccd"] + self.timing["t_wr"]
-        ipc_l = [e.max_issue_per_cycle for e in engines]
-        self.ipc = np.array(ipc_l, dtype=np.int64)
+            for e in engines
+        }
+        if len(classes) != 1:
+            spans = sorted((r, w, t.name, c) for r, w, t, c in classes)
+            raise DramError(
+                "vector pass participants span (read, write) queue depths, "
+                f"DRAM timings and issue rates {spans}; one pass needs one of each"
+            )
+        [(self.cap_r, self.cap_w, timing, ipc)] = classes
+        self.timing: DramTiming = timing
+        self.ccd = timing.t_ccd
+        self.write_ccd = timing.t_ccd + timing.t_wr
+        self.cl = timing.t_cl
+        self.cwl = timing.t_cwl
+        self.burst = timing.t_burst
+        self.ipc = ipc
+        # Power-of-two issue rates (1, 2, 4...) turn the pacing divides
+        # into shifts; h >= 0 after the pace seeding, so the arithmetic
+        # shift matches floor division exactly.
+        self.ipc_sh = ipc.bit_length() - 1 if ipc & (ipc - 1) == 0 else None
         # Decode plan as columns: field = (line // stride) % size.
         self.st = {
             name: np.array([e._strides[name] for e in engines], dtype=np.int64)[
@@ -143,29 +159,6 @@ class VectorParams:
         self.chan_dtype = (
             np.int16 if 3 * int(self.chan_off[-1]) < (1 << 15) else np.int64
         )
-        # Homogeneous-parameter flags: a grid sweeping only geometry
-        # (channels, banks, mapping) shares every timing constant, so the
-        # per-element parameter gathers collapse to Python ints.
-        timing_rows = {
-            tuple(getattr(t, f) for f in BROADCAST_TIMING_FIELDS) for t in timings
-        }
-        self.uniform_timing = len(timing_rows) == 1 and len(set(ipc_l)) == 1
-        if self.uniform_timing:
-            t0 = timings[0]
-            self.ccd0 = t0.t_ccd
-            self.ccdwr0 = t0.t_ccd + t0.t_wr
-            self.cl0 = t0.t_cl
-            self.cwl0 = t0.t_cwl
-            self.tb0 = t0.t_burst
-            ipc0 = ipc_l[0]
-            self.ipc1 = ipc0 == 1
-            # Power-of-two issue rates (1, 2, 4...) turn the pacing
-            # divides into shifts; h >= 0 after the pace seeding, so
-            # the arithmetic shift matches floor division exactly.
-            self.ipc_sh = ipc0.bit_length() - 1 if ipc0 & (ipc0 - 1) == 0 else None
-        else:
-            self.ipc1 = False
-            self.ipc_sh = None
         self._ramp = np.arange(0, dtype=np.int64)
 
     def ramp(self, size: int) -> np.ndarray:
@@ -191,15 +184,13 @@ def resolve_vector_pass(
     written back to) their Python lists.
     """
     num = len(engines)
-    ipc_a = params.ipc
     cap_r = params.cap_r
     cap_w = params.cap_w
-    timing = params.timing
-    t_burst_a = timing["t_burst"]
-    t_ccd_a = timing["t_ccd"]
-    t_ccd_wr_a = params.t_ccd_wr
-    t_cl_a = timing["t_cl"]
-    t_cwl_a = timing["t_cwl"]
+    ccd = params.ccd
+    cl = params.cl
+    tb = params.burst
+    ipc = params.ipc
+    ipc_sh = params.ipc_sh
     bank_off = params.bank_off
     chan_off = params.chan_off
     single_channel = params.single_channel
@@ -249,27 +240,17 @@ def resolve_vector_pass(
     cat_all = np.empty((num, n), dtype=np.int8)  # 0 hit / 1 miss / 2 conflict
 
     # Pacing state in h-space (running max of c*g - i), per participant.
-    pace = np.array(
-        [ipc * c0 for ipc, c0 in zip(ipc_a.tolist(), clock0s)], dtype=np.int64
+    pace = np.array([ipc * c0 for c0 in clock0s], dtype=np.int64)
+    if single_channel:
+        ramp_tb_all = index * tb  # the row-wise bus scan's k*tBURST
+    # Per-line CAS gap and data offset by access kind, gathered into
+    # each block's bank order (None: one value for every line).
+    has_writes = bool(writes_cum[-1])
+    write_ccd, cwl = params.write_ccd, params.cwl
+    delta_line = (
+        np.where(is_write, write_ccd, ccd) if has_writes and write_ccd != ccd else None
     )
-    uniform_timing = params.uniform_timing
-    ipc1 = params.ipc1
-    ipc_sh = params.ipc_sh
-    if uniform_timing:
-        ccd0 = params.ccd0
-        ccdwr0 = params.ccdwr0
-        cl0 = params.cl0
-        cwl0 = params.cwl0
-        tb0 = params.tb0
-        if single_channel:
-            ramp_tb_all = index * tb0  # the row-wise bus scan's k*tBURST
-        # Per-line CAS gap and data offset by access kind, gathered into
-        # each block's bank order (None: one value for every line).
-        has_writes = bool(writes_cum[-1])
-        delta_line = (
-            np.where(is_write, ccdwr0, ccd0) if has_writes and ccdwr0 != ccd0 else None
-        )
-        cas_line = np.where(is_write, cwl0, cl0) if has_writes and cwl0 != cl0 else None
+    cas_line = np.where(is_write, cwl, cl) if has_writes and cwl != cl else None
 
     # --- 3. block loop over one (configs, block) rectangle ----------------
     # Every participant shares the queue depths and the cursor, so the
@@ -326,24 +307,23 @@ def resolve_vector_pass(
                     g2[:, local[skip:]] = pend[:, : count - skip]
 
         # Front-end pacing: row-wise running max.
-        if ipc1:
+        if ipc == 1:
             # One line per cycle: h = g - i and issue = i + hmax,
             # skipping the (expensive) integer divides entirely.
             h2 = g2 - gidx_blk
         elif ipc_sh is not None:
             h2 = (g2 << ipc_sh) - gidx_blk
         else:
-            ipc_col = ipc_a[:, None]
-            h2 = ipc_col * g2 - gidx_blk
+            h2 = ipc * g2 - gidx_blk
         np.maximum(h2[:, 0], pace, out=h2[:, 0])
         hmax2 = np.maximum.accumulate(h2, axis=1)
         u2 = gidx_blk + hmax2
-        if ipc1:
+        if ipc == 1:
             issue2 = u2
         elif ipc_sh is not None:
             issue2 = u2 >> ipc_sh
         else:
-            issue2 = u2 // ipc_col
+            issue2 = u2 // ipc
         issue = issue2.ravel()
 
         # --- bank timing (globally grouped, streak scans) -----------------
@@ -359,13 +339,9 @@ def resolve_vector_pass(
         j_s = None
         if wr_local.size:
             j_s = grouping % blk if num > 1 else grouping
-        if uniform_timing:
-            # Line index of each sorted element, for the per-line timing
-            # arrays (None: a read-only block, one kind throughout).
-            line_s = None if j_s is None else j_s + s0
-        else:
-            pae_s = grouping // blk
-            wr_s = None if j_s is None else wr_blk[j_s]
+        # Line index of each sorted element, for the per-line timing
+        # arrays (None: a read-only block, one kind throughout).
+        line_s = None if j_s is None else j_s + s0
         is_start = np.empty(total, dtype=bool)
         is_start[0] = True
         np.not_equal(fb_s[1:], fb_s[:-1], out=is_start[1:])
@@ -384,20 +360,11 @@ def resolve_vector_pass(
             run_start = is_start | not_hit
             run_start[1:] |= not_hit[:-1]
         run_id = run_start.cumsum() - 1
-        if uniform_timing:
-            # ``delta is None`` encodes a constant ccd0 everywhere —
-            # the exclusive cumsum collapses to a scaled ramp.
-            delta = (
-                None if delta_line is None or line_s is None else delta_line[line_s]
-            )
-        else:
-            delta = (
-                t_ccd_a[pae_s]
-                if wr_s is None
-                else np.where(wr_s, t_ccd_wr_a[pae_s], t_ccd_a[pae_s])
-            )
+        # ``delta is None`` encodes a constant ccd everywhere — the
+        # exclusive cumsum collapses to a scaled ramp.
+        delta = None if delta_line is None or line_s is None else delta_line[line_s]
         if delta is None:
-            d_excl = params.ramp(total) * ccd0
+            d_excl = params.ramp(total) * ccd
         else:
             d_excl = np.empty(total, dtype=np.int64)
             d_excl[0] = 0
@@ -427,24 +394,13 @@ def resolve_vector_pass(
                 act,
                 seeds,
                 act_updates,
-                grouping,
-                blk,
-                timing["t_rcd"],
-                timing["t_rp"],
-                timing["t_ras"],
-                ccd0 if delta is None else None,
+                params.timing,
+                ccd if delta is None else None,
             )
         issue_bank = d_excl + np.maximum(seeds[run_id], streak_max)
-        if uniform_timing:
-            data_start_s = issue_bank + (
-                cl0 if cas_line is None or line_s is None else cas_line[line_s]
-            )
-        else:
-            data_start_s = issue_bank + (
-                t_cl_a[pae_s]
-                if wr_s is None
-                else np.where(wr_s, t_cwl_a[pae_s], t_cl_a[pae_s])
-            )
+        data_start_s = issue_bank + (
+            cl if cas_line is None or line_s is None else cas_line[line_s]
+        )
 
         # --- bus arbitration per (config, channel) ------------------------
         data_start = np.empty(total, dtype=np.int64)
@@ -452,13 +408,8 @@ def resolve_vector_pass(
         if single_channel:
             # One channel per participant: each rectangle row is one
             # bus segment already in issue order — a row-wise scan.
-            if uniform_timing:
-                ramp_tb = ramp_tb_all[:blk]
-                ramp_tb1 = ramp_tb_all[1 : blk + 1]
-            else:
-                tb_row = t_burst_a[:, None]
-                ramp_tb = params.ramp(blk) * tb_row
-                ramp_tb1 = ramp_tb + tb_row
+            ramp_tb = ramp_tb_all[:blk]
+            ramp_tb1 = ramp_tb_all[1 : blk + 1]
             elem2 = data_start.reshape(num, blk) - ramp_tb
             np.maximum(elem2[:, 0], bus, out=elem2[:, 0])
             completion2 = np.maximum.accumulate(elem2, axis=1)
@@ -478,32 +429,18 @@ def resolve_vector_pass(
             # values — the sorted channel ids themselves qualify, saving
             # a cumsum.
             seg_off = np.multiply(chan_s, _BIG, dtype=np.int64)
-            if uniform_timing:
-                # Uniform burst: measure elements against the *global*
-                # ramp instead of a segment-local one — the segment base
-                # (chan_start * tb0) cancels between the seeded ``elem``
-                # and the final completion, so the per-segment ``within``
-                # ramp (and its np.repeat) never materializes.
-                ramp_tb = params.ramp(total) * tb0
-                elem = bus_in - ramp_tb
-                elem[chan_starts] = np.maximum(
-                    elem[chan_starts],
-                    bus[chan_s[chan_starts]] - ramp_tb[chan_starts],
-                )
-                seg_max = np.maximum.accumulate(elem + seg_off) - seg_off
-                completion_s = ramp_tb + tb0 + seg_max
-            else:
-                within = params.ramp(total) - np.repeat(
-                    chan_starts, seg_end - chan_starts
-                )
-                tb_e = t_burst_a[chan_order // blk]
-                wtb = within * tb_e
-                elem = bus_in - wtb
-                elem[chan_starts] = np.maximum(
-                    elem[chan_starts], bus[chan_s[chan_starts]]
-                )
-                seg_max = np.maximum.accumulate(elem + seg_off) - seg_off
-                completion_s = wtb + tb_e + seg_max
+            # One burst length: measure elements against the *global*
+            # ramp instead of a segment-local one — the segment base
+            # (chan_start * tb) cancels between the seeded ``elem`` and
+            # the final completion, so no per-segment ramp materializes.
+            ramp_tb = params.ramp(total) * tb
+            elem = bus_in - ramp_tb
+            elem[chan_starts] = np.maximum(
+                elem[chan_starts],
+                bus[chan_s[chan_starts]] - ramp_tb[chan_starts],
+            )
+            seg_max = np.maximum.accumulate(elem + seg_off) - seg_off
+            completion_s = ramp_tb + tb + seg_max
             completion = np.empty(total, dtype=np.int64)
             completion[chan_order] = completion_s
             completion2 = completion.reshape(num, blk)
@@ -561,7 +498,7 @@ def resolve_vector_pass(
             touched = fb_s[last_k]
             open_row[touched] = row_s[last_k]
             ready[touched] = issue_bank[last_k] + (
-                ccd0 if delta is None else delta[last_k]
+                ccd if delta is None else delta[last_k]
             )
             # (Multi-channel passes only: 1-channel rows never cut.)
             kept_c = ((chan_order % blk) < cut).nonzero()[0]
@@ -581,7 +518,7 @@ def resolve_vector_pass(
             touched = fb_g
             open_row[touched] = row_s[last_pos]
             ready[touched] = issue_bank[last_pos] + (
-                ccd0 if delta is None else delta[last_pos]
+                ccd if delta is None else delta[last_pos]
             )
             if single_channel:
                 bus[:] = completion2[:, -1]
@@ -602,12 +539,12 @@ def resolve_vector_pass(
         base2 = np.empty_like(u2)
         np.add(u2[:, :-1], 1, out=base2[:, 1:])
         np.add(pace, s0, out=base2[:, 0])
-        if ipc1:
+        if ipc == 1:
             stall2 = issue2 - base2
         elif ipc_sh is not None:
             stall2 = issue2 - (base2 >> ipc_sh)
         else:
-            stall2 = issue2 - base2 // ipc_col
+            stall2 = issue2 - base2 // ipc
         pace = hmax2[:, cut - 1]
         s0 = ec
         stall_kept = (stall2 if cut == blk else stall2[:, :cut]).sum(axis=1)
@@ -790,11 +727,7 @@ def _walk_streak_boundaries(
     act: np.ndarray,
     seeds: np.ndarray,
     act_updates: list[tuple[int, int, int]],
-    grouping: np.ndarray,
-    blk: int,
-    t_rcd_a: np.ndarray,
-    t_rp_a: np.ndarray,
-    t_ras_a: np.ndarray,
+    timing: DramTiming,
     ccd_const: int | None = None,
 ) -> None:
     """Walk the rare row-miss/conflict boundaries of one block.
@@ -802,15 +735,11 @@ def _walk_streak_boundaries(
     Only bank groups that contain a non-hit are visited; each group's
     streaks are chained scalar (a boundary's timing depends on the
     previous streak's final issue), with the hit-streaks in between
-    still resolved by the precomputed segmented running max.  Bank
-    groups never cross participants (flat bank ids are offset per
-    config), so each bad group resolves with its owner's
-    tRCD/tRP/tRAS: ``grouping`` is the block's bank-sort permutation of
-    the flat ``(configs, blk)`` rectangle, so the owner of a group is
-    ``grouping[start] // blk``, computed per bad group instead of for
-    the whole block.
+    still resolved by the precomputed segmented running max.  Every
+    participant shares ``timing``, so one tRCD/tRP/tRAS serves every
+    group.
 
-    ``ccd_const`` (a read-only block under uniform timing) declares the
+    ``ccd_const`` (a read-only block, or equal read/write gaps) declares the
     CAS gap constant: ``delta`` may then be ``None`` and the exclusive
     cumsum collapses to ``position * ccd_const`` — Python arithmetic in
     place of per-run array indexing, the hot path of this walk.
@@ -830,13 +759,10 @@ def _walk_streak_boundaries(
     np.not_equal(miss_groups[1:], miss_groups[:-1], out=keep[1:])
     run_bounds_l = run_bounds.tolist()
     const = ccd_const is not None
+    t_rcd, t_rp, t_ras = timing.t_rcd, timing.t_rp, timing.t_ras
     for group in miss_groups[keep].tolist():
         start = int(group_bounds[group])
         end = int(group_bounds[group + 1])
-        participant = int(grouping[start]) // blk
-        t_rcd = int(t_rcd_a[participant])
-        t_rp = int(t_rp_a[participant])
-        t_ras = int(t_ras_a[participant])
         bank_index = int(fb_s[start])
         ready_c = int(ready[bank_index])
         act_c = int(act[bank_index])

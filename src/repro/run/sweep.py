@@ -443,8 +443,9 @@ class UnitFanout:
     how many distinct word-size line streams it builds (0 when no member
     enables DRAM); ``grid_passes`` the width of each config-batched
     :class:`~repro.dram.engine_grid.GridBatchedEngine` pass, one per
-    queue-depth class of each shared word size (empty when no word size
-    is shared by two or more batched-engine configs).
+    pass class (queue depth, DRAM timing, issue rate) of each shared
+    word size (:func:`~repro.dram.engine_grid.grid_partition`; empty
+    when no word size is shared by two or more DRAM configs).
     """
 
     points: int
@@ -473,15 +474,12 @@ class SweepGrouping(tuple):
 
 def _unit_fanout(unit: _Unit) -> UnitFanout:
     """Summarize how one dispatched unit will fan out internally."""
-    from repro.dram.engine_grid import depth_classes
-    from repro.dram.fanout import _grid_groups
+    from repro.dram.engine_grid import grid_partition
 
     members, configs, _, _ = unit
     words = {c.arch.word_bytes for c in configs if c.dram.enabled}
     grid_passes = tuple(
-        len(depth_class)
-        for _, group in sorted(_grid_groups(configs).items())
-        for depth_class in depth_classes([configs[i] for i in group])
+        len(cls) for passes in grid_partition(configs).values() for cls in passes
     )
     return UnitFanout(
         points=len(members), word_streams=len(words), grid_passes=grid_passes

@@ -178,7 +178,7 @@ def test_grid_engaged_fanout_matches_independent():
     engine resolves its vector batches through the same pass as the
     grid, so only the spec can catch a defect in that pass.
     """
-    from repro.dram.fanout import _grid_groups
+    from repro.dram.engine_grid import grid_partition
 
     engaged = 0
     for trial in range(14):
@@ -186,7 +186,7 @@ def test_grid_engaged_fanout_matches_independent():
         topology = _random_topology(rng)
         arch = _random_arch(rng)
         configs = _random_grid(rng, arch)
-        groups = _grid_groups(configs)
+        groups = grid_partition(configs)
         if not groups:
             continue
         plan = Simulator(configs[0]).plan(topology)

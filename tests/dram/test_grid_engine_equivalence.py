@@ -41,10 +41,11 @@ from repro.dram.engine import LineRequestBatch, LineStream, ReferenceEngine
 from repro.dram.engine_batched import BatchedEngine
 from repro.dram.engine_grid import (
     GridBatchedEngine,
-    depth_classes,
+    grid_partition,
+    pass_classes,
     resolve_plan_grid,
 )
-from repro.dram.fanout import _build_line_batches, _grid_groups
+from repro.dram.fanout import _build_line_batches
 from repro.dram.vector_pass import VectorParams
 from repro.errors import DramError
 from repro.topology.layer import ConvLayer
@@ -179,11 +180,11 @@ def test_grid_groups_select_only_shared_batched_configs():
         ),
         SystemConfig(arch=arch, dram=DramConfig(enabled=False)),
     ]
-    groups = _grid_groups(configs)
-    assert groups == {arch.word_bytes: [0, 1]}
+    groups = grid_partition(configs)
+    assert groups == {arch.word_bytes: [[0, 1]]}
     # Drop one batched member: the lone survivor gains nothing from the
     # config axis, so no group forms at all.
-    assert _grid_groups(configs[1:]) == {}
+    assert grid_partition(configs[1:]) == {}
 
 
 def _random_line_batch(rng: random.Random) -> LineRequestBatch:
@@ -237,11 +238,12 @@ def test_vector_pass_lanes_match_reference(monkeypatch, channels):
     threshold 1, fast paths off) and into one :class:`ReferenceEngine`
     per config.  Tiny queues make in-block completions undercut later
     constraints, forcing the speculation repair (the prefix commit).
-    Odd trials share one queue depth, so the whole grid is one pass;
-    even trials draw a depth per config, exercising the grid's split
-    into one pass per depth class.  Mixed technologies and issue rates
-    force the per-config timing gathers; all-1-channel grids take the
-    row-wise bus scan.  Grids of one config are the lone
+    About a third of the trials share one technology and issue rate,
+    and odd trials share one queue depth, so an odd shared-timing trial
+    is one pass; the rest draw per config and exercise the grid's split
+    into one pass per pass class.  Issue rates 1 to 4 reach the unit,
+    shift and divide pacing; all-1-channel
+    grids take the row-wise bus scan.  Grids of one config are the lone
     ``BatchedEngine`` case.
     """
     monkeypatch.setattr(BatchedEngine, "vector_threshold", 1)
@@ -313,7 +315,7 @@ def test_depth_class_grids_match_reference(monkeypatch):
             for index in range(rng.randint(2, 3))
         ]
         rng.shuffle(configs)
-        assert len(depth_classes(configs)) == len(depths)
+        assert len(pass_classes(configs)) == len(depths)
         _assert_grid_matches_reference(configs, rng, trial)
 
 
@@ -330,3 +332,25 @@ def test_vector_params_reject_mixed_queue_depths():
     with pytest.raises(DramError, match="queue depths"):
         VectorParams([engine(32), engine(128)])
     assert VectorParams([engine(32), engine(32)]).cap_r == 32
+
+
+def test_vector_params_reject_mixed_timings():
+    """At equal queue depths, technologies and issue rates must agree too.
+
+    One vector pass runs one set of timing constants.
+    """
+
+    def engine(technology="ddr4", issue_per_cycle=4):
+        return BatchedEngine(
+            make_ramulator(DramConfig(enabled=True, technology=technology)),
+            read_queue_entries=32,
+            write_queue_entries=32,
+            max_issue_per_cycle=issue_per_cycle,
+        )
+
+    with pytest.raises(DramError, match="DDR4-2400.*HBM2-2000"):
+        VectorParams([engine("ddr4"), engine("hbm2")])
+    with pytest.raises(DramError, match=r"'DDR4-2400', 4\), .*'DDR4-2400', 16\)"):
+        VectorParams([engine(issue_per_cycle=4), engine(issue_per_cycle=16)])
+    params = VectorParams([engine("hbm2", 16), engine("hbm2", 16)])
+    assert (params.ccd, params.burst, params.ipc) == (2, 4, 16)

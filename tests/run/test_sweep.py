@@ -766,6 +766,21 @@ class TestDramFanoutGrouping:
         assert unit.points == 4
         assert unit.grid_passes == (2, 2)
 
+    def test_fanout_summary_counts_one_grid_pass_per_technology(self):
+        spec = self._dram_spec(
+            axes=[
+                Axis("dram.technology", ("ddr4", "hbm2")),
+                Axis("dram.read_queue_entries", (32, 128)),
+            ]
+        )
+        runner = SweepRunner(workers=1)
+        runner.run(spec)
+        [unit] = runner.last_grouping.units
+        # One vector pass needs one DRAM timing as well as one queue
+        # depth: each (technology, depth) pair is a pass of its own.
+        assert unit.points == 4
+        assert unit.grid_passes == (1, 1, 1, 1)
+
 
 class TestOnePipeline:
     """Every unit, a lone point included, runs through simulate_configs."""
