@@ -362,13 +362,14 @@ def build_submit_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--wait",
         action="store_true",
-        help="poll until the job finishes and print its final state",
+        help="wait until the job finishes and print its final state",
     )
     parser.add_argument(
         "--poll",
         type=positive_float,
         default=0.5,
-        help="seconds between --wait polls (default 0.5)",
+        help="with --wait, seconds to pause after an answer that is not yet "
+        "final (default 0.5)",
     )
     parser.add_argument(
         "--timeout",

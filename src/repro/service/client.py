@@ -10,6 +10,12 @@ comes from the executors' :func:`~repro.run.executors._backoff_seconds`
 with a private ``random.Random`` so tests can pin ``backoff_seed`` and
 assert exact sleep sequences.
 
+:meth:`ServiceClient.wait` long-polls: each status request asks the
+server to hold its answer until the job is final (``?wait=S``, at most
+half the socket timeout), so a job's end is seen one request after it
+happens.  Against a server that answers at once it falls back to
+sleeping ``poll`` seconds between requests.
+
 Used by the ``scale-sim-repro submit/status/fetch`` subcommands and by
 the service tests; importable on its own for scripting::
 
@@ -25,10 +31,12 @@ import json
 import random
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 from repro.errors import ServiceError
 from repro.run.executors import DEFAULT_BACKOFF_BASE, _backoff_seconds
+from repro.service.jobs import TERMINAL_STATES
 
 #: HTTP statuses that mean "try again later", per the admission contract.
 RETRYABLE_STATUSES = (429, 503)
@@ -134,8 +142,16 @@ class ServiceClient:
         """POST /jobs; returns the accepted job's status document."""
         return self._call("POST", "/jobs", payload)
 
-    def status(self, job_id: str) -> dict:
-        return self._call("GET", f"/jobs/{job_id}")
+    def status(self, job_id: str, wait: float = 0.0) -> dict:
+        """GET /jobs/<id>; returns the job's status document.
+
+        With ``wait`` > 0 the server holds the answer until the job is
+        final, the server stops, or ``wait`` seconds (capped by the
+        server's ``MAX_WAIT_SECONDS``) pass.  Keep ``wait`` below the
+        socket ``timeout``.
+        """
+        query = "?" + urllib.parse.urlencode({"wait": wait}) if wait > 0 else ""
+        return self._call("GET", f"/jobs/{job_id}{query}")
 
     def list_jobs(self) -> list[dict]:
         return self._call("GET", "/jobs")["jobs"]
@@ -154,11 +170,18 @@ class ServiceClient:
         return status == 200
 
     def wait(self, job_id: str, timeout: float = 300.0, poll: float = 0.2) -> dict:
-        """Poll until the job reaches a terminal state; returns its status."""
+        """Long-poll until the job reaches a terminal state; returns its status.
+
+        Each request waits server-side for up to the time left or half
+        the socket timeout, whichever is less.  ``poll`` seconds are
+        slept only after an answer that is not yet final: a server that
+        does not hold answers is polled at that interval.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            status = self.status(job_id)
-            if status["state"] in ("done", "degraded", "failed", "cancelled"):
+            left = deadline - time.monotonic()
+            status = self.status(job_id, wait=max(0.0, min(left, self.timeout / 2)))
+            if status["state"] in TERMINAL_STATES:
                 return status
             if time.monotonic() >= deadline:
                 raise ServiceError(

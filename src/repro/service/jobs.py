@@ -69,7 +69,7 @@ JOBS_DIRNAME = "jobs"
 
 
 class InvalidJobError(ServiceError):
-    """A submitted payload failed validation (HTTP 400)."""
+    """A request failed validation: its job payload, body or query (HTTP 400)."""
 
     http_status = 400
 
@@ -186,10 +186,11 @@ class JobManager:
     """Owns the job table, the queue, the workers, and recovery.
 
     Thread-safe: the HTTP layer calls :meth:`submit` / :meth:`get` /
-    :meth:`cancel` / :meth:`health` from request threads while
-    ``max_active`` worker threads run jobs.  All shared state is
-    guarded by one condition variable; job execution itself happens
-    outside the lock.
+    :meth:`wait_finished` / :meth:`cancel` / :meth:`health` from
+    request threads while ``max_active`` worker threads run jobs.  All
+    shared state is guarded by one condition variable, which idle
+    workers and long-polls both wait on, so it is always notified with
+    ``notify_all``; job execution itself happens outside the lock.
 
     Args:
         data_dir: root of all durable state (jobs, store, spool).
@@ -321,7 +322,7 @@ class JobManager:
                     job.journal.append("recovered")
                     self._queue.append(job.id)
                     recovered += 1
-                    self._cond.notify()
+                    self._cond.notify_all()
         return recovered
 
     def begin_drain(self) -> None:
@@ -407,7 +408,7 @@ class JobManager:
             self._jobs[job_id] = job
             self._order.append(job_id)
             self._queue.append(job_id)
-            self._cond.notify()
+            self._cond.notify_all()
         return job
 
     def get(self, job_id: str) -> Job:
@@ -420,6 +421,24 @@ class JobManager:
     def jobs(self) -> list[Job]:
         with self._cond:
             return [self._jobs[job_id] for job_id in self._order]
+
+    def wait_finished(self, job_id: str, timeout: float) -> Job:
+        """The job once it is terminal, the manager stops, or ``timeout`` passes.
+
+        Blocks on the manager's condition, which every transition to a
+        terminal state and the stop at the end of :meth:`drain` notify,
+        so a waiter wakes as soon as its answer is final.  A
+        ``timeout`` of 0 returns at once, like :meth:`get`.
+        """
+        job = self.get(job_id)
+        deadline = time.monotonic() + timeout
+        with self._cond:
+            while job.state not in TERMINAL_STATES and not self._stopping:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    break
+                self._cond.wait(left)
+        return job
 
     def cancel(self, job_id: str) -> Job:
         """Cancel a queued job now, or request a running job to stop.
@@ -440,6 +459,7 @@ class JobManager:
                     job.state = "cancelled"
                     job.finished_at = time.time()
                     job.journal.append("cancelled", reason="client request")
+                    self._cond.notify_all()
                     return job
             if job.state in TERMINAL_STATES:
                 raise JobStateError(f"job {job_id} is already {job.state}")

@@ -12,32 +12,47 @@ Routes::
     POST   /jobs                    submit a job (JSON body)
     GET    /jobs                    list jobs
     GET    /jobs/<id>               job status + progress + failures
+    GET    /jobs/<id>?wait=S        the same, once the job is final or
+                                    S seconds (at most MAX_WAIT_SECONDS)
+                                    have passed
     GET    /jobs/<id>/report.csv    the sweep report (terminal jobs)
     GET    /jobs/<id>/failures.csv  the failure report (degraded jobs)
     DELETE /jobs/<id>               cancel
 
 Service errors map to HTTP statuses via their ``http_status`` attribute
 (:class:`~repro.service.jobs.QueueFullError` additionally sets
-``Retry-After``).  :func:`serve` wires SIGTERM/SIGINT to graceful
-drain: admission stops (``/readyz`` flips to 503), in-flight jobs get
-``drain_timeout`` seconds to finish, then the process exits — 0 for a
-clean drain, 1 if jobs had to be journaled ``interrupted``.
+``Retry-After``); a bad request body or ``wait`` value is an
+:class:`~repro.service.jobs.InvalidJobError` (400).  A long-poll
+(``?wait=S``) holds its daemon handler thread until the job is final,
+the manager stops, or ``S`` seconds pass, so a client learns of a
+finished job without polling.
+
+:func:`serve` wires SIGTERM/SIGINT to graceful drain: admission stops
+(``/readyz`` flips to 503), in-flight jobs get ``drain_timeout``
+seconds to finish, then the process exits — 0 for a clean drain, 1 if
+jobs had to be journaled ``interrupted``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import parse_qs
 
 from repro.errors import ServiceError
-from repro.service.jobs import JobManager, QueueFullError
+from repro.service.jobs import InvalidJobError, JobManager, QueueFullError
 
 #: Largest request body the server will read, in bytes.  Inline
 #: topology CSVs and config texts are small; anything bigger is abuse.
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: Longest a ``GET /jobs/<id>?wait=S`` holds its handler thread, in
+#: seconds; a larger ``S`` is clamped to it.
+MAX_WAIT_SECONDS = 30.0
 
 
 class SweepHTTPServer(ThreadingHTTPServer):
@@ -74,6 +89,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -100,20 +117,27 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json_body(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise ServiceError("request body required")
-        if length > MAX_BODY_BYTES:
-            raise ServiceError(f"request body exceeds {MAX_BODY_BYTES} bytes")
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length <= 0 or length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
+            if length > MAX_BODY_BYTES:
+                raise InvalidJobError(f"request body exceeds {MAX_BODY_BYTES} bytes")
+            raise InvalidJobError("request body required")
         raw = self.rfile.read(length)
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ServiceError(f"request body is not valid JSON: {exc}") from exc
+            raise InvalidJobError(f"request body is not valid JSON: {exc}") from exc
 
     def _dispatch(self, method: str) -> None:
         manager = self.server.manager
-        parts = [part for part in self.path.split("?", 1)[0].split("/") if part]
+        path, _, query = self.path.partition("?")
+        parts = [part for part in path.split("/") if part]
         try:
             route = (method, *parts)
             if route == ("GET", "healthz"):
@@ -131,7 +155,8 @@ class _Handler(BaseHTTPRequestHandler):
                     200, {"jobs": [job.summary_dict() for job in manager.jobs()]}
                 )
             elif method == "GET" and len(parts) == 2 and parts[0] == "jobs":
-                self._send_json(200, manager.get(parts[1]).status_dict())
+                job = manager.wait_finished(parts[1], _wait_seconds(query))
+                self._send_json(200, job.status_dict())
             elif (
                 method == "GET"
                 and len(parts) == 3
@@ -167,6 +192,24 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_DELETE(self) -> None:  # noqa: N802
         self._dispatch("DELETE")
+
+
+def _wait_seconds(query: str) -> float:
+    """The ``wait`` of a status query, clamped to :data:`MAX_WAIT_SECONDS`.
+
+    Absent means 0 (answer at once).  A value that is not a finite
+    number >= 0, or a repeated ``wait``, is an :class:`InvalidJobError`.
+    """
+    values = parse_qs(query, keep_blank_values=True).get("wait", ["0"])
+    try:
+        seconds = float(values[0]) if len(values) == 1 else math.nan
+    except ValueError:
+        seconds = math.nan
+    if not math.isfinite(seconds) or seconds < 0:
+        raise InvalidJobError(
+            f"wait must be one finite number of seconds >= 0, got {values}"
+        )
+    return min(seconds, MAX_WAIT_SECONDS)
 
 
 def start_server(manager: JobManager, host: str = "127.0.0.1", port: int = 0):
@@ -221,4 +264,10 @@ def serve(
             signal.signal(signum, handler)
 
 
-__all__ = ["MAX_BODY_BYTES", "SweepHTTPServer", "serve", "start_server"]
+__all__ = [
+    "MAX_BODY_BYTES",
+    "MAX_WAIT_SECONDS",
+    "SweepHTTPServer",
+    "serve",
+    "start_server",
+]

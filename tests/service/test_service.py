@@ -9,6 +9,7 @@ cancellation, and drain semantics can be exercised without sweeps.
 import json
 import threading
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -24,6 +25,7 @@ from repro.service import (
     ServiceClient,
     start_server,
 )
+from repro.service import server
 from repro.service.journal import JobJournal
 from repro.topology.models import toy_gemm
 
@@ -200,6 +202,40 @@ def test_bad_payload_is_a_400(service):
     assert json.loads(body)["error"] == "InvalidJobError"
 
 
+def _post_raw(client, body: bytes):
+    """POST raw bytes to /jobs -> (HTTP status, headers, decoded JSON answer)."""
+    request = urllib.request.Request(
+        client.base_url + "/jobs", data=body, method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=10.0) as response:
+            return response.status, response.headers, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.headers, json.loads(exc.read())
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"",                                        # no body
+        b"{not json",                               # not JSON
+        b"\xff\xfe",                                # not UTF-8
+        json.dumps(dict(_PAYLOAD, name="x" * 64)).encode(),  # over the cap
+    ],
+    ids=["empty", "not-json", "not-utf8", "oversized"],
+)
+def test_bad_request_body_is_a_400(service, monkeypatch, body):
+    monkeypatch.setattr(server, "MAX_BODY_BYTES", 128)
+    manager, client = service
+    status, headers, answer = _post_raw(client, body)
+    assert status == 400
+    assert answer["error"] == "InvalidJobError"
+    if len(body) > 128:  # the body stays unread: the server hangs up
+        assert headers["Connection"] == "close"
+    assert manager.jobs() == []
+
+
 def test_upper_case_axis_value_is_accepted(service):
     """``"WS"`` is the dataflow a ``.cfg`` file's ``Dataflow = WS`` names."""
     manager, client = service
@@ -301,6 +337,196 @@ def test_cancel_queued_and_running_jobs(tmp_path):
         manager.drain(timeout=10.0)
 
 
+# ---------------------------------------------------------------- long-poll
+
+
+def _watch_long_polls(manager):
+    """Spy on the long-polls a live server runs against ``manager``.
+
+    Returns ``(polls, blocked, wakes)``: ``polls`` lists each
+    ``wait_finished`` call's ``(job_id, timeout)``; ``blocked`` is set
+    once a long-poll waits on the manager's condition, which it does
+    while holding the lock, so whatever the test does next under that
+    lock happens after the poll is waiting; ``wakes`` lists each such
+    wait's ``(timeout, notified)`` (``notified`` False means timed out).
+    """
+    polls, pollers, wakes = [], set(), []
+    blocked = threading.Event()
+    wait_finished, cond_wait = manager.wait_finished, manager._cond.wait
+
+    def tracked_wait_finished(job_id, timeout):
+        polls.append((job_id, timeout))
+        pollers.add(threading.get_ident())
+        try:
+            return wait_finished(job_id, timeout)
+        finally:
+            pollers.discard(threading.get_ident())
+
+    def spied_wait(timeout=None):
+        if threading.get_ident() not in pollers:
+            return cond_wait(timeout)
+        blocked.set()
+        notified = cond_wait(timeout)
+        wakes.append((timeout, notified))
+        return notified
+
+    manager.wait_finished = tracked_wait_finished
+    manager._cond.wait = spied_wait
+    return polls, blocked, wakes
+
+
+def _in_thread(fn, *args, **kwargs):
+    """Start ``fn`` on a thread; returns a join that yields its result."""
+    box = []
+    thread = threading.Thread(target=lambda: box.append(fn(*args, **kwargs)))
+    thread.start()
+
+    def join():
+        thread.join(timeout=30.0)
+        assert box, "the call did not return"
+        return box[0]
+
+    return join
+
+
+def _blocked_stub(tmp_path):
+    """A stub service whose runner holds each job until ``release`` is set."""
+    started, release = threading.Event(), threading.Event()
+
+    def blocked_runner(manager, job):
+        started.set()
+        release.wait(timeout=30.0)
+
+    manager, httpd, client = _stub_service(tmp_path, blocked_runner)
+    return manager, httpd, client, started, release
+
+
+def test_wait_sees_the_end_in_one_request_without_sleeping(tmp_path):
+    manager, httpd, client, started, release = _blocked_stub(tmp_path)
+    polls, blocked, wakes = _watch_long_polls(manager)
+    sleeps = []
+    client._sleep = sleeps.append
+    try:
+        job = client.submit(_PAYLOAD)
+        releaser = _in_thread(lambda: blocked.wait(timeout=30.0) and release.set())
+        final = client.wait(job["id"], timeout=60.0)
+        releaser()
+        assert final["state"] == "done"
+        assert len(polls) == 1
+        assert 0 < polls[0][1] <= client.timeout / 2
+        assert [notified for _, notified in wakes] == [True]
+        assert sleeps == []
+    finally:
+        release.set()
+        httpd.shutdown()
+        manager.drain(timeout=10.0)
+
+
+def test_cancelling_a_queued_job_wakes_its_long_poll(tmp_path):
+    manager, httpd, client, started, release = _blocked_stub(tmp_path)
+    polls, blocked, wakes = _watch_long_polls(manager)
+    try:
+        client.submit(_PAYLOAD)             # holds the single worker
+        assert started.wait(timeout=10.0)
+        queued = client.submit(_PAYLOAD)
+        answer = _in_thread(client.status, queued["id"], wait=2.0)
+        assert blocked.wait(timeout=10.0)
+        client.cancel(queued["id"])
+        assert answer()["state"] == "cancelled"
+        assert wakes and all(notified for _, notified in wakes)
+    finally:
+        release.set()
+        httpd.shutdown()
+        manager.drain(timeout=10.0)
+
+
+def test_long_poll_expires_on_a_running_job(tmp_path):
+    manager, httpd, client, started, release = _blocked_stub(tmp_path)
+    polls, blocked, wakes = _watch_long_polls(manager)
+    try:
+        job = client.submit(_PAYLOAD)
+        assert started.wait(timeout=10.0)
+        assert client.status(job["id"], wait=0.05)["state"] == "running"
+        assert wakes and not any(notified for _, notified in wakes)
+    finally:
+        release.set()
+        httpd.shutdown()
+        manager.drain(timeout=10.0)
+
+
+def test_drain_wakes_a_pending_long_poll(tmp_path):
+    manager, httpd, client, started, release = _blocked_stub(tmp_path)
+    polls, blocked, wakes = _watch_long_polls(manager)
+    try:
+        job = client.submit(_PAYLOAD)
+        assert started.wait(timeout=10.0)
+        answer = _in_thread(client.status, job["id"], wait=2.0)
+        assert blocked.wait(timeout=10.0)
+        assert manager.drain(timeout=0.05) is False  # the job is a straggler
+        assert answer()["state"] == "running"
+        assert wakes and all(notified for _, notified in wakes)
+    finally:
+        release.set()
+        httpd.shutdown()
+
+
+def test_wait_falls_back_to_polling_a_server_that_answers_at_once():
+    answers = [
+        (200, {}, b'{"state": "queued"}'),
+        (200, {}, b'{"state": "running"}'),
+        (200, {}, b'{"state": "done"}'),
+    ]
+    paths, sleeps = [], []
+
+    def instant(method, path, payload=None):
+        paths.append(path)
+        return answers.pop(0)
+
+    client = ServiceClient("http://unused", timeout=4.0, sleep=sleeps.append)
+    client._request = instant
+    assert client.wait("abc", timeout=60.0, poll=0.25)["state"] == "done"
+    assert sleeps == [0.25, 0.25]
+    assert len(paths) == 3
+    for path in paths:
+        job_path, _, query = path.partition("?wait=")
+        assert job_path == "/jobs/abc"
+        assert 0 < float(query) <= 2.0  # half the socket timeout
+
+
+@pytest.mark.parametrize("wait", ["abc", "", "-1", "nan", "inf", "-inf", "1&wait=2"])
+def test_bad_wait_is_a_400(tmp_path, wait):
+    manager, httpd, client, started, release = _blocked_stub(tmp_path)
+    try:
+        job = client.submit(_PAYLOAD)
+        status, headers, body = client._request("GET", f"/jobs/{job['id']}?wait={wait}")
+        assert status == 400
+        assert json.loads(body)["error"] == "InvalidJobError"
+    finally:
+        release.set()
+        httpd.shutdown()
+        manager.drain(timeout=10.0)
+
+
+def test_wait_zero_answers_at_once_and_a_long_wait_is_clamped(tmp_path, monkeypatch):
+    monkeypatch.setattr(server, "MAX_WAIT_SECONDS", 0.05)
+    manager, httpd, client, started, release = _blocked_stub(tmp_path)
+    polls, blocked, wakes = _watch_long_polls(manager)
+    try:
+        job = client.submit(_PAYLOAD)
+        assert started.wait(timeout=10.0)
+        for query in ("", "?wait=0"):
+            status, headers, body = client._request("GET", f"/jobs/{job['id']}{query}")
+            assert status == 200 and json.loads(body)["state"] == "running"
+        assert wakes == []  # neither request waited
+        assert client.status(job["id"], wait=1e6)["state"] == "running"
+        assert polls[-1] == (job["id"], 0.05)
+        assert wakes and all(timeout <= 0.05 for timeout, _ in wakes)
+    finally:
+        release.set()
+        httpd.shutdown()
+        manager.drain(timeout=10.0)
+
+
 # ------------------------------------------------------ in-process recovery
 
 
@@ -330,21 +556,11 @@ def test_restart_recovers_unfinished_jobs(tmp_path):
     recovered = manager2.get(job.id)
     assert recovered.recovered is True
     assert done.wait(timeout=10.0)
-    deadline = time.monotonic() + 10.0
-    while recovered.state != "done":
-        assert time.monotonic() < deadline
-        time.sleep(0.01)
+    assert manager2.wait_finished(job.id, 10.0).state == "done"
     events = [event["event"] for event in recovered.journal.replay()]
     assert "recovered" in events
     assert events.count("started") == 2  # one per attempt, across processes
     assert manager2.drain(timeout=10.0) is True
-
-
-def _wait_terminal(job, timeout=60.0):
-    deadline = time.monotonic() + timeout
-    while job.state not in ("done", "degraded", "failed", "cancelled"):
-        assert time.monotonic() < deadline
-        time.sleep(0.01)
 
 
 def test_restart_fails_a_job_journaled_under_loose_rules(tmp_path):
@@ -365,13 +581,11 @@ def test_restart_fails_a_job_journaled_under_loose_rules(tmp_path):
     try:
         loose = manager.get(job_dir.name)
         assert loose.recovered is True
-        _wait_terminal(loose)
-        assert loose.state == "failed"
+        assert manager.wait_finished(loose.id, 60.0).state == "failed"
         assert loose.error["error_class"] == "ConfigError"
 
         fresh = manager.submit(_PAYLOAD)
-        _wait_terminal(fresh)
-        assert fresh.state == "done"
+        assert manager.wait_finished(fresh.id, 60.0).state == "done"
     finally:
         assert manager.drain(timeout=10.0) is True
 
@@ -381,10 +595,7 @@ def test_restart_loads_finished_jobs_as_history(tmp_path):
     manager1 = JobManager(data_dir, job_runner=lambda m, j: None)
     manager1.start()
     job = manager1.submit(_PAYLOAD)
-    deadline = time.monotonic() + 10.0
-    while job.state != "done":
-        assert time.monotonic() < deadline
-        time.sleep(0.01)
+    assert manager1.wait_finished(job.id, 10.0).state == "done"
     assert manager1.drain(timeout=10.0) is True
 
     manager2 = JobManager(data_dir, job_runner=lambda m, j: None)
