@@ -17,11 +17,14 @@ fan-out"):
   that no ``dram.*`` knob can affect.  Plans are memoized per process
   (:func:`layer_compute`), so repeated layers and repeated sweep points
   never rebuild identical schedules;
-* the **stall resolution** (:func:`resolve_plan`) — one walk of the
-  plan's fold schedules against one concrete memory backend.  This is
-  the only part that differs across a ``dram.*`` grid, which is what
-  :func:`repro.dram.fanout.simulate_many_dram` exploits to fan a single
-  plan across many backends.
+* the **stall resolution** — the only part that differs across a
+  ``dram.*`` grid.  :func:`repro.dram.fanout.simulate_many_dram`
+  resolves a plan against any number of configs, one of them included
+  (:meth:`Simulator.run`): DRAM configs through the grid walk
+  (:func:`repro.dram.engine_grid.resolve_plan_grid`), DRAM-disabled ones
+  in closed form.  :func:`resolve_plan` walks one plan fold by fold
+  against one concrete backend; it is the reference walk the fuzzes
+  hold the grid walk to.
 
 Layout slowdown and energy are layered on top by their feature packages
 (:mod:`repro.layout`, :mod:`repro.energy`) and the high-level driver in
@@ -42,14 +45,10 @@ from repro.core.report import (
     write_compute_report,
     write_detailed_report,
 )
-from repro.dram.backend import DramBackend, make_ramulator
+from repro.dram.backend import DramBackend
 from repro.dram.dram_sim import DramStats
-from repro.memory.double_buffer import (
-    DoubleBufferMemory,
-    IdealBandwidthBackend,
-    MemoryBackend,
-    MemoryTimeline,
-)
+from repro.dram.fanout import simulate_many_dram
+from repro.memory.double_buffer import DoubleBufferMemory, MemoryBackend, MemoryTimeline
 from repro.store.artifact_store import active_store, canonical_artifact, content_address
 from repro.topology.layer import Layer
 from repro.topology.topology import Topology
@@ -177,7 +176,8 @@ def plan_signature(arch: ArchitectureConfig) -> tuple:
 
     Two configs with equal signatures produce bit-identical
     :class:`ComputePlan` schedules for any topology — ``dram.*`` (and
-    every other non-arch section) never enters.
+    every other non-arch section) never enters.  The fields are
+    :class:`ComputeSimulator`'s arguments, in its order.
     """
     return (
         arch.array_rows,
@@ -189,79 +189,49 @@ def plan_signature(arch: ArchitectureConfig) -> tuple:
     )
 
 
-def layer_compute_store_key(
-    layer: Layer,
-    dataflow: Dataflow,
-    array_rows: int,
-    array_cols: int,
-    ifmap_sram_words: int,
-    filter_sram_words: int,
-    ofmap_sram_words: int,
-) -> str:
+def layer_compute_store_key(layer: Layer, signature: tuple) -> str:
     """Artifact-store content address of one layer's compute schedule.
 
-    Exactly the ``plan_signature`` knobs plus the layer itself — the
+    Exactly the :func:`plan_signature` knobs plus the layer itself — the
     full input set of :func:`layer_compute` — so equal keys imply
     bit-identical schedules across processes and sessions.
     """
+    rows, cols, dataflow, ifmap_words, filter_words, ofmap_words = signature
     return content_address(
         "layer_compute",
         {
             "layer": canonical_artifact(layer),
             "dataflow": str(dataflow),
-            "array_rows": array_rows,
-            "array_cols": array_cols,
-            "ifmap_sram_words": ifmap_sram_words,
-            "filter_sram_words": filter_sram_words,
-            "ofmap_sram_words": ofmap_sram_words,
+            "array_rows": rows,
+            "array_cols": cols,
+            "ifmap_sram_words": ifmap_words,
+            "filter_sram_words": filter_words,
+            "ofmap_sram_words": ofmap_words,
         },
     )
 
 
 @lru_cache(maxsize=64)
-def layer_compute(
-    layer: Layer,
-    dataflow: Dataflow,
-    array_rows: int,
-    array_cols: int,
-    ifmap_sram_words: int,
-    filter_sram_words: int,
-    ofmap_sram_words: int,
-) -> LayerComputeResult:
+def layer_compute(layer: Layer, signature: tuple) -> LayerComputeResult:
     """Memoized per-layer compute simulation (fold schedule included).
 
-    Keyed on the layer plus every knob that can change the schedule, so
-    repeated layers across sweep points — and the single-layer
-    topologies of the fig9/fig10-style studies — are planned once per
-    worker process.  On an LRU miss the active artifact store (when one
-    is installed — see :mod:`repro.store`) is consulted before any
-    scheduling happens, so a cold process loads plans instead of
-    re-scheduling.  The returned record is shared between callers and
-    must be treated as immutable (consumers that need to drop
-    ``fold_specs`` copy via ``dataclasses.replace``).
+    Keyed on the layer plus its :func:`plan_signature`, every knob that
+    can change the schedule, so repeated layers across sweep points —
+    and the single-layer topologies of the fig9/fig10-style studies —
+    are planned once per worker process.  On an LRU miss the active
+    artifact store (when one is installed — see :mod:`repro.store`) is
+    consulted before any scheduling happens, so a cold process loads
+    plans instead of re-scheduling.  The returned record is shared
+    between callers and must be treated as immutable (consumers that
+    need to drop ``fold_specs`` copy via ``dataclasses.replace``).
     """
     store = active_store()
     if store is not None:
-        key = layer_compute_store_key(
-            layer,
-            dataflow,
-            array_rows,
-            array_cols,
-            ifmap_sram_words,
-            filter_sram_words,
-            ofmap_sram_words,
-        )
+        key = layer_compute_store_key(layer, signature)
         cached = store.get("layer_compute", key)
         if cached is not None:
             return cached  # type: ignore[return-value]
-    result = ComputeSimulator(
-        array_rows=array_rows,
-        array_cols=array_cols,
-        dataflow=dataflow,
-        ifmap_sram_words=ifmap_sram_words,
-        filter_sram_words=filter_sram_words,
-        ofmap_sram_words=ofmap_sram_words,
-    ).simulate_layer(layer)
+    result = ComputeSimulator(*signature).simulate_layer(layer)
     if store is not None:
         store.put("layer_compute", key, result)
     return result
@@ -272,35 +242,19 @@ def clear_compute_plan_cache() -> None:
     layer_compute.cache_clear()
 
 
-def make_memory_backend(config: SystemConfig) -> MemoryBackend:
-    """Fresh memory backend for one config (state must not leak).
-
-    The DRAM path routes line batches through the vectorized batched
-    engine (tests build a :class:`DramBackend` around the scalar
-    reference engine themselves).  DRAM statistics are read back
-    through the backend's seam (:meth:`DramBackend.dram_stats`), never
-    from the :class:`RamulatorLite` instance directly — the batched
-    engine keeps its own state.
-    """
-    if config.dram.enabled:
-        dram_cfg = config.dram
-        return DramBackend(
-            make_ramulator(dram_cfg),
-            read_queue_entries=dram_cfg.read_queue_entries,
-            write_queue_entries=dram_cfg.write_queue_entries,
-            word_bytes=config.arch.word_bytes,
-            max_issue_per_cycle=dram_cfg.issue_per_cycle,
-        )
-    return IdealBandwidthBackend(config.arch.bandwidth_words)
-
-
 def resolve_plan(
     plan: ComputePlan,
     backend: MemoryBackend,
     run_name: str,
     keep_timings: bool = False,
 ) -> RunResult:
-    """Per-config stall resolution: walk one plan against one backend."""
+    """Per-config stall resolution: walk one plan against one backend.
+
+    Production runs DRAM configs through the grid walk
+    (:func:`~repro.dram.fanout.simulate_many_dram`); this per-fold walk
+    resolves the ideal-bandwidth backend (in closed form) and is the
+    reference the grid walk is fuzzed against.
+    """
     memory = DoubleBufferMemory(backend)
     result = RunResult(run_name=run_name, topology_name=plan.topology_name)
     clock = 0
@@ -330,32 +284,7 @@ class Simulator:
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        arch = config.arch
-        self.compute_sim = ComputeSimulator(
-            array_rows=arch.array_rows,
-            array_cols=arch.array_cols,
-            dataflow=arch.dataflow,
-            ifmap_sram_words=arch.ifmap_sram_words(),
-            filter_sram_words=arch.filter_sram_words(),
-            ofmap_sram_words=arch.ofmap_sram_words(),
-        )
-
-    def _make_backend(self) -> MemoryBackend:
-        """Fresh backend per run (see :func:`make_memory_backend`)."""
-        return make_memory_backend(self.config)
-
-    def _layer_compute(self, layer: Layer) -> LayerComputeResult:
-        """Memoized per-layer schedule for this simulator's architecture."""
-        arch = self.config.arch
-        return layer_compute(
-            layer,
-            self.compute_sim.dataflow,
-            arch.array_rows,
-            arch.array_cols,
-            arch.ifmap_sram_words(),
-            arch.filter_sram_words(),
-            arch.ofmap_sram_words(),
-        )
+        self.signature = plan_signature(config.arch)
 
     def plan(self, topology: Topology) -> ComputePlan:
         """Build the DRAM-independent compute plan for ``topology``.
@@ -366,15 +295,13 @@ class Simulator:
         """
         return ComputePlan(
             topology_name=topology.name,
-            signature=plan_signature(self.config.arch),
-            computes=tuple(self._layer_compute(layer) for layer in topology),
+            signature=self.signature,
+            computes=tuple(layer_compute(layer, self.signature) for layer in topology),
         )
 
-    def run(self, topology: Topology, keep_timings: bool = False) -> RunResult:
-        """Simulate every layer of ``topology`` in order."""
-        return resolve_plan(
-            self.plan(topology),
-            self._make_backend(),
-            self.config.run.run_name,
-            keep_timings=keep_timings,
-        )
+    def run(self, topology: Topology) -> RunResult:
+        """Simulate every layer of ``topology`` in order.
+
+        The one-config case of :func:`repro.dram.fanout.simulate_many_dram`.
+        """
+        return simulate_many_dram(self.plan(topology), [self.config])[0]

@@ -10,7 +10,10 @@ The line pipeline itself lives behind the engine seam
 (:mod:`repro.dram.engine`): this backend only translates
 :class:`TileFetch` spans into a :class:`LineRequestBatch` and routes it
 through its :class:`MemoryEngine`: the vectorized batched engine, or any
-engine instance passed in (tests pass the scalar reference).
+engine instance passed in (tests pass the scalar reference).  It
+serves the per-fold reference walk
+(:func:`repro.core.simulator.resolve_plan`); production runs resolve
+DRAM through the grid walk (:mod:`repro.dram.engine_grid`).
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ def make_ramulator(dram_cfg: "DramConfig") -> RamulatorLite:
     """A fresh :class:`RamulatorLite` for one ``[memory]`` section.
 
     The single place a :class:`~repro.config.system.DramConfig` turns
-    into DRAM timing/geometry state — used by the simulator's backend
-    factory and by the grid-batched engine when it instantiates its
-    per-config datapaths.
+    into DRAM timing/geometry state — used by the grid-batched engine
+    when it instantiates its per-config datapaths, and by tests that
+    build a reference :class:`DramBackend`.
     """
     return RamulatorLite(
         technology=dram_cfg.technology,

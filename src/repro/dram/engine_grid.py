@@ -7,6 +7,10 @@ module promotes the *config* to an extra array axis.  A pure ``dram.*``
 grid shares one compute plan and one line stream per word size
 (PR 5's fan-out), so the only per-config work left is the stall walk —
 and those walks are data-parallel over identical line sequences.
+:func:`resolve_plan_grid` is the one production DRAM walk: every
+DRAM-enabled config resolves as a member of the grid for its word
+size, a lone config (``Simulator.run``, a service job, a lone word size
+in a sweep) as a one-config grid.
 
 The stall walk itself is :func:`repro.dram.vector_pass.resolve_vector_pass`,
 the one vector pass a lone :class:`BatchedEngine` also runs (as a
@@ -32,12 +36,13 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.config.system import SystemConfig
+from repro.dram import fanout
 from repro.dram.backend import make_ramulator
 from repro.dram.engine import BatchResult, LineRequestBatch
 from repro.dram.engine_batched import BatchedEngine, issue_order_arrays
 from repro.dram.timing import DramTiming, get_timing_preset
 from repro.dram.vector_pass import VectorParams, resolve_vector_pass
-from repro.errors import DramError, MemoryModelError
+from repro.errors import DramError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.simulator import ComputePlan, RunResult
@@ -68,10 +73,10 @@ def pass_classes(configs: Sequence[SystemConfig]) -> list[list[int]]:
 def grid_partition(configs: Sequence[SystemConfig]) -> dict[int, list[list[int]]]:
     """The grid passes of ``configs``: word size first, then pass class.
 
-    Maps each word size shared by two or more DRAM-enabled configs (one
-    line stream, one :class:`GridBatchedEngine`), ascending, to its pass
-    classes as indices into ``configs``.  Lone word sizes and
-    DRAM-disabled configs keep the per-config path.
+    Maps the word size of every DRAM-enabled config (one line stream,
+    one :class:`GridBatchedEngine`), ascending, to its pass classes as
+    indices into ``configs``; a lone config is a one-config grid.
+    DRAM-disabled configs take no grid.
     """
     groups: dict[int, list[int]] = {}
     for index, config in enumerate(configs):
@@ -83,7 +88,6 @@ def grid_partition(configs: Sequence[SystemConfig]) -> dict[int, list[list[int]]
             for cls in pass_classes([configs[i] for i in members])
         ]
         for word, members in sorted(groups.items())
-        if len(members) > 1
     }
 
 
@@ -185,66 +189,69 @@ class GridBatchedEngine:
 
 
 def resolve_plan_grid(
-    plan: "ComputePlan",
-    configs: Sequence[SystemConfig],
-    line_batches: list[list[LineRequestBatch]],
+    plan: "ComputePlan", configs: Sequence[SystemConfig]
 ) -> list["RunResult"]:
     """Grid stall resolution: walk one plan against many DRAM configs.
 
-    The config-axis twin of :func:`repro.core.simulator.resolve_plan`:
-    one :class:`GridBatchedEngine` replays the double-buffer fold walk
-    with per-config clock vectors, issuing each shared line batch into
-    every datapath at once.  ``line_batches`` carries the shared line
-    streams (outer list per layer, aligned with ``plan.computes``).
-    Results are bit-identical to resolving each config alone.
+    The production DRAM walk, for a grid of one config too; the
+    config-axis twin of the reference walk
+    :func:`repro.core.simulator.resolve_plan`.  One
+    :class:`GridBatchedEngine` replays the double-buffer fold walk with
+    per-config clock vectors, issuing each fold's line batch into every
+    datapath at once.  The batches are chopped from the plan's fetches
+    as the walk reaches each fold, through the module attribute
+    :func:`repro.dram.fanout.prepare_line_batch`, so a run holds one
+    fold's line stream at a time.  Results are bit-identical to
+    resolving each config alone.
     """
     from repro.core.simulator import LayerResult, RunResult
     from repro.memory.double_buffer import MemoryTimeline
 
     configs = list(configs)
     engine = GridBatchedEngine(configs)
+    word_bytes = configs[0].arch.word_bytes
     num = len(configs)
     results = [
         RunResult(run_name=config.run.run_name, topology_name=plan.topology_name)
         for config in configs
     ]
     clocks = [0] * num
-    for layer_index, compute in enumerate(plan.computes):
+    for compute in plan.computes:
         folds = len(compute.fold_specs)
         stalls_before = engine.backpressure_stalls()
         if not folds:
             timelines = [MemoryTimeline(0, 0, 0, 0) for _ in range(num)]
         else:
-            batches = line_batches[layer_index]
-            if len(batches) != folds:
-                raise MemoryModelError(f"{len(batches)} line batches for {folds} folds")
             # The double-buffer recurrence of DoubleBufferMemory.run with
-            # (clock, ready, stall) as per-config vectors.
-            ready = [r.ready_cycle for r in engine.process_batch(batches[0], clocks)]
-            cold = [rv - ck for rv, ck in zip(ready, clocks)]
-            clock_l = list(ready)
-            stall_tot = [0] * num
+            # the clocks as per-config vectors: fold i+1's fetches issue
+            # when fold i starts computing, at max(its clock, its data).
+            prepare = fanout.prepare_line_batch
+            pending = iter(compute.fold_specs)
+            first = [
+                r.ready_cycle
+                for r in engine.process_batch(prepare(next(pending), word_bytes), clocks)
+            ]
+            clock_l, ready = first, first
             cycles = compute.fold_specs.cycles
-            for index in range(folds):
-                compute_start = [
-                    cl if cl > rv else rv for cl, rv in zip(clock_l, ready)
+            for fetches in pending:
+                start = [cl if cl > rv else rv for cl, rv in zip(clock_l, ready)]
+                ready = [
+                    r.ready_cycle
+                    for r in engine.process_batch(prepare(fetches, word_bytes), start)
                 ]
-                for c in range(num):
-                    stall_tot[c] += compute_start[c] - clock_l[c]
-                if index + 1 < folds:
-                    ready = [
-                        r.ready_cycle
-                        for r in engine.process_batch(batches[index + 1], compute_start)
-                    ]
-                clock_l = [cs + cycles for cs in compute_start]
+                clock_l = [st + cycles for st in start]
+            # Compute cycles plus cold start plus stalls fill the layer,
+            # so the stalls are what the other two leave.
+            ends = [(cl if cl > rv else rv) + cycles for cl, rv in zip(clock_l, ready)]
+            busy = cycles * folds
             timelines = [
                 MemoryTimeline(
-                    compute_cycles=cycles * folds,
-                    total_cycles=clock_l[c] - clocks[c],
-                    stall_cycles=stall_tot[c],
-                    cold_start_cycles=cold[c],
+                    compute_cycles=busy,
+                    total_cycles=end - ck,
+                    stall_cycles=end - rv0 - busy,
+                    cold_start_cycles=rv0 - ck,
                 )
-                for c in range(num)
+                for end, rv0, ck in zip(ends, first, clocks)
             ]
         stalls_after = engine.backpressure_stalls()
         for c in range(num):

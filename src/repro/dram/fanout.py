@@ -19,10 +19,14 @@ against every memory configuration of a grid:
   stalls per line batch, one pass per queue depth, DRAM timing and
   issue rate (:func:`~repro.dram.engine_grid.grid_partition`), instead
   of one config at a time (the fifth engine-seam instance — see
-  :mod:`repro.dram.engine_grid`).
+  :mod:`repro.dram.engine_grid`).  A lone DRAM config is a one-config
+  grid, so this grid walk is the only production DRAM walk; a
+  DRAM-disabled point resolves in closed form.
 
-Results are bit-identical to ``Simulator(config).run(topology)`` per
-config — enforced by ``tests/dram/test_dram_fanout_equivalence.py`` and
+Results are bit-identical to resolving each config alone on the
+scalar reference engine (:func:`repro.core.simulator.resolve_plan`
+over a :class:`~repro.dram.backend.DramBackend`) — enforced by
+``tests/dram/test_dram_fanout_equivalence.py`` and
 ``tests/dram/test_grid_engine_equivalence.py``.  The sweep runner
 (:mod:`repro.run.sweep`) reaches this seam through
 :func:`repro.run.runner.simulate_configs`, for groups of points that
@@ -48,9 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.compute_sim import TileFetch
     from repro.core.simulator import ComputePlan, RunResult
 
-#: Per-layer, per-fold line batches for one word size.
-_LineBatches = list[list[LineRequestBatch]]
-
 
 def prepare_line_batch(
     fetches: tuple[TileFetch, ...], word_bytes: int
@@ -61,14 +62,6 @@ def prepare_line_batch(
     the chop and count its lines (``dram.prepare_s``, ``dram.lines``).
     """
     return LineRequestBatch.from_fetches(fetches, word_bytes)
-
-
-def _build_line_batches(plan: ComputePlan, word_bytes: int) -> _LineBatches:
-    """The plan's line stream for one word size (outer list per layer)."""
-    return [
-        [prepare_line_batch(fetches, word_bytes) for fetches in compute.fold_specs]
-        for compute in plan.computes
-    ]
 
 
 def simulate_many_dram(
@@ -82,24 +75,24 @@ def simulate_many_dram(
     issue rate), ``arch.word_bytes`` (with SRAM kilobytes scaled to
     keep the word capacity fixed) and ``arch.bandwidth_words`` (the
     DRAM-disabled ideal backend) are free to vary.  Results come back
-    in ``configs`` order, each bit-identical to
-    ``Simulator(config).run(topology)`` for the planned topology.
+    in ``configs`` order, each bit-identical to that config resolved
+    alone; ``Simulator(config).run(topology)`` is the one-config case.
 
-    DRAM configs sharing a word size resolve through one
-    :class:`~repro.dram.engine_grid.GridBatchedEngine`
-    (:func:`~repro.dram.engine_grid.grid_partition`); other configs (a
-    lone word size, DRAM-disabled points) resolve one at a time.
+    Every DRAM config resolves through the
+    :class:`~repro.dram.engine_grid.GridBatchedEngine` of its word size
+    (:func:`~repro.dram.engine_grid.grid_partition`), a lone config as
+    a one-config grid; DRAM-disabled points resolve in closed form on
+    the ideal-bandwidth backend.
 
     Args:
         plan: the shared compute plan (:meth:`Simulator.plan`).
         configs: memory configurations to fan out over.
     """
-    from repro.core.simulator import make_memory_backend, plan_signature, resolve_plan
+    from repro.core.simulator import plan_signature, resolve_plan
     from repro.dram.engine_grid import grid_partition, resolve_plan_grid
+    from repro.memory.double_buffer import IdealBandwidthBackend
 
     configs = list(configs)
-    if not configs:
-        return []
     for config in configs:
         signature = plan_signature(config.arch)
         if signature != plan.signature:
@@ -109,25 +102,18 @@ def simulate_many_dram(
                 "dram.* fan-out requires an identical fold schedule"
             )
 
-    # Grid passes first, stragglers alone.
     results: list[RunResult | None] = [None] * len(configs)
-    grid_members: set[int] = set()
-    for word_bytes, passes in grid_partition(configs).items():
+    for passes in grid_partition(configs).values():
         members = sorted(chain.from_iterable(passes))
-        grid_members.update(members)
-        for index, result in zip(
-            members,
-            resolve_plan_grid(
-                plan,
-                [configs[i] for i in members],
-                _build_line_batches(plan, word_bytes),
-            ),
-        ):
+        grid = resolve_plan_grid(plan, [configs[i] for i in members])
+        for index, result in zip(members, grid):
             results[index] = result
     for index, config in enumerate(configs):
-        if index not in grid_members:
+        if not config.dram.enabled:
             results[index] = resolve_plan(
-                plan, make_memory_backend(config), config.run.run_name
+                plan,
+                IdealBandwidthBackend(config.arch.bandwidth_words),
+                config.run.run_name,
             )
     return results  # type: ignore[return-value]
 

@@ -443,9 +443,10 @@ class UnitFanout:
     how many distinct word-size line streams it builds (0 when no member
     enables DRAM); ``grid_passes`` the width of each config-batched
     :class:`~repro.dram.engine_grid.GridBatchedEngine` pass, one per
-    pass class (queue depth, DRAM timing, issue rate) of each shared
-    word size (:func:`~repro.dram.engine_grid.grid_partition`; empty
-    when no word size is shared by two or more DRAM configs).
+    pass class (queue depth, DRAM timing, issue rate) of each word size
+    (:func:`~repro.dram.engine_grid.grid_partition`; a lone DRAM config
+    is a pass of width 1, and the tuple is empty when no member enables
+    DRAM).
     """
 
     points: int

@@ -555,10 +555,14 @@ class JobManager:
     # ------------------------------------------------------------ execution
 
     def _make_executor(self):
-        """A fresh executor per job (queue-executor state is per-batch)."""
-        if self.executor_name == "serial" and self.workers > 1:
-            return make_executor("pool", workers=self.workers)
-        if self.executor_name == "queue":
+        """A fresh executor per job (queue-executor state is per-batch).
+
+        ``serial`` with more than one worker means a pool.
+        """
+        name = self.executor_name
+        if name == "serial" and self.workers > 1:
+            name = "pool"
+        if name == "queue":
             return QueueExecutor(
                 self.spool_dir,
                 run_local_worker=not self.external_workers,
@@ -573,7 +577,7 @@ class JobManager:
                 ),
             )
         return make_executor(
-            self.executor_name,
+            name,
             workers=self.workers,
             spool_dir=self.spool_dir,
             max_attempts=self.max_attempts,

@@ -178,14 +178,21 @@ class TestComputePlanSeam:
         assert Simulator(ideal).plan(toy_conv()) == Simulator(dram).plan(toy_conv())
 
     def test_run_equals_plan_plus_resolve(self):
-        from repro.core.simulator import make_memory_backend, resolve_plan
+        """The grid walk of a lone config equals the per-fold reference walk."""
+        from repro.core.simulator import resolve_plan
+        from repro.dram.backend import DramBackend, make_ramulator
 
         config = self._dram_config()
         sim = Simulator(config)
         direct = sim.run(toy_conv())
-        resolved = resolve_plan(
-            sim.plan(toy_conv()), make_memory_backend(config), config.run.run_name
+        backend = DramBackend(
+            make_ramulator(config.dram),
+            read_queue_entries=config.dram.read_queue_entries,
+            write_queue_entries=config.dram.write_queue_entries,
+            word_bytes=config.arch.word_bytes,
+            max_issue_per_cycle=config.dram.issue_per_cycle,
         )
+        resolved = resolve_plan(sim.plan(toy_conv()), backend, config.run.run_name)
         assert resolved == direct
 
     def test_layer_plans_memoized_within_process(self):

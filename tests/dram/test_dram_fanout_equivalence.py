@@ -9,13 +9,15 @@ ideal-bandwidth points mixed in, serially and split over a sweep's
 worker pool.  DRAM configs sharing a word size resolve through one
 config-batched ``GridBatchedEngine`` pass (see
 ``tests/dram/test_grid_engine_equivalence.py`` for the engine-level
-fuzz); lone word sizes and disabled points take the per-config path, so
-both are exercised side by side.  The independent runs use the scalar
-``ReferenceEngine``, the executable spec.
+fuzz); a lone word size resolves as a one-config grid and disabled
+points in closed form, so all three are exercised side by side.  The
+independent runs use the scalar ``ReferenceEngine``, the executable
+spec.
 """
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -155,7 +157,13 @@ def _assert_results_equal(fanout, independent, context):
         assert grouped == solo, (context, solo.run_name)
 
 
+def _grid_sizes(configs) -> list[int]:
+    """DRAM configs per word size: the width of each ``GridBatchedEngine``."""
+    return list(Counter(c.arch.word_bytes for c in configs if c.dram.enabled).values())
+
+
 def test_randomized_grids_are_bit_exact():
+    lone = 0
     for trial in range(12):
         rng = random.Random(9_100 + 17 * trial)
         topology = _random_topology(rng)
@@ -165,6 +173,61 @@ def test_randomized_grids_are_bit_exact():
         fanout = simulate_many_dram(plan, configs)
         independent = _reference_runs(configs, topology)
         _assert_results_equal(fanout, independent, trial)
+        lone += 1 in _grid_sizes(configs)
+    # A DRAM config alone at its word size runs as a one-config grid,
+    # and at least one trial checks such a config against the spec.
+    assert lone >= 1
+
+
+def test_lone_dram_config_takes_the_grid_walk(monkeypatch):
+    """A lone DRAM config resolves through ``GridBatchedEngine``, not per fold.
+
+    Holds for a lone word size inside ``simulate_many_dram`` and for
+    ``Simulator(config).run``; the per-config ``BatchedEngine`` entry
+    point and the per-fold ``DoubleBufferMemory`` walk see no call.
+    """
+    from repro.dram.engine_batched import BatchedEngine
+    from repro.dram.engine_grid import GridBatchedEngine
+    from repro.memory.double_buffer import DoubleBufferMemory
+
+    widths: list[int] = []
+    grid_batch = GridBatchedEngine.process_batch
+
+    def spy(self, batch, issue_cycles):
+        widths.append(len(self.engines))
+        return grid_batch(self, batch, issue_cycles)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a DRAM run left the grid walk")
+
+    rng = random.Random(11)
+    topology = _random_topology(rng)
+    arch = _random_arch(rng)
+    dram = DramConfig(enabled=True, technology="ddr4", channels=2)
+    configs = [
+        SystemConfig(arch=arch, dram=dram, run=RunConfig(run_name="shared_a")),
+        SystemConfig(
+            arch=arch,
+            dram=dataclasses.replace(dram, channels=1),
+            run=RunConfig(run_name="shared_b"),
+        ),
+        SystemConfig(
+            arch=_word_size_variant(arch, 4), dram=dram, run=RunConfig(run_name="lone")
+        ),
+    ]
+    independent = _reference_runs(configs, topology)
+    monkeypatch.setattr(GridBatchedEngine, "process_batch", spy)
+    monkeypatch.setattr(BatchedEngine, "process_batch", forbidden)
+    monkeypatch.setattr(DoubleBufferMemory, "run", forbidden)
+
+    plan = Simulator(configs[0]).plan(topology)
+    fanout = simulate_many_dram(plan, configs)
+    _assert_results_equal(fanout, independent, "lone word size")
+    assert sorted(set(widths)) == [1, 2]
+
+    widths.clear()
+    assert Simulator(configs[2]).run(topology) == independent[2]
+    assert widths and set(widths) == {1}
 
 
 def test_grid_engaged_fanout_matches_independent():
@@ -178,16 +241,13 @@ def test_grid_engaged_fanout_matches_independent():
     engine resolves its vector batches through the same pass as the
     grid, so only the spec can catch a defect in that pass.
     """
-    from repro.dram.engine_grid import grid_partition
-
     engaged = 0
     for trial in range(14):
         rng = random.Random(23_500 + 11 * trial)
         topology = _random_topology(rng)
         arch = _random_arch(rng)
         configs = _random_grid(rng, arch)
-        groups = grid_partition(configs)
-        if not groups:
+        if max(_grid_sizes(configs), default=0) < 2:
             continue
         plan = Simulator(configs[0]).plan(topology)
         fanout = simulate_many_dram(plan, configs)

@@ -45,7 +45,6 @@ from repro.dram.engine_grid import (
     pass_classes,
     resolve_plan_grid,
 )
-from repro.dram.fanout import _build_line_batches
 from repro.dram.vector_pass import VectorParams
 from repro.errors import DramError
 from repro.topology.layer import ConvLayer
@@ -90,8 +89,7 @@ def test_two_config_grid_smoke():
     ]
     independent = _reference_runs(configs, topology)
     plan = Simulator(configs[0]).plan(topology)
-    batches = _build_line_batches(plan, arch.word_bytes)
-    grid = resolve_plan_grid(plan, configs, batches)
+    grid = resolve_plan_grid(plan, configs)
     _assert_results_equal(grid, independent, "smoke")
     for solo, batched in zip(independent, grid):
         assert batched.dram_stats == solo.dram_stats
@@ -110,8 +108,7 @@ def test_randomized_grids_are_bit_exact():
             continue
         independent = _reference_runs(configs, topology)
         plan = Simulator(configs[0]).plan(topology)
-        batches = _build_line_batches(plan, arch.word_bytes)
-        grid = resolve_plan_grid(plan, configs, batches)
+        grid = resolve_plan_grid(plan, configs)
         _assert_results_equal(grid, independent, trial)
         checked += 1
     assert checked >= 4
@@ -137,8 +134,7 @@ def test_forced_vector_dispatch_is_bit_exact(monkeypatch):
             continue
         independent = _reference_runs(configs, topology)
         plan = Simulator(configs[0]).plan(topology)
-        batches = _build_line_batches(plan, arch.word_bytes)
-        grid = resolve_plan_grid(plan, configs, batches)
+        grid = resolve_plan_grid(plan, configs)
         _assert_results_equal(grid, independent, trial)
         checked += 1
     assert checked >= 3
@@ -156,13 +152,12 @@ def test_degenerate_single_config_grid():
     )
     [solo] = _reference_runs([config], topology)
     plan = Simulator(config).plan(topology)
-    batches = _build_line_batches(plan, arch.word_bytes)
-    [grid] = resolve_plan_grid(plan, [config], batches)
+    [grid] = resolve_plan_grid(plan, [config])
     assert grid == solo
 
 
-def test_grid_groups_select_only_shared_batched_configs():
-    """Only word sizes with >= 2 batched DRAM configs form grid groups."""
+def test_grid_partition_covers_every_dram_config():
+    """Every DRAM config joins the grid of its word size, a lone one too."""
     arch = ArchitectureConfig(array_rows=8, array_cols=8, dataflow="ws")
     batched = lambda name, arch=arch, **kwargs: SystemConfig(  # noqa: E731
         arch=arch,
@@ -172,7 +167,7 @@ def test_grid_groups_select_only_shared_batched_configs():
     configs = [
         batched("a", channels=1),
         batched("b", channels=2),
-        # The only config of its word size: no group to join.
+        # The only config of its word size: a one-config grid.
         batched(
             "c",
             arch=ArchitectureConfig(array_rows=8, array_cols=8, dataflow="ws", word_bytes=4),
@@ -181,10 +176,11 @@ def test_grid_groups_select_only_shared_batched_configs():
         SystemConfig(arch=arch, dram=DramConfig(enabled=False)),
     ]
     groups = grid_partition(configs)
-    assert groups == {arch.word_bytes: [[0, 1]]}
-    # Drop one batched member: the lone survivor gains nothing from the
-    # config axis, so no group forms at all.
-    assert grid_partition(configs[1:]) == {}
+    assert groups == {arch.word_bytes: [[0, 1]], 4: [[2]]}
+    # Drop one member of the shared word size: the survivor still
+    # resolves as a grid of one, and the DRAM-disabled point never does.
+    assert grid_partition(configs[1:]) == {arch.word_bytes: [[0]], 4: [[1]]}
+    assert grid_partition(configs[3:]) == {}
 
 
 def _random_line_batch(rng: random.Random) -> LineRequestBatch:

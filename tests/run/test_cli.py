@@ -39,6 +39,31 @@ class TestMain:
         assert "total cycles:" in out
         assert "COMPUTE_REPORT" in out
 
+    def test_sweep_summary_counts_a_lone_dram_config_as_a_grid_pass(
+        self, tmp_path, capsys
+    ):
+        code = main(
+            [
+                "sweep",
+                "--preset",
+                "google_tpu_v2",
+                "--model",
+                "toy_gemm",
+                "--set",
+                "dram.enabled=true,false",
+                "-p",
+                str(tmp_path),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        # One DRAM config and one ideal-bandwidth point: the DRAM one
+        # resolves as a grid of one.
+        assert (
+            "  unit 0: 2 points, 1 word-size line stream, 1 grid pass (1 DRAM configs)\n"
+            in out
+        )
+
     def test_no_reports_flag(self, tmp_path, capsys):
         code = main(
             [

@@ -140,6 +140,20 @@ def test_submit_rejects_what_the_boundary_rejects(tmp_path, mutation):
     assert list((tmp_path / "data" / "jobs").iterdir()) == []
 
 
+@pytest.mark.parametrize("executor_name", ["serial", "pool"])
+def test_pool_executor_keeps_max_attempts(tmp_path, executor_name):
+    """``--workers > 1`` turns serial into a pool with the same retry budget."""
+    from repro.run.executors import PoolExecutor
+
+    manager = JobManager(
+        tmp_path / "data", executor_name=executor_name, workers=2, max_attempts=1
+    )
+    executor = manager._make_executor()
+    assert isinstance(executor, PoolExecutor)
+    assert executor.workers == 2
+    assert executor.max_attempts == 1
+
+
 # ------------------------------------------------------- end-to-end smoke
 
 

@@ -68,12 +68,24 @@ def test_canonical_artifact_tags_dataclasses_with_kind():
 
 def test_layer_store_keys_differ_across_layers_and_knobs():
     layer = toy_conv()[0]
-    base = layer_compute_store_key(layer, Dataflow.OUTPUT_STATIONARY, 8, 8, 1024, 1024, 1024)
-    assert base == layer_compute_store_key(layer, Dataflow.OUTPUT_STATIONARY, 8, 8, 1024, 1024, 1024)
-    assert base != layer_compute_store_key(layer, Dataflow.WEIGHT_STATIONARY, 8, 8, 1024, 1024, 1024)
-    assert base != layer_compute_store_key(layer, Dataflow.OUTPUT_STATIONARY, 16, 8, 1024, 1024, 1024)
+    os_8x8 = (8, 8, Dataflow.OUTPUT_STATIONARY, 1024, 1024, 1024)
+    base = layer_compute_store_key(layer, os_8x8)
+    assert base == layer_compute_store_key(layer, os_8x8)
+    ws_8x8 = (8, 8, Dataflow.WEIGHT_STATIONARY, 1024, 1024, 1024)
+    assert base != layer_compute_store_key(layer, ws_8x8)
+    os_16x8 = (16, 8, Dataflow.OUTPUT_STATIONARY, 1024, 1024, 1024)
+    assert base != layer_compute_store_key(layer, os_16x8)
     other = toy_gemm()[0]
-    assert base != layer_compute_store_key(other, Dataflow.OUTPUT_STATIONARY, 8, 8, 1024, 1024, 1024)
+    assert base != layer_compute_store_key(other, os_8x8)
+
+
+def test_layer_store_key_is_stable_across_releases():
+    """Stores written by earlier code keep their addresses (pinned digest)."""
+    layer = toy_conv()[0]
+    signature = (8, 8, Dataflow.OUTPUT_STATIONARY, 1024, 1024, 1024)
+    assert layer_compute_store_key(layer, signature) == (
+        "cc6866b817e9511e14aac6ff6a93cab9be12e210afd6ecb45c9caf1156e3db25"
+    )
 
 
 def test_fold_demand_key_includes_cap():
@@ -162,7 +174,7 @@ def _with_store(store):
 
 def test_layer_compute_roundtrips_through_store(tmp_path):
     layer = toy_conv()[0]
-    args = (layer, Dataflow.OUTPUT_STATIONARY, 8, 8, 4096, 4096, 4096)
+    args = (layer, (8, 8, Dataflow.OUTPUT_STATIONARY, 4096, 4096, 4096))
     layer_compute.cache_clear()
     reference = layer_compute(*args)
 
@@ -181,7 +193,8 @@ def test_layer_compute_roundtrips_through_store(tmp_path):
 def test_plan_through_store_roundtrips_to_equal_schedules(tmp_path):
     """A warm plan is served from pickles as the same columnar schedules."""
     from repro.core.compute_sim import FoldSchedule
-    from repro.core.simulator import clear_compute_plan_cache, make_memory_backend, resolve_plan
+    from repro.core.simulator import clear_compute_plan_cache
+    from repro.dram.fanout import simulate_many_dram
 
     config = get_preset("scale_sim_v2_default")
     topology = toy_conv()
@@ -203,7 +216,7 @@ def test_plan_through_store_roundtrips_to_equal_schedules(tmp_path):
         assert got.fold_specs == want.fold_specs
         assert list(got.fold_specs) == list(want.fold_specs)
     resolved = [
-        [layer.timeline for layer in resolve_plan(plan, make_memory_backend(config), "r").layers]
+        [layer.timeline for layer in simulate_many_dram(plan, [config])[0].layers]
         for plan in (warm, reference)
     ]
     assert resolved[0] == resolved[1]
