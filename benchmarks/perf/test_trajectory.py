@@ -110,6 +110,24 @@ def test_lowered_fresh_gate_is_caught(tmp_path):
     ]
 
 
+def test_fresh_gate_at_another_worker_count_is_not_compared(tmp_path):
+    """Floors picked for another pool size are not a lowered gate.
+
+    The DRAM fan-out harness picks ``required_speedup`` by worker
+    count; a 1-worker host records lower floors for the same constants.
+    """
+    committed = json.loads((PERF_DIR / "TRAJECTORY.json").read_text())
+    assert committed["benches"]["dram_fanout"]["workers"] == 2
+    bench = json.loads((PERF_DIR / "BENCH_dram_fanout.json").read_text())
+    bench["workers"] = 1
+    bench["cross_grid"]["required_speedup"] = 2.0
+    (tmp_path / "BENCH_dram_fanout.json").write_text(json.dumps(bench))
+
+    fresh = build_trajectory(latest_bench_paths(PERF_DIR, tmp_path))
+    assert fresh["benches"]["dram_fanout"]["workers"] == 1
+    assert gate_regressions(committed, fresh) == []
+
+
 def test_latest_bench_paths_prefer_fresh_output(tmp_path):
     (tmp_path / "BENCH_dram_fanout.json").write_text("{}")
     (tmp_path / "BENCH_new_seam.json").write_text("{}")

@@ -121,6 +121,8 @@ def build_trajectory(paths: Iterable[Path] | None = None) -> dict:
         benches[name] = {
             "file": path.name,
             "workload": payload.get("workload", ""),
+            # Harnesses that pick their floors by pool size record it.
+            "workers": payload.get("workers"),
             "speedups": _speedups(payload),
             "gates": _gates(payload),
         }
@@ -138,12 +140,17 @@ def gate_regressions(committed: dict, fresh: dict) -> list[str]:
     """Gates of the ``committed`` trajectory that ``fresh`` removed or lowered.
 
     New gates may appear and existing ones may rise; anything else
-    means a harness's ``required_*`` floor was relaxed.
+    means a harness's ``required_*`` floor was relaxed.  A harness that
+    picks its floors by worker count is compared only with a fresh run
+    at the committed ``workers``: a 1-worker host's lower floors are
+    the same gate constants, not a relaxation.
     """
     problems = []
     for name, bench in fresh["benches"].items():
-        committed_gates = committed["benches"].get(name, {}).get("gates", {})
-        for key, floor in committed_gates.items():
+        committed_bench = committed["benches"].get(name, {})
+        if committed_bench.get("workers") != bench.get("workers"):
+            continue
+        for key, floor in committed_bench.get("gates", {}).items():
             current = bench["gates"].get(key)
             if current is None:
                 problems.append(f"{name}.{key}: gate removed (committed floor {floor})")

@@ -21,7 +21,11 @@ against every memory configuration of a grid:
   of one config at a time (the fifth engine-seam instance — see
   :mod:`repro.dram.engine_grid`).  A lone DRAM config is a one-config
   grid, so this grid walk is the only production DRAM walk; a
-  DRAM-disabled point resolves in closed form.
+  DRAM-disabled point resolves in closed form;
+* a layer whose fold schedule repeats in the plan is walked again only
+  by the configs whose start state differs from every earlier walk of
+  it; the rest close it from that walk's record, and a fold no config
+  walks is never chopped.
 
 Results are bit-identical to resolving each config alone on the
 scalar reference engine (:func:`repro.core.simulator.resolve_plan`

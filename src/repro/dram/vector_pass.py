@@ -82,6 +82,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _LOW = -(1 << 42)  # "no constraint" sentinel (far below any real cycle)
 _BIG = 1 << 44  # segment offset for segmented running-max scans
+_RAMP = np.arange(0, dtype=np.int64)  # see VectorParams.ramp
 
 
 class VectorParams:
@@ -90,8 +91,8 @@ class VectorParams:
     Built once per participant set — a lone engine keeps its own, a
     grid keeps one per pass class — from the engines' timing, decode
     plan, queue capacities and issue rates.  Holds the timing constants
-    as Python ints, the offset-flattened bank/channel geometry and a
-    lazily grown ``0..n`` ramp shared by the scans.
+    as Python ints and the offset-flattened bank/channel geometry; the
+    scans share one lazily grown ``0..n`` ramp across every pass.
 
     Every participant must share one (read, write) queue depth, one
     :class:`~repro.dram.timing.DramTiming` and one issue rate: the pass
@@ -159,14 +160,17 @@ class VectorParams:
         self.chan_dtype = (
             np.int16 if 3 * int(self.chan_off[-1]) < (1 << 15) else np.int64
         )
-        self._ramp = np.arange(0, dtype=np.int64)
 
-    def ramp(self, size: int) -> np.ndarray:
-        """Read-only ``0..size-1`` (a view of a lazily grown scratch)."""
-        if self._ramp.size < size:
-            self._ramp = np.arange(size, dtype=np.int64)
-            self._ramp.flags.writeable = False
-        return self._ramp[:size]
+    @staticmethod
+    def ramp(size: int) -> np.ndarray:
+        """Read-only ``0..size-1`` (a view of one lazily grown scratch)."""
+        global _RAMP
+        ramp = _RAMP
+        if ramp.size < size:
+            ramp = np.arange(size, dtype=np.int64)
+            ramp.flags.writeable = False
+            _RAMP = ramp
+        return ramp[:size]
 
 
 def resolve_vector_pass(
