@@ -146,14 +146,6 @@ class ArchitectureConfig:
         """Ofmap SRAM capacity in words."""
         return self.ofmap_sram_kb * 1024 // self.word_bytes
 
-    def with_array(self, rows: int, cols: int) -> "ArchitectureConfig":
-        """Copy of this config with a different array shape."""
-        return dataclasses.replace(self, array_rows=rows, array_cols=cols)
-
-    def with_dataflow(self, dataflow: str) -> "ArchitectureConfig":
-        """Copy of this config with a different dataflow."""
-        return dataclasses.replace(self, dataflow=dataflow)
-
 
 @dataclass(frozen=True)
 class SparsityConfig:

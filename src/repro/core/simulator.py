@@ -161,11 +161,6 @@ class ComputePlan:
     computes: tuple[LayerComputeResult, ...]
 
     @property
-    def num_layers(self) -> int:
-        """Layers in the planned topology."""
-        return len(self.computes)
-
-    @property
     def total_folds(self) -> int:
         """Fold schedules across all layers."""
         return sum(len(compute.fold_specs) for compute in self.computes)

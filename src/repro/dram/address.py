@@ -107,11 +107,3 @@ class AddressMapper:
             row=values["ro"],
             column=values["co"],
         )
-
-    def lines_in_range(self, start_byte: int, num_bytes: int) -> range:
-        """Line indices overlapping ``[start_byte, start_byte + num_bytes)``."""
-        if num_bytes <= 0:
-            return range(0)
-        first = start_byte // LINE_BYTES
-        last = (start_byte + num_bytes - 1) // LINE_BYTES
-        return range(first, last + 1)

@@ -9,11 +9,11 @@ backpressure is what makes small queues slow (Figure 10).
 The line pipeline itself lives behind the engine seam
 (:mod:`repro.dram.engine`): this backend only translates
 :class:`TileFetch` spans into a :class:`LineRequestBatch` and routes it
-through its :class:`MemoryEngine`: the vectorized batched engine, or any
-engine instance passed in (tests pass the scalar reference).  It
-serves the per-fold reference walk
-(:func:`repro.core.simulator.resolve_plan`); production runs resolve
-DRAM through the grid walk (:mod:`repro.dram.engine_grid`).
+through the :class:`MemoryEngine` it is given.  It serves the per-fold
+reference walk (:func:`repro.core.simulator.resolve_plan`, over the
+scalar :class:`~repro.dram.engine.ReferenceEngine` in the tests) and the
+multi-core shared memory; production runs resolve DRAM through the
+grid walk (:mod:`repro.dram.engine_grid`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 from repro.core.compute_sim import TileFetch
 from repro.dram.dram_sim import DramStats, RamulatorLite
 from repro.dram.engine import LineRequestBatch, MemoryEngine
-from repro.dram.engine_batched import BatchedEngine
 from repro.errors import DramError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,37 +50,16 @@ def make_ramulator(dram_cfg: "DramConfig") -> RamulatorLite:
 class DramBackend:
     """A :class:`repro.memory.double_buffer.MemoryBackend` backed by DRAM."""
 
-    def __init__(
-        self,
-        dram: RamulatorLite,
-        read_queue_entries: int = 128,
-        write_queue_entries: int = 128,
-        word_bytes: int = 2,
-        max_issue_per_cycle: int = 1,
-        engine: MemoryEngine | None = None,
-    ) -> None:
-        """Build the adapter.
+    def __init__(self, engine: MemoryEngine, word_bytes: int = 2) -> None:
+        """Route tile fetches of ``word_bytes``-byte words through ``engine``.
 
-        ``engine=None`` builds a :class:`BatchedEngine` from ``dram``,
-        the queue sizes and ``max_issue_per_cycle``.  An
-        already-constructed :class:`MemoryEngine` is used as given: its
-        own DRAM, queues and issue rate are what the simulation uses.
+        The engine's own DRAM, queues and issue rate are what the
+        simulation uses.
         """
         if word_bytes < 1:
             raise DramError(f"word_bytes must be >= 1, got {word_bytes}")
-        if max_issue_per_cycle < 1:
-            raise DramError("max_issue_per_cycle must be >= 1")
-        self.dram = dram
+        self.engine = engine
         self.word_bytes = word_bytes
-        self.max_issue_per_cycle = max_issue_per_cycle
-        if engine is None:
-            engine = BatchedEngine(
-                dram,
-                read_queue_entries=read_queue_entries,
-                write_queue_entries=write_queue_entries,
-                max_issue_per_cycle=max_issue_per_cycle,
-            )
-        self.engine: MemoryEngine = engine
         self.total_lines_read = 0
         self.total_lines_written = 0
 

@@ -167,8 +167,3 @@ class RamulatorLite:
                 firsts.append(s.first_request_cycle)
         merged.first_request_cycle = min(firsts) if firsts else None
         return merged
-
-    def reset_stats(self) -> None:
-        """Zero all statistics (bank state is kept)."""
-        for channel in self._channels:
-            channel.stats = DramStats()

@@ -21,8 +21,8 @@ tile fetches into 64B lines and runs them through the front-end
 
 Engines own *all* datapath state — request queues, bank state, bus
 state, statistics — so :class:`repro.dram.backend.DramBackend` takes
-any engine instance (the batched engine by default) without touching
-the simulator above the seam.
+whichever engine instance its caller passes without touching the
+simulator above the seam.
 """
 
 from __future__ import annotations
@@ -98,16 +98,6 @@ class LineRequestBatch:
     def total_lines(self) -> int:
         """Line requests in the batch."""
         return sum(stream.num_lines for stream in self.streams)
-
-    @property
-    def read_lines(self) -> int:
-        """Read-line requests in the batch."""
-        return sum(s.num_lines for s in self.streams if not s.is_write)
-
-    @property
-    def write_lines(self) -> int:
-        """Write-line requests in the batch."""
-        return sum(s.num_lines for s in self.streams if s.is_write)
 
     def iter_round_robin(self) -> Iterator[tuple[int, bool]]:
         """Yield ``(line, is_write)`` in front-end issue order.
@@ -231,7 +221,3 @@ class ReferenceEngine:
 
     def aggregate_stats(self) -> DramStats:
         return self.dram.aggregate_stats()
-
-    def channel_stats(self, channel: int) -> DramStats:
-        """Statistics for one channel."""
-        return self.dram.channel_stats(channel)

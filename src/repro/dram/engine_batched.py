@@ -197,7 +197,14 @@ class BatchedEngine:
     # ------------------------------------------------------------- protocol
 
     def process_batch(self, batch: LineRequestBatch, issue_cycle: int) -> BatchResult:
-        """Issue every line of ``batch``; return the read-ready horizon."""
+        """Issue every line of ``batch``; return the read-ready horizon.
+
+        No run reaches this per-engine entry: every DRAM config
+        resolves through :class:`~repro.dram.engine_grid.GridBatchedEngine`,
+        which calls :meth:`_dispatch` and the vector pass itself.  It is
+        kept only because ``perfbench/tracing.py`` patches it by name
+        (the ``dram.batched_*`` metrics, which read 0 on every workload).
+        """
         result, clock0 = self._dispatch(batch, issue_cycle)
         if result is not None:
             return result
@@ -253,20 +260,6 @@ class BatchedEngine:
         merged.bytes_transferred = sum(self._s_bytes)
         merged.first_request_cycle = min(firsts) if firsts else None
         return merged
-
-    def channel_stats(self, channel: int) -> DramStats:
-        """Statistics for one channel."""
-        return DramStats(
-            reads=self._s_reads[channel],
-            writes=self._s_writes[channel],
-            row_hits=self._s_hits[channel],
-            row_misses=self._s_misses[channel],
-            row_conflicts=self._s_conflicts[channel],
-            total_read_latency=self._s_lat[channel],
-            last_completion=self._s_last[channel],
-            first_request_cycle=self._s_first[channel],
-            bytes_transferred=self._s_bytes[channel],
-        )
 
     # ------------------------------------------------- single-stream fast path
 

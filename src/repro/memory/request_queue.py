@@ -81,7 +81,3 @@ class RequestQueue:
     def drain_time(self) -> int:
         """Cycle at which every in-flight entry has completed."""
         return max(self._completions) if self._completions else 0
-
-    def reset(self) -> None:
-        """Clear all state (between layers)."""
-        self._completions.clear()

@@ -191,14 +191,6 @@ class SweepSpec:
                 raise ConfigError(f"duplicate sweep axis {axis.name!r}")
             seen.add(axis.name)
 
-    @property
-    def num_points(self) -> int:
-        """Grid size: topologies x the product of axis lengths."""
-        total = len(self.topologies)
-        for axis in self.axes:
-            total *= len(axis.values)
-        return total
-
     def expand(self) -> list[SweepPoint]:
         """Materialise every grid point as a concrete, validated config."""
         points: list[SweepPoint] = []

@@ -66,12 +66,5 @@ class JobJournal:
         """All intact events, oldest first (torn tail dropped)."""
         return read_json_lines(self.path)
 
-    def terminal_event(self) -> dict | None:
-        """The job's terminal event, or ``None`` while work is owed."""
-        for record in reversed(self.replay()):
-            if record.get("event") in TERMINAL_EVENTS:
-                return record
-        return None
-
 
 __all__ = ["JOURNAL_FILENAME", "TERMINAL_EVENTS", "JobJournal"]

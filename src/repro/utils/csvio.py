@@ -8,7 +8,7 @@ header handling in one place.
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from repro.errors import ReportError, TopologyError
@@ -62,16 +62,3 @@ def write_csv(
                 )
             writer.writerow(list(row))
     return path
-
-
-def write_dict_rows(
-    path: str | Path,
-    rows: Sequence[Mapping[str, object]],
-    field_order: Sequence[str] | None = None,
-) -> Path:
-    """Write a list of dict rows as CSV, deriving the header if needed."""
-    if not rows:
-        raise ReportError(f"refusing to write empty report to {path}")
-    header = list(field_order) if field_order else list(rows[0].keys())
-    materialised = [[row.get(key, "") for key in header] for row in rows]
-    return write_csv(path, header, materialised)

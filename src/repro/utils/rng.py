@@ -22,15 +22,3 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
     if seed is None:
         seed = DEFAULT_SEED
     return np.random.default_rng(seed)
-
-
-def derive_rng(rng: np.random.Generator, stream: int) -> np.random.Generator:
-    """Derive an independent child generator for a numbered sub-stream.
-
-    Used so per-layer randomness does not depend on the order in which
-    layers are simulated.
-    """
-    if stream < 0:
-        raise ValueError(f"stream must be non-negative, got {stream}")
-    seed = int(rng.bit_generator.seed_seq.entropy or DEFAULT_SEED)  # type: ignore[union-attr]
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))

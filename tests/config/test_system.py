@@ -28,13 +28,6 @@ class TestArchitectureConfig:
         arch = ArchitectureConfig(ifmap_sram_kb=2, word_bytes=2)
         assert arch.ifmap_sram_words() == 1024
 
-    def test_with_array(self):
-        arch = ArchitectureConfig().with_array(64, 128)
-        assert (arch.array_rows, arch.array_cols) == (64, 128)
-
-    def test_with_dataflow(self):
-        assert ArchitectureConfig().with_dataflow("ws").dataflow == "ws"
-
     @pytest.mark.parametrize("field,value", [
         ("array_rows", 0),
         ("array_cols", -1),
@@ -162,7 +155,7 @@ class TestFieldValue:
             (DramConfig(), "capacity_gb_per_channel", float("nan")),
             (ArchitectureConfig(), "dataflow", 3),
             (ArchitectureConfig(), "num_pes", 4),
-            (ArchitectureConfig(), "with_array", 4),
+            (ArchitectureConfig(), "ifmap_sram_words", 4),
             (DramConfig(), "no_such_field", 1),
         ],
     )

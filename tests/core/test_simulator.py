@@ -116,16 +116,15 @@ class TestDramRuns:
         from repro.dram.engine import ReferenceEngine
 
         config = self._dram_config()
-        dram = make_ramulator(config.dram)
         engine = ReferenceEngine(
-            dram,
+            make_ramulator(config.dram),
             read_queue_entries=config.dram.read_queue_entries,
             write_queue_entries=config.dram.write_queue_entries,
             max_issue_per_cycle=config.dram.issue_per_cycle,
         )
         reference = resolve_plan(
             Simulator(config).plan(toy_conv()),
-            DramBackend(dram, word_bytes=config.arch.word_bytes, engine=engine),
+            DramBackend(engine, word_bytes=config.arch.word_bytes),
             config.run.run_name,
         )
         batched = Simulator(config).run(toy_conv())
@@ -178,20 +177,21 @@ class TestComputePlanSeam:
         assert Simulator(ideal).plan(toy_conv()) == Simulator(dram).plan(toy_conv())
 
     def test_run_equals_plan_plus_resolve(self):
-        """The grid walk of a lone config equals the per-fold reference walk."""
+        """The grid walk of a lone config equals the per-fold walk of the spec."""
         from repro.core.simulator import resolve_plan
         from repro.dram.backend import DramBackend, make_ramulator
+        from repro.dram.engine import ReferenceEngine
 
         config = self._dram_config()
         sim = Simulator(config)
         direct = sim.run(toy_conv())
-        backend = DramBackend(
+        engine = ReferenceEngine(
             make_ramulator(config.dram),
             read_queue_entries=config.dram.read_queue_entries,
             write_queue_entries=config.dram.write_queue_entries,
-            word_bytes=config.arch.word_bytes,
             max_issue_per_cycle=config.dram.issue_per_cycle,
         )
+        backend = DramBackend(engine, word_bytes=config.arch.word_bytes)
         resolved = resolve_plan(sim.plan(toy_conv()), backend, config.run.run_name)
         assert resolved == direct
 
@@ -209,7 +209,7 @@ class TestComputePlanSeam:
 
     def test_plan_carries_schedule_shape(self):
         plan = Simulator(_config()).plan(toy_conv())
-        assert plan.num_layers == 2
+        assert len(plan.computes) == 2
         assert plan.total_folds == sum(len(c.fold_specs) for c in plan.computes)
         assert plan.topology_name == toy_conv().name
 

@@ -75,12 +75,6 @@ class TestAddressMapper:
         with pytest.raises(DramError):
             _mapper(row_bytes=100)
 
-    def test_lines_in_range(self):
-        mapper = _mapper()
-        assert list(mapper.lines_in_range(0, 1)) == [0]
-        assert list(mapper.lines_in_range(0, LINE_BYTES + 1)) == [0, 1]
-        assert list(mapper.lines_in_range(10, 0)) == []
-
     def test_decoded_address_fields(self):
         decoded = DecodedAddress(channel=1, rank=0, bank=2, row=3, column=4)
         assert decoded.bank == 2

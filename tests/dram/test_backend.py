@@ -5,19 +5,16 @@ import pytest
 from repro.core.compute_sim import TileFetch
 from repro.dram.backend import DramBackend
 from repro.dram.dram_sim import RamulatorLite
+from repro.dram.engine import ReferenceEngine
 from repro.errors import DramError
 
 
-def _backend(**overrides):
-    defaults = dict(
-        read_queue_entries=128,
-        write_queue_entries=128,
-        word_bytes=2,
+def _backend(read_queue_entries=128):
+    engine = ReferenceEngine(
+        RamulatorLite(technology="ddr4", channels=1),
+        read_queue_entries=read_queue_entries,
     )
-    defaults.update(overrides)
-    dram = RamulatorLite(technology="ddr4", channels=overrides.pop("channels", 1))
-    defaults.pop("channels", None)
-    return DramBackend(dram, **defaults)
+    return DramBackend(engine, word_bytes=2)
 
 
 class TestCompleteFetches:
@@ -53,7 +50,7 @@ class TestCompleteFetches:
 
     def test_word_bytes_validation(self):
         with pytest.raises(DramError):
-            DramBackend(RamulatorLite(), word_bytes=0)
+            DramBackend(ReferenceEngine(RamulatorLite()), word_bytes=0)
 
 
 class TestQueueBackpressure:

@@ -135,14 +135,13 @@ def _reference_run(config, topology):
     """``Simulator(config).run(topology)`` with DRAM on the scalar reference engine."""
     if not config.dram.enabled:
         return Simulator(config).run(topology)
-    dram = make_ramulator(config.dram)
     engine = ReferenceEngine(
-        dram,
+        make_ramulator(config.dram),
         read_queue_entries=config.dram.read_queue_entries,
         write_queue_entries=config.dram.write_queue_entries,
         max_issue_per_cycle=config.dram.issue_per_cycle,
     )
-    backend = DramBackend(dram, word_bytes=config.arch.word_bytes, engine=engine)
+    backend = DramBackend(engine, word_bytes=config.arch.word_bytes)
     return resolve_plan(Simulator(config).plan(topology), backend, config.run.run_name)
 
 
@@ -289,7 +288,7 @@ def test_parallel_fanout_matches_serial():
     serial = SweepRunner(workers=1).run(spec)
     runner = SweepRunner(workers=2)
     parallel = runner.run(spec)
-    assert tuple(runner.last_grouping) == (spec.num_points, 2)
+    assert tuple(runner.last_grouping) == (len(spec.expand()), 2)
     _assert_results_equal(
         [r.run_result for r in parallel], [r.run_result for r in serial], "workers=2"
     )

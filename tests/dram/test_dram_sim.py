@@ -111,9 +111,3 @@ class TestStats:
         assert stats.requests == 0
         assert stats.row_hit_rate == 0.0
         assert stats.throughput_gbps(1.0) == 0.0
-
-    def test_reset_stats(self):
-        dram = _dram()
-        dram.submit(0, 0)
-        dram.reset_stats()
-        assert dram.aggregate_stats().requests == 0

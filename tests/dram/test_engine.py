@@ -18,15 +18,13 @@ class TestLineRequestBatch:
         # 64 words x 2 B = 128 B = 2 lines.
         batch = LineRequestBatch.from_fetches((TileFetch("ifmap", 0, 64),), 2)
         assert batch.total_lines == 2
-        assert batch.read_lines == 2
-        assert batch.write_lines == 0
+        assert [(s.num_lines, s.is_write) for s in batch.streams] == [(2, False)]
 
     def test_from_fetches_skips_empty(self):
         batch = LineRequestBatch.from_fetches(
             (TileFetch("ifmap", 0, 0), TileFetch("ofmap", 0, 32, is_write=True)), 2
         )
-        assert len(batch.streams) == 1
-        assert batch.write_lines == 1
+        assert [(s.num_lines, s.is_write) for s in batch.streams] == [(1, True)]
 
     def test_operands_map_to_distinct_regions(self):
         word_bytes = 2
@@ -96,22 +94,18 @@ class TestEngineProtocol:
 
 
 class TestBackendEngineSelection:
-    def test_default_is_batched(self):
-        backend = DramBackend(RamulatorLite())
-        assert isinstance(backend.engine, BatchedEngine)
-
     def test_engine_instance_accepted(self):
         engine = ReferenceEngine(RamulatorLite())
-        backend = DramBackend(RamulatorLite(), engine=engine)
+        backend = DramBackend(engine)
         assert backend.engine is engine
 
     def test_backend_queue_views(self):
-        backend = DramBackend(RamulatorLite(), read_queue_entries=7)
+        backend = DramBackend(ReferenceEngine(RamulatorLite(), read_queue_entries=7))
         assert backend.read_queue.capacity == 7
         assert backend.stall_cycles_from_backpressure == 0
 
     def test_dram_stats_via_seam(self):
-        backend = DramBackend(RamulatorLite())
+        backend = DramBackend(ReferenceEngine(RamulatorLite()))
         backend.complete_fetches((TileFetch("ifmap", 0, 320),), 0)
         stats = backend.dram_stats()
         assert stats.reads == backend.total_lines_read == 10

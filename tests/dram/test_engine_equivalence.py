@@ -1,49 +1,79 @@
-"""Randomized cross-engine equivalence: BatchedEngine == ReferenceEngine.
+"""Randomized cross-engine equivalence: the production entry == ReferenceEngine.
 
-The batched engine's vector passes must be *bit-exact* to the scalar
-reference — the correctness bar every shipped benchmark CSV rests on.
-This fuzz drives both engines with identical randomized traffic
-(operand mixes, read/write splits, queue depths small enough to
-saturate, channel counts, address mappings, technologies, issue rates)
-and asserts identical completion cycles, DRAM statistics and queue
-statistics, across the scalar fast path, the vector path, and the
-mixed regime.
+A lone DRAM config resolves through ``GridBatchedEngine([config])``,
+the entry ``Simulator.run`` takes; its dispatch paths and vector pass
+must be *bit-exact* to the scalar reference — the correctness bar
+every shipped benchmark CSV rests on.  This fuzz drives both with
+identical randomized traffic (operand mixes, read/write splits, queue
+depths small enough to saturate, channel counts, address mappings,
+technologies, issue rates) and asserts identical completion cycles,
+DRAM statistics and queue statistics, across the scalar fast path,
+the vector path, and the mixed regime.  One test keeps the per-engine
+``BatchedEngine.process_batch`` entry pinned to the reference too.
 """
 
 import random
 
 import pytest
 
+from repro.config.system import ArchitectureConfig, DramConfig, SystemConfig
 from repro.core.compute_sim import TileFetch
-from repro.dram.backend import DramBackend
-from repro.dram.dram_sim import RamulatorLite
-from repro.dram.engine import ReferenceEngine
+from repro.dram.backend import DramBackend, make_ramulator
+from repro.dram.engine import LineRequestBatch, ReferenceEngine
+from repro.dram.engine_batched import BatchedEngine
+from repro.dram.engine_grid import GridBatchedEngine
 
 MAPPINGS = ("ro_ba_ra_co_ch", "ro_ba_ra_ch_co", "ro_co_ra_ba_ch", "ch_ro_ba_ra_co")
 TECHNOLOGIES = ("ddr3", "ddr4", "lpddr4", "gddr5", "hbm", "hbm2", "wio2")
 OPERANDS = ("ifmap", "filter", "ofmap")
 
 
-def _reference_backend(
-    dram: RamulatorLite,
-    read_queue_entries: int = 128,
-    write_queue_entries: int = 128,
-    word_bytes: int = 2,
-    max_issue_per_cycle: int = 1,
-) -> DramBackend:
+def _config(word_bytes: int = 2, **dram) -> SystemConfig:
+    """A DRAM-enabled config holding the drawn datapath parameters."""
+    return SystemConfig(
+        arch=ArchitectureConfig(word_bytes=word_bytes),
+        dram=DramConfig(enabled=True, **dram),
+    )
+
+
+def _engine_kwargs(config: SystemConfig) -> dict:
+    dram = config.dram
+    return dict(
+        read_queue_entries=dram.read_queue_entries,
+        write_queue_entries=dram.write_queue_entries,
+        max_issue_per_cycle=dram.issue_per_cycle,
+    )
+
+
+def _reference_backend(config: SystemConfig) -> DramBackend:
     """A :class:`DramBackend` around the scalar :class:`ReferenceEngine`."""
-    engine = ReferenceEngine(
-        dram,
-        read_queue_entries=read_queue_entries,
-        write_queue_entries=write_queue_entries,
-        max_issue_per_cycle=max_issue_per_cycle,
-    )
-    return DramBackend(
-        dram, word_bytes=word_bytes, max_issue_per_cycle=max_issue_per_cycle, engine=engine
-    )
+    engine = ReferenceEngine(make_ramulator(config.dram), **_engine_kwargs(config))
+    return DramBackend(engine, word_bytes=config.arch.word_bytes)
 
 
-def _random_backend_pair(rng: random.Random, force_path: int):
+class _GridEntry:
+    """``GridBatchedEngine([config])`` behind the :class:`MemoryEngine` protocol."""
+
+    def __init__(self, config: SystemConfig) -> None:
+        self.grid = GridBatchedEngine([config])
+        [engine] = self.grid.engines
+        self.read_queue = engine.read_queue
+        self.write_queue = engine.write_queue
+        self.drain = engine.drain
+        self.aggregate_stats = engine.aggregate_stats
+
+    def process_batch(self, batch: LineRequestBatch, issue_cycle: int):
+        [result] = self.grid.process_batch(batch, [issue_cycle])
+        return result
+
+
+def _grid_backend(config: SystemConfig) -> tuple[DramBackend, BatchedEngine]:
+    """The production entry as a backend, and the grid's one engine."""
+    entry = _GridEntry(config)
+    return DramBackend(entry, word_bytes=config.arch.word_bytes), entry.grid.engines[0]
+
+
+def _random_config(rng: random.Random) -> SystemConfig:
     dram_kwargs = dict(
         technology=rng.choice(TECHNOLOGIES),
         channels=rng.choice((1, 1, 2, 3, 4, 8)),
@@ -56,13 +86,18 @@ def _random_backend_pair(rng: random.Random, force_path: int):
         read_queue_entries=rng.choice((1, 2, 3, 5, 16, 128, 300)),
         write_queue_entries=rng.choice((1, 2, 4, 17, 128)),
         word_bytes=rng.choice((1, 2, 4)),
-        max_issue_per_cycle=rng.choice((1, 2, 4, 7)),
+        issue_per_cycle=rng.choice((1, 2, 4, 7)),
     )
-    reference = _reference_backend(RamulatorLite(**dram_kwargs), **queue_kwargs)
-    batched = DramBackend(RamulatorLite(**dram_kwargs), **queue_kwargs)
+    return _config(**dram_kwargs, **queue_kwargs)
+
+
+def _random_backend_pair(rng: random.Random, force_path: int):
+    config = _random_config(rng)
+    reference = _reference_backend(config)
+    grid, engine = _grid_backend(config)
     # 0: everything vectorized, 1: mixed, 2: everything scalar.
-    batched.engine.vector_threshold = (1, 40, 10**9)[force_path]
-    return reference, batched
+    engine.vector_threshold = (1, 40, 10**9)[force_path]
+    return reference, grid
 
 
 def _random_fetches(rng: random.Random) -> tuple[TileFetch, ...]:
@@ -136,11 +171,12 @@ def test_single_stream_bursts_are_bit_exact():
         )
         queue_kwargs = dict(
             read_queue_entries=rng.choice((8, 32, 128)),
-            max_issue_per_cycle=rng.choice((1, 2, 4)),
+            issue_per_cycle=rng.choice((1, 2, 4)),
         )
-        reference = _reference_backend(RamulatorLite(**dram_kwargs), **queue_kwargs)
-        batched = DramBackend(RamulatorLite(**dram_kwargs), **queue_kwargs)
-        assert batched.engine.single_stream_fast_path
+        config = _config(**dram_kwargs, **queue_kwargs)
+        reference = _reference_backend(config)
+        batched, engine = _grid_backend(config)
+        assert engine.single_stream_fast_path
         cycle = 0
         base = 0
         for _ in range(40):
@@ -167,8 +203,8 @@ def test_fast_path_disabled_matches_enabled():
         rng = random.Random(60 + trial)
         engines = []
         for enabled in (True, False):
-            backend = DramBackend(RamulatorLite(technology="ddr4", channels=1))
-            backend.engine.single_stream_fast_path = enabled
+            backend, engine = _grid_backend(_config(issue_per_cycle=1))
+            engine.single_stream_fast_path = enabled
             engines.append(backend)
         cycle = 0
         for _ in range(30):
@@ -184,17 +220,16 @@ def test_saturated_queues_stall_identically():
     """Tiny queues force constant backpressure — the hardest regime."""
     for trial in range(8):
         rng = random.Random(42 + trial)
-        dram_kwargs = dict(channels=rng.choice((1, 2)), technology="ddr4")
-        queue_kwargs = dict(
+        config = _config(
+            channels=rng.choice((1, 2)),
+            technology="ddr4",
             read_queue_entries=rng.choice((1, 2, 4)),
             write_queue_entries=rng.choice((1, 2)),
-            max_issue_per_cycle=4,
+            issue_per_cycle=4,
         )
-        pair = [
-            _reference_backend(RamulatorLite(**dram_kwargs), **queue_kwargs),
-            DramBackend(RamulatorLite(**dram_kwargs), **queue_kwargs),
-        ]
-        pair[1].engine.vector_threshold = 1
+        grid, engine = _grid_backend(config)
+        engine.vector_threshold = 1
+        pair = [_reference_backend(config), grid]
         fetches = (
             TileFetch("ifmap", 0, 30_000),
             TileFetch("ofmap", 0, 20_000, is_write=True),
@@ -208,9 +243,7 @@ def test_saturated_queues_stall_identically():
 
 def test_dense_run_identical_through_simulator():
     """Engine choice must not move a single cycle of a full dense run."""
-    from repro.config.system import ArchitectureConfig, DramConfig, SystemConfig
     from repro.core.simulator import Simulator, resolve_plan
-    from repro.dram.backend import make_ramulator
     from repro.topology.models import resnet18
 
     topology = resnet18(scale=16).first_layers(4)
@@ -220,13 +253,7 @@ def test_dense_run_identical_through_simulator():
         dram=DramConfig(enabled=True, channels=2, read_queue_entries=16,
                         write_queue_entries=16),
     )
-    reference = _reference_backend(
-        make_ramulator(base.dram),
-        read_queue_entries=base.dram.read_queue_entries,
-        write_queue_entries=base.dram.write_queue_entries,
-        word_bytes=base.arch.word_bytes,
-        max_issue_per_cycle=base.dram.issue_per_cycle,
-    )
+    reference = _reference_backend(base)
     ref = resolve_plan(Simulator(base).plan(topology), reference, base.run.run_name)
     bat = Simulator(base).run(topology)
     assert ref.total_cycles == bat.total_cycles
@@ -235,3 +262,26 @@ def test_dense_run_identical_through_simulator():
         assert layer_ref.timeline.total_cycles == layer_bat.timeline.total_cycles
         assert layer_ref.backpressure_stall_cycles == layer_bat.backpressure_stall_cycles
         assert layer_ref.drain_cycles == layer_bat.drain_cycles
+
+
+def test_per_engine_entry_matches_reference():
+    """``BatchedEngine.process_batch`` on its own, vs the spec.
+
+    No run reaches this entry (every DRAM config resolves through the
+    grid), but ``perfbench/tracing.py`` patches it by name, so it stays
+    and stays exact: the vector, mixed and scalar paths on fresh draws.
+    """
+    for trial in range(6):
+        rng = random.Random(5_500 + trial)
+        config = _random_config(rng)
+        engine = BatchedEngine(make_ramulator(config.dram), **_engine_kwargs(config))
+        engine.vector_threshold = (1, 40, 10**9)[trial % 3]
+        reference = _reference_backend(config)
+        batched = DramBackend(engine, word_bytes=config.arch.word_bytes)
+        cycle = 0
+        for batch_index in range(rng.randint(1, 6)):
+            fetches = _random_fetches(rng)
+            cycle += rng.randrange(0, 5_000)
+            ready = reference.complete_fetches(fetches, cycle)
+            assert batched.complete_fetches(fetches, cycle) == ready, (trial, batch_index)
+        _assert_equivalent(reference, batched, trial)

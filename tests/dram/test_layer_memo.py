@@ -101,7 +101,7 @@ def _reference(config, topology):
         write_queue_entries=config.dram.write_queue_entries,
         max_issue_per_cycle=config.dram.issue_per_cycle,
     )
-    backend = DramBackend(engine.dram, word_bytes=config.arch.word_bytes, engine=engine)
+    backend = DramBackend(engine, word_bytes=config.arch.word_bytes)
     plan = Simulator(config).plan(topology)
     return resolve_plan(plan, backend, config.run.run_name), engine
 

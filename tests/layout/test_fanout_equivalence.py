@@ -235,7 +235,7 @@ def test_fanout_parallel_matches_serial():
     serial = SweepRunner(workers=1).run(spec)
     runner = SweepRunner(workers=3)
     parallel = runner.run(spec)
-    assert tuple(runner.last_grouping) == (spec.num_points, 3)
+    assert tuple(runner.last_grouping) == (len(spec.expand()), 3)
     assert [r.layout_results for r in parallel] == [r.layout_results for r in serial]
     configs = [_layout_config(result.config) for result in parallel]
     fanout = evaluate_layout_slowdown_many(layer, "ws", 8, 8, configs)

@@ -60,12 +60,6 @@ class TestRequestQueue:
         queue.push(0, 2)
         assert queue.total_enqueued == 2
 
-    def test_reset(self):
-        queue = RequestQueue(capacity=1)
-        queue.push(0, 100)
-        queue.reset()
-        assert queue.push(0, 50) == 0
-
     def test_bad_capacity(self):
         with pytest.raises(MemoryModelError):
             RequestQueue(capacity=0)

@@ -2,10 +2,16 @@
 
 from repro.dram.backend import DramBackend
 from repro.dram.dram_sim import RamulatorLite
+from repro.dram.engine import ReferenceEngine
 from repro.multicore.multicore_sim import MultiCoreSimulator
 from repro.topology.layer import GemmLayer
 
 LAYER = GemmLayer(name="gemm", m=256, n=256, k=256)
+
+
+def _shared_dram(channels: int = 1) -> DramBackend:
+    """One DDR4 memory every core's DMA traffic contends for."""
+    return DramBackend(ReferenceEngine(RamulatorLite(technology="ddr4", channels=channels)))
 
 
 def _grid(memory_backend=None):
@@ -32,7 +38,7 @@ class TestWithoutBackend:
 
 class TestWithSharedBackend:
     def test_cores_wait_for_operands(self):
-        backend = DramBackend(RamulatorLite(technology="ddr4", channels=1))
+        backend = _shared_dram()
         result = _grid(backend).simulate_layer(LAYER)
         assert all(core.dram_cycles > 0 for core in result.cores)
         # Finish time includes the memory wait.
@@ -42,7 +48,7 @@ class TestWithSharedBackend:
         )
 
     def test_shared_memory_contention_serializes_cores(self):
-        backend = DramBackend(RamulatorLite(technology="ddr4", channels=1))
+        backend = _shared_dram()
         result = _grid(backend).simulate_layer(LAYER)
         waits = [core.dram_cycles for core in result.cores]
         # Later cores' DMA sees a busier DRAM: waits are non-decreasing.
@@ -51,15 +57,15 @@ class TestWithSharedBackend:
 
     def test_more_channels_reduce_wait(self):
         slow = _grid(
-            DramBackend(RamulatorLite(technology="ddr4", channels=1))
+            _shared_dram()
         ).simulate_layer(LAYER)
         fast = _grid(
-            DramBackend(RamulatorLite(technology="ddr4", channels=8))
+            _shared_dram(8)
         ).simulate_layer(LAYER)
         assert fast.latency_cycles <= slow.latency_cycles
 
     def test_contention_persists_across_layers(self):
-        backend = DramBackend(RamulatorLite(technology="ddr4", channels=1))
+        backend = _shared_dram()
         grid = _grid(backend)
         first = grid.simulate_layer(LAYER)
         second = grid.simulate_layer(LAYER)

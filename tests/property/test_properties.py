@@ -245,7 +245,7 @@ _REAL_FIELDS = [
 ]
 field_paths = st.one_of(
     st.sampled_from(_REAL_FIELDS),
-    st.sampled_from(["arch.num_pes", "arch.with_array", "layout.total_bandwidth_words"]),
+    st.sampled_from(["arch.num_pes", "arch.ifmap_sram_words", "layout.total_bandwidth_words"]),
     st.builds(
         "{}.{}".format,
         st.sampled_from(_SECTIONS + ("run", "multicore", "")),

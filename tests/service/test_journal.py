@@ -22,17 +22,6 @@ def test_journal_path_and_missing_file(tmp_path):
     journal = JobJournal.for_job_dir(tmp_path / "job1")
     assert journal.path == tmp_path / "job1" / JOURNAL_FILENAME
     assert journal.replay() == []
-    assert journal.terminal_event() is None
-
-
-def test_terminal_event_found_and_absent(tmp_path):
-    journal = JobJournal(tmp_path / "j.jsonl")
-    journal.append("submitted")
-    journal.append("started")
-    assert journal.terminal_event() is None
-    journal.append("degraded", failures=1)
-    terminal = journal.terminal_event()
-    assert terminal is not None and terminal["event"] == "degraded"
 
 
 def test_replay_drops_torn_tail(tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReportError, TopologyError
-from repro.utils.csvio import read_csv_rows, write_csv, write_dict_rows
+from repro.utils.csvio import read_csv_rows, write_csv
 
 
 class TestReadCsvRows:
@@ -42,25 +42,3 @@ class TestWriteCsv:
     def test_rejects_ragged_rows(self, tmp_path):
         with pytest.raises(ReportError):
             write_csv(tmp_path / "t.csv", ["a", "b"], [[1]])
-
-
-class TestWriteDictRows:
-    def test_header_from_first_row(self, tmp_path):
-        path = write_dict_rows(tmp_path / "t.csv", [{"x": 1, "y": 2}])
-        assert read_csv_rows(path)[0] == ["x", "y"]
-
-    def test_explicit_field_order(self, tmp_path):
-        path = write_dict_rows(
-            tmp_path / "t.csv", [{"x": 1, "y": 2}], field_order=["y", "x"]
-        )
-        assert read_csv_rows(path)[0] == ["y", "x"]
-
-    def test_missing_keys_become_empty(self, tmp_path):
-        path = write_dict_rows(
-            tmp_path / "t.csv", [{"x": 1}], field_order=["x", "z"]
-        )
-        assert read_csv_rows(path)[1] == ["1", ""]
-
-    def test_empty_rows_rejected(self, tmp_path):
-        with pytest.raises(ReportError):
-            write_dict_rows(tmp_path / "t.csv", [])

@@ -1,6 +1,6 @@
 """Unit tests for deterministic RNG helpers."""
 
-from repro.utils.rng import DEFAULT_SEED, derive_rng, make_rng
+from repro.utils.rng import DEFAULT_SEED, make_rng
 
 
 class TestMakeRng:
@@ -19,22 +19,3 @@ class TestMakeRng:
         b = make_rng(DEFAULT_SEED).integers(0, 1000, size=5)
         assert (a == b).all()
 
-
-class TestDeriveRng:
-    def test_streams_are_independent(self):
-        parent = make_rng(7)
-        s0 = derive_rng(parent, 0).integers(0, 1_000_000, size=10)
-        s1 = derive_rng(parent, 1).integers(0, 1_000_000, size=10)
-        assert (s0 != s1).any()
-
-    def test_streams_are_reproducible(self):
-        a = derive_rng(make_rng(7), 3).integers(0, 1000, size=5)
-        b = derive_rng(make_rng(7), 3).integers(0, 1000, size=5)
-        assert (a == b).all()
-
-    def test_order_independent(self):
-        parent = make_rng(7)
-        _ = derive_rng(parent, 0)
-        late = derive_rng(parent, 5).integers(0, 1000, size=5)
-        fresh = derive_rng(make_rng(7), 5).integers(0, 1000, size=5)
-        assert (late == fresh).all()
