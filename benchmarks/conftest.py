@@ -69,8 +69,9 @@ def pooled_layout_grid(layer, dataflow, array: int, grid: list, max_folds=None) 
     )
     chunks = [grid[i::width] for i in range(width)]
     results = [None] * len(grid)
-    for i, chunk in enumerate(PoolExecutor(width).map_units(fn, chunks)):
-        results[i::width] = chunk
+    envelopes = PoolExecutor(width).map_units_enveloped(fn, chunks)
+    for i, envelope in enumerate(envelopes):
+        results[i::width] = envelope.unwrap()
     return results
 
 

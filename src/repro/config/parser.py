@@ -68,7 +68,6 @@ CFG_SECTIONS = (
             ("RanksPerChannel", "ranks_per_channel"),
             ("BanksPerRank", "banks_per_rank"),
             ("CapacityGBPerChannel", "capacity_gb_per_channel"),
-            ("SpeedMTs", "speed_mts"),
             ("ReadQueueEntries", "read_queue_entries"),
             ("WriteQueueEntries", "write_queue_entries"),
             ("AddressMapping", "address_mapping"),

@@ -38,7 +38,6 @@ def _tpu_v2() -> SystemConfig:
             channels=4,
             banks_per_rank=16,
             capacity_gb_per_channel=0.5,
-            speed_mts=2400,
             read_queue_entries=128,
             write_queue_entries=128,
         ),

@@ -181,7 +181,9 @@ class DramConfig:
     """Main-memory (RamulatorLite) parameters (Section V).
 
     The paper's evaluation uses DDR4 at 2400 MT/s, 4 Gb per channel, and
-    read/write request queues of 128 entries each.
+    read/write request queues of 128 entries each.  The data rate is
+    the technology's: :func:`repro.dram.timing.get_timing_preset` fixes
+    it (``ddr4`` is DDR4-2400), so no field sets it.
     """
 
     enabled: bool = False
@@ -190,7 +192,6 @@ class DramConfig:
     ranks_per_channel: int = 1
     banks_per_rank: int = 16
     capacity_gb_per_channel: float = 0.5
-    speed_mts: int = 2400
     read_queue_entries: int = 128
     write_queue_entries: int = 128
     address_mapping: str = "ro_ba_ra_co_ch"
@@ -208,7 +209,6 @@ class DramConfig:
         _require(self.ranks_per_channel >= 1, "ranks_per_channel must be >= 1")
         _require(self.banks_per_rank >= 1, "banks_per_rank must be >= 1")
         _require(self.capacity_gb_per_channel > 0, "capacity_gb_per_channel must be positive")
-        _require(self.speed_mts > 0, "speed_mts must be positive")
         _require(self.read_queue_entries >= 1, "read_queue_entries must be >= 1")
         _require(self.write_queue_entries >= 1, "write_queue_entries must be >= 1")
         mapping = sorted(self.address_mapping.strip().lower().split("_"))

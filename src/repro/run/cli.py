@@ -182,9 +182,9 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--executor",
         choices=AVAILABLE_EXECUTORS,
-        default=None,
-        help="execution backend for simulation units (default: serial, or a "
-        "process pool when --workers > 1); 'queue' spools units through "
+        default="serial",
+        help="execution backend for simulation units (default serial, which "
+        "is a process pool when --workers > 1); 'queue' spools units through "
         "<output>/spool and drains them with a local worker",
     )
     parser.add_argument(
@@ -288,7 +288,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--workers",
         type=positive_int,
         default=1,
-        help="per-job unit parallelism for the pool executor (default 1)",
+        help="per-job unit parallelism; serial with --workers > 1 is a "
+        "process pool (default 1)",
     )
     parser.add_argument(
         "--max-queued",
@@ -434,32 +435,23 @@ def sweep_main(argv: list[str]) -> int:
     spec = SweepRequest.from_args(args).build()
     store = ArtifactStore(args.store_dir) if args.store_dir else None
     cache = ResultCache(store)
-    if args.executor is not None:
-        executor = make_executor(
-            args.executor,
-            workers=args.workers,
-            spool_dir=Path(args.output) / "spool",
-            max_attempts=args.max_attempts,
-            lease_ttl=args.lease_ttl,
-        )
-        runner = SweepRunner(
-            cache=cache,
-            executor=executor,
-            store=store,
-            failure_policy=args.failure_policy,
-        )
-    else:
-        runner = SweepRunner(
-            workers=args.workers,
-            cache=cache,
-            store=store,
-            failure_policy=args.failure_policy,
-            max_attempts=args.max_attempts,
-        )
+    executor = make_executor(
+        args.executor,
+        workers=args.workers,
+        spool_dir=Path(args.output) / "spool",
+        max_attempts=args.max_attempts,
+        lease_ttl=args.lease_ttl,
+    )
+    runner = SweepRunner(
+        cache=cache,
+        executor=executor,
+        store=store,
+        failure_policy=args.failure_policy,
+    )
     results = runner.run(spec)
 
     axis_names = [axis.name for axis in spec.axes]
-    print(f"sweep:    {args.name} ({len(results)} points, {args.workers} workers)")
+    print(f"sweep:    {args.name} ({len(results)} points, {runner.workers} workers)")
     if runner.last_grouping is not None and runner.last_grouping[1]:
         simulated, units = runner.last_grouping
         unit_word = "unit" if units == 1 else "units"

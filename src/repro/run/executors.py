@@ -2,10 +2,12 @@
 
 :class:`~repro.run.sweep.SweepRunner` used to *be* a multiprocessing
 pool; now the pool is one of several :class:`Executor` implementations
-behind a two-method seam, so the execution substrate can change — serial
-in-process, a local process pool, a spool-directory job queue, and
-eventually cross-machine sharding — without touching grouping, caching
-or result stitching:
+behind a one-method seam (:meth:`Executor.map_units_enveloped`), so the
+execution substrate can change — serial in-process, a local process
+pool, a spool-directory job queue, and eventually cross-machine
+sharding — without touching grouping, caching or result stitching.
+:func:`make_executor` is the one place an executor is chosen and built,
+for ``sweep``, ``serve`` and ``SweepRunner(workers=N)`` alike:
 
 * :class:`SerialExecutor` — in-process, no pool.  The executable
   specification every other executor must match result-for-result.
@@ -13,7 +15,8 @@ or result stitching:
   (:func:`repro.utils.pool.pool_context` fork/spawn selection, each
   worker started on a CPU of its own by
   :func:`repro.utils.pool.spread_worker`) and the only layer of the
-  code base that forks.  A lone unit runs in-process;
+  code base that forks.  ``serial`` with more than one worker builds
+  one.  A lone unit runs in-process;
   the sweep runner splits a lone oversized fan-out unit into up to
   ``workers`` sub-units before dispatch, so the pool is not left idle.
 * :class:`QueueExecutor` — the cross-machine sharding drop-in point:
@@ -231,10 +234,6 @@ class Executor(Protocol):
     #: up to this many sub-units.
     workers: int
 
-    def map_units(self, fn: Callable, units: Sequence) -> list:
-        """Run ``fn`` over every unit; results come back in unit order."""
-        ...  # pragma: no cover - protocol
-
     def map_units_enveloped(
         self,
         fn: Callable,
@@ -242,11 +241,12 @@ class Executor(Protocol):
         progress: Callable[[int, int], None] | None = None,
         unit_done: Callable[[int, ResultEnvelope], None] | None = None,
     ) -> list[ResultEnvelope]:
-        """Like :meth:`map_units`, one terminal envelope per unit.
+        """Run ``fn`` over every unit, one terminal envelope per unit.
 
-        ``progress(done, total)`` reports terminal units (an exception
-        it raises aborts the map); ``unit_done(index, envelope)`` fires
-        once per unit as soon as its terminal envelope exists.
+        Envelopes come back in unit order.  ``progress(done, total)``
+        reports terminal units (an exception it raises aborts the map);
+        ``unit_done(index, envelope)`` fires once per unit as soon as
+        its terminal envelope exists.
         """
         ...  # pragma: no cover - protocol
 
@@ -254,9 +254,8 @@ class Executor(Protocol):
 class SerialExecutor:
     """Run every unit in-process, one after another.
 
-    ``map_units`` stays the bare loop — the executable specification —
-    while :meth:`map_units_enveloped` adds the retry/envelope layer the
-    sweep runner's failure policies build on.
+    The executable specification: every other executor must return the
+    same envelopes, retried with the same backoff and attempt budget.
     """
 
     workers = 1
@@ -273,9 +272,6 @@ class SerialExecutor:
         self.backoff_base = backoff_base
         self._backoff_rng = random.Random(backoff_seed)
 
-    def map_units(self, fn: Callable, units: Sequence) -> list:
-        return [fn(unit) for unit in units]
-
     def map_units_enveloped(
         self,
         fn: Callable,
@@ -283,7 +279,7 @@ class SerialExecutor:
         progress: Callable[[int, int], None] | None = None,
         unit_done: Callable[[int, ResultEnvelope], None] | None = None,
     ) -> list[ResultEnvelope]:
-        """Like :meth:`map_units`, but per-unit outcomes never raise.
+        """Run units in order; per-unit outcomes never raise.
 
         ``progress(done, total)`` fires after each unit reaches its
         terminal envelope; an exception it raises aborts the map (the
@@ -342,8 +338,8 @@ class PoolExecutor:
     Every attempt crosses the pool as a :class:`ResultEnvelope`, so one
     raising unit no longer aborts the map for its siblings: failed units
     are retried (with backoff) in follow-up rounds up to the attempt
-    budget, and only :meth:`map_units` converts a terminal failure into
-    an :class:`~repro.errors.ExecutionError`.
+    budget, and only the caller's :meth:`ResultEnvelope.unwrap` turns a
+    terminal failure into an :class:`~repro.errors.ExecutionError`.
     """
 
     def __init__(
@@ -361,9 +357,6 @@ class PoolExecutor:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._backoff_rng = random.Random(backoff_seed)
-
-    def map_units(self, fn: Callable, units: Sequence) -> list:
-        return [env.unwrap() for env in self.map_units_enveloped(fn, units)]
 
     def map_units_enveloped(
         self,
@@ -564,37 +557,47 @@ def _is_claim_file(path: Path) -> bool:
     )
 
 
+def _requeue_claim(claim: Path) -> bool:
+    """Turn one claim back into a claimable task with the attempt bumped.
+
+    The requeue itself is claim-by-rename all over again (claim ->
+    private token), so two processes can never both resurrect one task.
+    The winner re-writes the task file with the attempt bumped — the
+    re-run is a *new attempt* against the retry budget and the fault
+    schedule.  False when the owner finished or another process won
+    the rename, or when the task is corrupt or foreign (dropped; the
+    producer's loss path handles it).
+    """
+    token = claim.with_name(claim.name + f".reclaim.{os.getpid()}")
+    try:
+        claim.rename(token)
+    except OSError:
+        return False
+    task = load_pickle_guarded(token)
+    _lease_path(claim).unlink(missing_ok=True)
+    token.unlink(missing_ok=True)
+    if not isinstance(task, TaskRecord):
+        return False
+    task = dataclasses.replace(task, attempt=task.attempt + 1)
+    try:
+        dump_pickle_atomic(_claim_task_path(claim), task)
+    except OSError:  # pragma: no cover - batch retired mid-requeue
+        return False
+    return True
+
+
 def reclaim_expired(spool_dir: str | Path, lease_ttl: float | None = None) -> int:
     """Return expired claims to the spool as claimable tasks.
 
-    The reclaim itself is claim-by-rename all over again (claim ->
-    private token), so two workers can never both reclaim one task.
-    The winner re-writes the task file with the attempt bumped — the
-    re-run is a *new attempt* against the retry budget and the fault
-    schedule.  Returns the number of tasks reclaimed.
+    Each expired claim is requeued by :func:`_requeue_claim`.  Returns
+    the number of tasks reclaimed.
     """
-    spool_dir = Path(spool_dir)
-    reclaimed = 0
-    for claim in sorted(spool_dir.glob(f"*/unit_*{_TASK_SUFFIX}.claim.*")):
-        if not _is_claim_file(claim) or not _lease_expired(claim, lease_ttl):
-            continue
-        token = claim.with_name(claim.name + f".reclaim.{os.getpid()}")
-        try:
-            claim.rename(token)
-        except OSError:
-            continue  # owner finished, or another reclaimer won
-        task = load_pickle_guarded(token)
-        _lease_path(claim).unlink(missing_ok=True)
-        token.unlink(missing_ok=True)
-        if not isinstance(task, TaskRecord):
-            continue  # corrupt or foreign task: dropped, producer's loss path handles it
-        task = dataclasses.replace(task, attempt=task.attempt + 1)
-        try:
-            dump_pickle_atomic(_claim_task_path(claim), task)
-        except OSError:  # pragma: no cover - batch retired mid-reclaim
-            continue
-        reclaimed += 1
-    return reclaimed
+    claims = sorted(Path(spool_dir).glob(f"*/unit_*{_TASK_SUFFIX}.claim.*"))
+    return sum(
+        _requeue_claim(claim)
+        for claim in claims
+        if _is_claim_file(claim) and _lease_expired(claim, lease_ttl)
+    )
 
 
 def release_claims(spool_dir: str | Path, owner_pid: int | None = None) -> int:
@@ -604,33 +607,13 @@ def release_claims(spool_dir: str | Path, owner_pid: int | None = None) -> int:
     process (the sweep service on SIGTERM) releases the claims it still
     holds so surviving workers — including cross-host ones that cannot
     observe pid death and would otherwise wait out the lease TTL — pick
-    the units up immediately.  Same claim-by-rename discipline, so a
-    concurrent reclaimer can never double-resurrect a task.  Returns
-    the number of claims released.
+    the units up immediately.  Same requeue (:func:`_requeue_claim`),
+    so a concurrent reclaimer can never double-resurrect a task.
+    Returns the number of claims released.
     """
-    spool_dir = Path(spool_dir)
     pid = os.getpid() if owner_pid is None else owner_pid
-    released = 0
-    for claim in sorted(spool_dir.glob(f"*/unit_*{_TASK_SUFFIX}.claim.{pid}")):
-        if not _is_claim_file(claim):
-            continue
-        token = claim.with_name(claim.name + f".reclaim.{os.getpid()}")
-        try:
-            claim.rename(token)
-        except OSError:
-            continue  # finished or reclaimed under us
-        task = load_pickle_guarded(token)
-        _lease_path(claim).unlink(missing_ok=True)
-        token.unlink(missing_ok=True)
-        if not isinstance(task, TaskRecord):
-            continue  # corrupt or foreign task: dropped
-        task = dataclasses.replace(task, attempt=task.attempt + 1)
-        try:
-            dump_pickle_atomic(_claim_task_path(claim), task)
-        except OSError:  # pragma: no cover - batch retired mid-release
-            continue
-        released += 1
-    return released
+    claims = sorted(Path(spool_dir).glob(f"*/unit_*{_TASK_SUFFIX}.claim.{pid}"))
+    return sum(_requeue_claim(claim) for claim in claims if _is_claim_file(claim))
 
 
 def reap_dead_batches(spool_dir: str | Path) -> int:
@@ -758,7 +741,7 @@ def _execute_claimed(
 class QueueExecutor:
     """Spool-directory executor: the sharding drop-in point.
 
-    Every ``map_units`` call creates one batch directory under the
+    Every map call creates one batch directory under the
     spool, writes each unit as an atomic :class:`TaskRecord` task file,
     lets workers claim tasks (:func:`process_spool`), and supervises
     the result files: success envelopes are collected, error envelopes
@@ -831,9 +814,6 @@ class QueueExecutor:
                 return batch
             except FileExistsError:  # pragma: no cover - pid reuse race
                 continue
-
-    def map_units(self, fn: Callable, units: Sequence) -> list:
-        return [env.unwrap() for env in self.map_units_enveloped(fn, units)]
 
     def map_units_enveloped(
         self,
@@ -1041,16 +1021,25 @@ def make_executor(
     spool_dir: str | Path | None = None,
     max_attempts: int | None = None,
     lease_ttl: float | None = None,
+    run_local_worker: bool = True,
+    timeout: float | None = 300.0,
 ) -> Executor:
-    """Build an executor by CLI name.
+    """Build an executor by CLI name: the one place one is chosen.
 
-    ``serial`` ignores ``workers``; ``pool`` wraps ``workers``
-    processes; ``queue`` spools through ``spool_dir`` (required).
-    ``max_attempts`` / ``lease_ttl`` override the fault-tolerance
-    defaults where the backend supports them.
+    ``serial`` runs in-process, and with ``workers > 1`` is a pool that
+    keeps ``max_attempts``; ``pool`` wraps ``workers`` processes;
+    ``queue`` spools through ``spool_dir`` (required) and ignores
+    ``workers``.  ``max_attempts`` / ``lease_ttl`` override the
+    fault-tolerance defaults where the backend supports them;
+    ``run_local_worker`` and ``timeout`` are the queue's own (see
+    :class:`QueueExecutor`).
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     key = name.strip().lower()
     attempts = DEFAULT_MAX_ATTEMPTS if max_attempts is None else max_attempts
+    if key == "serial" and workers > 1:
+        key = "pool"
     if key == "serial":
         return SerialExecutor(max_attempts=attempts)
     if key == "pool":
@@ -1060,6 +1049,8 @@ def make_executor(
             raise ConfigError("queue executor requires a spool directory")
         return QueueExecutor(
             spool_dir,
+            run_local_worker=run_local_worker,
+            timeout=timeout,
             max_attempts=attempts,
             lease_ttl=DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,
         )

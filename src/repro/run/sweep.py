@@ -18,8 +18,11 @@ workloads.  This module turns that pattern into a first-class subsystem:
   :class:`~repro.store.ArtifactStore` persists payloads on disk between
   processes as its ``sweep_point`` kind.
 * :class:`SweepRunner` — fans cache misses out over a pluggable
-  :class:`~repro.run.executors.Executor` (``workers=N`` is sugar for
-  the multiprocessing :class:`~repro.run.executors.PoolExecutor`).
+  :class:`~repro.run.executors.Executor` through its one map method,
+  ``map_units_enveloped`` (``workers=N`` is sugar for
+  ``make_executor("serial", workers=N)``: in-process for one worker,
+  the multiprocessing :class:`~repro.run.executors.PoolExecutor` for
+  more).
   Results always come back ordered by point index, so a parallel sweep
   is bitwise-identical to a serial one.  Before dispatch, points are
   grouped by *axis class*: configs that differ only in ``dram.*``
@@ -63,12 +66,10 @@ from repro.energy.accelergy import EnergyReport
 from repro.errors import ConfigError
 from repro.layout.integrate import LayoutEvalResult
 from repro.run.executors import (
-    DEFAULT_MAX_ATTEMPTS,
     Executor,
-    PoolExecutor,
     ResultEnvelope,
-    SerialExecutor,
     UnitFailure,
+    make_executor,
 )
 from repro.run.runner import _layout_config, _memory_key, simulate_configs
 from repro.sparsity.sparse_compute import SparseLayerResult
@@ -574,8 +575,8 @@ class SweepRunner:
     """Execute a :class:`SweepSpec` through an executor and a result cache.
 
     Args:
-        workers: sugar for the default executor: ``1`` selects
-            :class:`~repro.run.executors.SerialExecutor` (in-process),
+        workers: sugar for ``make_executor("serial", workers)``: ``1``
+            runs in-process (:class:`~repro.run.executors.SerialExecutor`),
             more a :class:`~repro.run.executors.PoolExecutor` over that
             many processes.  Ordering and results are identical either
             way.
@@ -583,8 +584,10 @@ class SweepRunner:
             created when omitted (still deduplicates within the sweep).
         executor: explicit execution backend (mutually exclusive with
             ``workers > 1``) — any :class:`~repro.run.executors.Executor`,
-            e.g. a :class:`~repro.run.executors.QueueExecutor` spooling
-            units to a shared directory.
+            e.g. one from :func:`~repro.run.executors.make_executor`
+            carrying its own attempt budget, or a
+            :class:`~repro.run.executors.QueueExecutor` spooling units
+            to a shared directory.
         store: optional :class:`~repro.store.ArtifactStore` persisting
             the mid-level artifacts simulation units share (compute
             schedules and fold-demand streams); its
@@ -593,10 +596,6 @@ class SweepRunner:
             failure with the original traceback chained; ``degrade``
             completes the sweep with the computable points and reports
             the rest through :attr:`last_failures`.
-        max_attempts: per-unit attempt budget of the sugar executors
-            (transient faults are retried with backoff before a failure
-            becomes terminal); an explicit ``executor`` carries its own
-            budget instead.
         progress: optional ``progress(done_units, total_units)``
             callback fired as simulation units reach terminal outcomes
             (``(0, total)`` fires before dispatch).  An exception it
@@ -611,31 +610,18 @@ class SweepRunner:
         executor: Executor | None = None,
         store: ArtifactStore | None = None,
         failure_policy: str = "raise",
-        max_attempts: int | None = None,
         progress: Callable[[int, int], None] | None = None,
     ) -> None:
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
         if failure_policy not in FAILURE_POLICIES:
             raise ConfigError(
                 f"failure_policy must be one of {FAILURE_POLICIES}, "
                 f"got {failure_policy!r}"
             )
         if executor is None:
-            attempts = DEFAULT_MAX_ATTEMPTS if max_attempts is None else max_attempts
-            executor = (
-                SerialExecutor(max_attempts=attempts)
-                if workers == 1
-                else PoolExecutor(workers, max_attempts=attempts)
-            )
+            executor = make_executor("serial", workers=workers)
         elif workers != 1:
             raise ConfigError(
                 "pass either workers (pool sugar) or an explicit executor, not both"
-            )
-        elif max_attempts is not None:
-            raise ConfigError(
-                "an explicit executor carries its own max_attempts; "
-                "pass it to the executor instead"
             )
         self.executor = executor
         self.workers = getattr(executor, "workers", 1)

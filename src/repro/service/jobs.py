@@ -47,9 +47,6 @@ from repro.core.report import write_failure_report, write_sweep_report
 from repro.errors import ReproError, ServiceError
 from repro.run.executors import (
     _TASK_SUFFIX,
-    DEFAULT_LEASE_TTL,
-    DEFAULT_MAX_ATTEMPTS,
-    QueueExecutor,
     make_executor,
     release_claims,
 )
@@ -196,7 +193,8 @@ class JobManager:
         data_dir: root of all durable state (jobs, store, spool).
         executor_name: ``serial`` (default), ``pool`` or ``queue`` —
             how each job's simulation units execute.
-        workers: per-job unit parallelism for the ``pool`` executor.
+        workers: per-job unit parallelism; ``serial`` with more than
+            one worker is a pool (:func:`~repro.run.executors.make_executor`).
         max_queued: admission bound on jobs waiting to run.
         max_active: worker threads = jobs running concurrently.
         max_attempts / lease_ttl: executor fault-tolerance overrides.
@@ -557,31 +555,17 @@ class JobManager:
     def _make_executor(self):
         """A fresh executor per job (queue-executor state is per-batch).
 
-        ``serial`` with more than one worker means a pool.
+        A queue waits as long as the job takes and, with external
+        workers, leaves the spool to them.
         """
-        name = self.executor_name
-        if name == "serial" and self.workers > 1:
-            name = "pool"
-        if name == "queue":
-            return QueueExecutor(
-                self.spool_dir,
-                run_local_worker=not self.external_workers,
-                timeout=None,
-                max_attempts=(
-                    self.max_attempts
-                    if self.max_attempts is not None
-                    else DEFAULT_MAX_ATTEMPTS
-                ),
-                lease_ttl=(
-                    self.lease_ttl if self.lease_ttl is not None else DEFAULT_LEASE_TTL
-                ),
-            )
         return make_executor(
-            name,
+            self.executor_name,
             workers=self.workers,
             spool_dir=self.spool_dir,
             max_attempts=self.max_attempts,
             lease_ttl=self.lease_ttl,
+            run_local_worker=not self.external_workers,
+            timeout=None,
         )
 
 

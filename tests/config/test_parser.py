@@ -115,6 +115,7 @@ class TestDefaultsAndErrors:
             "[layout]\nC1Step = 16\n",
             "[layout]\nH1Step = 4\n",
             "[layout]\nW1Step = 2\n",
+            "[memory]\nSpeedMTs = 2400\n",
         ):
             with pytest.raises(ConfigError):
                 parse_config_text(text)

@@ -17,7 +17,6 @@ class TestPresets:
         assert cfg.arch.array_rows == 128
         assert cfg.dram.enabled
         assert cfg.dram.technology == "ddr4"
-        assert cfg.dram.speed_mts == 2400
         assert cfg.dram.read_queue_entries == 128
         assert cfg.dram.write_queue_entries == 128
 

@@ -157,6 +157,7 @@ class TestFieldValue:
             (ArchitectureConfig(), "num_pes", 4),
             (ArchitectureConfig(), "ifmap_sram_words", 4),
             (DramConfig(), "no_such_field", 1),
+            (DramConfig(), "speed_mts", 2400),
         ],
     )
     def test_rejects(self, section, name, value):

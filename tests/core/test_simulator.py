@@ -110,27 +110,6 @@ class TestDramRuns:
         result = Simulator(_config()).run(toy_conv())
         assert all(layer.backpressure_stall_cycles == 0 for layer in result.layers)
 
-    def test_engine_choice_is_bit_exact(self):
-        from repro.core.simulator import resolve_plan
-        from repro.dram.backend import DramBackend, make_ramulator
-        from repro.dram.engine import ReferenceEngine
-
-        config = self._dram_config()
-        engine = ReferenceEngine(
-            make_ramulator(config.dram),
-            read_queue_entries=config.dram.read_queue_entries,
-            write_queue_entries=config.dram.write_queue_entries,
-            max_issue_per_cycle=config.dram.issue_per_cycle,
-        )
-        reference = resolve_plan(
-            Simulator(config).plan(toy_conv()),
-            DramBackend(engine, word_bytes=config.arch.word_bytes),
-            config.run.run_name,
-        )
-        batched = Simulator(config).run(toy_conv())
-        assert reference.total_cycles == batched.total_cycles
-        assert reference.dram_stats == batched.dram_stats
-
 
 class TestReports:
     def test_write_reports(self, tmp_path):
@@ -176,13 +155,24 @@ class TestComputePlanSeam:
         assert plan_signature(ideal.arch) == plan_signature(dram.arch)
         assert Simulator(ideal).plan(toy_conv()) == Simulator(dram).plan(toy_conv())
 
-    def test_run_equals_plan_plus_resolve(self):
+    @pytest.mark.parametrize(
+        "arch_kw, dram_kw",
+        [
+            (dict(bandwidth_words=16), dict(channels=2)),
+            (dict(), dict(technology="ddr4", channels=1)),
+        ],
+        ids=["two_channels", "one_channel"],
+    )
+    def test_run_equals_plan_plus_resolve(self, arch_kw, dram_kw):
         """The grid walk of a lone config equals the per-fold walk of the spec."""
         from repro.core.simulator import resolve_plan
         from repro.dram.backend import DramBackend, make_ramulator
         from repro.dram.engine import ReferenceEngine
 
-        config = self._dram_config()
+        config = SystemConfig(
+            arch=ArchitectureConfig(array_rows=8, array_cols=8, **arch_kw),
+            dram=DramConfig(enabled=True, **dram_kw),
+        )
         sim = Simulator(config)
         direct = sim.run(toy_conv())
         engine = ReferenceEngine(

@@ -46,6 +46,11 @@ def _double(unit):
     return unit * 2
 
 
+def _map(executor, fn, units):
+    """The map's values in unit order; a failed unit raises."""
+    return [envelope.unwrap() for envelope in executor.map_units_enveloped(fn, units)]
+
+
 def _pid(unit):
     return os.getpid()
 
@@ -75,8 +80,8 @@ def test_executor_protocol_matches_implementations(tmp_path):
 def test_serial_executor_maps_in_order():
     executor = SerialExecutor()
     assert executor.workers == 1
-    assert executor.map_units(_double, [1, 2, 3]) == [2, 4, 6]
-    assert executor.map_units(_double, []) == []
+    assert _map(executor, _double, [1, 2, 3]) == [2, 4, 6]
+    assert _map(executor, _double, []) == []
 
 
 def test_pool_executor_validates_workers():
@@ -86,8 +91,8 @@ def test_pool_executor_validates_workers():
 
 def test_pool_executor_maps_in_order():
     executor = PoolExecutor(2)
-    assert executor.map_units(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
-    assert executor.map_units(_double, []) == []
+    assert _map(executor, _double, [1, 2, 3, 4]) == [2, 4, 6, 8]
+    assert _map(executor, _double, []) == []
 
 
 def test_spread_worker_places_each_worker_then_releases(monkeypatch):
@@ -120,7 +125,7 @@ def test_pool_workers_start_through_spread_worker(monkeypatch):
     from repro.run import executors
 
     monkeypatch.setattr(executors, "spread_worker", _record_initializer)
-    assert PoolExecutor(2).map_units(_initialized_with, [1, 2]) == ["int", "int"]
+    assert _map(PoolExecutor(2), _initialized_with, [1, 2]) == ["int", "int"]
 
 
 @pytest.mark.skipif(
@@ -130,27 +135,27 @@ def test_pool_workers_keep_the_full_cpu_set():
     # The placement is a start, not a pin: workers run with the
     # parent's whole allowed set.
     allowed = sorted(os.sched_getaffinity(0))
-    assert PoolExecutor(2).map_units(_affinity, [1, 2, 3]) == [allowed] * 3
+    assert _map(PoolExecutor(2), _affinity, [1, 2, 3]) == [allowed] * 3
 
 
 def test_pool_executor_workers_one_is_serial():
     executor = PoolExecutor(1)
-    assert executor.map_units(_double, [1, 2]) == [2, 4]
+    assert _map(executor, _double, [1, 2]) == [2, 4]
     # No pool: every unit runs in this process.
-    assert executor.map_units(_pid, [1, 2]) == [os.getpid()] * 2
+    assert _map(executor, _pid, [1, 2]) == [os.getpid()] * 2
 
 
 def test_queue_executor_roundtrips_through_spool(tmp_path):
     executor = QueueExecutor(tmp_path / "spool")
-    assert executor.map_units(_double, [5, 6, 7]) == [10, 12, 14]
+    assert _map(executor, _double, [5, 6, 7]) == [10, 12, 14]
     # Batch dirs are cleaned up after collection.
     assert list((tmp_path / "spool").iterdir()) == []
 
 
 def test_queue_executor_multiple_batches(tmp_path):
     executor = QueueExecutor(tmp_path)
-    assert executor.map_units(_double, [1]) == [2]
-    assert executor.map_units(_double, [2, 3]) == [4, 6]
+    assert _map(executor, _double, [1]) == [2]
+    assert _map(executor, _double, [2, 3]) == [4, 6]
 
 
 def test_queue_executor_external_worker(tmp_path):
@@ -190,7 +195,7 @@ def test_queue_executor_timeout(tmp_path):
         tmp_path, run_local_worker=False, poll_interval=0.01, timeout=0.05
     )
     with pytest.raises(TimeoutError, match="not completed"):
-        executor.map_units(_double, [1, 2])
+        _map(executor, _double, [1, 2])
 
 
 def test_queue_executor_validates_poll_interval(tmp_path):
@@ -209,6 +214,105 @@ def test_make_executor_by_name(tmp_path):
         make_executor("queue")
     with pytest.raises(ConfigError, match="unknown executor"):
         make_executor("slurm")
+
+
+def _executor_fields(executor):
+    """Everything the factory decides: class, width, budget, queue knobs."""
+    return (
+        type(executor).__name__,
+        executor.workers,
+        executor.max_attempts,
+        getattr(executor, "lease_ttl", None),
+        getattr(executor, "run_local_worker", None),
+        getattr(executor, "timeout", None),
+    )
+
+
+class _Built(Exception):
+    """Stops a CLI entry point once it has built its executor."""
+
+
+def _cli_executor(monkeypatch, tmp_path, command, argv):
+    """The executor ``sweep`` or ``serve`` builds for ``argv``."""
+    from repro import service
+    from repro.run import cli
+
+    def sweep_runner(**kwargs):
+        raise _Built(kwargs["executor"])
+
+    def serve(manager, **kwargs):
+        raise _Built(manager._make_executor())
+
+    monkeypatch.setattr(cli, "SweepRunner", sweep_runner)
+    monkeypatch.setattr(service, "serve", serve)
+    if command == "sweep":
+        source = ["--preset", "scale_sim_v2_default", "--model", "toy_gemm"]
+        argv = [*source, "-p", str(tmp_path / "out"), *argv]
+        entry = cli.sweep_main
+    else:
+        argv = ["--data-dir", str(tmp_path / "data"), *argv]
+        entry = cli.serve_main
+    with pytest.raises(_Built) as built:
+        entry(argv)
+    return built.value.args[0]
+
+
+_SERIAL = ("SerialExecutor", 1, 3, None, None, None)
+
+
+@pytest.mark.parametrize(
+    "caller, argv, expected",
+    [
+        ("sweep", [], _SERIAL),
+        ("sweep", ["--max-attempts", "2"], ("SerialExecutor", 1, 2, None, None, None)),
+        ("sweep", ["--workers", "2"], ("PoolExecutor", 2, 3, None, None, None)),
+        (
+            "sweep",
+            ["--executor", "serial", "--workers", "4", "--max-attempts", "2"],
+            ("PoolExecutor", 4, 2, None, None, None),
+        ),
+        ("sweep", ["--executor", "pool"], ("PoolExecutor", 1, 3, None, None, None)),
+        (
+            "sweep",
+            ["--executor", "queue", "--workers", "2"],
+            ("QueueExecutor", 1, 3, 300.0, True, 300.0),
+        ),
+        (
+            "sweep",
+            ["--executor", "queue", "--max-attempts", "2", "--lease-ttl", "1.5"],
+            ("QueueExecutor", 1, 2, 1.5, True, 300.0),
+        ),
+        ("serve", [], _SERIAL),
+        (
+            "serve",
+            ["--workers", "2", "--max-attempts", "1"],
+            ("PoolExecutor", 2, 1, None, None, None),
+        ),
+        ("serve", ["--executor", "pool"], ("PoolExecutor", 1, 3, None, None, None)),
+        (
+            "serve",
+            ["--executor", "queue", "--workers", "2"],
+            ("QueueExecutor", 1, 3, 300.0, True, None),
+        ),
+        (
+            "serve",
+            ["--executor", "queue", "--external-workers", "--lease-ttl", "1.5"],
+            ("QueueExecutor", 1, 3, 1.5, False, None),
+        ),
+        ("runner", 1, _SERIAL),
+        ("runner", 3, ("PoolExecutor", 3, 3, None, None, None)),
+    ],
+)
+def test_every_caller_builds_through_the_factory(
+    caller, argv, expected, monkeypatch, tmp_path
+):
+    # sweep, serve and SweepRunner(workers=) all reach make_executor;
+    # serial with more than one worker is a pool that keeps its budget.
+    if caller == "runner":
+        executor = SweepRunner(workers=argv).executor
+    else:
+        executor = _cli_executor(monkeypatch, tmp_path, caller, argv)
+    assert _executor_fields(executor) == expected
 
 
 # ------------------------------------------------- SweepRunner integration

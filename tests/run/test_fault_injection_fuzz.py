@@ -44,6 +44,11 @@ def _triple(unit):
     return unit * 3
 
 
+def _map(executor, fn, units):
+    """The map's values in unit order; a failed unit raises."""
+    return [envelope.unwrap() for envelope in executor.map_units_enveloped(fn, units)]
+
+
 def _fault_free():
     return [unit * 3 for unit in UNITS]
 
@@ -67,7 +72,7 @@ def test_pool_executor_converges_under_fuzz(seed):
     )
     executor = PoolExecutor(2, max_attempts=4, backoff_base=0.001)
     with faults.armed(plan):
-        assert executor.map_units(_triple, UNITS) == _fault_free()
+        assert _map(executor, _triple, UNITS) == _fault_free()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -79,7 +84,7 @@ def test_queue_executor_converges_under_fuzz(seed, tmp_path):
         tmp_path, poll_interval=0.01, timeout=60.0, max_attempts=4, backoff_base=0.001
     )
     with faults.armed(plan):
-        assert executor.map_units(_triple, UNITS) == _fault_free()
+        assert _map(executor, _triple, UNITS) == _fault_free()
     assert not (tmp_path / QUARANTINE_DIRNAME).exists()
     assert list(tmp_path.iterdir()) == []  # spool fully retired
 
@@ -108,7 +113,7 @@ def test_exhausted_schedule_quarantines_with_traceback(tmp_path):
 
 def _producer(executor, results, errors):
     try:
-        results.extend(executor.map_units(_triple, UNITS))
+        results.extend(_map(executor, _triple, UNITS))
     except Exception as exc:  # pragma: no cover - surfaced by the assert
         errors.append(exc)
 

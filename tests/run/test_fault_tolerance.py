@@ -33,6 +33,7 @@ from repro.run.executors import (
     process_spool,
     reap_dead_batches,
     reclaim_expired,
+    release_claims,
 )
 from repro.run.sweep import Axis, SweepFailure, SweepRunner, SweepSpec
 from repro.store.artifact_store import dump_json_atomic, dump_pickle_atomic
@@ -57,6 +58,11 @@ def _spec(**kwargs) -> SweepSpec:
 def _double(unit):
     """Module-level mapped function so every executor can pickle it."""
     return unit * 2
+
+
+def _map(executor, fn, units):
+    """The map's values in unit order; a failed unit raises."""
+    return [envelope.unwrap() for envelope in executor.map_units_enveloped(fn, units)]
 
 
 def _return_none(unit):
@@ -106,8 +112,8 @@ def test_falsy_payloads_are_still_done(tmp_path):
     # Regression: the pre-envelope queue protocol treated a result that
     # unpickled to None as "not written yet" and polled until timeout.
     executor = _fast_queue(tmp_path, timeout=10.0)
-    assert executor.map_units(_return_none, [1, 2]) == [None, None]
-    assert executor.map_units(_double, [0]) == [0]  # falsy but real
+    assert _map(executor, _return_none, [1, 2]) == [None, None]
+    assert _map(executor, _double, [0]) == [0]  # falsy but real
 
 
 def test_backoff_is_exponential_and_capped():
@@ -131,13 +137,13 @@ def test_serial_executor_retries_transient_fault():
 def test_pool_executor_retries_transient_fault():
     executor = PoolExecutor(2, max_attempts=3, backoff_base=0.001)
     with faults.armed([faults.FaultSpec(kind="raise", unit=1, attempt=1)]):
-        assert executor.map_units(_double, [1, 2, 3]) == [2, 4, 6]
+        assert _map(executor, _double, [1, 2, 3]) == [2, 4, 6]
 
 
 def test_queue_executor_recovers_torn_result_write(tmp_path):
     executor = _fast_queue(tmp_path, max_attempts=3)
     with faults.armed([faults.FaultSpec(kind="corrupt", unit=0, attempt=1)]):
-        assert executor.map_units(_double, [5, 6, 7]) == [10, 12, 14]
+        assert _map(executor, _double, [5, 6, 7]) == [10, 12, 14]
     assert list(tmp_path.iterdir()) == []  # spool fully retired
 
 
@@ -150,9 +156,6 @@ def test_serial_executor_exhausts_attempt_budget():
     with pytest.raises(ExecutionError) as exc_info:
         envelopes[0].unwrap()
     assert isinstance(exc_info.value.__cause__, ValueError)
-    # map_units stays the bare executable-spec loop: raw exception.
-    with pytest.raises(ValueError, match="poison"):
-        executor.map_units(_poison, [9])
 
 
 # ---------------------------------------------------------- quarantine
@@ -161,7 +164,7 @@ def test_serial_executor_exhausts_attempt_budget():
 def test_queue_executor_quarantines_exhausted_units(tmp_path):
     executor = _fast_queue(tmp_path, max_attempts=2)
     with pytest.raises(ExecutionError, match="poison"):
-        executor.map_units(_poison, [3])
+        _map(executor, _poison, [3])
     quarantine = tmp_path / QUARANTINE_DIRNAME
     parked = sorted(quarantine.glob("*.task.pkl"))
     assert len(parked) == 1 and "unit_000000" in parked[0].name
@@ -176,7 +179,7 @@ def test_queue_executor_quarantines_exhausted_units(tmp_path):
 def test_quarantined_units_are_not_rerun(tmp_path):
     executor = _fast_queue(tmp_path, max_attempts=1)
     with pytest.raises(ExecutionError):
-        executor.map_units(_poison, [1])
+        _map(executor, _poison, [1])
     # A later pass over the same spool must not pick parked tasks up.
     assert process_spool(tmp_path) == 0
 
@@ -233,6 +236,25 @@ def test_reclaim_falls_back_to_mtime_without_sidecar(tmp_path):
     os.utime(claim, (old, old))
     assert reclaim_expired(tmp_path, lease_ttl=60.0) == 1
     assert task_path.exists()
+
+
+def test_release_claims_hands_back_only_the_owners_claims(tmp_path):
+    batch = tmp_path / f"batch_{os.getpid()}_0001"
+    batch.mkdir()
+    mine_path, theirs_path = _spool_task_paths(batch, 2)
+    mine = mine_path.with_name(mine_path.name + f".claim.{os.getpid()}")
+    theirs = theirs_path.with_name(theirs_path.name + ".claim.12345")
+    for claim, unit in ((mine, 4), (theirs, 5)):
+        dump_pickle_atomic(claim, TaskRecord(fn=_double, unit=unit))
+        _write_lease(claim, attempt=1, ttl=300.0)
+    assert release_claims(tmp_path) == 1
+    assert not mine.exists() and not _lease_path(mine).exists()
+    assert theirs.exists() and _lease_path(theirs).exists()
+    # The released unit is claimable again, as the *next* attempt.
+    assert process_spool(tmp_path) == 1
+    envelope = _read_result(mine_path)
+    assert envelope.ok and envelope.value == 8
+    assert envelope.attempt == 2
 
 
 def _read_result(task_path):
@@ -310,15 +332,18 @@ def test_bare_tuple_task_is_dropped(tmp_path):
 def test_runner_validates_failure_policy_and_max_attempts(tmp_path):
     with pytest.raises(ConfigError, match="failure_policy"):
         SweepRunner(failure_policy="shrug")
+    # The attempt budget rides on the executor, not on the runner.
+    with pytest.raises(TypeError):
+        SweepRunner(max_attempts=5)
     with pytest.raises(ConfigError, match="max_attempts"):
-        SweepRunner(executor=SerialExecutor(), max_attempts=5)
-    runner = SweepRunner(max_attempts=5)
+        SweepRunner(executor=SerialExecutor(max_attempts=0))
+    runner = SweepRunner(executor=SerialExecutor(max_attempts=5))
     assert runner.executor.max_attempts == 5
 
 
 def test_sweep_raise_policy_chains_original_fault():
     plan = [faults.FaultSpec(kind="raise", unit=0, attempt=a) for a in (1, 2)]
-    runner = SweepRunner(max_attempts=2)
+    runner = SweepRunner(executor=SerialExecutor(max_attempts=2))
     with faults.armed(plan):
         with pytest.raises(ExecutionError) as exc_info:
             runner.run(_spec())
@@ -331,7 +356,9 @@ def test_sweep_degrade_policy_matches_fault_free_rows(tmp_path):
     reference_csv = write_sweep_report(reference, tmp_path / "ref.csv")
 
     plan = [faults.FaultSpec(kind="raise", unit=0, attempt=a) for a in (1, 2)]
-    runner = SweepRunner(failure_policy="degrade", max_attempts=2)
+    runner = SweepRunner(
+        executor=SerialExecutor(max_attempts=2), failure_policy="degrade"
+    )
     with faults.armed(plan):
         results = runner.run(_spec())
 
@@ -352,7 +379,9 @@ def test_sweep_degrade_policy_matches_fault_free_rows(tmp_path):
 
 def test_sweep_degrade_successes_are_cached_for_rerun():
     plan = [faults.FaultSpec(kind="raise", unit=0, attempt=a) for a in (1, 2)]
-    runner = SweepRunner(failure_policy="degrade", max_attempts=2)
+    runner = SweepRunner(
+        executor=SerialExecutor(max_attempts=2), failure_policy="degrade"
+    )
     with faults.armed(plan):
         first = runner.run(_spec())
     assert len(first) == 1
