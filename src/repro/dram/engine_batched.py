@@ -14,6 +14,9 @@ takes the first dispatch path that accepts it:
   as the only participant: the same array walk the config-batched
   :class:`~repro.dram.engine_grid.GridBatchedEngine` runs for a whole
   ``dram.*`` grid (its module docstring derives the scans).
+
+The engine's datapath state is int64 arrays, the vector pass's layout;
+the two Python paths convert the part they touch at entry and exit.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ import numpy as np
 from repro.dram.address import LINE_BYTES
 from repro.dram.dram_sim import DramStats, RamulatorLite
 from repro.dram.engine import BatchResult, LineRequestBatch
-from repro.dram.vector_pass import VectorParams, resolve_vector_pass
+from repro.dram.vector_pass import (
+    VectorParams,
+    decode_lines,
+    resolve_vector_pass,
+    stack_lines,
+)
 from repro.errors import DramError, MemoryModelError
 
 
@@ -97,13 +105,34 @@ def _interleave(batch: LineRequestBatch) -> tuple[list[int], list[int]]:
     return lines, writes
 
 
+def _scalar_pools(queue: "_EngineQueue", clock0: int, pushes: int) -> tuple[list, list]:
+    """The scalar loop's view of ``queue`` for a batch of ``pushes`` from ``clock0``.
+
+    Returns the in-flight entries above ``clock0`` (a sorted list is a
+    valid heap; the rest retire at the queue's first push) and the
+    pending pool's ``pushes`` smallest entries, the most one batch can
+    consume.  A queue the batch does not push into is left alone.
+    """
+    if not pushes:
+        return [], []
+    out = queue.outstanding
+    return (
+        out[out.searchsorted(clock0, side="right") :].tolist(),
+        queue.pending[:pushes].tolist(),
+    )
+
+
 class _EngineQueue:
     """Request-queue state + statistics (mirrors ``RequestQueue``'s API).
 
-    ``outstanding`` is the lazily-retired min-heap of in-flight
-    completions (exactly the reference queue's heap); ``pending`` holds
-    completions whose backpressure rank has not been consumed yet —
-    the sorted pool the vector pass reads constraints from.
+    Both pools are sorted int64 arrays, replaced (never mutated in
+    place) by each dispatch path.  ``outstanding`` holds the in-flight
+    completions (entries at or below the issue clock may linger, as in
+    the reference queue's lazily-retired heap); ``pending`` holds
+    completions whose backpressure rank has not been consumed yet — the
+    pool the vector pass reads constraints from.  The scalar loop
+    converts only what one batch can touch (:func:`_scalar_pools`) and
+    sorts it back in on exit.
     """
 
     __slots__ = (
@@ -122,8 +151,8 @@ class _EngineQueue:
             raise MemoryModelError(f"{name}: capacity must be >= 1, got {capacity}")
         self.name = name
         self.capacity = capacity
-        self.outstanding: list[int] = []
-        self.pending: list[int] = []
+        self.outstanding = np.zeros(0, dtype=np.int64)
+        self.pending = np.zeros(0, dtype=np.int64)
         self.pushed = 0
         self.total_enqueued = 0
         self.total_stall_cycles = 0
@@ -131,7 +160,7 @@ class _EngineQueue:
 
     def drain_time(self) -> int:
         """Cycle at which every in-flight entry has completed."""
-        return max(self.outstanding) if self.outstanding else 0
+        return int(self.outstanding[-1]) if self.outstanding.size else 0
 
 
 class BatchedEngine:
@@ -172,13 +201,14 @@ class BatchedEngine:
         self.ranks = mapper.ranks
         self.banks = mapper.banks
         num_banks = self.channels * self.ranks * self.banks
-        # Canonical state is plain Python (fast for the scalar path);
-        # the vector pass snapshots it into arrays per batch.
-        self._open_row = [-1] * num_banks
-        self._ready = [0] * num_banks
-        self._act = [-(10**9)] * num_banks
-        self._bus_ready = [0] * self.channels
-        # Per-channel statistics.
+        # Canonical datapath state is int64 arrays, the layout the vector
+        # pass gathers and writes back by slice; the scalar loop and the
+        # single-stream path convert what they read at entry and exit.
+        self._open_row = np.full(num_banks, -1, dtype=np.int64)
+        self._ready = np.zeros(num_banks, dtype=np.int64)
+        self._act = np.full(num_banks, -(10**9), dtype=np.int64)
+        self._bus_ready = np.zeros(self.channels, dtype=np.int64)
+        # Per-channel statistics (Python ints: they reach DramStats).
         self._s_reads = [0] * self.channels
         self._s_writes = [0] * self.channels
         self._s_hits = [0] * self.channels
@@ -209,9 +239,9 @@ class BatchedEngine:
         if result is not None:
             return result
         lines, is_write = issue_order_arrays(batch)
-        [result] = resolve_vector_pass(
-            self.vector_params(), [self], lines, is_write, [clock0]
-        )
+        params = self.vector_params()
+        stacked = stack_lines(params, [decode_lines(self, lines)])
+        [result] = resolve_vector_pass(params, [self], stacked, is_write, [clock0])
         return result
 
     def _dispatch(
@@ -298,7 +328,7 @@ class BatchedEngine:
         if k > cap:
             return None  # backpressure possible
         out_r = read_q.outstanding
-        if out_r and max(out_r) > clock0:
+        if out_r.size and out_r[-1] > clock0:
             return None  # in-flight prior reads complicate occupancy
         strides = self._strides
         candidates = [
@@ -321,11 +351,9 @@ class BatchedEngine:
         ipc = self.max_issue_per_cycle
 
         # --- resolve every streak into locals (no state mutated yet).
-        open_row = self._open_row
-        ready = self._ready
-        act = self._act
+        open_row, ready, act = self._open_row, self._ready, self._act
         t_ras, t_rp, t_rcd = timing.t_ras, timing.t_rp, timing.t_rcd
-        bus_chain = self._bus_ready[0]
+        bus_chain = self._bus_ready.item(0)
         completions: list[int] = []
         line = first_line
         remaining = k
@@ -340,10 +368,14 @@ class BatchedEngine:
             bank_index = ((line // st_ra) % n_ra) * n_ba + (line // st_ba) % n_ba
             row = (line // st_ro) % n_ro_size
             clock_first = clock0 + index // ipc
-            orow, bank_ready, bank_act = bank_updates.get(
-                bank_index,
-                (open_row[bank_index], ready[bank_index], act[bank_index]),
-            )
+            state = bank_updates.get(bank_index)
+            if state is None:
+                state = (
+                    open_row.item(bank_index),
+                    ready.item(bank_index),
+                    act.item(bank_index),
+                )
+            orow, bank_ready, bank_act = state
             start = bank_ready if bank_ready > clock_first else clock_first
             if orow == row:
                 issue0 = start
@@ -393,14 +425,14 @@ class BatchedEngine:
         self._bus_ready[0] = bus_chain
         self._issue_clock = clock_last
         # One pop per line once `pushed` reaches capacity (the scalar
-        # loop's rank-consumption rule), never more than k in one batch.
+        # loop's rank-consumption rule), never more than k in one batch:
+        # the pool's smallest entries.  The new completions ascend, and
+        # with nothing in flight past clock0 every earlier completion
+        # lies below them, so the pool stays sorted.
         pops = min(k, max(0, read_q.pushed + k - cap))
-        pend = read_q.pending
-        if pops:
-            pend.sort()
-            del pend[:pops]
-        pend.extend(completions)  # ascending appends keep the heap valid
-        read_q.outstanding = completions.copy()
+        new = np.array(completions, dtype=np.int64)
+        read_q.pending = np.concatenate((read_q.pending[pops:], new))
+        read_q.outstanding = new
         read_q.pushed += k
         read_q.total_enqueued += k
         if k > read_q.peak_occupancy:
@@ -439,10 +471,10 @@ class BatchedEngine:
         st_ra, n_ra = strides["ra"], self.ranks
         st_ba, n_ba = strides["ba"], self.banks
         st_ro, n_ro = strides["ro"], self._sizes["ro"]
-        open_row = self._open_row
-        ready = self._ready
-        act = self._act
-        bus = self._bus_ready
+        open_row = self._open_row.tolist()
+        ready = self._ready.tolist()
+        act = self._act.tolist()
+        bus = self._bus_ready.tolist()
         s_reads, s_writes = self._s_reads, self._s_writes
         s_hits, s_misses, s_conflicts = self._s_hits, self._s_misses, self._s_conflicts
         s_lat, s_last, s_first, s_bytes = (
@@ -453,8 +485,16 @@ class BatchedEngine:
         )
         heappush, heappop = heapq.heappush, heapq.heappop
         read_q, write_q = self.read_queue, self.write_queue
-        out_r, out_w = read_q.outstanding, write_q.outstanding
-        pend_r, pend_w = read_q.pending, write_q.pending
+        lines, writes = _interleave(batch)
+        count_w = sum(writes)
+        count_r = len(writes) - count_w
+        # Per queue: the in-flight heap and the pending pool's head, the
+        # only entries this batch can pop; `new_*` heaps its completions.
+        out_r, head_r = _scalar_pools(read_q, clock0, count_r)
+        out_w, head_w = _scalar_pools(write_q, clock0, count_w)
+        new_r: list[int] = []
+        new_w: list[int] = []
+        used_r = used_w = 0
         cap_r, cap_w = read_q.capacity, write_q.capacity
         pushed_r, pushed_w = read_q.pushed, write_q.pushed
         stall_r = stall_w = 0
@@ -467,16 +507,15 @@ class BatchedEngine:
         lines_read = 0
         lines_written = 0
 
-        lines, writes = _interleave(batch)
         for line, is_write in zip(lines, writes):
             # Front-end issue bandwidth: max_issue_per_cycle lines/cycle.
             if issued >= ipc:
                 clock += 1
                 issued = 0
             if is_write:
-                out, pend, cap = out_w, pend_w, cap_w
+                out, cap = out_w, cap_w
             else:
-                out, pend, cap = out_r, pend_r, cap_r
+                out, cap = out_r, cap_r
             while out and out[0] <= clock:
                 heappop(out)
             if len(out) >= cap:
@@ -544,24 +583,48 @@ class BatchedEngine:
             if completion > s_last[chan]:
                 s_last[chan] = completion
             s_bytes[chan] += LINE_BYTES
-            # Queue bookkeeping.
+            # Queue bookkeeping: a full queue's push consumes the pending
+            # pool's smallest entry, the head's or this batch's.
             heappush(out, completion)
             occupancy = len(out)
             if is_write:
                 if occupancy > peak_w:
                     peak_w = occupancy
                 if pushed_w >= cap_w:
-                    heappop(pend)
+                    if new_w and (used_w == len(head_w) or new_w[0] < head_w[used_w]):
+                        heappop(new_w)
+                    else:
+                        used_w += 1
                 pushed_w += 1
+                heappush(new_w, completion)
             else:
                 if occupancy > peak_r:
                     peak_r = occupancy
                 if pushed_r >= cap_r:
-                    heappop(pend)
+                    if new_r and (used_r == len(head_r) or new_r[0] < head_r[used_r]):
+                        heappop(new_r)
+                    else:
+                        used_r += 1
                 pushed_r += 1
-            heappush(pend, completion)
+                heappush(new_r, completion)
             issued += 1
 
+        self._open_row[:] = open_row
+        self._ready[:] = ready
+        self._act[:] = act
+        self._bus_ready[:] = bus
+        # A queue this batch pushed into gets its pools back sorted.
+        for queue, out, used, new in (
+            (read_q, out_r, used_r, new_r),
+            (write_q, out_w, used_w, new_w),
+        ):
+            if new:
+                queue.outstanding = np.sort(np.array(out, dtype=np.int64))
+                pending = np.concatenate(
+                    (queue.pending[used:], np.array(new, dtype=np.int64))
+                )
+                pending.sort()
+                queue.pending = pending
         read_q.pushed = pushed_r
         write_q.pushed = pushed_w
         read_q.total_enqueued += lines_read

@@ -50,7 +50,12 @@ from repro.dram.backend import make_ramulator
 from repro.dram.engine import BatchResult, LineRequestBatch
 from repro.dram.engine_batched import BatchedEngine, issue_order_arrays
 from repro.dram.timing import DramTiming, get_timing_preset
-from repro.dram.vector_pass import VectorParams, resolve_vector_pass
+from repro.dram.vector_pass import (
+    VectorParams,
+    decode_lines,
+    resolve_vector_pass,
+    stack_lines,
+)
 from repro.errors import DramError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -138,6 +143,8 @@ class GridBatchedEngine:
             for config in configs
         ]
         self._classes = pass_classes(configs)
+        #: Each engine's decode geometry: equal ones share a batch's decode.
+        self.geometries = [_geometry(engine) for engine in self.engines]
         # Vector-pass parameters per participant tuple: a whole class,
         # or the part of it left when some configs sit a batch out.
         self._params: dict[tuple[int, ...], VectorParams] = {}
@@ -153,7 +160,8 @@ class GridBatchedEngine:
         leaves that config out of the batch (and its result ``None``).
         Each config takes its own engine's dispatch first; the configs
         left for the vector pass resolve together, one pass per pass
-        class.
+        class.  The batch is decoded once per decode geometry among
+        them, and every pass class shares that decode.
         """
         engines = self.engines
         if len(issue_cycles) != len(engines):
@@ -173,6 +181,9 @@ class GridBatchedEngine:
         if not rest:
             return results
         lines, is_write = issue_order_arrays(batch)
+        # Decodes per geometry, and their stacks per participant shape.
+        decoded: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        stacks: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for members in self._classes:
             left = tuple(index for index in members if index in rest)
             if not left:
@@ -183,10 +194,19 @@ class GridBatchedEngine:
                 params = self._params[left] = (
                     part[0].vector_params() if len(part) == 1 else VectorParams(part)
                 )
+            shape = tuple(self.geometries[index] for index in left)
+            stacked = stacks.get(shape)
+            if stacked is None:
+                for index, geometry in zip(left, shape):
+                    if geometry not in decoded:
+                        decoded[geometry] = decode_lines(engines[index], lines)
+                stacked = stacks[shape] = stack_lines(
+                    params, [decoded[geometry] for geometry in shape]
+                )
             for index, result in zip(
                 left,
                 resolve_vector_pass(
-                    params, part, lines, is_write, [rest[i] for i in left]
+                    params, part, stacked, is_write, [rest[i] for i in left]
                 ),
             ):
                 results[index] = result
@@ -213,15 +233,16 @@ class _Touched(NamedTuple):
 
     banks: np.ndarray  # flat bank ids, in first-access order
     first_rows: np.ndarray  # the row each bank's first access opens
-    channels: list[int]
+    channels: np.ndarray  # ascending channel ids
 
 
 class _LayerRecord(NamedTuple):
     """One config's walk of one layer, relative to the layer's start clock.
 
-    Integer arrays in the narrowest dtype that holds them (see
-    :func:`_packed`): records live for the rest of their schedule's
-    occurrences, one per config and distinct start state.
+    The fixed-shape parts are integer arrays in the narrowest dtype
+    that holds them (see :func:`_packed`): records live for the rest of
+    their schedule's occurrences, one per config and distinct start
+    state.
     """
 
     #: Timeline (compute, total, stall, cold start cycles), issue clock,
@@ -235,8 +256,9 @@ class _LayerRecord(NamedTuple):
     #: Per touched channel: bus, first request, then the
     #: ``_CHANNEL_STATS`` deltas; shape (channels, 9).
     channels: np.ndarray
-    #: Pending and outstanding entries above the end clock, per queue.
-    entries: tuple[tuple[int, ...], ...]
+    #: Pending and outstanding entries above the end clock, per queue
+    #: (int64).
+    entries: tuple[np.ndarray, ...]
 
 
 def _schedule_groups(plan: "ComputePlan") -> tuple[list[int | None], dict[int, int]]:
@@ -294,10 +316,7 @@ def _touched_banks(
             continue
         lines, _ = issue_order_arrays(batch)
         for geometry in list(open_geometries):
-            st, sz = by_geometry[geometry]._strides, by_geometry[geometry]._sizes
-            chan = (lines // st["ch"]) % sz["ch"]
-            rank = (lines // st["ra"]) % sz["ra"]
-            flat = (chan * sz["ra"] + rank) * sz["ba"] + (lines // st["ba"]) % sz["ba"]
+            _, flat, row = decode_lines(by_geometry[geometry], lines)
             # Each bank's first line: a stable sort keeps issue order
             # inside each bank's group.
             order = flat.argsort(kind="stable")
@@ -310,7 +329,7 @@ def _touched_banks(
             positions = np.sort(positions[~seen[flat[positions]]])
             seen[flat[positions]] = True
             banks.append(flat[positions])
-            rows.append((lines[positions] // st["ro"]) % sz["ro"])
+            rows.append(row[positions])
             if seen.all():
                 open_geometries.discard(geometry)
     touched = {}
@@ -320,7 +339,7 @@ def _touched_banks(
         touched[geometry] = _Touched(
             _packed(flat_banks),
             _packed(np.concatenate(rows)) if rows else flat_banks,
-            sorted(set((flat_banks // (engine.ranks * engine.banks)).tolist())),
+            np.flatnonzero(np.bincount(flat_banks // (engine.ranks * engine.banks))),
         )
     return touched
 
@@ -336,15 +355,15 @@ def _packed(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _entries_above(entries: list[int], floor: int, origin: int) -> tuple[int, ...]:
+def _entries_above(entries: np.ndarray, floor: int, origin: int) -> np.ndarray:
     """Sorted ``entries`` above ``floor``, relative to ``origin``."""
-    return tuple(sorted(v - origin for v in entries if v > floor))
+    return entries[entries.searchsorted(floor, side="right") :] - origin
 
 
 def _bank_times(engine: BatchedEngine, banks: np.ndarray, ck: int) -> np.ndarray:
     """``banks``' ready then ACT cycles relative to ``ck``, clamped where alike."""
-    ready = np.asarray(engine._ready, dtype=np.int64)[banks] - ck
-    act = np.asarray(engine._act, dtype=np.int64)[banks] - ck
+    ready = engine._ready[banks] - ck
+    act = engine._act[banks] - ck
     return np.concatenate([np.maximum(ready, 0), np.maximum(act, -engine.timing.t_ras)])
 
 
@@ -359,19 +378,22 @@ def _layer_key(engine: BatchedEngine, touched: _Touched, ck: int) -> tuple:
     enter relative to ``ck``.  Peak occupancies stay out (see
     :func:`_counters`).
     """
-    rows = np.asarray(engine._open_row, dtype=np.int64)[touched.banks]
+    rows = engine._open_row[touched.banks]
     # First-access category: 0 hit, 1 closed row, 2 conflict.
     category = (rows != touched.first_rows).view(np.int8) * (
         (rows >= 0).view(np.int8) + np.int8(1)
     )
-    bus, first = engine._bus_ready, engine._s_first
+    first = engine._s_first
     return (
         category.tobytes() + _packed(_bank_times(engine, touched.banks, ck)).tobytes(),
-        tuple(max(bus[c] - ck, 0) for c in touched.channels),
-        tuple(first[c] is None for c in touched.channels),
+        np.maximum(engine._bus_ready[touched.channels] - ck, 0).tobytes(),
+        tuple(first[c] is None for c in touched.channels.tolist()),
         max(engine._issue_clock - ck, 0),
         tuple(
-            (len(q.pending), *(_entries_above(e, ck, ck) for e in (q.pending, q.outstanding)))
+            (
+                q.pending.size,
+                *(_entries_above(e, ck, ck).tobytes() for e in (q.pending, q.outstanding)),
+            )
             for q in (engine.read_queue, engine.write_queue)
         ),
     )
@@ -388,7 +410,10 @@ def _counters(engine: BatchedEngine, touched: _Touched) -> tuple[list, list]:
     for q in (engine.read_queue, engine.write_queue):
         queues.append((q.pushed, q.total_enqueued, q.total_stall_cycles, q.peak_occupancy))
         q.peak_occupancy = 0
-    stats = [[getattr(engine, name)[c] for name in _CHANNEL_STATS] for c in touched.channels]
+    stats = [
+        [getattr(engine, name)[c] for name in _CHANNEL_STATS]
+        for c in touched.channels.tolist()
+    ]
     return stats, queues
 
 
@@ -406,8 +431,8 @@ def _record_layer(
     scalars = [*timeline, engine._issue_clock - ck]
     for q, (pushed, enqueued, stalled, peak) in zip(queues, queue_before):
         scalars += (
-            sum(1 for v in q.pending if v <= end),
-            sum(1 for v in q.outstanding if v <= end),
+            int(q.pending.searchsorted(end, side="right")),
+            int(q.outstanding.searchsorted(end, side="right")),
             q.pushed - pushed,
             q.total_enqueued - enqueued,
             q.total_stall_cycles - stalled,
@@ -415,11 +440,15 @@ def _record_layer(
         )
         q.peak_occupancy = max(peak, q.peak_occupancy)
     channels = [
-        [engine._bus_ready[c] - ck, engine._s_first[c] - ck]
+        [bus, engine._s_first[c] - ck]
         + [getattr(engine, name)[c] - b for name, b in zip(_CHANNEL_STATS, prior)]
-        for c, prior in zip(touched.channels, channel_before)
+        for c, bus, prior in zip(
+            touched.channels.tolist(),
+            (engine._bus_ready[touched.channels] - ck).tolist(),
+            channel_before,
+        )
     ]
-    rows = np.asarray(engine._open_row, dtype=np.int64)[touched.banks]
+    rows = engine._open_row[touched.banks]
     return _LayerRecord(
         _packed(np.array(scalars, dtype=np.int64)),
         _packed(np.concatenate([rows, _bank_times(engine, touched.banks, ck)])),
@@ -432,15 +461,14 @@ def _restore_layer(
     engine: BatchedEngine, touched: _Touched, record: _LayerRecord, ck: int
 ) -> tuple[int, int, int, int]:
     """Close a layer from ``record``, shifted to ``ck``; returns its timeline."""
-    banks = touched.banks.tolist()
-    state = record.banks.tolist()
-    rows, ready, act = (state[i * len(banks) : (i + 1) * len(banks)] for i in range(3))
-    for bank, row, bank_ready, bank_act in zip(banks, rows, ready, act):
-        engine._open_row[bank] = row
-        engine._ready[bank] = ck + bank_ready
-        engine._act[bank] = ck + bank_act
-    for c, (bus, first, *deltas) in zip(touched.channels, record.channels.tolist()):
-        engine._bus_ready[c] = ck + bus
+    banks = touched.banks
+    rows, ready, act = record.banks.astype(np.int64).reshape(3, banks.size)
+    engine._open_row[banks] = rows
+    engine._ready[banks] = ready + ck
+    engine._act[banks] = act + ck
+    channel_state = record.channels.astype(np.int64)
+    engine._bus_ready[touched.channels] = channel_state[:, 0] + ck
+    for c, (bus, first, *deltas) in zip(touched.channels.tolist(), channel_state.tolist()):
         # The bus chain is the channel's last completion.
         engine._s_last[c] = max(engine._s_last[c], ck + bus)
         if engine._s_first[c] is None:
@@ -453,8 +481,11 @@ def _restore_layer(
     for index, q in enumerate((engine.read_queue, engine.write_queue)):
         low, low_out, pushed, enqueued, stalled, peak = scalars[5 + 6 * index : 11 + 6 * index]
         pending, outstanding = record.entries[2 * index : 2 * index + 2]
-        q.pending = [end] * low + [ck + v for v in pending]
-        q.outstanding = [end] * low_out + [ck + v for v in outstanding]
+        # Entries at or below the end clock act alike at any value there.
+        q.pending = np.concatenate((np.full(low, end, dtype=np.int64), pending + ck))
+        q.outstanding = np.concatenate(
+            (np.full(low_out, end, dtype=np.int64), outstanding + ck)
+        )
         q.pushed += pushed
         q.total_enqueued += enqueued
         q.total_stall_cycles += stalled
@@ -540,7 +571,7 @@ def resolve_plan_grid(
     configs = list(configs)
     grid = GridBatchedEngine(configs)
     engines = grid.engines
-    geometries = [_geometry(engine) for engine in engines]
+    geometries = grid.geometries
     word_bytes = configs[0].arch.word_bytes
     num = len(configs)
     results = [

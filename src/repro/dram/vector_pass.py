@@ -38,20 +38,25 @@ then a completion from *before* the block.  A cheap vectorized check
 guards the one case where an in-block completion could reorder the
 statistics; on the rare violation only the clean prefix commits.
 
-State layout.  Each participant's engine stays the canonical state
-owner (plain Python lists — the scalar and closed-form fast paths run
-on them unchanged).  Per batch, the pass snapshots the participants'
-bank/channel state into *offset-flattened* arrays: participant ``p``'s
-flat bank ids live in ``[bank_off[p], bank_off[p+1])`` and its channel
-ids in ``[chan_off[p], chan_off[p+1])``.  Ragged geometries (1 channel
-next to 8, 2 banks next to 16) need no bucketing — the offsets make
-every (config, bank) and (config, channel) pair globally unique, so one
-stable sort groups the whole grid's traffic.  Every participant shares
-one DRAM timing and one issue rate, so the segmented scans run on
-Python-int timing constants.  Queue state is a ``(configs, k)`` pending
-matrix per queue: every participant shares one (read, write) depth and
-has been issued every batch, so each holds ``min(pushed, depth)``
-pending completions.
+State layout.  Each participant's engine owns its state as int64
+arrays: bank open row, ready and ACT cycles, channel buses, and per
+queue a sorted ``pending`` pool and a sorted ``outstanding`` pool (the
+scalar and closed-form fast paths convert what they touch at entry and
+exit).  A batch is decoded once per decode geometry
+(:func:`decode_lines`), and the participants' rows are stacked into
+*offset-flattened* ids (:func:`stack_lines`): participant ``p``'s flat
+bank ids live in ``[bank_off[p], bank_off[p+1])`` and its channel ids
+in ``[chan_off[p], chan_off[p+1])``.  The pass gathers the state with
+one ``np.concatenate`` per array and the pools with one ``np.stack``
+per queue (no sort), and writes it back by slice assignment.  Ragged
+geometries (1 channel next to 8, 2 banks next to 16) need no
+bucketing — the offsets make every (config, bank) and (config,
+channel) pair globally unique, so one stable sort groups the whole
+grid's traffic.  Every participant shares one DRAM timing and one
+issue rate, so the segmented scans run on Python-int timing constants.
+Queue state is a ``(configs, k)`` pending matrix per queue: every
+participant shares one (read, write) depth and has been issued every
+batch, so each holds ``min(pushed, depth)`` pending completions.
 
 Exactness.  Equal depths put every participant on one block sequence:
 block bounds come from the shared capacities and cursor, and a
@@ -69,6 +74,7 @@ walk of that engine alone.  The pass is pinned to
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -89,9 +95,9 @@ class VectorParams:
     """Shared parameters of the vector pass.
 
     Built once per participant set — a lone engine keeps its own, a
-    grid keeps one per pass class — from the engines' timing, decode
-    plan, queue capacities and issue rates.  Holds the timing constants
-    as Python ints and the offset-flattened bank/channel geometry; the
+    grid keeps one per pass class — from the engines' timing, geometry,
+    queue capacities and issue rates.  Holds the timing constants as
+    Python ints and the offset-flattened bank/channel geometry; the
     scans share one lazily grown ``0..n`` ramp across every pass.
 
     Every participant must share one (read, write) queue depth, one
@@ -128,37 +134,19 @@ class VectorParams:
         # into shifts; h >= 0 after the pace seeding, so the arithmetic
         # shift matches floor division exactly.
         self.ipc_sh = ipc.bit_length() - 1 if ipc & (ipc - 1) == 0 else None
-        # Decode plan as columns: field = (line // stride) % size.
-        self.st = {
-            name: np.array([e._strides[name] for e in engines], dtype=np.int64)[
-                :, None
-            ]
-            for name in ("ch", "ra", "ba", "ro")
-        }
-        self.sz = {
-            name: np.array([e._sizes[name] for e in engines], dtype=np.int64)[
-                :, None
-            ]
-            for name in ("ch", "ra", "ba", "ro")
-        }
-        self.single_rank = all(e.ranks == 1 for e in engines)
         # Every participant on one channel: (config, channel) ids are the
         # participant ids, so the bus scan runs row-wise with no sort.
         self.single_channel = all(e.channels == 1 for e in engines)
         # Offset-flattened state geometry: participant p's banks/channels
         # map to [off[p], off[p+1]) — ragged shapes concatenate unbucketed.
-        self.bank_off = np.zeros(len(engines) + 1, dtype=np.int64)
-        np.cumsum(
-            [e.channels * e.ranks * e.banks for e in engines], out=self.bank_off[1:]
-        )
-        self.chan_off = np.zeros(len(engines) + 1, dtype=np.int64)
-        np.cumsum([e.channels for e in engines], out=self.chan_off[1:])
+        self.bank_off = [0, *accumulate(e.channels * e.ranks * e.banks for e in engines)]
+        self.chan_off = [0, *accumulate(e.channels for e in engines)]
         # Channel ids as 16-bit keys: numpy's stable argsort is then a
         # radix sort, 2-4x faster on interleaved channels, and a stable
         # sort's permutation does not depend on the key width.  (The
         # statistics bincount packs 3 * channel + category.)
         self.chan_dtype = (
-            np.int16 if 3 * int(self.chan_off[-1]) < (1 << 15) else np.int64
+            np.int16 if 3 * self.chan_off[-1] < (1 << 15) else np.int64
         )
 
     @staticmethod
@@ -173,19 +161,76 @@ class VectorParams:
         return ramp[:size]
 
 
+def decode_lines(
+    engine: "BatchedEngine", lines: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``lines`` under ``engine``'s address map: ``(channel, bank, row)``.
+
+    ``bank`` is the engine's flat bank id, ``(channel * ranks + rank) *
+    banks + bank``.  Engines with one decode geometry (strides and
+    sizes) share the result, so a grid decodes each batch once per
+    geometry, whatever its pass classes.  A field of size 1 is zero
+    without a divide.
+    """
+    strides, sizes = engine._strides, engine._sizes
+
+    def field(name: str) -> np.ndarray:
+        size = sizes[name]
+        if size > 1:
+            return (lines // strides[name]) % size
+        return np.zeros(lines.size, dtype=np.int64)
+
+    chan = field("ch")
+    bank = field("ba")
+    if sizes["ra"] > 1:
+        bank += (chan * sizes["ra"] + field("ra")) * sizes["ba"]
+    elif sizes["ch"] > 1:
+        bank += chan * sizes["ba"]
+    row = field("ro")
+    return chan, bank, row
+
+
+def stack_lines(
+    params: VectorParams, decoded: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The participants' :func:`decode_lines` as ``(participants, lines)`` rows.
+
+    Returns the offset-flattened ``(channel, bank, row)`` ids of
+    ``params``' state layout.  They depend only on the participants'
+    geometries, so passes over equal geometries share them.
+    """
+    if len(decoded) == 1:
+        # One participant at offset 0: its decode is already the layout.
+        [(chan, bank, rows)] = decoded
+        return chan.astype(params.chan_dtype)[None], bank[None], rows[None]
+    num, n = len(decoded), decoded[0][0].size
+    gchan = np.empty((num, n), dtype=params.chan_dtype)
+    flat_bank = np.empty((num, n), dtype=np.int64)
+    row = np.empty((num, n), dtype=np.int64)
+    for p, (chan, bank, rows) in enumerate(decoded):
+        np.add(chan, params.chan_off[p], out=gchan[p], casting="unsafe")
+        np.add(bank, params.bank_off[p], out=flat_bank[p])
+        row[p] = rows
+    return gchan, flat_bank, row
+
+
 def resolve_vector_pass(
     params: VectorParams,
     engines: Sequence["BatchedEngine"],
-    lines: np.ndarray,
+    stacked: tuple[np.ndarray, np.ndarray, np.ndarray],
     is_write: np.ndarray,
     clock0s: Sequence[int],
 ) -> list[BatchResult]:
     """Issue one batch's lines into every participant; one result each.
 
-    ``lines``/``is_write`` are the batch's round-robin issue order
-    (:func:`repro.dram.engine_batched.issue_order_arrays`); ``params``
-    describes exactly ``engines``, whose state is snapshotted from (and
-    written back to) their Python lists.
+    ``is_write`` is the batch's round-robin issue order
+    (:func:`repro.dram.engine_batched.issue_order_arrays`) and
+    ``stacked`` its :func:`stack_lines` for ``engines``, which
+    ``params`` describes exactly.  The pass gathers the participants'
+    state arrays (see "State layout" above), resolves every line,
+    updates each queue's outstanding pool and peak occupancy with
+    array operations, and writes the state back by slice assignment.
+    Statistics and results reach the engines as Python ints.
     """
     num = len(engines)
     cap_r = params.cap_r
@@ -195,47 +240,26 @@ def resolve_vector_pass(
     tb = params.burst
     ipc = params.ipc
     ipc_sh = params.ipc_sh
-    bank_off = params.bank_off
     chan_off = params.chan_off
     single_channel = params.single_channel
 
     # --- 1. shared issue order + per-participant decode -------------------
-    n = lines.size
+    n = is_write.size
     index = params.ramp(n + 1)
     writes_cum = np.cumsum(is_write)
     reads_cum = index[1:] - writes_cum
-    ln = lines[None, :]
-    st, sz = params.st, params.sz
-    chan = (ln // st["ch"]) % sz["ch"]
-    bankl = (ln // st["ba"]) % sz["ba"]
-    row = (ln // st["ro"]) % sz["ro"]
-    if params.single_rank:
-        # Single-rank grids (the common case) skip the rank divmod.
-        flat_bank = chan * sz["ba"] + bankl
-    else:
-        rank = (ln // st["ra"]) % sz["ra"]
-        flat_bank = (chan * sz["ra"] + rank) * sz["ba"] + bankl
-        del rank
-    flat_bank += bank_off[:-1, None]
-    gchan = (chan + chan_off[:-1, None]).astype(params.chan_dtype)
-    del ln, bankl
+    gchan, flat_bank, row = stacked
 
-    # --- 2. offset-concatenated snapshots of the datapath state -----------
-    open_row = np.concatenate(
-        [np.asarray(e._open_row, dtype=np.int64) for e in engines]
-    )
-    ready = np.concatenate([np.asarray(e._ready, dtype=np.int64) for e in engines])
-    act = np.concatenate([np.asarray(e._act, dtype=np.int64) for e in engines])
-    bus = np.concatenate([np.asarray(e._bus_ready, dtype=np.int64) for e in engines])
-    # (configs, min(pushed, depth)) pending matrices: equal depths and
-    # equal pushes keep the rows equally long, and np.stack raises if a
-    # caller ever breaks that.
-    pend_r = np.stack(
-        [np.sort(np.asarray(e.read_queue.pending, dtype=np.int64)) for e in engines]
-    )
-    pend_w = np.stack(
-        [np.sort(np.asarray(e.write_queue.pending, dtype=np.int64)) for e in engines]
-    )
+    # --- 2. offset-concatenated gather of the datapath state --------------
+    open_row = np.concatenate([e._open_row for e in engines])
+    ready = np.concatenate([e._ready for e in engines])
+    act = np.concatenate([e._act for e in engines])
+    bus = np.concatenate([e._bus_ready for e in engines])
+    # (configs, min(pushed, depth)) pending matrices of the sorted pools:
+    # equal depths and equal pushes keep the rows equally long, and
+    # np.stack raises if a caller ever breaks that.
+    pend_r = np.stack([e.read_queue.pending for e in engines])
+    pend_w = np.stack([e.write_queue.pending for e in engines])
     stall_r = np.zeros(num, dtype=np.int64)
     stall_w = np.zeros(num, dtype=np.int64)
 
@@ -575,57 +599,52 @@ def resolve_vector_pass(
             )
 
     # --- 4. per-participant queue occupancy + outstanding -----------------
-    reads_mask = ~is_write
-    rd_pos = reads_mask.nonzero()[0]
+    rd_pos = (~is_write).nonzero()[0]
     wr_pos = is_write.nonzero()[0]
     lines_read = rd_pos.size
     lines_written = n - lines_read
-    stall_r_l = stall_r.tolist()
-    stall_w_l = stall_w.tolist()
-    for p, engine in enumerate(engines):
-        for queue, pend, positions, stalled in (
-            (engine.read_queue, pend_r[p], rd_pos, stall_r_l[p]),
-            (engine.write_queue, pend_w[p], wr_pos, stall_w_l[p]),
-        ):
-            count = positions.size
+    for queues, pend, positions, stalls in (
+        ([e.read_queue for e in engines], pend_r, rd_pos, stall_r),
+        ([e.write_queue for e in engines], pend_w, wr_pos, stall_w),
+    ):
+        count = positions.size
+        for queue, stalled in zip(queues, stalls.tolist()):
             queue.pushed += count
             queue.total_enqueued += count
             queue.total_stall_cycles += stalled
-            if not count:
-                continue
-            if count == n:
-                clocks = issue_all[p]
-                comps = comp_all[p]
-            else:
-                clocks = issue_all[p, positions]
-                comps = comp_all[p, positions]
-            prior = np.asarray(queue.outstanding, dtype=np.int64)
+        if not count:
+            continue
+        if count == n:
+            clocks, comps = issue_all, comp_all
+        else:
+            clocks, comps = issue_all[:, positions], comp_all[:, positions]
+        # New completions in flight past each row's last issue.
+        final = clocks[:, -1:]
+        live = comps > final
+        for p, queue in enumerate(queues):
+            prior = queue.outstanding
             if queue.peak_occupancy < queue.capacity:
                 # Admission stalls when the queue is full, so
                 # occupancy is capped at capacity; once the peak has
                 # reached it, the alive/retire walk cannot move it.
-                prior_s = np.sort(prior)
-                alive_prior = prior_s.size - np.searchsorted(
-                    prior_s, clocks, side="right"
-                )
-                retire_at = np.searchsorted(clocks, comps, side="left")
-                retired_cum = np.cumsum(
-                    np.bincount(np.minimum(retire_at, count), minlength=count + 1)
-                )[:count]
+                alive_prior = prior.size - prior.searchsorted(clocks[p], side="right")
+                retire_at = clocks[p].searchsorted(comps[p], side="left")
+                retired_cum = np.bincount(
+                    np.minimum(retire_at, count), minlength=count + 1
+                ).cumsum()[:count]
                 occupancy = alive_prior + index[1 : count + 1] - retired_cum
                 peak = int(occupancy.max())
                 if peak > queue.peak_occupancy:
                     queue.peak_occupancy = peak
-            final_clock = int(clocks[-1])
-            keep_prior = prior[prior > final_clock]
-            keep_new = comps[comps > final_clock]
-            queue.outstanding = np.sort(
-                np.concatenate([keep_prior, keep_new])
-            ).tolist()
-            queue.pending = pend.tolist()
+            kept = np.concatenate(
+                (prior[prior.searchsorted(final[p, 0], side="right") :], comps[p][live[p]])
+            )
+            kept.sort()
+            queue.outstanding = kept
+            queue.pending = pend[p]
 
     # --- 5. statistics: global bincounts over (config, channel) -----------
-    total_chan = int(chan_off[-1])
+    total_chan = chan_off[-1]
     counts3 = np.bincount(
         (gchan * 3 + cat_all).ravel(), minlength=3 * total_chan
     ).reshape(total_chan, 3)
@@ -656,9 +675,14 @@ def resolve_vector_pass(
     writes_l = writes_pc.tolist()
     lat_l = lat_pc.tolist()
     bus_l = bus.tolist()
+    issue_clocks = issue_all[:, -1].tolist()
+    if lines_read:
+        last_reads = (
+            comp_all if not lines_written else comp_all[:, rd_pos]
+        ).max(axis=1).tolist()
     results: list[BatchResult] = []
     for p, engine in enumerate(engines):
-        base = int(chan_off[p])
+        base = chan_off[p]
         for local in range(engine.channels):
             gch = base + local
             reads = reads_l[gch]
@@ -668,7 +692,7 @@ def resolve_vector_pass(
                 continue
             first_cycle = 0
             if engine._s_first[local] is None:
-                first_cycle = int(issue_all[p, int(np.argmax(chan[p] == local))])
+                first_cycle = int(issue_all[p, int(np.argmax(gchan[p] == gch))])
             hits3 = counts3_l[gch]
             # bus[gch] is the channel's last completion this call (the
             # per-channel completion chain is monotone), hence the max.
@@ -684,15 +708,15 @@ def resolve_vector_pass(
                 first_cycle,
                 num_lines,
             )
-        engine._open_row = open_row[bank_off[p] : bank_off[p + 1]].tolist()
-        engine._ready = ready[bank_off[p] : bank_off[p + 1]].tolist()
-        engine._act = act[bank_off[p] : bank_off[p + 1]].tolist()
-        engine._bus_ready = bus[chan_off[p] : chan_off[p + 1]].tolist()
-        engine._issue_clock = int(issue_all[p, -1])
-        if lines_read:
-            ready_cycle = max(clock0s[p], int(comp_all[p, rd_pos].max()))
-        else:
-            ready_cycle = clock0s[p]
+        banks = slice(params.bank_off[p], params.bank_off[p + 1])
+        engine._open_row[:] = open_row[banks]
+        engine._ready[:] = ready[banks]
+        engine._act[:] = act[banks]
+        engine._bus_ready[:] = bus[base : chan_off[p + 1]]
+        engine._issue_clock = issue_clocks[p]
+        ready_cycle = clock0s[p]
+        if lines_read and last_reads[p] > ready_cycle:
+            ready_cycle = last_reads[p]
         results.append(
             BatchResult(
                 ready_cycle=ready_cycle,
@@ -813,4 +837,4 @@ def _walk_streak_boundaries(
             run += 1
 
 
-__all__ = ["VectorParams", "resolve_vector_pass"]
+__all__ = ["VectorParams", "decode_lines", "resolve_vector_pass", "stack_lines"]

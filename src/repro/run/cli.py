@@ -137,7 +137,7 @@ def _add_request_args(parser: argparse.ArgumentParser, failure_policy: str) -> N
         type=positive_int,
         default=None,
         help="attempt budget per simulation unit before it is quarantined "
-        "(default 3; a server's own for submit)",
+        "(default 3; for submit, the server's --max-attempts)",
     )
 
 

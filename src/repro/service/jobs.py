@@ -552,17 +552,18 @@ class JobManager:
 
     # ------------------------------------------------------------ execution
 
-    def _make_executor(self):
+    def _make_executor(self, max_attempts: int | None = None):
         """A fresh executor per job (queue-executor state is per-batch).
 
-        A queue waits as long as the job takes and, with external
-        workers, leaves the spool to them.
+        ``max_attempts`` is the job's own budget; ``None`` takes the
+        server's.  A queue waits as long as the job takes and, with
+        external workers, leaves the spool to them.
         """
         return make_executor(
             self.executor_name,
             workers=self.workers,
             spool_dir=self.spool_dir,
-            max_attempts=self.max_attempts,
+            max_attempts=self.max_attempts if max_attempts is None else max_attempts,
             lease_ttl=self.lease_ttl,
             run_local_worker=not self.external_workers,
             timeout=None,
@@ -610,7 +611,7 @@ def _run_sweep_job(manager: JobManager, job: Job) -> None:
             job.units_total = total
             job.journal.append("progress", units_done=done, units_total=total)
 
-    executor = manager._make_executor()
+    executor = manager._make_executor(job.spec.max_attempts)
     runner = SweepRunner(
         cache=manager.cache,
         store=manager.store,

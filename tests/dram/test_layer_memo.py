@@ -15,6 +15,7 @@ import copy
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from test_dram_fanout_equivalence import MAPPINGS, TECHNOLOGIES, _random_arch
 
@@ -260,13 +261,14 @@ PARTS = (
 
 def _shift(engine: BatchedEngine, delta: int) -> None:
     """Move every cycle of ``engine``'s state ``delta`` cycles later."""
-    for name in ("_ready", "_act", "_bus_ready", "_s_last"):
-        setattr(engine, name, [v + delta for v in getattr(engine, name)])
+    for name in ("_ready", "_act", "_bus_ready"):
+        setattr(engine, name, getattr(engine, name) + delta)
+    engine._s_last = [v + delta for v in engine._s_last]
     engine._s_first = [None if v is None else v + delta for v in engine._s_first]
     engine._issue_clock += delta
     for queue in (engine.read_queue, engine.write_queue):
-        queue.pending = [v + delta for v in queue.pending]
-        queue.outstanding = [v + delta for v in queue.outstanding]
+        queue.pending = queue.pending + delta
+        queue.outstanding = queue.outstanding + delta
 
 
 def _set_part(engine, touched, part, value, rng_state, ck) -> int:
@@ -286,16 +288,17 @@ def _set_part(engine, touched, part, value, rng_state, ck) -> int:
     elif part == "issue":
         engine._issue_clock = ck + value
     elif part in ("pending", "outstanding"):
-        queue = engine.read_queue if engine.read_queue.pending else engine.write_queue
+        queue = engine.read_queue if engine.read_queue.pending.size else engine.write_queue
         entries = getattr(queue, part)
         size = len(entries) if part == "pending" else rng.randint(0, queue.capacity)
-        setattr(queue, part, sorted(ck + rng.choice(value) for _ in range(size)))
+        drawn = sorted(ck + rng.choice(value) for _ in range(size))
+        setattr(queue, part, np.array(drawn, dtype=np.int64))
     elif part == "pool":
         # A queue not yet filled: ``value`` fewer pushes, so as many
         # fewer pending entries (the smallest go).
-        queue = engine.read_queue if engine.read_queue.pending else engine.write_queue
+        queue = engine.read_queue if engine.read_queue.pending.size else engine.write_queue
         if value:
-            queue.pending = sorted(queue.pending)[value:]
+            queue.pending = queue.pending[value:]
             queue.pushed = len(queue.pending)
     elif part == "peak":
         for queue in (engine.read_queue, engine.write_queue):
@@ -340,10 +343,10 @@ def _outcome(grid: GridBatchedEngine, timeline, end: int) -> tuple:
     t_ras = engine.timing.t_ras
     return (
         timeline,
-        engine._open_row,
-        [max(v - end, 0) for v in engine._ready],
-        [max(v - end, -t_ras) for v in engine._act],
-        [max(v - end, 0) for v in engine._bus_ready],
+        engine._open_row.tolist(),
+        [max(v - end, 0) for v in engine._ready.tolist()],
+        [max(v - end, -t_ras) for v in engine._act.tolist()],
+        [max(v - end, 0) for v in engine._bus_ready.tolist()],
         max(engine._issue_clock - end, 0),
         engine._s_first,
         engine._s_last,
@@ -355,8 +358,8 @@ def _outcome(grid: GridBatchedEngine, timeline, end: int) -> tuple:
                 queue.total_stall_cycles,
                 queue.peak_occupancy,
                 len(queue.pending),
-                sorted(v - end for v in queue.pending if v > end),
-                sorted(v - end for v in queue.outstanding if v > end),
+                sorted(v - end for v in queue.pending.tolist() if v > end),
+                sorted(v - end for v in queue.outstanding.tolist() if v > end),
             )
             for queue in (engine.read_queue, engine.write_queue)
         ],

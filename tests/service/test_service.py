@@ -154,6 +154,42 @@ def test_pool_executor_keeps_max_attempts(tmp_path, executor_name):
     assert executor.max_attempts == 1
 
 
+@pytest.mark.parametrize(
+    "server_attempts, job_attempts, workers, expected",
+    [
+        (None, None, 1, ("SerialExecutor", 3)),
+        (2, None, 1, ("SerialExecutor", 2)),
+        (2, 5, 1, ("SerialExecutor", 5)),
+        (None, 1, 2, ("PoolExecutor", 1)),
+    ],
+)
+def test_job_runs_with_its_own_max_attempts(
+    tmp_path, monkeypatch, server_attempts, job_attempts, workers, expected
+):
+    """A job's ``max_attempts`` is its executor's budget; the server's is the default."""
+    from repro.service import jobs
+
+    built = []
+
+    def sweep_runner(**kwargs):
+        built.append(kwargs["executor"])
+        raise RuntimeError("stop once the executor is built")
+
+    monkeypatch.setattr(jobs, "SweepRunner", sweep_runner)
+    manager = JobManager(tmp_path / "data", workers=workers, max_attempts=server_attempts)
+    manager.start()
+    payload = dict(_PAYLOAD)
+    if job_attempts is not None:
+        payload["max_attempts"] = job_attempts
+    try:
+        job = manager.submit(payload)
+        assert manager.wait_finished(job.id, timeout=30.0).state == "failed"
+    finally:
+        manager.drain(timeout=10.0)
+    [executor] = built
+    assert (type(executor).__name__, executor.max_attempts) == expected
+
+
 # ------------------------------------------------------- end-to-end smoke
 
 
