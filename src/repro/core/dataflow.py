@@ -157,19 +157,12 @@ def mapping_efficiency(mapping: GemmMapping, rows: int, cols: int) -> float:
     """Average fraction of the array spatially occupied across folds.
 
     Edge folds map fewer than ``rows x cols`` useful elements; this is
-    SCALE-Sim's "mapping efficiency" metric.
+    SCALE-Sim's "mapping efficiency" metric.  Summed over the folds,
+    the used rows cover ``Sr`` and the used columns ``Sc`` exactly, so
+    the occupied PE-folds are ``Sr * Sc`` (exact integers: the same
+    float as the per-fold sum).
     """
-    full_r, rem_r = divmod(mapping.sr, rows)
-    full_c, rem_c = divmod(mapping.sc, cols)
-    folds_r = full_r + (1 if rem_r else 0)
-    folds_c = full_c + (1 if rem_c else 0)
-    used = 0
-    for fold_r in range(folds_r):
-        r_used = rows if fold_r < full_r else rem_r or rows
-        for fold_c in range(folds_c):
-            c_used = cols if fold_c < full_c else rem_c or cols
-            used += r_used * c_used
-    return used / (folds_r * folds_c * rows * cols)
+    return mapping.sr * mapping.sc / (mapping.folds(rows, cols) * rows * cols)
 
 
 def compute_utilization(shape: GemmShape, dataflow: Dataflow, rows: int, cols: int) -> float:

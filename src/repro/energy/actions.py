@@ -37,8 +37,8 @@ class ActionCounts:
         """Accumulate ``count`` actions."""
         if count < 0:
             raise EnergyModelError(f"negative count for {instance}.{action}")
-        self.counts.setdefault(instance, {})
-        self.counts[instance][action] = self.counts[instance].get(action, 0) + count
+        actions = self.counts.setdefault(instance, {})
+        actions[action] = actions.get(action, 0) + count
 
     def get(self, instance: str, action: str) -> int:
         """Current count (0 if never added)."""

@@ -43,11 +43,12 @@ class UnitEnergy:
 
     def energy(self, action: str) -> float:
         """Energy of one action, in pJ."""
-        if action not in self.actions_pj:
+        try:
+            return self.actions_pj[action]
+        except KeyError:
             raise EnergyModelError(
                 f"unknown action {action!r}; available: {sorted(self.actions_pj)}"
-            )
-        return self.actions_pj[action]
+            ) from None
 
 
 def _frozen(mapping: dict[str, float]) -> Mapping[str, float]:

@@ -36,13 +36,14 @@ class EnergyReferenceTable:
 
     def energy_pj(self, instance: str, action: str, count: float) -> float:
         """Dynamic energy of ``count`` actions on one instance, in pJ."""
-        if instance not in self.entries:
+        unit = self.entries.get(instance)
+        if unit is None:
             raise EnergyModelError(
                 f"unknown ERT instance {instance!r}; have {sorted(self.entries)}"
             )
         if count < 0:
             raise EnergyModelError(f"negative action count for {instance!r}.{action}")
-        return self.entries[instance].energy(action) * count
+        return unit.energy(action) * count
 
     def leakage_pj(self, instance: str, cycles: int, gated_fraction: float = 0.0) -> float:
         """Leakage over ``cycles`` for all copies of one instance.

@@ -94,32 +94,34 @@ class IdealBandwidthBackend:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The double-buffer walk of a whole schedule, in closed form.
 
-        Returns per-fold ``(data_ready, compute_start)`` exactly as
-        :meth:`DoubleBufferMemory.run` would reach them through one
-        :meth:`complete_fetches` per fold, and leaves the bus state and
-        word totals where that walk would.  Fold ``i+1``'s fetch issues
-        at fold ``i``'s compute start, and the bus is never busy past a
-        fold's data-ready time (``ready = busy_until + latency``), so
-        every fetch after the first starts at its issue cycle and
+        Returns per-fold ``(compute_start, delay)``: each fold's compute
+        start exactly as :meth:`DoubleBufferMemory.run` would reach it
+        through one :meth:`complete_fetches` per fold, and the fetch
+        delay that puts fold ``i``'s data-ready time at
+        ``compute_start[i-1] + delay[i]`` (fold 0's is its compute
+        start).  Leaves the bus state and word totals where that walk
+        would.  Fold ``i+1``'s fetch issues at fold ``i``'s compute
+        start, and the bus is never busy past a fold's data-ready time
+        (``ready = busy_until + latency``), so every fetch after the
+        first starts at its issue cycle and
         ``start[i+1] = start[i] + max(cycles, delay[i+1])`` with
         ``delay = ceil((R + W) / bandwidth) + latency * [R > 0]``.
         """
         reads = schedule.read_words()
         writes = schedule.write_words()
-        transfer = -(-(reads + writes) // self.bandwidth_words)
-        delay = transfer + np.where(reads > 0, self.latency_cycles, 0)
+        transfer = reads + writes
+        transfer += self.bandwidth_words - 1
+        transfer //= self.bandwidth_words
+        delay = transfer + (reads > 0) * self.latency_cycles
         first_issue = max(start_cycle, self._busy_until)
-        compute_start = np.empty(len(schedule), dtype=np.int64)
+        compute_start = np.maximum(delay, schedule.cycles)
         compute_start[0] = first_issue + delay[0]
-        np.cumsum(np.maximum(schedule.cycles, delay[1:]), out=compute_start[1:])
-        compute_start[1:] += compute_start[0]
-        data_ready = compute_start.copy()
-        data_ready[1:] = compute_start[:-1] + delay[1:]
+        np.cumsum(compute_start, out=compute_start)
         last_issue = compute_start[-2] if len(schedule) > 1 else first_issue
         self._busy_until = int(last_issue + transfer[-1])
         self.total_read_words += int(reads.sum())
         self.total_write_words += int(writes.sum())
-        return data_ready, compute_start
+        return compute_start, delay
 
 
 @dataclass
@@ -224,23 +226,27 @@ class DoubleBufferMemory:
     ) -> MemoryTimeline:
         """:meth:`run` for a fold schedule on the ideal-bandwidth backend."""
         cycles = schedule.cycles
-        data_ready, compute_start = self.backend.walk_schedule(schedule, start_cycle)
-        stalls = np.zeros(len(schedule), dtype=np.int64)
-        stalls[1:] = compute_start[1:] - compute_start[:-1] - cycles
-        timings = (
-            [
+        folds = len(schedule)
+        compute_start, delay = self.backend.walk_schedule(schedule, start_cycle)
+        first, last = int(compute_start[0]), int(compute_start[-1])
+        timings = []
+        if keep_timings:
+            data_ready = compute_start.copy()
+            data_ready[1:] = compute_start[:-1] + delay[1:]
+            stalls = np.zeros(folds, dtype=np.int64)
+            stalls[1:] = compute_start[1:] - compute_start[:-1] - cycles
+            timings = [
                 FoldTiming(index, ready, start, start + cycles, stall)
                 for index, (ready, start, stall) in enumerate(
                     zip(data_ready.tolist(), compute_start.tolist(), stalls.tolist())
                 )
             ]
-            if keep_timings
-            else []
-        )
+        # Each fold after the first stalls for whatever its start gap
+        # exceeds ``cycles`` by, so the stalls sum in closed form.
         return MemoryTimeline(
-            compute_cycles=cycles * len(schedule),
-            total_cycles=int(compute_start[-1]) + cycles - start_cycle,
-            stall_cycles=int(stalls.sum()),
-            cold_start_cycles=int(data_ready[0]) - start_cycle,
+            compute_cycles=cycles * folds,
+            total_cycles=last + cycles - start_cycle,
+            stall_cycles=last - first - cycles * (folds - 1),
+            cold_start_cycles=first - start_cycle,
             fold_timings=timings,
         )

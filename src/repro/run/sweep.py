@@ -255,50 +255,60 @@ def _slim_run_result(run_result: RunResult) -> RunResult:
 # ------------------------------------------------------------------ cache
 
 
-def _point_inputs(
-    config: SystemConfig,
-    topology: Topology,
-    simulate_dense: bool,
-    sections: Sequence[str],
-) -> dict:
-    """The content-address payload of a point, over the given config sections."""
-    return {
-        "config": {
-            section: dataclasses.asdict(getattr(config, section))
-            for section in sections
-        },
-        "topology": [canonical_artifact(layer) for layer in topology],
-        "simulate_dense": simulate_dense,
-    }
+def _point_keys(
+    points: Sequence[SweepPoint], simulate_dense: bool
+) -> tuple[list[str], list[str]]:
+    """Content keys and fan-out group keys of ``points``, in point order.
+
+    Both keys hash one payload per point: the config sections, the
+    topology's layers and ``simulate_dense``.  The content key
+    (``sweep_point``) covers every sweepable section; the group key
+    (``fanout_group``) blanks the groupable ``dram`` and ``layout``
+    sections, so points sharing it differ only in those knobs and share
+    one compute plan / sparsity pass, resolving per-config through the
+    DRAM and layout fan-out seams.  Each distinct topology's layers are
+    rendered once per call and each point's config sections once; the
+    key bytes are those of rendering every point from scratch.
+    """
+    content_keys: list[str] = []
+    group_keys: list[str] = []
+    # Keyed by identity: the points keep their topologies alive.
+    layers_of: dict[int, list] = {}
+    for point in points:
+        layers = layers_of.get(id(point.topology))
+        if layers is None:
+            layers = [canonical_artifact(layer) for layer in point.topology]
+            layers_of[id(point.topology)] = layers
+        sections = {
+            section: dataclasses.asdict(getattr(point.config, section))
+            for section in _SWEEPABLE_SECTIONS
+        }
+        payload = {
+            "config": sections,
+            "topology": layers,
+            "simulate_dense": simulate_dense,
+        }
+        content_keys.append(content_address("sweep_point", payload))
+        payload["config"] = {
+            section: value
+            for section, value in sections.items()
+            if section not in _GROUPABLE_SECTIONS
+        }
+        group_keys.append(content_address("fanout_group", payload))
+    return content_keys, group_keys
 
 
 def content_key(
     config: SystemConfig, topology: Topology, simulate_dense: bool = True
 ) -> str:
-    """Stable content hash of a simulation's inputs.
+    """Stable content hash of a simulation's inputs (a ``sweep_point`` key).
 
-    The ``run`` section (name / output dir) is metadata and deliberately
-    excluded, so renamed runs of the same point still hit the cache.
+    The one-point case of :func:`_point_keys`.  The ``run`` section
+    (name / output dir) is metadata and deliberately excluded, so
+    renamed runs of the same point still hit the cache.
     """
-    return content_address(
-        "sweep_point",
-        _point_inputs(config, topology, simulate_dense, _SWEEPABLE_SECTIONS),
-    )
-
-
-def _fanout_group_key(
-    config: SystemConfig, topology: Topology, simulate_dense: bool
-) -> str:
-    """Content hash with the groupable axis classes blanked out.
-
-    Points sharing this key differ only in ``dram.*`` and/or
-    ``layout.*`` knobs, so they share one compute plan / sparsity pass
-    and resolve per-config through the DRAM and layout fan-out seams.
-    """
-    sections = [s for s in _SWEEPABLE_SECTIONS if s not in _GROUPABLE_SECTIONS]
-    return content_address(
-        "fanout_group", _point_inputs(config, topology, simulate_dense, sections)
-    )
+    point = SweepPoint(index=0, config=config, topology=topology, assignment=())
+    return _point_keys([point], simulate_dense)[0][0]
 
 
 class ResultCache:
@@ -480,19 +490,21 @@ def _unit_fanout(unit: _Unit) -> UnitFanout:
     )
 
 
-def _grouped_units(points: list[SweepPoint], simulate_dense: bool) -> list[_Unit]:
-    """Partition points into simulation units by axis class.
+def _grouped_units(
+    points: list[SweepPoint], group_keys: Sequence[str], simulate_dense: bool
+) -> list[_Unit]:
+    """Partition points into simulation units by fan-out group key.
 
-    Points whose configs differ only in groupable axis classes
-    (``dram.*`` and/or ``layout.*``) form one unit: one compute plan +
-    one trace stream, with the dense run resolved per distinct memory
-    config and the layout study per distinct layout config.  Unit order
-    follows first appearance, so sweeps keep deterministic,
-    index-ordered results.
+    ``group_keys`` are the points' :func:`_point_keys` group keys, in
+    point order.  Points sharing one differ only in groupable axis
+    classes (``dram.*`` and/or ``layout.*``) and form one unit: one
+    compute plan + one trace stream, with the dense run resolved per
+    distinct memory config and the layout study per distinct layout
+    config.  Unit order follows first appearance, so sweeps keep
+    deterministic, index-ordered results.
     """
     groups: dict[str, list[int]] = {}
-    for position, point in enumerate(points):
-        key = _fanout_group_key(point.config, point.topology, simulate_dense)
+    for position, key in enumerate(group_keys):
         groups.setdefault(key, []).append(position)
     return [
         (
@@ -655,10 +667,7 @@ class SweepRunner:
         points = spec.expand()
         self.last_grouping = SweepGrouping(0, 0)
         self.last_failures = []
-        keys = [
-            content_key(point.config, point.topology, spec.simulate_dense)
-            for point in points
-        ]
+        keys, group_keys = _point_keys(points, spec.simulate_dense)
 
         # Each key is looked up (and counted) once: later duplicates of a
         # key within the sweep are cache hits by construction — the first
@@ -666,8 +675,9 @@ class SweepRunner:
         # serve time below, so hits + misses always equals the grid size.
         cached: dict[int, _PointPayload] = {}
         unique: dict[str, SweepPoint] = {}
+        unique_groups: list[str] = []
         seen: set[str] = set()
-        for point, key in zip(points, keys):
+        for point, key, group_key in zip(points, keys, group_keys):
             if key in seen:
                 continue
             seen.add(key)
@@ -676,9 +686,13 @@ class SweepRunner:
                 cached[point.index] = payload
             else:
                 unique[key] = point
+                unique_groups.append(group_key)
 
         computed = self._compute(
-            list(unique.values()), spec.simulate_dense, keys=list(unique)
+            list(unique.values()),
+            spec.simulate_dense,
+            keys=list(unique),
+            group_keys=unique_groups,
         )
         failed_keys: dict[str, UnitFailure] = {
             key: envelope.failure
@@ -744,7 +758,11 @@ class SweepRunner:
         return payload
 
     def _compute(
-        self, points: list[SweepPoint], simulate_dense: bool, keys: list[str]
+        self,
+        points: list[SweepPoint],
+        simulate_dense: bool,
+        keys: list[str],
+        group_keys: list[str],
     ) -> list[ResultEnvelope]:
         """Dispatch the cache-missed points; one envelope per point.
 
@@ -753,7 +771,8 @@ class SweepRunner:
         success envelopes carry the member's :class:`_PointPayload`.
 
         Each unit's member payloads are written to the cache under
-        ``keys`` (content keys aligned with ``points``) the moment the
+        ``keys`` (content keys aligned with ``points``, as ``group_keys``
+        are their fan-out group keys) the moment the
         unit completes, through the executor's ``unit_done`` hook —
         crash-safe incremental persistence: a process killed mid-batch
         re-simulates only the units still in flight, because everything
@@ -763,7 +782,7 @@ class SweepRunner:
         """
         if not points:
             return []
-        units = _grouped_units(points, simulate_dense)
+        units = _grouped_units(points, group_keys, simulate_dense)
         if len(units) == 1 and self.workers > 1:
             # A lone unit would leave the executor idle: split it.
             units = _split_unit(units[0], self.workers)

@@ -1,11 +1,16 @@
 """Unit tests for the aggregate compute simulator."""
 
+import hashlib
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.core.compute_sim import ComputeSimulator, TileFetch
 from repro.core.dataflow import Dataflow
 from repro.errors import SimulationError
 from repro.topology.layer import ConvLayer, GemmLayer
+from repro.topology.models import toy_conv, toy_gemm
 
 ALL_DATAFLOWS = ["os", "ws", "is"]
 
@@ -92,6 +97,60 @@ class TestFoldSpecs:
             TileFetch("weights", 0, 10)
         with pytest.raises(SimulationError):
             TileFetch("ifmap", -1, 10)
+
+
+#: Digests of every slot's ``(operand, is_write, present, start_word,
+#: num_words)`` over :data:`PINNED_SHAPES` x :data:`PINNED_SRAM_WORDS`,
+#: recorded from the repeat/tile schedule builder with full constant
+#: columns.
+PINNED_SCHEDULE_DIGESTS = {
+    ("os", "toy_conv"): "a1de43dbd533b124",
+    ("os", "toy_gemm"): "06140b08802a5b2f",
+    ("ws", "toy_conv"): "c5ee0bc45241ebc8",
+    ("ws", "toy_gemm"): "b1bb2bb9304e159f",
+    ("is", "toy_conv"): "1c8e0446ae38ff70",
+    ("is", "toy_gemm"): "16c64eabf2f651cc",
+}
+PINNED_SHAPES = [(4, 4), (8, 3), (5, 7), (16, 16)]
+#: SRAM words per buffer: every streamed slice fits, some do, none do.
+PINNED_SRAM_WORDS = [1 << 30, 64, 8]
+
+
+def _schedule_digest(dataflow: str, topology) -> str:
+    digest = hashlib.sha256()
+    for (rows, cols), words in itertools.product(PINNED_SHAPES, PINNED_SRAM_WORDS):
+        simulator = ComputeSimulator(rows, cols, dataflow, words, words, words)
+        for layer in topology:
+            schedule = simulator.simulate_layer(layer).fold_specs
+            digest.update(repr((schedule.folds, schedule.cycles)).encode())
+            for slot in schedule.slots:
+                digest.update(repr((slot.operand, slot.is_write)).encode())
+                for column, dtype in (
+                    (slot.present, bool),
+                    (slot.start_word, np.int64),
+                    (slot.num_words, np.int64),
+                ):
+                    assert column.dtype == dtype
+                    assert column.shape == (schedule.folds,)
+                    digest.update(np.ascontiguousarray(column).tobytes())
+    return digest.hexdigest()[:16]
+
+
+class TestPinnedSchedules:
+    @pytest.mark.parametrize("dataflow,topology", sorted(PINNED_SCHEDULE_DIGESTS))
+    def test_columns_match_pinned_digest(self, dataflow, topology):
+        model = {"toy_conv": toy_conv, "toy_gemm": toy_gemm}[topology]()
+        assert (
+            _schedule_digest(dataflow, model)
+            == PINNED_SCHEDULE_DIGESTS[(dataflow, topology)]
+        )
+
+    @pytest.mark.parametrize("dataflow", ALL_DATAFLOWS)
+    def test_always_present_mask_is_zero_stride_and_read_only(self, dataflow):
+        schedule = ComputeSimulator(4, 4, dataflow).simulate_layer(_gemm()).fold_specs
+        always = [slot.present for slot in schedule.slots if slot.present.all()]
+        assert always and all(mask.strides == (0,) for mask in always)
+        assert not any(mask.flags.writeable for mask in always)
 
 
 class TestDramTraffic:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.dataflow import (
     Dataflow,
+    GemmMapping,
     analytical_runtime,
     compute_utilization,
     fold_cycles,
@@ -144,6 +145,21 @@ class TestSpatioTemporalEquations:
         assert spatiotemporal2_runtime(mapping, r, c, 2, 2) == (16 + 8 + 50 - 2) * 8 * 3
 
 
+def _per_fold_efficiency(mapping: GemmMapping, rows: int, cols: int) -> float:
+    """Mapping efficiency summed fold by fold: the closed form's oracle."""
+    full_r, rem_r = divmod(mapping.sr, rows)
+    full_c, rem_c = divmod(mapping.sc, cols)
+    folds_r = full_r + (1 if rem_r else 0)
+    folds_c = full_c + (1 if rem_c else 0)
+    used = 0
+    for fold_r in range(folds_r):
+        r_used = rows if fold_r < full_r else rem_r or rows
+        for fold_c in range(folds_c):
+            c_used = cols if fold_c < full_c else rem_c or cols
+            used += r_used * c_used
+    return used / (folds_r * folds_c * rows * cols)
+
+
 class TestEfficiencyMetrics:
     def test_perfect_mapping_efficiency(self):
         mapping = map_gemm(GemmShape(m=32, n=32, k=7), Dataflow.OUTPUT_STATIONARY)
@@ -154,6 +170,20 @@ class TestEfficiencyMetrics:
         eff = mapping_efficiency(mapping, 16, 16)
         # Two row folds, second uses 1/16 rows: (256 + 16) / 512.
         assert eff == pytest.approx((256 + 16) / 512)
+
+    @pytest.mark.parametrize(
+        "rows,cols",
+        [(1, 1), (2, 3), (4, 4), (5, 7), (8, 3), (16, 16), (7, 32), (64, 64), (69, 1), (70, 70)],
+    )
+    def test_closed_form_equals_per_fold_sum(self, rows, cols):
+        for sr in range(1, 70):
+            for sc in range(1, 70):
+                mapping = GemmMapping(
+                    Dataflow.OUTPUT_STATIONARY, sr, sc, 1, "M", "N", "K"
+                )
+                assert mapping_efficiency(mapping, rows, cols) == _per_fold_efficiency(
+                    mapping, rows, cols
+                ), (sr, sc)
 
     def test_utilization_below_mapping_efficiency(self):
         shape = GemmShape(m=32, n=32, k=64)

@@ -16,6 +16,8 @@ from repro.run.sweep import (
     ResultCache,
     SweepRunner,
     SweepSpec,
+    _grouped_units,
+    _point_keys,
     apply_override,
     content_key,
     single_point,
@@ -36,6 +38,11 @@ def _spec(**kwargs) -> SweepSpec:
     )
     defaults.update(kwargs)
     return SweepSpec(**defaults)
+
+
+def _units(points, dense: bool) -> list:
+    """The simulation units of ``points`` under their own group keys."""
+    return _grouped_units(points, _point_keys(points, dense)[1], dense)
 
 
 def _reference_layout(config: SystemConfig, topology) -> list:
@@ -174,6 +181,65 @@ class TestContentKey:
         assert content_key(_base(), toy_gemm()) == content_key(renamed, toy_gemm())
 
 
+#: ``sweep_point`` and ``fanout_group`` keys of :func:`_golden_spec`'s
+#: points, recorded when every point rendered its own key payload.  A
+#: moved key orphans every warm store and the service's result cache.
+GOLDEN_POINT_KEYS = [
+    "bb2eaf6beaf0bff1525447afd1bd48fd26c4ca7d45e95a6b69d64601f2aa7242",
+    "4955ba400a954936f535a9569253cb1ec1f2174ac7668afc9c8792be729b72f1",
+    "089e914d9690522d6958eda35180c5e65ad8dcae2400c79db209dc7d137e1a5c",
+    "450b6d21b6ab00b50b459b7ec09ef10f972603dc9086c4ab73074286435fed20",
+    "ff257cdaaccc699ae3b19bc15f55d0dbc3d6753377cd4f73537b10e2e58ad1b5",
+    "0bc18631afed1de20c4a597ae436adb5e8dac97a05d934e06d677ad036533356",
+    "3119bb1efd16ab362316950ce429b9de3f145cc49c5ba2974c3115d455ed3680",
+    "79d3ebcba046dd64853b5abed9030af8dc0058ba45dea1a222f6b7d2c6eee0e7",
+]
+GOLDEN_GROUP_KEYS = [
+    key
+    for key in (
+        "84b7e1c5273055f90481090d31a123960b3619293e172f211e7ad4ee318b77f3",
+        "cb359e5bf03a462b32e8f959a7b0ed33423b0ec089a5d9669d58b325b3640cf2",
+        "c1007815c1122f2e0def5294f1df471947babfa529d1cf1d92005af71bfbdded",
+        "520cbf121ce127ece3893d333790ab9cd022280c68827330612186b397e9f1ca",
+    )
+    for _ in range(2)  # the dram.channels axis varies fastest
+]
+
+
+def _golden_spec() -> SweepSpec:
+    return SweepSpec(
+        base=_base(),
+        axes=[Axis("arch.dataflow", ("os", "ws")), Axis("dram.channels", (1, 2))],
+        topologies=[toy_gemm(), toy_conv()],
+        name="golden",
+    )
+
+
+class TestPointKeys:
+    def test_keys_do_not_move(self):
+        assert _point_keys(_golden_spec().expand(), True) == (
+            GOLDEN_POINT_KEYS,
+            GOLDEN_GROUP_KEYS,
+        )
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_one_pass_keys_equal_content_key(self, dense):
+        points = _golden_spec().expand()
+        content_keys, _ = _point_keys(points, dense)
+        assert content_keys == [
+            content_key(point.config, point.topology, dense) for point in points
+        ]
+
+    def test_grouped_units_unchanged(self):
+        spec = _golden_spec()
+        points = spec.expand()
+        units = _units(points, True)
+        assert [members for members, *_ in units] == [[0, 1], [2, 3], [4, 5], [6, 7]]
+        for members, configs, topology, dense in units:
+            assert configs == [points[m].config for m in members]
+            assert topology is points[members[0]].topology and dense
+
+
 class TestSweepRunner:
     def test_results_in_grid_order_with_run_names(self):
         results = SweepRunner().run(_spec())
@@ -258,7 +324,7 @@ class TestSweepRunner:
 
     def test_split_unit_follows_the_wider_fanout_class(self):
         from repro.config.system import DramConfig, LayoutConfig
-        from repro.run.sweep import _grouped_units, _split_unit
+        from repro.run.sweep import _split_unit
 
         base = _base().replace(
             dram=DramConfig(enabled=True),
@@ -266,7 +332,7 @@ class TestSweepRunner:
         )
 
         def split(axes, width=2, dense=True):
-            [unit] = _grouped_units(_spec(base=base, axes=axes).expand(), dense)
+            [unit] = _units(_spec(base=base, axes=axes).expand(), dense)
             return [
                 [(c.dram.channels, c.layout.num_banks) for c in configs]
                 for _, configs, _, _ in _split_unit(unit, width)
@@ -530,10 +596,8 @@ class TestLayoutFanoutGrouping:
             )
 
     def test_grouping_unit_structure(self):
-        from repro.run.sweep import _grouped_units
-
         spec = self._layout_spec()
-        units = _grouped_units(spec.expand(), True)
+        units = _units(spec.expand(), True)
         assert len(units) == 1  # one fan-out group of three points
         members, configs, topology, dense = units[0]
         assert members == [0, 1, 2]
@@ -541,34 +605,28 @@ class TestLayoutFanoutGrouping:
         assert topology is spec.topologies[0] and dense
 
     def test_dram_and_layout_axes_share_one_unit(self):
-        from repro.run.sweep import _grouped_units
-
         spec = self._layout_spec(
             axes=[Axis("layout.num_banks", (1, 2)), Axis("dram.channels", (1, 2))]
         )
-        units = _grouped_units(spec.expand(), True)
+        units = _units(spec.expand(), True)
         # dram.* and layout.* are both groupable axis classes: the whole
         # 2x2 cross collapses into one simulation unit.
         assert [len(members) for members, *_ in units] == [4]
         assert len(units[0][1]) == 4  # one config per point
 
     def test_non_groupable_axes_stay_separate(self):
-        from repro.run.sweep import _grouped_units
-
         spec = self._layout_spec(
             axes=[Axis("layout.num_banks", (1, 2)), Axis("arch.bandwidth_words", (10, 20))]
         )
-        units = _grouped_units(spec.expand(), True)
+        units = _units(spec.expand(), True)
         # Two arch.* values -> two groups of two layout points.
         assert sorted(len(members) for members, *_ in units) == [2, 2]
 
     def test_layout_disabled_points_still_group(self):
-        from repro.run.sweep import _grouped_units
-
         # layout.* differences with the study disabled still share one
         # compute plan (the dense run reads neither section).
         spec = _spec(axes=[Axis("layout.num_banks", (1, 2))])
-        units = _grouped_units(spec.expand(), True)
+        units = _units(spec.expand(), True)
         assert [len(members) for members, *_ in units] == [2]
         results = SweepRunner(workers=1).run(spec)
         assert results[0].total_cycles == results[1].total_cycles
@@ -646,9 +704,7 @@ class TestDramFanoutGrouping:
         return SweepSpec(**defaults)
 
     def test_dram_axis_collapses_to_one_unit(self):
-        from repro.run.sweep import _grouped_units
-
-        units = _grouped_units(self._dram_spec().expand(), True)
+        units = _units(self._dram_spec().expand(), True)
         assert len(units) == 1
         members, configs, _, _ = units[0]
         assert members == [0, 1, 2]
@@ -851,15 +907,13 @@ class TestOnePipeline:
             assert got.pattern.nnz_per_block.max() <= 2  # 2:4 applied
 
     def test_sparsity_only_points_group_by_axis_class(self):
-        from repro.run.sweep import _grouped_units
-
         # Without the dense pass neither dram.* nor layout.* is read, so
         # points differing only there share one sparsity pass.
         base = apply_override(_base(), "sparsity.sparsity_support", True)
         spec = _spec(
             base=base, axes=[Axis("dram.channels", (1, 2))], simulate_dense=False
         )
-        units = _grouped_units(spec.expand(), False)
+        units = _units(spec.expand(), False)
         assert [members for members, *_ in units] == [[0, 1]]
         first, second = SweepRunner(workers=1).run(spec)
         assert first.total_cycles == second.total_cycles == 0

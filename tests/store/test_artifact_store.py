@@ -222,6 +222,45 @@ def test_plan_through_store_roundtrips_to_equal_schedules(tmp_path):
     assert resolved[0] == resolved[1]
 
 
+def test_zero_stride_schedule_roundtrips_through_store(tmp_path):
+    """A zero-stride always-present mask loads back as an equal schedule."""
+    import dataclasses
+
+    from repro.core.simulator import ComputePlan, plan_signature
+    from repro.dram.fanout import prepare_line_batch, simulate_many_dram
+
+    config = get_preset("google_tpu_v2")
+    config = config.replace(
+        arch=dataclasses.replace(config.arch, array_rows=4, array_cols=4, dataflow="ws")
+    )
+    signature = plan_signature(config.arch)
+    layer = toy_conv()[1]
+    layer_compute.cache_clear()
+    reference = layer_compute(layer, signature)
+    stationary = reference.fold_specs.slots[0]
+    assert stationary.operand == "filter" and stationary.present.strides == (0,)
+
+    store = ArtifactStore(tmp_path)
+    with _with_store(store):
+        layer_compute.cache_clear()
+        layer_compute(layer, signature)  # miss: builds and persists
+        layer_compute.cache_clear()
+        warm = layer_compute(layer, signature)  # hit: loads from disk
+    layer_compute.cache_clear()
+    assert store.misses == 1 and store.hits == 1
+    assert warm is not reference
+    assert warm.fold_specs == reference.fold_specs
+    word_bytes = config.arch.word_bytes
+    assert [prepare_line_batch(fold, word_bytes) for fold in warm.fold_specs] == [
+        prepare_line_batch(fold, word_bytes) for fold in reference.fold_specs
+    ]
+    resolved = [
+        simulate_many_dram(ComputePlan("toy_conv", signature, (compute,)), [config])
+        for compute in (warm, reference)
+    ]
+    assert resolved[0] == resolved[1]
+
+
 def test_fold_demand_roundtrips_through_store(tmp_path):
     # WS with 16 filters on 4 columns: every row fold is a run of 4.
     layer = toy_conv()[1]
