@@ -221,8 +221,6 @@ class BatchedEngine:
         # Decode plan shared with AddressMapper: (line // stride) % size.
         self._strides = mapper.field_strides
         self._sizes = mapper.field_sizes
-        # Vector-pass parameters, built on the first vector-size batch.
-        self._vector_params: VectorParams | None = None
 
     # ------------------------------------------------------------- protocol
 
@@ -239,7 +237,7 @@ class BatchedEngine:
         if result is not None:
             return result
         lines, is_write = issue_order_arrays(batch)
-        params = self.vector_params()
+        params = VectorParams([self])
         stacked = stack_lines(params, [decode_lines(self, lines)])
         [result] = resolve_vector_pass(params, [self], stacked, is_write, [clock0])
         return result
@@ -265,12 +263,6 @@ class BatchedEngine:
         if result is None and total < self.vector_threshold:
             result = self._process_scalar(batch, clock0)
         return result, clock0
-
-    def vector_params(self) -> VectorParams:
-        """This engine's vector-pass parameters, built on first use."""
-        if self._vector_params is None:
-            self._vector_params = VectorParams([self])
-        return self._vector_params
 
     def drain(self) -> int:
         """Cycle when every in-flight read and write has completed."""
@@ -637,29 +629,3 @@ class BatchedEngine:
         return BatchResult(
             ready_cycle=last_read, lines_read=lines_read, lines_written=lines_written
         )
-
-    def _accumulate_channel(
-        self,
-        chan_id: int,
-        reads: int,
-        writes: int,
-        hits: int,
-        misses: int,
-        conflicts: int,
-        read_latency: int,
-        last_completion: int,
-        first_cycle: int,
-        num_lines: int,
-    ) -> None:
-        """Fold one batch's per-channel reductions into the running stats."""
-        self._s_reads[chan_id] += reads
-        self._s_writes[chan_id] += writes
-        self._s_hits[chan_id] += hits
-        self._s_misses[chan_id] += misses
-        self._s_conflicts[chan_id] += conflicts
-        self._s_lat[chan_id] += read_latency
-        if last_completion > self._s_last[chan_id]:
-            self._s_last[chan_id] = last_completion
-        if self._s_first[chan_id] is None:
-            self._s_first[chan_id] = first_cycle
-        self._s_bytes[chan_id] += LINE_BYTES * num_lines

@@ -191,9 +191,7 @@ class GridBatchedEngine:
             part = [engines[index] for index in left]
             params = self._params.get(left)
             if params is None:
-                params = self._params[left] = (
-                    part[0].vector_params() if len(part) == 1 else VectorParams(part)
-                )
+                params = self._params[left] = VectorParams(part)
             shape = tuple(self.geometries[index] for index in left)
             stacked = stacks.get(shape)
             if stacked is None:

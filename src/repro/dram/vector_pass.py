@@ -38,6 +38,17 @@ then a completion from *before* the block.  A cheap vectorized check
 guards the one case where an in-block completion could reorder the
 statistics; on the rare violation only the clean prefix commits.
 
+Stages.  :func:`resolve_vector_pass` keeps the block loop and calls
+named stages.  Once per pass: :func:`_gather_state` (state and pending
+pools), :func:`_settle_queues` (queue counters, peak occupancy and the
+outstanding pools) and :func:`_write_back` (statistics, state and
+results).  Once per block, in order: :func:`_pace_block` (queue
+constraints and front-end pacing), :func:`_bank_timing` (bank streak
+timing, with :func:`_walk_streak_boundaries`), :func:`_arbitrate_bus`,
+:func:`_speculation_cut` (the speculation check) and
+:func:`_commit_block` (the prefix or full commit, its stall split and
+the pending merge).
+
 State layout.  Each participant's engine owns its state as int64
 arrays: bank open row, ready and ACT cycles, channel buses, and per
 queue a sorted ``pending`` pool and a sorted ``outstanding`` pool (the
@@ -79,6 +90,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.dram.address import LINE_BYTES
 from repro.dram.engine import BatchResult
 from repro.dram.timing import DramTiming
 from repro.errors import DramError
@@ -94,11 +106,11 @@ _RAMP = np.arange(0, dtype=np.int64)  # see VectorParams.ramp
 class VectorParams:
     """Shared parameters of the vector pass.
 
-    Built once per participant set — a lone engine keeps its own, a
-    grid keeps one per pass class — from the engines' timing, geometry,
-    queue capacities and issue rates.  Holds the timing constants as
-    Python ints and the offset-flattened bank/channel geometry; the
-    scans share one lazily grown ``0..n`` ramp across every pass.
+    Built once per participant set (a grid caches one per participant
+    tuple) from the engines' timing, geometry, queue capacities and
+    issue rates.  Holds the timing constants as Python ints and the
+    offset-flattened bank/channel geometry; the scans share one lazily
+    grown ``0..n`` ramp across every pass.
 
     Every participant must share one (read, write) queue depth, one
     :class:`~repro.dram.timing.DramTiming` and one issue rate: the pass
@@ -131,8 +143,8 @@ class VectorParams:
         self.burst = timing.t_burst
         self.ipc = ipc
         # Power-of-two issue rates (1, 2, 4...) turn the pacing divides
-        # into shifts; h >= 0 after the pace seeding, so the arithmetic
-        # shift matches floor division exactly.
+        # into shifts (rate 1 shifts by 0); h >= 0 after the pace
+        # seeding, so the arithmetic shift matches floor division exactly.
         self.ipc_sh = ipc.bit_length() - 1 if ipc & (ipc - 1) == 0 else None
         # Every participant on one channel: (config, channel) ids are the
         # participant ids, so the bus scan runs row-wise with no sort.
@@ -226,383 +238,414 @@ def resolve_vector_pass(
     ``is_write`` is the batch's round-robin issue order
     (:func:`repro.dram.engine_batched.issue_order_arrays`) and
     ``stacked`` its :func:`stack_lines` for ``engines``, which
-    ``params`` describes exactly.  The pass gathers the participants'
-    state arrays (see "State layout" above), resolves every line,
-    updates each queue's outstanding pool and peak occupancy with
-    array operations, and writes the state back by slice assignment.
-    Statistics and results reach the engines as Python ints.
+    ``params`` describes exactly.  It runs the stages of the module
+    docstring: it gathers the participants' state, walks the block
+    stages over every block, settles the queues and writes the state
+    back.  Statistics and results reach the engines as Python ints.
     """
-    num = len(engines)
-    cap_r = params.cap_r
-    cap_w = params.cap_w
-    ccd = params.ccd
-    cl = params.cl
-    tb = params.burst
-    ipc = params.ipc
-    ipc_sh = params.ipc_sh
-    chan_off = params.chan_off
-    single_channel = params.single_channel
-
-    # --- 1. shared issue order + per-participant decode -------------------
-    n = is_write.size
+    num, n = len(engines), is_write.size
+    gchan, flat_bank, row = stacked
+    state, pend_r, pend_w = _gather_state(engines)
     index = params.ramp(n + 1)
     writes_cum = np.cumsum(is_write)
     reads_cum = index[1:] - writes_cum
-    gchan, flat_bank, row = stacked
-
-    # --- 2. offset-concatenated gather of the datapath state --------------
-    open_row = np.concatenate([e._open_row for e in engines])
-    ready = np.concatenate([e._ready for e in engines])
-    act = np.concatenate([e._act for e in engines])
-    bus = np.concatenate([e._bus_ready for e in engines])
-    # (configs, min(pushed, depth)) pending matrices of the sorted pools:
-    # equal depths and equal pushes keep the rows equally long, and
-    # np.stack raises if a caller ever breaks that.
-    pend_r = np.stack([e.read_queue.pending for e in engines])
-    pend_w = np.stack([e.write_queue.pending for e in engines])
-    stall_r = np.zeros(num, dtype=np.int64)
-    stall_w = np.zeros(num, dtype=np.int64)
-
-    issue_all = np.empty((num, n), dtype=np.int64)
-    comp_all = np.empty((num, n), dtype=np.int64)
-    cat_all = np.empty((num, n), dtype=np.int8)  # 0 hit / 1 miss / 2 conflict
-
-    # Pacing state in h-space (running max of c*g - i), per participant.
-    pace = np.array([ipc * c0 for c0 in clock0s], dtype=np.int64)
-    if single_channel:
-        ramp_tb_all = index * tb  # the row-wise bus scan's k*tBURST
     # Per-line CAS gap and data offset by access kind, gathered into
     # each block's bank order (None: one value for every line).
     has_writes = bool(writes_cum[-1])
-    write_ccd, cwl = params.write_ccd, params.cwl
+    ccd, write_ccd, cl, cwl = params.ccd, params.write_ccd, params.cl, params.cwl
     delta_line = (
         np.where(is_write, write_ccd, ccd) if has_writes and write_ccd != ccd else None
     )
     cas_line = np.where(is_write, cwl, cl) if has_writes and cwl != cl else None
+    # k*tCCD and k*tBURST scan ramps as long as the widest rectangle (a
+    # block holds at most cap_r + cap_w lines).
+    ramp = params.ramp(num * min(n, params.cap_r + params.cap_w) + 1)
+    ramp_ccd, ramp_tb = ramp * ccd, ramp * params.burst
+    records = (
+        np.empty((num, n), dtype=np.int64),  # issue cycles
+        np.empty((num, n), dtype=np.int64),  # completions
+        np.zeros((num, n), dtype=np.int8),  # 0 hit / 1 miss / 2 conflict
+        np.zeros(num, dtype=np.int64),  # read stalls
+        np.zeros(num, dtype=np.int64),  # write stalls
+    )
+    # Pacing state in h-space (running max of c*g - i), per participant.
+    pace = np.array([params.ipc * c0 for c0 in clock0s], dtype=np.int64)
 
-    # --- 3. block loop over one (configs, block) rectangle ----------------
     # Every participant shares the queue depths and the cursor, so the
-    # whole pass advances through one block sequence; the
-    # participant/block-local coordinates of any flat element index
-    # are just divmod(element, block).
+    # pass advances through one sequence of (configs, block) rectangles:
+    # the longest runs with at most `capacity` pushes per queue, whose
+    # constraints then predate the block.
     s0 = 0
     while s0 < n:
-        # Longest prefix with at most `capacity` pushes per queue:
-        # constraints then predate the block.
         rb = int(reads_cum[s0 - 1]) if s0 else 0
         wb = int(writes_cum[s0 - 1]) if s0 else 0
-        er = int(reads_cum.searchsorted(rb + cap_r, side="right"))
-        ew = int(writes_cum.searchsorted(wb + cap_w, side="right"))
-        blk = min(er, ew, n) - s0
-        e0 = s0 + blk
-        total = num * blk
-        gidx_blk = index[s0:e0]
-        wr_blk = is_write[s0:e0]
-        fb_c = flat_bank[:, s0:e0].ravel()
-        row_c = row[:, s0:e0].ravel()
-        gch_c = None if single_channel else gchan[:, s0:e0].ravel()
-
-        # Queue constraints g: consumed order statistics; the
-        # block-local read/write positions are shared by rows.
-        wr_local = wr_blk.nonzero()[0]
-        if wr_local.size:
-            rd_local = (~wr_blk).nonzero()[0]
-            rd_contig = False
-        else:
-            # Read-only block (the common fetch stream): the
-            # read positions are just 0..blk-1, so downstream
-            # column gathers become plain slices.
-            rd_local = index[:blk]
-            rd_contig = True
-        # Pushes left before each queue first fills (their constraint is
-        # vacuous): a queue holds min(pushed, depth) pending entries.
-        skip_r = cap_r - pend_r.shape[1]
-        skip_w = cap_w - pend_w.shape[1]
-        if skip_r or skip_w:
-            g2 = np.full((num, blk), _LOW, dtype=np.int64)
-        else:
-            # Both queues filled: every column consumes a constraint.
-            g2 = np.empty((num, blk), dtype=np.int64)
-        for local, contig, pend, skip in (
-            (rd_local, rd_contig, pend_r, skip_r),
-            (wr_local, False, pend_w, skip_w),
-        ):
-            count = local.size
-            if count > skip:
-                if contig:
-                    g2[:, skip:count] = pend[:, : count - skip]
-                else:
-                    g2[:, local[skip:]] = pend[:, : count - skip]
-
-        # Front-end pacing: row-wise running max.
-        if ipc == 1:
-            # One line per cycle: h = g - i and issue = i + hmax,
-            # skipping the (expensive) integer divides entirely.
-            h2 = g2 - gidx_blk
-        elif ipc_sh is not None:
-            h2 = (g2 << ipc_sh) - gidx_blk
-        else:
-            h2 = ipc * g2 - gidx_blk
-        np.maximum(h2[:, 0], pace, out=h2[:, 0])
-        hmax2 = np.maximum.accumulate(h2, axis=1)
-        u2 = gidx_blk + hmax2
-        if ipc == 1:
-            issue2 = u2
-        elif ipc_sh is not None:
-            issue2 = u2 >> ipc_sh
-        else:
-            issue2 = u2 // ipc
-        issue = issue2.ravel()
-
-        # --- bank timing (globally grouped, streak scans) -----------------
-        grouping = fb_c.argsort(kind="stable")
-        fb_s = fb_c[grouping]
-        row_s = row_c[grouping]
-        cyc_s = issue[grouping]
-        # Block-local columns materialize only when a consumer needs
-        # them: read-only blocks (the common fetch stream) gather no
-        # per-kind timing, and the prefix commit derives j_s only on a
-        # violation.  A one-row rectangle's flat index already is the
-        # column.
-        j_s = None
-        if wr_local.size:
-            j_s = grouping % blk if num > 1 else grouping
-        # Line index of each sorted element, for the per-line timing
-        # arrays (None: a read-only block, one kind throughout).
-        line_s = None if j_s is None else j_s + s0
-        is_start = np.empty(total, dtype=bool)
-        is_start[0] = True
-        np.not_equal(fb_s[1:], fb_s[:-1], out=is_start[1:])
-        group_starts = is_start.nonzero()[0]
-        fb_g = fb_s[group_starts]
-        prev_row = np.empty(total, dtype=np.int64)
-        prev_row[1:] = row_s[:-1]
-        prev_row[group_starts] = open_row[fb_g]
-        hit = row_s == prev_row
-        not_hit = ~hit
-        all_hits = not not_hit.any()
-        if all_hits:
-            # Runs coincide with bank groups: reuse their boundaries.
-            run_start = is_start
-        else:
-            run_start = is_start | not_hit
-            run_start[1:] |= not_hit[:-1]
-        run_id = run_start.cumsum() - 1
-        # ``delta is None`` encodes a constant ccd everywhere — the
-        # exclusive cumsum collapses to a scaled ramp.
-        delta = None if delta_line is None or line_s is None else delta_line[line_s]
-        if delta is None:
-            d_excl = params.ramp(total) * ccd
-        else:
-            d_excl = np.empty(total, dtype=np.int64)
-            d_excl[0] = 0
-            delta[:-1].cumsum(out=d_excl[1:])
-        rid_off = run_id * _BIG
-        streak_max = np.maximum.accumulate(cyc_s - d_excl + rid_off) - rid_off
-        run_starts = group_starts if all_hits else run_start.nonzero()[0]
-        # Provisional seeds as if every run opened at a group start
-        # with a row hit; for bad (miss-carrying) groups the walker
-        # overwrites the seed of *every* run it visits, so the
-        # provisional values never survive where they are wrong.
-        seeds = ready[fb_g if all_hits else fb_s[run_starts]] - d_excl[run_starts]
-        act_updates: list[tuple[int, int, int]] = []
-        if not all_hits:
-            _walk_streak_boundaries(
-                fb_s,
-                cyc_s,
-                prev_row,
-                hit,
-                group_starts,
-                run_id,
-                run_starts,
-                d_excl,
-                delta,
-                streak_max,
-                ready,
-                act,
-                seeds,
-                act_updates,
-                params.timing,
-                ccd if delta is None else None,
-            )
-        issue_bank = d_excl + np.maximum(seeds[run_id], streak_max)
-        data_start_s = issue_bank + (
-            cl if cas_line is None or line_s is None else cas_line[line_s]
+        e0 = min(
+            int(reads_cum.searchsorted(rb + params.cap_r, side="right")),
+            int(writes_cum.searchsorted(wb + params.cap_w, side="right")),
+            n,
         )
-
-        # --- bus arbitration per (config, channel) ------------------------
-        data_start = np.empty(total, dtype=np.int64)
-        data_start[grouping] = data_start_s
-        if single_channel:
-            # One channel per participant: each rectangle row is one
-            # bus segment already in issue order — a row-wise scan.
-            ramp_tb = ramp_tb_all[:blk]
-            ramp_tb1 = ramp_tb_all[1 : blk + 1]
-            elem2 = data_start.reshape(num, blk) - ramp_tb
-            np.maximum(elem2[:, 0], bus, out=elem2[:, 0])
-            completion2 = np.maximum.accumulate(elem2, axis=1)
-            completion2 += ramp_tb1
-        else:
-            chan_order = gch_c.argsort(kind="stable")
-            chan_s = gch_c[chan_order]
-            bus_in = data_start[chan_order]
-            cstart = np.empty(total, dtype=bool)
-            cstart[0] = True
-            np.not_equal(chan_s[1:], chan_s[:-1], out=cstart[1:])
-            chan_starts = cstart.nonzero()[0]
-            seg_end = np.empty(chan_starts.size, dtype=np.int64)
-            seg_end[:-1] = chan_starts[1:]
-            seg_end[-1] = total
-            # The per-segment offset only needs distinct nondecreasing
-            # values — the sorted channel ids themselves qualify, saving
-            # a cumsum.
-            seg_off = np.multiply(chan_s, _BIG, dtype=np.int64)
-            # One burst length: measure elements against the *global*
-            # ramp instead of a segment-local one — the segment base
-            # (chan_start * tb) cancels between the seeded ``elem`` and
-            # the final completion, so no per-segment ramp materializes.
-            ramp_tb = params.ramp(total) * tb
-            elem = bus_in - ramp_tb
-            elem[chan_starts] = np.maximum(
-                elem[chan_starts],
-                bus[chan_s[chan_starts]] - ramp_tb[chan_starts],
-            )
-            seg_max = np.maximum.accumulate(elem + seg_off) - seg_off
-            completion_s = ramp_tb + tb + seg_max
-            completion = np.empty(total, dtype=np.int64)
-            completion[chan_order] = completion_s
-            completion2 = completion.reshape(num, blk)
-
-        # --- verify the order-statistic speculation -----------------------
-        # The cut is the earliest violating column over every row and
-        # queue: a row violates where an earlier in-block completion of
-        # the queue undercuts a later consumed constraint.  Every element
-        # before that frontier is already exact — scans are prefix-causal
-        # per (config, bank, channel), and bank groups never cross
-        # configs, so even the walker's ACT chain ascends in position —
-        # so the clean prefix commits directly, with no retry pass.  A
-        # 1-channel row never violates: its bus chain rises past every
-        # earlier completion, constraints included.  Otherwise
-        # fast-accept when no row's completions undercut its own
-        # constraints (rows are compared with themselves: across rows
-        # the check would alarm on nearly every grid block).
-        cut = blk
-        if not single_channel and (
-            completion2.min(axis=1) < g2.max(axis=1)
-        ).any():
-            for local in (rd_local, wr_local):
-                if local.size < 2:
-                    continue
-                run_min = np.minimum.accumulate(
-                    completion2.take(local[:-1], axis=1), axis=1
-                )
-                bad = (run_min < g2.take(local[1:], axis=1)).any(axis=0)
-                if bad.any():
-                    cut = min(cut, int(local[int(bad.argmax()) + 1]))
-
-        # --- commit (the verified prefix of the rectangle) -----------------
-        if all_hits:
-            cat_c = None  # every access a row hit: category 0 everywhere
-        else:
-            # hit -> 0, miss on a closed row -> 1, conflict -> 2,
-            # as int8 arithmetic (cheaper than nested np.where).
-            category_s = not_hit.view(np.int8) * (
-                (prev_row >= 0).view(np.int8) + np.int8(1)
-            )
-            cat_c = np.empty(total, dtype=np.int8)
-            cat_c[grouping] = category_s
-        if cut < blk:
-            # Prefix state commit: each bank group / channel segment
-            # advances to its last kept element (position < cut);
-            # groups with nothing kept stay untouched.
-            if j_s is None:
-                j_s = grouping % blk
-            kept = (j_s < cut).nonzero()[0]
-            gid_k = group_starts.searchsorted(kept, side="right") - 1
-            lk = np.empty(kept.size, dtype=bool)
-            lk[-1] = True
-            np.not_equal(gid_k[:-1], gid_k[1:], out=lk[:-1])
-            last_k = kept[lk]
-            touched = fb_s[last_k]
-            open_row[touched] = row_s[last_k]
-            ready[touched] = issue_bank[last_k] + (
-                ccd if delta is None else delta[last_k]
-            )
-            # (Multi-channel passes only: 1-channel rows never cut.)
-            kept_c = ((chan_order % blk) < cut).nonzero()[0]
-            cid_k = chan_starts.searchsorted(kept_c, side="right") - 1
-            lc = np.empty(kept_c.size, dtype=bool)
-            lc[-1] = True
-            np.not_equal(cid_k[:-1], cid_k[1:], out=lc[:-1])
-            last_c = kept_c[lc]
-            bus[chan_s[last_c]] = completion_s[last_c]
-            for bank_index, position, value in act_updates:
-                if int(j_s[position]) < cut:
-                    act[bank_index] = value
-        else:
-            last_pos = np.empty(group_starts.size, dtype=np.int64)
-            np.subtract(group_starts[1:], 1, out=last_pos[:-1])
-            last_pos[-1] = total - 1
-            touched = fb_g
-            open_row[touched] = row_s[last_pos]
-            ready[touched] = issue_bank[last_pos] + (
-                ccd if delta is None else delta[last_pos]
-            )
-            if single_channel:
-                bus[:] = completion2[:, -1]
-            else:
-                bus[chan_s[chan_starts]] = completion_s[seg_end - 1]
-            for bank_index, _, value in act_updates:
-                act[bank_index] = value
-        ec = s0 + cut
-        issue_all[:, s0:ec] = issue2[:, :cut]
-        comp_all[:, s0:ec] = completion2[:, :cut]
-        if cat_c is None:
-            cat_all[:, s0:ec] = 0
-        else:
-            cat_all[:, s0:ec] = cat_c.reshape(num, blk)[:, :cut]
-        # Stall accounting: stall = issue minus the clock without this
-        # line's jump, floor((i + hmax[i-1]) / c), and i + hmax[i-1] is
-        # the previous column's u2 plus one.
-        base2 = np.empty_like(u2)
-        np.add(u2[:, :-1], 1, out=base2[:, 1:])
-        np.add(pace, s0, out=base2[:, 0])
-        if ipc == 1:
-            stall2 = issue2 - base2
-        elif ipc_sh is not None:
-            stall2 = issue2 - (base2 >> ipc_sh)
-        else:
-            stall2 = issue2 - base2 // ipc
+        rd_local, wr_local, g2, u2, hmax2, issue2 = _pace_block(
+            params, index, is_write, s0, e0, pend_r, pend_w, pace
+        )
+        data_start, banks = _bank_timing(
+            params, state, flat_bank, row, s0, e0, issue2, wr_local, delta_line, cas_line,
+            ramp_ccd,
+        )
+        completion2, chans = _arbitrate_bus(params, state, gchan, s0, e0, data_start, ramp_tb)
+        cut = _speculation_cut(params, completion2, g2, rd_local, wr_local)
+        pend_r, pend_w = _commit_block(
+            params, state, records, s0, e0, cut, pace, pend_r, pend_w,
+            rd_local, wr_local, u2, issue2, completion2, banks, chans,
+        )
         pace = hmax2[:, cut - 1]
-        s0 = ec
-        stall_kept = (stall2 if cut == blk else stall2[:, :cut]).sum(axis=1)
-        # Column gathers + row-wise sums split the kept stalls by queue
-        # (the read stall is the kept total minus the write columns), and
-        # each queue's pending merge is one axis-1 sort.
-        if rd_contig:
-            # Read-only block: plain slices, no column gathers.
-            n_w = 0
-            comp_r = completion2[:, :cut]
-        else:
-            n_w = wr_local.size if cut == blk else int(wr_local.searchsorted(cut))
-            comp_r = completion2.take(rd_local[: cut - n_w], axis=1)
-            kept_w = wr_local[:n_w]
-            stall_w_q = stall2.take(kept_w, axis=1).sum(axis=1)
-            stall_w += stall_w_q
-            stall_kept -= stall_w_q
-        stall_r += stall_kept
-        if cut > n_w:
-            pend_r = _merge_pending(pend_r, cut - n_w - skip_r, comp_r)
-        if n_w:
-            pend_w = _merge_pending(
-                pend_w, n_w - skip_w, completion2.take(kept_w, axis=1)
-            )
+        s0 += cut
 
-    # --- 4. per-participant queue occupancy + outstanding -----------------
     rd_pos = (~is_write).nonzero()[0]
     wr_pos = is_write.nonzero()[0]
-    lines_read = rd_pos.size
-    lines_written = n - lines_read
+    _settle_queues(engines, index, records, pend_r, pend_w, rd_pos, wr_pos)
+    return _write_back(params, engines, clock0s, state, gchan, records, rd_pos, wr_pos)
+
+
+def _gather_state(engines: Sequence["BatchedEngine"]) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Offset-concatenated datapath state and the stacked pending pools.
+
+    Returns ``((open_row, ready, act, bus), pend_r, pend_w)``.  The
+    pending pools are ``(configs, min(pushed, depth))`` matrices: equal
+    depths and equal pushes keep the rows equally long, and ``np.stack``
+    raises if a caller ever breaks that.
+    """
+    state = (
+        np.concatenate([e._open_row for e in engines]),
+        np.concatenate([e._ready for e in engines]),
+        np.concatenate([e._act for e in engines]),
+        np.concatenate([e._bus_ready for e in engines]),
+    )
+    pend_r = np.stack([e.read_queue.pending for e in engines])
+    pend_w = np.stack([e.write_queue.pending for e in engines])
+    return state, pend_r, pend_w
+
+
+def _pace_block(
+    params: VectorParams, index: np.ndarray, is_write: np.ndarray, s0: int, e0: int,
+    pend_r: np.ndarray, pend_w: np.ndarray, pace: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Queue constraints and front-end pacing of the block ``[s0, e0)``.
+
+    Returns ``(rd_local, wr_local, g2, u2, hmax2, issue2)``: the
+    block-local read and write columns (shared by every row), the
+    queue constraints, the pacing scan and its running max, and the
+    issue cycles, each ``(configs, block)``.
+    """
+    blk = e0 - s0
+    gidx_blk = index[s0:e0]
+    wr_blk = is_write[s0:e0]
+    # Queue constraints g: consumed order statistics.  A read-only block
+    # (the common fetch stream) reads at 0..blk-1, so its column
+    # gathers become plain slices.
+    wr_local = wr_blk.nonzero()[0]
+    contig = not wr_local.size
+    rd_local = index[:blk] if contig else (~wr_blk).nonzero()[0]
+    # Pushes left before each queue first fills (their constraint is
+    # vacuous): a queue holds min(pushed, depth) pending entries.
+    skip_r = params.cap_r - pend_r.shape[1]
+    skip_w = params.cap_w - pend_w.shape[1]
+    if skip_r or skip_w:
+        g2 = np.full((pace.size, blk), _LOW, dtype=np.int64)
+    else:
+        # Both queues filled: every column consumes a constraint.
+        g2 = np.empty((pace.size, blk), dtype=np.int64)
+    for local, pend, skip in ((rd_local, pend_r, skip_r), (wr_local, pend_w, skip_w)):
+        count = local.size
+        if count > skip:
+            if contig:
+                g2[:, skip:count] = pend[:, : count - skip]
+            else:
+                g2[:, local[skip:]] = pend[:, : count - skip]
+
+    # Front-end pacing: row-wise running max.
+    ipc_sh = params.ipc_sh
+    h2 = (g2 << ipc_sh) - gidx_blk if ipc_sh is not None else params.ipc * g2 - gidx_blk
+    np.maximum(h2[:, 0], pace, out=h2[:, 0])
+    hmax2 = np.maximum.accumulate(h2, axis=1)
+    u2 = gidx_blk + hmax2
+    issue2 = u2 >> ipc_sh if ipc_sh is not None else u2 // params.ipc
+    return rd_local, wr_local, g2, u2, hmax2, issue2
+
+
+def _bank_timing(
+    params: VectorParams, state: tuple, flat_bank: np.ndarray, row: np.ndarray,
+    s0: int, e0: int, issue2: np.ndarray, wr_local: np.ndarray,
+    delta_line: np.ndarray | None, cas_line: np.ndarray | None, ramp_ccd: np.ndarray,
+) -> tuple[np.ndarray, tuple]:
+    """Bank streak timing of the block ``[s0, e0)``, grouped globally.
+
+    Returns the data start of every element in rectangle order and the
+    bank-sorted products the commit needs: ``(grouping, j_s, fb_s,
+    row_s, group_starts, issue_bank, delta, act_updates, cat_c)``.
+    """
+    open_row, ready, act, _ = state
+    num, blk = issue2.shape
+    total = num * blk
+    ccd = params.ccd
+    fb_c = flat_bank[:, s0:e0].ravel()
+    grouping = fb_c.argsort(kind="stable")
+    fb_s = fb_c[grouping]
+    row_s = row[:, s0:e0].ravel()[grouping]
+    cyc_s = issue2.ravel()[grouping]
+    # Block-local columns materialize only when a consumer needs
+    # them: read-only blocks (the common fetch stream) gather no
+    # per-kind timing, and the prefix commit derives j_s only on a
+    # violation.  A one-row rectangle's flat index already is the
+    # column.
+    j_s = None
+    if wr_local.size:
+        j_s = grouping % blk if num > 1 else grouping
+    # Line index of each sorted element, for the per-line timing
+    # arrays (None: a read-only block, one kind throughout).
+    line_s = None if j_s is None else j_s + s0
+    is_start = np.empty(total, dtype=bool)
+    is_start[0] = True
+    np.not_equal(fb_s[1:], fb_s[:-1], out=is_start[1:])
+    group_starts = is_start.nonzero()[0]
+    fb_g = fb_s[group_starts]
+    prev_row = np.empty(total, dtype=np.int64)
+    prev_row[1:] = row_s[:-1]
+    prev_row[group_starts] = open_row[fb_g]
+    hit = row_s == prev_row
+    all_hits = bool(hit.all())
+    cat_c = None  # every access a row hit: category 0 everywhere
+    if all_hits:
+        # Runs coincide with bank groups: reuse their boundaries.
+        run_start = is_start
+    else:
+        not_hit = ~hit
+        run_start = is_start | not_hit
+        run_start[1:] |= not_hit[:-1]
+        # hit -> 0, miss on a closed row -> 1, conflict -> 2,
+        # as int8 arithmetic (cheaper than nested np.where).
+        cat_c = np.empty(total, dtype=np.int8)
+        cat_c[grouping] = not_hit.view(np.int8) * (
+            (prev_row >= 0).view(np.int8) + np.int8(1)
+        )
+    run_id = run_start.cumsum() - 1
+    # ``delta is None`` encodes a constant ccd everywhere — the
+    # exclusive cumsum collapses to the pass's k*tCCD ramp.
+    delta = None if delta_line is None or line_s is None else delta_line[line_s]
+    if delta is None:
+        d_excl = ramp_ccd[:total]
+    else:
+        d_excl = np.empty(total, dtype=np.int64)
+        d_excl[0] = 0
+        delta[:-1].cumsum(out=d_excl[1:])
+    rid_off = run_id * _BIG
+    streak_max = np.maximum.accumulate(cyc_s - d_excl + rid_off) - rid_off
+    run_starts = group_starts if all_hits else run_start.nonzero()[0]
+    # Provisional seeds as if every run opened at a group start
+    # with a row hit; for bad (miss-carrying) groups the walker
+    # overwrites the seed of *every* run it visits, so the
+    # provisional values never survive where they are wrong.
+    seeds = ready[fb_g if all_hits else fb_s[run_starts]] - d_excl[run_starts]
+    act_updates: list[tuple[int, int, int]] = []
+    if not all_hits:
+        _walk_streak_boundaries(
+            fb_s, cyc_s, prev_row, hit, group_starts, run_id, run_starts, d_excl,
+            delta, streak_max, ready, act, seeds, act_updates, params.timing,
+            ccd if delta is None else None,
+        )
+    issue_bank = d_excl + np.maximum(seeds[run_id], streak_max)
+    data_start = np.empty(total, dtype=np.int64)
+    data_start[grouping] = issue_bank + (
+        params.cl if cas_line is None or line_s is None else cas_line[line_s]
+    )
+    banks = (grouping, j_s, fb_s, row_s, group_starts, issue_bank, delta, act_updates, cat_c)
+    return data_start, banks
+
+
+def _arbitrate_bus(
+    params: VectorParams, state: tuple, gchan: np.ndarray, s0: int, e0: int,
+    data_start: np.ndarray, ramp_tb: np.ndarray,
+) -> tuple[np.ndarray, tuple | None]:
+    """Bus arbitration of the block ``[s0, e0)`` per (config, channel).
+
+    Returns the ``(configs, block)`` completions and, after the
+    channel-sorted scan, the products the commit needs: ``(chan_order,
+    chan_s, chan_starts, completion_s)`` (``None`` after the row-wise
+    scan).  ``ramp_tb`` is the pass's ``k*tBURST``.
+    """
+    bus = state[3]
+    blk = e0 - s0
+    tb = params.burst
+    if params.single_channel:
+        # One channel per participant: each rectangle row is one
+        # bus segment already in issue order — a row-wise scan.
+        elem2 = data_start.reshape(-1, blk) - ramp_tb[:blk]
+        np.maximum(elem2[:, 0], bus, out=elem2[:, 0])
+        completion2 = np.maximum.accumulate(elem2, axis=1)
+        completion2 += ramp_tb[1 : blk + 1]
+        return completion2, None
+    gch_c = gchan[:, s0:e0].ravel()
+    total = gch_c.size
+    chan_order = gch_c.argsort(kind="stable")
+    chan_s = gch_c[chan_order]
+    bus_in = data_start[chan_order]
+    cstart = np.empty(total, dtype=bool)
+    cstart[0] = True
+    np.not_equal(chan_s[1:], chan_s[:-1], out=cstart[1:])
+    chan_starts = cstart.nonzero()[0]
+    # The per-segment offset only needs distinct nondecreasing
+    # values — the sorted channel ids themselves qualify, saving
+    # a cumsum.
+    seg_off = np.multiply(chan_s, _BIG, dtype=np.int64)
+    # One burst length: measure elements against the *global*
+    # ramp instead of a segment-local one — the segment base
+    # (chan_start * tb) cancels between the seeded ``elem`` and
+    # the final completion, so no per-segment ramp materializes.
+    ramp_tb = ramp_tb[:total]
+    elem = bus_in - ramp_tb
+    elem[chan_starts] = np.maximum(
+        elem[chan_starts],
+        bus[chan_s[chan_starts]] - ramp_tb[chan_starts],
+    )
+    seg_max = np.maximum.accumulate(elem + seg_off) - seg_off
+    completion_s = ramp_tb + tb + seg_max
+    completion = np.empty(total, dtype=np.int64)
+    completion[chan_order] = completion_s
+    return completion.reshape(-1, blk), (chan_order, chan_s, chan_starts, completion_s)
+
+
+def _speculation_cut(
+    params: VectorParams, completion2: np.ndarray, g2: np.ndarray,
+    rd_local: np.ndarray, wr_local: np.ndarray,
+) -> int:
+    """Verify the order-statistic speculation; the block's exact width.
+
+    The cut is the earliest violating column over every row and
+    queue: a row violates where an earlier in-block completion of the
+    queue undercuts a later consumed constraint.  Every element
+    before that frontier is already exact — scans are prefix-causal
+    per (config, bank, channel), and bank groups never cross
+    configs, so even the walker's ACT chain ascends in position —
+    so the clean prefix commits directly, with no retry pass.  A
+    1-channel row never violates: its bus chain rises past every
+    earlier completion, constraints included.  Otherwise
+    fast-accept when no row's completions undercut its own
+    constraints (rows are compared with themselves: across rows
+    the check would alarm on nearly every grid block).
+    """
+    cut = completion2.shape[1]
+    if params.single_channel or not (completion2.min(axis=1) < g2.max(axis=1)).any():
+        return cut
+    for local in (rd_local, wr_local):
+        if local.size < 2:
+            continue
+        run_min = np.minimum.accumulate(completion2.take(local[:-1], axis=1), axis=1)
+        bad = (run_min < g2.take(local[1:], axis=1)).any(axis=0)
+        if bad.any():
+            cut = min(cut, int(local[int(bad.argmax()) + 1]))
+    return cut
+
+
+def _commit_block(
+    params: VectorParams, state: tuple, records: tuple, s0: int, e0: int, cut: int,
+    pace: np.ndarray, pend_r: np.ndarray, pend_w: np.ndarray, rd_local: np.ndarray,
+    wr_local: np.ndarray, u2: np.ndarray, issue2: np.ndarray, completion2: np.ndarray,
+    banks: tuple, chans: tuple | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Commit the verified prefix ``[s0, s0 + cut)`` of the block ``[s0, e0)``.
+
+    Each bank group and channel segment advances to its last kept
+    element (groups with nothing kept stay untouched), the kept
+    columns land in ``records``, their stalls split by queue, and each
+    queue's pending pool merges its kept completions.  Returns the new
+    ``(pend_r, pend_w)``.
+    """
+    open_row, ready, act, bus = state
+    issue_all, comp_all, cat_all, stall_r, stall_w = records
+    grouping, j_s, fb_s, row_s, group_starts, issue_bank, delta, act_updates, cat_c = banks
+    num, blk = pace.size, e0 - s0
+    total = num * blk
+    prefix = cut < blk
+    if prefix and j_s is None:
+        j_s = grouping % blk
+    last = _last_in_groups(group_starts, total, (j_s < cut).nonzero()[0] if prefix else None)
+    touched = fb_s[last]
+    open_row[touched] = row_s[last]
+    ready[touched] = issue_bank[last] + (params.ccd if delta is None else delta[last])
+    for bank_index, position, value in act_updates:
+        if not prefix or int(j_s[position]) < cut:
+            act[bank_index] = value
+    if chans is None:
+        bus[:] = completion2[:, -1]  # (1-channel rows never cut)
+    else:
+        chan_order, chan_s, chan_starts, completion_s = chans
+        kept = ((chan_order % blk) < cut).nonzero()[0] if prefix else None
+        last = _last_in_groups(chan_starts, total, kept)
+        bus[chan_s[last]] = completion_s[last]
+
+    ec = s0 + cut
+    issue_all[:, s0:ec] = issue2[:, :cut]
+    comp_all[:, s0:ec] = completion2[:, :cut]
+    if cat_c is not None:  # (None: all hits, category 0 as initialized)
+        cat_all[:, s0:ec] = cat_c.reshape(num, blk)[:, :cut]
+    # Stall accounting: stall = issue minus the clock without this
+    # line's jump, floor((i + hmax[i-1]) / c), and i + hmax[i-1] is
+    # the previous column's u2 plus one.
+    base2 = np.empty_like(u2)
+    np.add(u2[:, :-1], 1, out=base2[:, 1:])
+    np.add(pace, s0, out=base2[:, 0])
+    ipc_sh = params.ipc_sh
+    stall2 = issue2 - (base2 >> ipc_sh if ipc_sh is not None else base2 // params.ipc)
+    stall_kept = (stall2[:, :cut] if prefix else stall2).sum(axis=1)
+    # Column gathers + row-wise sums split the kept stalls by queue
+    # (the read stall is the kept total minus the write columns), and
+    # each queue's pending merge is one axis-1 sort.
+    if not wr_local.size:
+        # Read-only block: plain slices, no column gathers.
+        n_w = 0
+        comp_r = completion2[:, :cut]
+    else:
+        n_w = int(wr_local.searchsorted(cut)) if prefix else wr_local.size
+        comp_r = completion2.take(rd_local[: cut - n_w], axis=1)
+        kept_w = wr_local[:n_w]
+        stall_w_q = stall2.take(kept_w, axis=1).sum(axis=1)
+        stall_w += stall_w_q
+        stall_kept -= stall_w_q
+    stall_r += stall_kept
+    if cut > n_w:
+        skip_r = params.cap_r - pend_r.shape[1]
+        pend_r = _merge_pending(pend_r, cut - n_w - skip_r, comp_r)
+    if n_w:
+        skip_w = params.cap_w - pend_w.shape[1]
+        pend_w = _merge_pending(pend_w, n_w - skip_w, completion2.take(kept_w, axis=1))
+    return pend_r, pend_w
+
+
+def _last_in_groups(starts: np.ndarray, total: int, kept: np.ndarray | None) -> np.ndarray:
+    """Position of each sorted group's last kept element.
+
+    ``starts`` are the groups' first positions among ``total``; ``kept``
+    the ascending kept positions (``None``: every element, so every
+    group's last).  Groups with nothing kept are left out.
+    """
+    if kept is None:
+        last = np.empty(starts.size, dtype=np.int64)
+        np.subtract(starts[1:], 1, out=last[:-1])
+        last[-1] = total - 1
+        return last
+    group = starts.searchsorted(kept, side="right") - 1
+    is_last = np.empty(kept.size, dtype=bool)
+    is_last[-1] = True
+    np.not_equal(group[:-1], group[1:], out=is_last[:-1])
+    return kept[is_last]
+
+
+def _settle_queues(
+    engines: Sequence["BatchedEngine"], index: np.ndarray, records: tuple,
+    pend_r: np.ndarray, pend_w: np.ndarray, rd_pos: np.ndarray, wr_pos: np.ndarray,
+) -> None:
+    """Each queue's counters, peak occupancy and outstanding/pending pools."""
+    issue_all, comp_all, _, stall_r, stall_w = records
+    n = issue_all.shape[1]
     for queues, pend, positions, stalls in (
         ([e.read_queue for e in engines], pend_r, rd_pos, stall_r),
         ([e.write_queue for e in engines], pend_w, wr_pos, stall_w),
@@ -643,8 +686,21 @@ def resolve_vector_pass(
             queue.outstanding = kept
             queue.pending = pend[p]
 
-    # --- 5. statistics: global bincounts over (config, channel) -----------
+
+def _write_back(
+    params: VectorParams, engines: Sequence["BatchedEngine"], clock0s: Sequence[int],
+    state: tuple, gchan: np.ndarray, records: tuple, rd_pos: np.ndarray, wr_pos: np.ndarray,
+) -> list[BatchResult]:
+    """Per-channel statistics, per-participant state and results.
+
+    The statistics are global bincounts over (config, channel); each
+    engine's ``_s_*`` lists take them as Python ints.
+    """
+    open_row, ready, act, bus = state
+    issue_all, comp_all, cat_all, _, _ = records
+    chan_off = params.chan_off
     total_chan = chan_off[-1]
+    lines_read, lines_written = rd_pos.size, wr_pos.size
     counts3 = np.bincount(
         (gchan * 3 + cat_all).ravel(), minlength=3 * total_chan
     ).reshape(total_chan, 3)
@@ -669,7 +725,6 @@ def resolve_vector_pass(
     else:
         writes_pc = np.zeros(total_chan, dtype=np.int64)
 
-    # --- 6. write back per-participant state + build results --------------
     counts3_l = counts3.tolist()
     reads_l = reads_pc.tolist()
     writes_l = writes_pc.tolist()
@@ -687,27 +742,22 @@ def resolve_vector_pass(
             gch = base + local
             reads = reads_l[gch]
             writes = writes_l[gch]
-            num_lines = reads + writes
-            if not num_lines:
+            if not reads + writes:
                 continue
-            first_cycle = 0
-            if engine._s_first[local] is None:
-                first_cycle = int(issue_all[p, int(np.argmax(gchan[p] == gch))])
-            hits3 = counts3_l[gch]
+            hits, misses, conflicts = counts3_l[gch]
+            engine._s_reads[local] += reads
+            engine._s_writes[local] += writes
+            engine._s_hits[local] += hits
+            engine._s_misses[local] += misses
+            engine._s_conflicts[local] += conflicts
+            engine._s_lat[local] += int(lat_l[gch])
             # bus[gch] is the channel's last completion this call (the
             # per-channel completion chain is monotone), hence the max.
-            engine._accumulate_channel(
-                local,
-                reads,
-                writes,
-                hits3[0],
-                hits3[1],
-                hits3[2],
-                int(lat_l[gch]),
-                bus_l[gch],
-                first_cycle,
-                num_lines,
-            )
+            if bus_l[gch] > engine._s_last[local]:
+                engine._s_last[local] = bus_l[gch]
+            if engine._s_first[local] is None:
+                engine._s_first[local] = int(issue_all[p, int(np.argmax(gchan[p] == gch))])
+            engine._s_bytes[local] += LINE_BYTES * (reads + writes)
         banks = slice(params.bank_off[p], params.bank_off[p + 1])
         engine._open_row[:] = open_row[banks]
         engine._ready[:] = ready[banks]

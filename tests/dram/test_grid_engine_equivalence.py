@@ -16,7 +16,9 @@ The smoke test is deliberately sub-second and non-``slow`` so the fast
 tier-1 lane exercises the grid engine on every run, not just the fuzz.
 """
 
+import inspect
 import random
+from collections import Counter
 
 import pytest
 from test_dram_fanout_equivalence import (
@@ -45,6 +47,7 @@ from repro.dram.engine_grid import (
     pass_classes,
     resolve_plan_grid,
 )
+from repro.dram import vector_pass
 from repro.dram.vector_pass import VectorParams
 from repro.errors import DramError
 from repro.topology.layer import ConvLayer
@@ -195,6 +198,45 @@ def _random_line_batch(rng: random.Random) -> LineRequestBatch:
     )
 
 
+class StageSpy:
+    """Counts the lanes the vector pass's stages take.
+
+    Wraps the stage functions in the ``repro.dram.vector_pass`` globals
+    that ``resolve_vector_pass`` calls through, and names each call's
+    lane from its bound arguments: power-of-two issue rates pace by
+    shift, the rest by divide; all-1-channel passes scan the bus
+    row-wise; a commit whose ``cut`` falls short of its block
+    ``[s0, e0)`` is a prefix commit.
+    """
+
+    LANES = {
+        "_pace_block": lambda args: (
+            "shift pacing" if args["params"].ipc_sh is not None else "divide pacing"
+        ),
+        "_arbitrate_bus": lambda args: (
+            "row-wise bus scan" if args["params"].single_channel else "channel-sorted bus scan"
+        ),
+        "_walk_streak_boundaries": lambda args: "streak walker",
+        "_commit_block": lambda args: (
+            "prefix commit" if args["cut"] < args["e0"] - args["s0"] else "full commit"
+        ),
+    }
+
+    def __init__(self, monkeypatch):
+        self.lanes: Counter[str] = Counter()
+        for name, lane in self.LANES.items():
+            monkeypatch.setattr(vector_pass, name, self._spied(getattr(vector_pass, name), lane))
+
+    def _spied(self, stage, lane):
+        signature = inspect.signature(stage)
+
+        def spied(*args):
+            self.lanes[lane(signature.bind(*args).arguments)] += 1
+            return stage(*args)
+
+        return spied
+
+
 def _assert_grid_matches_reference(configs, rng: random.Random, trial) -> None:
     """Feed random line batches to a grid and to one reference per config."""
     grid = GridBatchedEngine(configs)
@@ -237,13 +279,16 @@ def test_vector_pass_lanes_match_reference(monkeypatch, channels):
     About a third of the trials share one technology and issue rate,
     and odd trials share one queue depth, so an odd shared-timing trial
     is one pass; the rest draw per config and exercise the grid's split
-    into one pass per pass class.  Issue rates 1 to 4 reach the unit,
-    shift and divide pacing; all-1-channel
-    grids take the row-wise bus scan.  Grids of one config are the lone
-    ``BatchedEngine`` case.
+    into one pass per pass class.  Issue rates 1, 2 and 4 reach the
+    shift pacing, rate 3 the divide pacing; all-1-channel passes take
+    the row-wise bus scan, the others the channel-sorted one.  Grids of
+    one config are the lone ``BatchedEngine`` case.  A stage spy
+    requires every one of these lanes to run a few times, and a
+    1-channel pass never to cut its block.
     """
     monkeypatch.setattr(BatchedEngine, "vector_threshold", 1)
     monkeypatch.setattr(BatchedEngine, "single_stream_fast_path", False)
+    spy = StageSpy(monkeypatch)
     for trial in range(12):
         rng = random.Random(88_026 + 13 * trial + len(channels))
         shared_queues = (rng.choice((2, 3, 4, 8)), rng.choice((2, 3, 5)))
@@ -276,6 +321,12 @@ def test_vector_pass_lanes_match_reference(monkeypatch, channels):
                 )
             )
         _assert_grid_matches_reference(configs, rng, trial)
+    lanes = ["shift pacing", "divide pacing", "row-wise bus scan", "streak walker", "full commit"]
+    if channels == (1,):
+        assert not spy.lanes["channel-sorted bus scan"] and not spy.lanes["prefix commit"]
+    else:
+        lanes += ["channel-sorted bus scan", "prefix commit"]
+    assert {lane: spy.lanes[lane] for lane in lanes if spy.lanes[lane] < 3} == {}, spy.lanes
 
 
 def test_depth_class_grids_match_reference(monkeypatch):
@@ -284,10 +335,11 @@ def test_depth_class_grids_match_reference(monkeypatch):
     Each trial holds two or three depth classes of two or three configs
     each, with channel counts mixed inside a class, so every class runs
     as a multi-config pass of its own.  Tiny queues (2-5 entries) make
-    the prefix cuts fire.
+    the prefix cuts fire; a stage spy requires that they do.
     """
     monkeypatch.setattr(BatchedEngine, "vector_threshold", 1)
     monkeypatch.setattr(BatchedEngine, "single_stream_fast_path", False)
+    spy = StageSpy(monkeypatch)
     for trial in range(8):
         rng = random.Random(91_307 + 17 * trial)
         depths = rng.sample(
@@ -313,6 +365,7 @@ def test_depth_class_grids_match_reference(monkeypatch):
         rng.shuffle(configs)
         assert len(pass_classes(configs)) == len(depths)
         _assert_grid_matches_reference(configs, rng, trial)
+    assert spy.lanes["prefix commit"] > 0, spy.lanes
 
 
 def test_vector_params_reject_mixed_queue_depths():

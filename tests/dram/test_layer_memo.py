@@ -8,7 +8,9 @@ memo.  Here every topology repeats layers 2-4 times, interleaved with
 others, and tiny queues (2-8 entries) make the vector pass's prefix
 cuts fire; each grid runs through ``simulate_many_dram`` and must equal
 one scalar ``ReferenceEngine`` run per config, queue counters included.
-Spies on the memo require that both hits and misses occur.
+Spies on the memo require that both hits and misses occur, and a spy on
+the vector pass's stages that the cuts fire under the forced vector
+dispatch (the natural one keeps these small batches off the vector pass).
 """
 
 import copy
@@ -18,6 +20,7 @@ import random
 import numpy as np
 import pytest
 from test_dram_fanout_equivalence import MAPPINGS, TECHNOLOGIES, _random_arch
+from test_grid_engine_equivalence import StageSpy
 
 import repro.dram.engine_grid as engine_grid
 from repro.config.presets import get_preset
@@ -144,6 +147,7 @@ def test_memo_fuzz_matches_reference(monkeypatch, dispatch):
     monkeypatch.setattr(BatchedEngine, "vector_threshold", threshold)
     monkeypatch.setattr(BatchedEngine, "single_stream_fast_path", fast_path)
     spy = _MemoSpy(monkeypatch)
+    stages = StageSpy(monkeypatch)
     for trial in range(10):
         rng = random.Random(31_000 + 7 * trial)
         topology = _repeating_topology(rng)
@@ -168,6 +172,8 @@ def test_memo_fuzz_matches_reference(monkeypatch, dispatch):
             assert max(engine.drain(), end) == max(reference.drain(), end), trial
     assert spy.hits > 0, "no repeated layer closed from the memo"
     assert spy.lookups > spy.hits, "every lookup hit: no walk was recorded"
+    if threshold == 1:  # every batch takes the vector pass
+        assert stages.lanes["prefix commit"] > 0, stages.lanes
 
 
 def test_tpu_vit_run_hits_the_memo(monkeypatch):
